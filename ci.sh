@@ -204,6 +204,10 @@ chaos_suite cluster-sns control_plane_parity 3
 chaos_suite cluster-sns cluster_api 2
 chaos_suite sns-chaos rt_chaos 2
 chaos_suite sns-rt scaling 2
+# Reply-driven exec::serve: a reply wakes the front end at once (both
+# latency cases fail on a polling driver) and every accepted dispatch is
+# answered with a typed result across crash and shutdown.
+chaos_suite sns-rt serve_wake 5
 
 echo "== chaos stage: fault-injection suites under a pinned seed"
 # The chaos suites must both run and keep their full rosters: a test
@@ -235,5 +239,16 @@ echo "== cluster_ops stage: operations chaos under a pinned seed"
 # fault skips, and the multi-tenant flash-crowd isolation scenario —
 # all deterministic under the pinned seed.
 chaos_suite cluster-sns cluster_ops 11
+
+echo "== perfbench stage: the benchmark builds and its output checks hold"
+# perfbench is a package of its own (the benchmark driver builds it from
+# its directory), so the workspace stages above never compile it. A
+# change to RtCluster / exec::serve / the simulator that breaks its
+# build, its unit tests or a workload's output checks (conservation,
+# every pipeline outcome aggregated and not degraded, digests) fails
+# here instead of in the driver. --quick shrinks every workload; the
+# numbers it prints are not the benchmark's.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload all --quick
 
 echo "== CI green"

@@ -13,7 +13,8 @@
 //! bit-stable) event order.
 //!
 //! The rt driver (`sns_rt::exec::serve`) polls the *same* futures
-//! with a [`super::WallClock`], parking on the executor's wake queue.
+//! with a [`super::WallClock`], blocking on its per-call completion
+//! queue between polls.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

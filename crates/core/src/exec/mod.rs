@@ -15,8 +15,7 @@
 //! * [`TimerHub`] — the timer table behind [`sleep`]. Arming records a
 //!   deadline; the sim adapter drains newly armed timers into engine
 //!   timers (so sleeps pop in seq order off the existing `Scheduler`
-//!   heap/wheel — determinism comes from the engine, not from here),
-//!   while the rt driver parks until the earliest deadline.
+//!   heap/wheel — determinism comes from the engine, not from here).
 //! * [`Mailbox`] — a typed inbox with an async [`Mailbox::recv`].
 //! * [`timeout`] / [`race`] — give-up and hedged-retry combinators;
 //!   the loser of a race is dropped, which cancels its timers.
@@ -37,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
@@ -111,7 +110,6 @@ impl Clock for WallClock {
 
 #[derive(Debug)]
 struct TimerSlot {
-    deadline: SimTime,
     fired: bool,
     waker: Option<Waker>,
 }
@@ -125,9 +123,9 @@ struct TimerInner {
     newly_armed: Vec<(u64, SimTime)>,
 }
 
-/// The timer table shared by every [`Sleep`] of one executor domain.
-/// Driver-agnostic: the sim adapter fires ids when engine timers pop;
-/// the rt driver fires everything due by wall time.
+/// The timer table shared by every [`Sleep`] of one executor domain:
+/// the driver fires ids when its own timers (engine timers in the sim
+/// adapter) pop.
 #[derive(Debug)]
 pub struct TimerHub {
     clock: Arc<dyn Clock>,
@@ -156,7 +154,6 @@ impl TimerHub {
         inner.slots.insert(
             id,
             TimerSlot {
-                deadline,
                 fired: false,
                 waker: None,
             },
@@ -188,36 +185,6 @@ impl TimerHub {
             w.wake();
         }
         true
-    }
-
-    /// Fires every timer whose deadline is at or before `now`; returns
-    /// how many fired. The rt driver's per-iteration tick.
-    pub fn fire_due(&self, now: SimTime) -> usize {
-        let due: Vec<u64> = {
-            let inner = self.inner.lock().expect("timer hub poisoned");
-            inner
-                .slots
-                .iter()
-                .filter(|(_, s)| !s.fired && s.deadline <= now)
-                .map(|(&id, _)| id)
-                .collect()
-        };
-        let n = due.len();
-        for id in due {
-            self.fire(id);
-        }
-        n
-    }
-
-    /// The earliest un-fired deadline, if any (the rt park horizon).
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let inner = self.inner.lock().expect("timer hub poisoned");
-        inner
-            .slots
-            .values()
-            .filter(|s| !s.fired)
-            .map(|s| s.deadline)
-            .min()
     }
 
     /// Un-fired timers currently armed.
@@ -531,13 +498,11 @@ struct ReadyInner {
     queued: BTreeSet<u64>,
 }
 
-/// The wake queue shared by every task waker of one [`Executor`].
-/// FIFO in wake order with duplicate suppression; the condvar lets a
-/// blocking driver (rt) park until any waker fires.
+/// The wake queue shared by every task waker of one [`Executor`]:
+/// FIFO in wake order with duplicate suppression.
 #[derive(Debug, Default)]
-pub struct ReadyQueue {
+struct ReadyQueue {
     inner: Mutex<ReadyInner>,
-    cv: Condvar,
 }
 
 impl ReadyQueue {
@@ -546,7 +511,6 @@ impl ReadyQueue {
         if inner.queued.insert(id) {
             inner.queue.push_back(id);
         }
-        self.cv.notify_one();
     }
 
     fn pop(&self) -> Option<u64> {
@@ -554,17 +518,6 @@ impl ReadyQueue {
         let id = inner.queue.pop_front()?;
         inner.queued.remove(&id);
         Some(id)
-    }
-
-    /// Blocks until some waker fires or `dur` elapses (rt parking).
-    pub fn wait(&self, dur: Duration) {
-        let inner = self.inner.lock().expect("ready queue poisoned");
-        if inner.queue.is_empty() {
-            let _ = self
-                .cv
-                .wait_timeout(inner, dur)
-                .expect("ready queue poisoned");
-        }
     }
 }
 
@@ -589,7 +542,8 @@ impl Wake for TaskWaker {
 /// A std-only, single-threaded, deterministic executor: tasks are
 /// polled strictly in the order their wakes arrived. Drivers decide
 /// *when* to run (the sim adapter after each engine event; the rt
-/// driver in its park loop); the executor only decides *what*, and
+/// driver after each completion-queue wake-up); the executor only
+/// decides *what*, and
 /// that decision is a pure function of wake order.
 pub struct Executor {
     tasks: BTreeMap<u64, BoxFut>,
@@ -620,11 +574,6 @@ impl Executor {
             next_task: 1,
             ready: Arc::new(ReadyQueue::default()),
         }
-    }
-
-    /// The shared wake queue (rt drivers park on it).
-    pub fn ready_queue(&self) -> Arc<ReadyQueue> {
-        Arc::clone(&self.ready)
     }
 
     /// Spawns a task; it is immediately woken (polled on the next

@@ -316,8 +316,8 @@ pub trait AsyncService: Send {
 
 /// A waker that does nothing: the sim adapter re-polls a request's
 /// body exactly when the framework delivers one of its events, so the
-/// wake signal is redundant there (the rt driver, which parks, uses a
-/// real condvar waker instead).
+/// wake signal is redundant there (the rt driver runs the body on an
+/// [`super::Executor`], whose wakers queue the task for the next run).
 struct NoopWake;
 impl Wake for NoopWake {
     fn wake(self: Arc<Self>) {}

@@ -4,12 +4,19 @@
 //!
 //! The split mirrors the sim adapter exactly — only the axis changes:
 //!
-//! | concern            | sim (`AsyncSvcLogic`)        | rt (this driver)            |
-//! |--------------------|------------------------------|-----------------------------|
-//! | clock              | `VirtualClock` ← `ctx.now()` | `WallClock` (monotonic)     |
-//! | `Action::Dispatch` | framework lottery dispatch   | [`RtCluster::submit`]       |
-//! | `Action::Nap`      | engine timer                 | deadline list + park        |
-//! | wake-up            | engine event delivery        | executor condvar            |
+//! | concern            | sim (`AsyncSvcLogic`)        | rt (this driver)                 |
+//! |--------------------|------------------------------|----------------------------------|
+//! | clock              | `VirtualClock` ← `ctx.now()` | `WallClock` (monotonic)          |
+//! | `Action::Dispatch` | framework lottery dispatch   | [`RtCluster::submit_tagged`]     |
+//! | `Action::Nap`      | engine timer                 | deadline = completion-queue wait |
+//! | wake-up            | engine event delivery        | completion queue (worker's send) |
+//!
+//! Every dispatch of one [`serve`] call answers onto that call's own
+//! completion queue as `(token, JobResult)`, and the front-end thread
+//! blocks on the queue until the nearest nap deadline — the paper's
+//! front-end thread blocked on its workers' replies (§3.1.2). A reply
+//! wakes it the instant the worker sends it, a nap wakes it at its
+//! deadline, and nothing in between is polled.
 //!
 //! `Action::DispatchTo` (pinned, cache-ring routing) has no rt
 //! analogue — the live cluster routes every job through the shared
@@ -18,23 +25,17 @@
 //! work; bodies that pin for *correctness* should shard by class.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc::TryRecvError;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle, SvcOp};
 use sns_core::exec::{Clock as _, Executor, WallClock};
 use sns_core::frontend::Action;
 use sns_core::msg::{ClientRequest, JobResult};
-use sns_core::{Payload, WorkerClass};
+use sns_core::Payload;
 use sns_sim::ComponentId;
 
 use crate::RtCluster;
-
-/// How often the driver re-checks reply channels while parked (the
-/// cluster's reply channels are plain `mpsc` and cannot signal the
-/// executor's condvar).
-const POLL_TICK: Duration = Duration::from_millis(1);
 
 /// The served request's outcome plus the stats the body emitted (the
 /// sim adapter writes these into the engine stats hub; here the caller
@@ -47,14 +48,6 @@ pub struct ServeOutcome {
     pub degraded: bool,
     /// Counters the body incremented, by key.
     pub stats: BTreeMap<&'static str, u64>,
-}
-
-/// An in-flight dispatch: the awaited token, the class (reported on
-/// failure, like `FeEvent::DispatchFailed`), and the reply channel.
-struct InFlight {
-    token: u64,
-    class: WorkerClass,
-    rx: mpsc::Receiver<JobResult>,
 }
 
 /// Serves one request: polls the body to completion against the live
@@ -71,15 +64,19 @@ pub fn serve<S: AsyncService>(
     let fut = svc.handle(Arc::new(request), handle.clone());
     let mut exec = Executor::new();
     let root = exec.spawn(fut);
-    let ready = exec.ready_queue();
 
-    let mut in_flight: Vec<InFlight> = Vec::new();
+    // The completion queue: every dispatch of this call answers here,
+    // tagged with the token its body awaits. The cluster answers each
+    // accepted submit exactly once, so `in_flight` counts what may
+    // still arrive.
+    let (done_tx, done_rx) = mpsc::channel::<(u64, JobResult)>();
+    let mut in_flight = 0usize;
     let mut naps: Vec<(u64, Instant)> = Vec::new();
     let mut stats: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut degraded = false;
     let mut reply: Option<Result<Payload, String>> = None;
 
-    loop {
+    let stalled = loop {
         // Hint snapshot: rt reports class populations, not identities;
         // synthesise stable ids so membership-sensitive bodies (ring
         // sizing, is-the-profile-db-up checks) see the right count.
@@ -112,12 +109,8 @@ pub fn serve<S: AsyncService>(
                         profile,
                         ..
                     } => {
-                        let rx = cluster.submit(class.name(), &op, input, profile);
-                        in_flight.push(InFlight {
-                            token: tag,
-                            class,
-                            rx,
-                        });
+                        cluster.submit_tagged(class.name(), &op, input, profile, tag, &done_tx);
+                        in_flight += 1;
                     }
                     Action::Compute { tag, cost } => naps.push((tag, Instant::now() + cost)),
                     Action::Nap { tag, delay } => naps.push((tag, Instant::now() + delay)),
@@ -127,46 +120,41 @@ pub fn serve<S: AsyncService>(
             }
         }
         if !exec.is_live(root) {
-            break;
+            break false;
         }
 
-        // Deliver whatever has arrived; filled slots wake the body, so
-        // loop straight back into run_ready.
-        let mut progressed = false;
-        in_flight.retain(|f| match f.rx.try_recv() {
-            Ok(result) => {
-                progressed |= handle.fill(f.token, EventOutcome::Reply(result));
-                false
-            }
-            Err(TryRecvError::Empty) => true,
-            Err(TryRecvError::Disconnected) => {
-                progressed |= handle.fill(f.token, EventOutcome::Failed(f.class.clone()));
-                false
-            }
-        });
+        // Block until the next event: a reply the moment its worker
+        // sends it, or the nearest nap deadline. Filled slots wake the
+        // body, so loop straight back into run_ready.
+        let next_nap = naps.iter().map(|&(_, deadline)| deadline).min();
+        let first = match next_nap {
+            Some(deadline) => done_rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .ok(),
+            None if in_flight > 0 => done_rx.recv().ok(),
+            // Nothing in flight and no timer armed: no event can ever
+            // wake the body again.
+            None => break true,
+        };
+        for (token, result) in first.into_iter().chain(done_rx.try_iter()) {
+            in_flight -= 1;
+            handle.fill(token, EventOutcome::Reply(result));
+        }
         let now = Instant::now();
         naps.retain(|&(token, deadline)| {
             if deadline <= now {
-                progressed |= handle.fill(token, EventOutcome::Done);
+                handle.fill(token, EventOutcome::Done);
                 false
             } else {
                 true
             }
         });
-        if progressed {
-            continue;
-        }
-        let park = naps
-            .iter()
-            .map(|&(_, t)| t.saturating_duration_since(now))
-            .min()
-            .unwrap_or(POLL_TICK)
-            .min(POLL_TICK);
-        ready.wait(park.max(Duration::from_micros(50)));
-    }
+    };
 
     let result = if handle.replied() {
         reply.unwrap_or(Err("reply action lost".into()))
+    } else if stalled {
+        Err("service body stalled: nothing in flight and no timer armed".into())
     } else {
         *stats.entry("exec.body_no_reply").or_insert(0) += 1;
         Err("service body returned without replying".into())

@@ -11,8 +11,10 @@
 //! restart — reappear here over plain `std::sync` primitives instead of
 //! the simulated SAN. Worker inboxes use the in-repo [`chan`] MPMC shim
 //! (clonable receivers let the manager salvage a crashed worker's queue
-//! for redispatch, and let idle workers steal queued jobs); one-shot
-//! replies use `std::sync::mpsc`.
+//! for redispatch, and let idle workers steal queued jobs); replies use
+//! `std::sync::mpsc` — one one-shot channel per [`RtCluster::submit`],
+//! or a caller-owned completion queue shared by many jobs
+//! ([`RtCluster::submit_tagged`], what [`exec::serve`] blocks on).
 //!
 //! Every scheduling and respawn *decision* is made by the sans-IO
 //! control plane shared with the simulator
@@ -290,7 +292,6 @@ pub type RtWorkerFactory = Box<dyn Fn() -> Box<dyn WorkerLogic> + Send + Sync>;
 
 struct RtJob {
     job: sns_core::msg::Job,
-    reply: mpsc::SyncSender<JobResult>,
     /// When the job entered a worker inbox (queue-wait span start;
     /// survives salvage/redispatch so the wait covers the whole gap).
     enqueued: SimTime,
@@ -346,17 +347,59 @@ struct Routes {
     workers: BTreeMap<u64, Route>,
 }
 
+/// Where a job's one [`JobResult`] goes. [`ReplySink::deliver`] consumes
+/// the sink and the only copy lives in the job's [`Outstanding`] entry,
+/// so whoever removes the entry — the worker settling the job, a
+/// give-up, shutdown — is the one party that answers.
+enum ReplySink {
+    /// [`RtCluster::submit`]: the job's own one-shot channel.
+    Oneshot(mpsc::SyncSender<JobResult>),
+    /// [`RtCluster::submit_tagged`]: a caller-owned completion queue
+    /// shared by many jobs, each result tagged with the caller's token.
+    Tagged(u64, mpsc::Sender<(u64, JobResult)>),
+}
+
+impl ReplySink {
+    fn oneshot() -> (ReplySink, mpsc::Receiver<JobResult>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (ReplySink::Oneshot(tx), rx)
+    }
+
+    fn tagged(token: u64, queue: &mpsc::Sender<(u64, JobResult)>) -> ReplySink {
+        ReplySink::Tagged(token, queue.clone())
+    }
+
+    /// Sends the result; a receiver that went away is not an error (the
+    /// caller stopped waiting).
+    fn deliver(self, result: JobResult) {
+        match self {
+            ReplySink::Oneshot(tx) => {
+                let _ = tx.try_send(result);
+            }
+            ReplySink::Tagged(token, queue) => {
+                let _ = queue.send((token, result));
+            }
+        }
+    }
+}
+
+/// Driver bookkeeping for one job between submit and settlement
+/// (response, give-up or shutdown), removed in one place when it
+/// settles.
+struct Outstanding {
+    reply: ReplySink,
+    /// Wall-clock dispatch deadline.
+    deadline: Instant,
+    /// Already counted in `submitted` (retries resend the same id; the
+    /// conservation ledger must count it once).
+    counted: bool,
+}
+
 /// Per-shard driver state living under the shard lock, so one
 /// acquisition covers both the plane's decision and this bookkeeping.
 #[derive(Default)]
 struct ShardExt {
-    /// Reply channel per outstanding job id.
-    replies: BTreeMap<u64, mpsc::SyncSender<JobResult>>,
-    /// Wall-clock dispatch deadline per outstanding job id.
-    deadlines: BTreeMap<u64, Instant>,
-    /// Job ids already counted in `submitted` (retries resend the same
-    /// id; the conservation ledger must count it once).
-    counted: BTreeSet<u64>,
+    outstanding: BTreeMap<u64, Outstanding>,
     /// Dispatch-plane counters (`stub.*`), rolled up by
     /// [`RtCluster::counter`]. Keyed by interned name so the hot path
     /// never touches a global intern table.
@@ -757,17 +800,16 @@ impl RtCluster {
                         self.refuse_in_shard(shard, job.id, &mut queue);
                         continue;
                     };
-                    let Some(reply) = shard.ext.replies.get(&job.id).cloned() else {
-                        continue; // reply channel gone: job already settled
+                    let Some(o) = shard.ext.outstanding.get_mut(&job.id) else {
+                        continue; // job already settled
                     };
                     qlen.fetch_add(1, Ordering::Relaxed);
                     match inbox.send(RtJob {
                         job: (*job).clone(),
-                        reply,
                         enqueued: self.now(),
                     }) {
                         Ok(()) => {
-                            if shard.ext.counted.insert(job.id) {
+                            if !std::mem::replace(&mut o.counted, true) {
                                 self.submitted.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -800,19 +842,14 @@ impl RtCluster {
         };
         match verdict {
             TimeoutVerdict::Retried => {
-                shard
-                    .ext
-                    .deadlines
-                    .insert(job_id, Instant::now() + self.cfg.dispatch_timeout);
-            }
-            TimeoutVerdict::GaveUp(_) => {
-                shard.ext.deadlines.remove(&job_id);
-                if let Some(tx) = shard.ext.replies.remove(&job_id) {
-                    let _ = tx.try_send(JobResult::Failed("no live worker".into()));
+                if let Some(o) = shard.ext.outstanding.get_mut(&job_id) {
+                    o.deadline = Instant::now() + self.cfg.dispatch_timeout;
                 }
             }
-            TimeoutVerdict::Unknown => {
-                shard.ext.deadlines.remove(&job_id);
+            TimeoutVerdict::GaveUp(_) | TimeoutVerdict::Unknown => {
+                if let Some(o) = shard.ext.outstanding.remove(&job_id) {
+                    o.reply.deliver(JobResult::Failed("no live worker".into()));
+                }
             }
         }
         queue.extend(out);
@@ -833,29 +870,61 @@ impl RtCluster {
         input: Payload,
         profile: Option<ProfileData>,
     ) -> mpsc::Receiver<JobResult> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        if !self.running.load(Ordering::Relaxed) {
-            let _ = reply_tx.send(JobResult::Failed("cluster is shut down".into()));
-            return reply_rx;
-        }
+        let (sink, reply_rx) = ReplySink::oneshot();
+        self.submit_to(class, op, input, profile, sink);
+        reply_rx
+    }
+
+    /// [`RtCluster::submit`] for a caller that waits on many jobs at
+    /// once: the job's one result arrives on `queue` as
+    /// `(token, result)`, so a single blocking receive wakes on
+    /// whichever job finishes first. A shared queue never reads as
+    /// disconnected while the caller holds its sender, so every
+    /// failure — unknown class, over quota, no live worker, shutdown —
+    /// arrives as a typed [`JobResult::Failed`].
+    pub fn submit_tagged(
+        &self,
+        class: &str,
+        op: &str,
+        input: Payload,
+        profile: Option<ProfileData>,
+        token: u64,
+        queue: &mpsc::Sender<(u64, JobResult)>,
+    ) {
+        self.submit_to(class, op, input, profile, ReplySink::tagged(token, queue));
+    }
+
+    fn submit_to(
+        &self,
+        class: &str,
+        op: &str,
+        input: Payload,
+        profile: Option<ProfileData>,
+        sink: ReplySink,
+    ) {
         let class = WorkerClass::new(class);
         if !read_routes(&self.routes).classes.contains(&class) {
-            let _ = reply_tx.send(JobResult::Failed(format!("no workers of class {class}")));
-            return reply_rx;
+            return sink.deliver(JobResult::Failed(format!("no workers of class {class}")));
         }
         let now = self.now();
         let mut need = Vec::new();
         {
             let mut shard = self.shards.lock(self.shards.pick());
+            // Read under the shard lock: `shutdown` clears the flag
+            // before it sweeps the shards, so a submit that sees it set
+            // here is swept (answered) by that shutdown, never stranded.
+            if !self.running.load(Ordering::Relaxed) {
+                return sink.deliver(JobResult::Failed("cluster is shut down".into()));
+            }
             let mut out = Vec::new();
             // Multi-tenant admission: over-quota tenants are refused
             // (or degraded) before the lottery runs, so a flash crowd
             // on one tenant cannot occupy dispatch state that another
             // tenant's jobs need.
             if shard.plane.admit(&class, &mut out) == sns_core::Admission::Drop {
-                let _ = reply_tx.try_send(JobResult::Failed("tenant over quota".into()));
+                sink.deliver(JobResult::Failed("tenant over quota".into()));
                 self.deliver_shard(&mut shard, out, &mut need);
-                return reply_rx;
+                return;
             }
             {
                 let DispatchShard { plane, rng, ext } = &mut *shard;
@@ -870,14 +939,18 @@ impl RtCluster {
                     SpanCtx::root(),
                     &mut out,
                 );
-                ext.replies.insert(job_id, reply_tx);
-                ext.deadlines
-                    .insert(job_id, Instant::now() + self.cfg.dispatch_timeout);
+                ext.outstanding.insert(
+                    job_id,
+                    Outstanding {
+                        reply: sink,
+                        deadline: Instant::now() + self.cfg.dispatch_timeout,
+                        counted: false,
+                    },
+                );
             }
             self.deliver_shard(&mut shard, out, &mut need);
         }
         self.need_workers(need);
-        reply_rx
     }
 
     /// Spawns one worker thread. The thread honours service times by
@@ -1042,13 +1115,12 @@ impl RtCluster {
                         Ok(payload) => {
                             jobs_done.fetch_add(1, Ordering::Relaxed);
                             service_span(payload.wire_size(), true);
-                            let _ = rt_job.reply.send(JobResult::Ok(payload));
-                            finish(&weak, &tracer, done, rt_job.job.id);
+                            finish(&weak, &tracer, done, rt_job.job.id, JobResult::Ok(payload));
                         }
                         Err(WorkerError::Failed(reason)) => {
                             service_span(0, false);
-                            let _ = rt_job.reply.send(JobResult::Failed(reason));
-                            finish(&weak, &tracer, done, rt_job.job.id);
+                            let result = JobResult::Failed(reason);
+                            finish(&weak, &tracer, done, rt_job.job.id, result);
                         }
                         Err(WorkerError::Crash) => {
                             // No reply, no settlement: the job vanishes
@@ -1190,9 +1262,9 @@ impl RtCluster {
         self.shards.for_each(|_, shard| {
             let expired: Vec<u64> = shard
                 .ext
-                .deadlines
+                .outstanding
                 .iter()
-                .filter(|&(_, d)| *d <= wall)
+                .filter(|(_, o)| o.deadline <= wall)
                 .map(|(&id, _)| id)
                 .collect();
             for job_id in expired {
@@ -1410,6 +1482,9 @@ impl RtCluster {
         self.manager_on.store(false, Ordering::Relaxed);
         let handle = lock(&self.manager, &self.lock_poisoned).take();
         if let Some(h) = handle {
+            // The manager parks between control steps; wake it so the
+            // join does not wait out the rest of a beacon period.
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -1485,21 +1560,33 @@ impl RtCluster {
             .get()
             .cloned()
             .expect("RtCluster is built via RtCluster::start");
+        let running = Arc::clone(&self.running);
+        let manager_on = Arc::clone(&self.manager_on);
+        let period = self.cfg.beacon_period;
         let handle = std::thread::Builder::new()
             .name("sns-rt-manager".into())
-            .spawn(move || loop {
-                let Some(cluster) = weak.upgrade() else {
-                    return;
-                };
-                if !cluster.running.load(Ordering::Relaxed)
-                    || !cluster.manager_on.load(Ordering::Relaxed)
-                {
-                    return;
+            .spawn(move || {
+                let on = || running.load(Ordering::Relaxed) && manager_on.load(Ordering::Relaxed);
+                while on() {
+                    // Upgraded per step: don't keep the cluster alive
+                    // while parked.
+                    let Some(cluster) = weak.upgrade() else {
+                        return;
+                    };
+                    cluster.control_step();
+                    drop(cluster);
+                    // One beacon period, cut short by `kill_manager`'s
+                    // unpark (which follows its flag store, so the
+                    // re-check sees it); a spurious wake-up parks again.
+                    let next = Instant::now() + period;
+                    while on() {
+                        let left = next.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break;
+                        }
+                        std::thread::park_timeout(left);
+                    }
                 }
-                cluster.control_step();
-                let period = cluster.cfg.beacon_period;
-                drop(cluster); // don't keep the cluster alive while asleep
-                std::thread::sleep(period);
             })
             .expect("spawn manager thread");
         *slot = Some(handle);
@@ -1507,7 +1594,9 @@ impl RtCluster {
 
     /// Stops everything: the manager thread first, then the workers
     /// (closing their inboxes so queued work is *drained*, not
-    /// dropped). Jobs stranded in dead workers' queues are failed.
+    /// dropped). Whatever is still outstanding once the workers have
+    /// exited — jobs stranded in dead workers' queues, jobs a crashed
+    /// worker took with it — is answered with a typed failure.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Relaxed);
         self.kill_manager();
@@ -1516,33 +1605,19 @@ impl RtCluster {
             w.inbox.close();
         }
         let mut workers = std::mem::take(&mut inner.workers);
+        inner.morgue.clear();
         drop(inner); // don't hold the control lock while draining
         for w in &mut workers {
             if let Some(j) = w.join.take() {
                 let _ = j.join();
             }
         }
-        let mut inner = self.lock_control();
-        let morgue = std::mem::take(&mut inner.morgue);
-        drop(inner);
-        for (_class, salvage) in morgue {
-            while let Ok(orphan) = salvage.try_recv() {
-                let _ = orphan
-                    .reply
-                    .try_send(JobResult::Failed("cluster is shut down".into()));
-            }
-        }
-        for w in &workers {
-            while let Ok(orphan) = w.salvage.try_recv() {
-                let _ = orphan
-                    .reply
-                    .try_send(JobResult::Failed("cluster is shut down".into()));
-            }
-        }
         self.write_routes().workers.clear();
         self.shards.for_each(|_, s| {
-            s.ext.replies.clear();
-            s.ext.deadlines.clear();
+            for (_, o) in std::mem::take(&mut s.ext.outstanding) {
+                o.reply
+                    .deliver(JobResult::Failed("cluster is shut down".into()));
+            }
         });
     }
 }
@@ -1633,23 +1708,35 @@ impl Cluster for RtCluster {
     }
 }
 
-/// Settles a completed job in its dispatch shard (called from worker
-/// threads; the weak ref breaks the `Arc` cycle with the cluster).
-/// Span effects the plane emits (the closed dispatch span) go straight
-/// to `tracer`.
-fn finish(weak: &Weak<ShardedDispatch<ShardExt>>, tracer: &Tracer, now: SimTime, job_id: u64) {
-    if let Some(shards) = weak.upgrade() {
-        let mut out = Vec::new();
-        {
-            let (_, mut shard) = shards.lock_for(job_id);
-            shard.plane.on_response(job_id, now, &mut out);
-            shard.ext.replies.remove(&job_id);
-            shard.ext.deadlines.remove(&job_id);
-        }
-        for effect in out {
-            if let DispatchEffect::Span(s) = effect {
-                tracer.record(s);
-            }
+/// Settles a completed job in its dispatch shard and answers it
+/// (called from worker threads; the weak ref breaks the `Arc` cycle
+/// with the cluster). The reply is sent after the shard lock is
+/// released — waking the waiter is the slow part — and before the
+/// spans the plane emits (the closed dispatch span) go to `tracer`.
+/// A job that was already settled (gave up, or answered by the other
+/// copy of a retried dispatch) has no entry and sends nothing.
+fn finish(
+    weak: &Weak<ShardedDispatch<ShardExt>>,
+    tracer: &Tracer,
+    now: SimTime,
+    job_id: u64,
+    result: JobResult,
+) {
+    let Some(shards) = weak.upgrade() else {
+        return;
+    };
+    let mut out = Vec::new();
+    let settled = {
+        let (_, mut shard) = shards.lock_for(job_id);
+        shard.plane.on_response(job_id, now, &mut out);
+        shard.ext.outstanding.remove(&job_id)
+    };
+    if let Some(o) = settled {
+        o.reply.deliver(result);
+    }
+    for effect in out {
+        if let DispatchEffect::Span(s) = effect {
+            tracer.record(s);
         }
     }
 }
@@ -1910,6 +1997,33 @@ mod tests {
             ));
         }
         assert_eq!(c.jobs_done.load(Ordering::Relaxed), 40);
+        c.shutdown();
+    }
+
+    #[test]
+    fn settled_jobs_leave_no_driver_state_behind() {
+        let c = RtCluster::start(RtConfig::new().with_time_scale(0.0));
+        c.add_workers("echo", 2, || Box::new(Echo { _private: () }));
+        for _ in 0..100 {
+            let window: Vec<_> = (0..100)
+                .map(|_| c.submit("echo", "echo", Blob::payload(64, "x"), None))
+                .collect();
+            for rx in window {
+                assert!(matches!(
+                    rx.recv_timeout(Duration::from_secs(10)),
+                    Ok(JobResult::Ok(_))
+                ));
+            }
+        }
+        // A job's entry is removed before its reply is sent, so with
+        // every reply in hand nothing may be left.
+        c.shards.for_each(|i, s| {
+            assert!(
+                s.ext.outstanding.is_empty(),
+                "shard {i} still tracks {} of 10000 settled jobs",
+                s.ext.outstanding.len()
+            );
+        });
         c.shutdown();
     }
 

@@ -14,8 +14,10 @@
 //!   dispatch and a delayed backup — the loser is dropped, which
 //!   releases its await slot (the reply, if any, is ignored like the
 //!   legacy early-return arms);
-//! * **fan-in** over source fetches is [`sns_core::exec::select_some`],
-//!   which resolves strictly in arrival order.
+//! * **fan-in** is [`sns_core::exec::select_some`] over one chain
+//!   future per source (its fetch, then its distill stages), which
+//!   resolves strictly in completion order — the sources' stages run
+//!   side by side on the distiller pool, not one object after another.
 //!
 //! The body runs unmodified on both backends: behind the sim front end
 //! via [`sns_core::exec::service::AsyncSvcLogic`] (virtual time), and
@@ -96,13 +98,13 @@ impl Default for PipelineConfig {
 
 /// The three-stage TACC pipeline as an [`AsyncService`].
 pub struct PipelineService {
-    cfg: PipelineConfig,
+    cfg: Arc<PipelineConfig>,
 }
 
 impl PipelineService {
     /// Creates the service.
     pub fn new(cfg: PipelineConfig) -> Self {
-        PipelineService { cfg }
+        PipelineService { cfg: Arc::new(cfg) }
     }
 }
 
@@ -151,8 +153,51 @@ async fn distill_stage(
     }
 }
 
+/// One source, start to finish: fetch it, then push it through the
+/// stage chain. `None` when the origin did not deliver; a failed or
+/// gave-up stage keeps the object as-is. Both degrade the answer
+/// instead of failing it (§3.1.8).
+async fn source_chain(
+    svc: SvcHandle,
+    cfg: Arc<PipelineConfig>,
+    src: FetchRequest,
+    profile: Option<ProfileData>,
+) -> Option<ContentObject> {
+    let fetched = svc
+        .dispatch(OriginServer::CLASS.into(), "fetch", Arc::new(src), None)
+        .await;
+    let Some(mut obj) = fetched
+        .ok_payload()
+        .and_then(|p| ContentObject::from_payload(p).cloned())
+    else {
+        svc.incr("tacc.pipe_source_missing", 1);
+        svc.mark_degraded();
+        return None;
+    };
+    for stage in &cfg.stages {
+        match distill_stage(
+            &svc,
+            stage,
+            obj.clone(),
+            profile.clone(),
+            cfg.hedge_after,
+            cfg.give_up,
+        )
+        .await
+        {
+            Some(next) => obj = next,
+            None => {
+                svc.incr("tacc.pipe_stage_degraded", 1);
+                svc.mark_degraded();
+                break;
+            }
+        }
+    }
+    Some(obj)
+}
+
 /// One pipeline request, top to bottom.
-async fn run(cfg: PipelineConfig, req: Arc<ClientRequest>, svc: SvcHandle) {
+async fn run(cfg: Arc<PipelineConfig>, req: Arc<ClientRequest>, svc: SvcHandle) {
     svc.incr("tacc.pipe_requests", 1);
     let job = req
         .body
@@ -169,64 +214,25 @@ async fn run(cfg: PipelineConfig, req: Arc<ClientRequest>, svc: SvcHandle) {
     let args = TaccArgs::from_map(job.args.clone());
     let profile: Option<ProfileData> = Some(Arc::new(args.as_map().clone()));
 
-    // Fetch: fan out to the origin, collect in arrival order; missing
-    // sources degrade the answer instead of failing it.
-    let mut fetches: Vec<Option<_>> = job
+    // Fetch + distill: one chain per source, all started by the first
+    // poll (fetches leave in source order), collected as they finish.
+    let mut chains: Vec<Option<BoxFut<Option<ContentObject>>>> = job
         .sources
         .iter()
         .map(|src| {
-            Some(svc.dispatch(
-                OriginServer::CLASS.into(),
-                "fetch",
-                Arc::new(src.clone()),
-                None,
-            ))
+            let chain = source_chain(svc.clone(), cfg.clone(), src.clone(), profile.clone());
+            Some(Box::pin(chain) as BoxFut<_>)
         })
         .collect();
     let mut objs: Vec<ContentObject> = Vec::new();
-    let mut remaining = job.sources.len();
-    while remaining > 0 {
-        let (_, outcome) = select_some(&mut fetches).await;
-        remaining -= 1;
-        match outcome
-            .ok_payload()
-            .and_then(|p| ContentObject::from_payload(p).cloned())
-        {
-            Some(obj) => objs.push(obj),
-            None => {
-                svc.incr("tacc.pipe_source_missing", 1);
-                svc.mark_degraded();
-            }
-        }
+    for _ in 0..chains.len() {
+        let (_, obj) = select_some(&mut chains).await;
+        objs.extend(obj);
     }
     if objs.is_empty() {
         svc.incr("tacc.pipe_errors", 1);
         svc.reply(Err("no sources reachable".into()));
         return;
-    }
-
-    // Distill: every object through the stage chain; a failed or
-    // gave-up stage keeps the object as-is, degraded (§3.1.8).
-    for obj in objs.iter_mut() {
-        for stage in &cfg.stages {
-            match distill_stage(
-                &svc,
-                stage,
-                obj.clone(),
-                profile.clone(),
-                cfg.hedge_after,
-                cfg.give_up,
-            )
-            .await
-            {
-                Some(next) => *obj = next,
-                None => {
-                    svc.incr("tacc.pipe_stage_degraded", 1);
-                    svc.mark_degraded();
-                    break;
-                }
-            }
-        }
     }
 
     // Aggregate: collate multi-source results; an unreachable

@@ -6,11 +6,12 @@
 //! ```
 //!
 //! The service body is [`cluster_sns::tacc::PipelineService`]: a single
-//! `async fn run()` that fans out origin fetches (`select_some`, arrival
-//! order), pushes each page through the distiller chain with a hedged
-//! retry (`race`) under a give-up deadline (`timeout`), collates the
-//! results through an aggregator, injects the answer into the cache and
-//! replies. The paper's §3.1.8 tactics are combinators, not state.
+//! `async fn run()` that starts one chain per source — fetch the page,
+//! then push it through the distiller chain with a hedged retry
+//! (`race`) under a give-up deadline (`timeout`) — fans in over the
+//! chains as they finish (`select_some`), collates the results through
+//! an aggregator, injects the answer into the cache and replies. The
+//! paper's §3.1.8 tactics are combinators, not state.
 //!
 //! For contrast, the *legacy* expression of the same control flow — the
 //! per-request state machine every front-end service was written as

@@ -12,6 +12,7 @@ use cluster_sns::core::exec::component::{AcBody, AsyncComponent};
 use cluster_sns::core::exec::service::AsyncSvcLogic;
 use cluster_sns::core::exec::timeout;
 use cluster_sns::core::msg::{ClientRequest, SnsMsg};
+use cluster_sns::core::trace::{children_of, SpanRecord, DISPATCH, REQUEST};
 use cluster_sns::distillers::{HtmlMunger, MetasearchAggregator};
 use cluster_sns::rt::{exec::serve, RtCluster, RtConfig};
 use cluster_sns::sim::{SchedulerKind, SimTime};
@@ -108,8 +109,8 @@ fn pipeline_job(id: u64) -> PipelineJob {
     }
 }
 
-/// The multi-stage TACC worker body (fetch fan-in → hedged distill →
-/// aggregate → cache) behind a *sim* front end: driven by an
+/// The multi-stage TACC worker body (per-source fetch → hedged distill
+/// chains → aggregate → cache) behind a *sim* front end: driven by an
 /// [`AsyncComponent`] client, every request aggregates and replies.
 #[test]
 fn pipeline_body_serves_requests_on_the_sim_backend() {
@@ -118,10 +119,11 @@ fn pipeline_body_serves_requests_on_the_sim_backend() {
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
-        .with_min_distillers(1)
+        .with_min_distillers(3)
         .with_distillers(["gif", "html"])
         .with_aggregators(["metasearch"])
         .with_origin_penalty_scale(0.2)
+        .with_tracing(true)
         .build();
     let fe = cluster.add_frontend_with_logic(Box::new(AsyncSvcLogic::new(PipelineService::new(
         pipeline_cfg(),
@@ -169,6 +171,38 @@ fn pipeline_body_serves_requests_on_the_sim_backend() {
     assert_eq!(stats.counter("tacc.pipe_requests"), 4);
     assert_eq!(stats.counter("tacc.pipe_aggregated"), 4);
     assert_eq!(stats.counter("tacc.pipe_errors"), 0);
+
+    // Each source is its own fetch → distill chain, so a request takes
+    // its slowest fetch, then *one* distill, then the aggregate — never
+    // the distills one after another. Dispatch spans are exact in
+    // virtual time, so the bound needs no slack.
+    let log = cluster.trace().expect("tracing on");
+    let requests: Vec<_> = log.spans().iter().filter(|s| s.name == REQUEST).collect();
+    assert_eq!(requests.len(), 4);
+    for req in requests {
+        let jobs = children_of(&log, req.id);
+        let of = |prefix: &str| -> Vec<&SpanRecord> {
+            let of_class = |s: &&SpanRecord| s.name == DISPATCH && s.class.starts_with(prefix);
+            jobs.iter().copied().filter(of_class).collect()
+        };
+        let (fetches, distills, aggregates) = (of("origin"), of("distiller/"), of("aggregator/"));
+        assert_eq!(
+            (fetches.len(), distills.len(), aggregates.len()),
+            (3, 3, 1),
+            "dispatches of request {:?}",
+            req.id
+        );
+        let started = fetches.iter().map(|s| s.start).min().expect("3 fetches");
+        let fetched = fetches.iter().map(|s| s.end).max().expect("3 fetches");
+        let distill = distills.iter().map(|s| s.duration()).max().expect("3");
+        let path = (fetched - started) + distill + aggregates[0].duration();
+        assert!(
+            aggregates[0].end - started <= path,
+            "request {:?} took {:?}, its fetch + one distill + aggregate is {path:?}",
+            req.id,
+            aggregates[0].end - started
+        );
+    }
 }
 
 /// The **same** body against the threaded runtime: wall-clock driver,

@@ -208,6 +208,10 @@ chaos_suite sns-rt scaling 2
 # latency cases fail on a polling driver) and every accepted dispatch is
 # answered with a typed result across crash and shutdown.
 chaos_suite sns-rt serve_wake 5
+# Placement by live queue gauge: back-to-back submits through different
+# shards and threads land on distinct idle workers (fails on a lottery),
+# a job placed on a busy class is counted, a killed worker loses none.
+chaos_suite sns-rt placement 4
 
 echo "== chaos stage: fault-injection suites under a pinned seed"
 # The chaos suites must both run and keep their full rosters: a test

@@ -2,14 +2,14 @@
 //! parts:
 //!
 //! * `submit_1k/workers{1,4}` — jobs/sec through `RtCluster::submit`
-//!   → sharded `DispatchPlane` lottery → worker thread → reply
+//!   → sharded `DispatchPlane` pick → worker thread → reply
 //!   channel, with `time_scale: 0` so service time is zero and the
 //!   measurement isolates dispatch and channel overhead per job.
 //! * `scaling/workers{1,2,4,8,16}` — the worker-scaling curve: a
 //!   fixed batch of jobs with a real (slept) service time, submitted
-//!   from several threads, with one dispatch shard per worker and
-//!   work stealing on. Service sleeps overlap across worker threads,
-//!   so wall time should fall near-linearly with the pool size until
+//!   from several threads, with one dispatch shard per worker.
+//!   Service sleeps overlap across worker threads, so wall time
+//!   should fall near-linearly with the pool size until
 //!   the dispatch plane stops being the bottleneck — this is the curve
 //!   `ci.sh`'s `rt_scaling` stage guards (1→8 workers must be ≥ 2×).
 //!
@@ -84,8 +84,8 @@ fn cluster(workers: usize) -> Arc<RtCluster> {
 }
 
 /// Scaling cluster: real (scaled 1:1) service sleeps, one dispatch
-/// shard per worker, stealing on so a momentarily unlucky lottery
-/// cannot serialize the batch behind one queue.
+/// shard per worker. Every shard places by the workers' live queue
+/// gauges, so the batch spreads evenly however the submits interleave.
 fn scaling_cluster(workers: usize) -> Arc<RtCluster> {
     let c = RtCluster::start(
         RtConfig::new()
@@ -93,8 +93,7 @@ fn scaling_cluster(workers: usize) -> Arc<RtCluster> {
             .with_report_period(Duration::from_millis(10))
             .with_beacon_period(Duration::from_millis(20))
             .with_seed(0x6274)
-            .with_shards(workers)
-            .with_work_stealing(true),
+            .with_shards(workers),
     );
     c.add_workers("nop", workers, || Box::new(Sleeper));
     c

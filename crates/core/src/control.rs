@@ -1352,9 +1352,25 @@ pub enum Admission {
     Drop,
 }
 
-/// The stub's decision core: hint cache, lottery scheduling with the
-/// §4.5 queue-delta correction, timeout/retry verdicts (§3.1.8). No I/O:
-/// the caller supplies the RNG and applies the returned effects.
+/// Exact, current queue lengths for a [`DispatchPlane`] whose driver
+/// shares an address space with its workers. The paper's stub draws a
+/// lottery over beacon hints *because* its load information is stale
+/// (§3.1.2, patched by the §4.5 delta); a driver that can read every
+/// worker's queue gauge installs one of these
+/// ([`DispatchPlane::set_live_load`]) and the plane places each job on
+/// the least-loaded hinted worker instead. Membership still comes from
+/// beacons; only the load does not.
+pub trait LiveLoad: Send + Sync {
+    /// Queue length (queued + in service) of each of `workers`, in
+    /// order, read now; `None` for a worker the source does not know
+    /// (dead, or reaped since the last beacon).
+    fn qlens(&self, workers: &[ComponentId]) -> Vec<Option<u64>>;
+}
+
+/// The stub's decision core: hint cache, worker choice (lottery with the
+/// §4.5 queue-delta correction, or least-loaded by a [`LiveLoad`]
+/// source), timeout/retry verdicts (§3.1.8). No I/O: the caller supplies
+/// the RNG and applies the returned effects.
 pub struct DispatchPlane {
     cfg: SnsConfig,
     manager: Option<ComponentId>,
@@ -1376,6 +1392,9 @@ pub struct DispatchPlane {
     /// shard strides by the shard count over a disjoint residue class).
     id_stride: u64,
     delta_correction: bool,
+    /// Exact load source; `None` (every simulator driver) keeps the
+    /// lottery.
+    live: Option<Arc<dyn LiveLoad>>,
     tracing: bool,
     /// Head-sampling policy for root dispatches (and the default the
     /// driver mirrors from its tracer); see [`crate::trace::Sampling`].
@@ -1383,7 +1402,7 @@ pub struct DispatchPlane {
 }
 
 impl DispatchPlane {
-    /// Creates a plane.
+    /// Creates a plane that picks workers by lottery over beacon hints.
     pub fn new(cfg: SnsConfig) -> Self {
         DispatchPlane {
             cfg,
@@ -1399,9 +1418,19 @@ impl DispatchPlane {
             next_job: 1,
             id_stride: 1,
             delta_correction: true,
+            live: None,
             tracing: false,
             sampling: Sampling::ALL,
         }
+    }
+
+    /// Replaces the lottery with least-loaded placement by `live`: every
+    /// pick ranks the hinted candidates by their live gauge and breaks
+    /// ties uniformly with the caller's RNG. A construction-time choice
+    /// (a driver either can read its workers' queues or cannot), so
+    /// there is no way back to the lottery.
+    pub fn set_live_load(&mut self, live: Arc<dyn LiveLoad>) {
+        self.live = Some(live);
     }
 
     /// Bills dispatches of `class` to `tenant` (default `"shared"`).
@@ -1582,20 +1611,49 @@ impl DispatchPlane {
         new
     }
 
-    /// Lottery-picks a worker of `class` (excluding `exclude`), tickets
-    /// inversely proportional to estimated queue length (§3.1.2).
+    /// Picks a worker of `class` (excluding `exclude`). Without a
+    /// [`LiveLoad`] source: the §3.1.2 lottery. With one: a uniform draw
+    /// among the candidates whose live gauge is lowest — a worker the
+    /// source does not know ranks after every known one, so it is
+    /// chosen only when nothing else is and the driver's refusal then
+    /// evicts it through [`DispatchPlane::on_timeout`] — counting
+    /// `stub.placed_busy` when even that worker already had work.
     fn pick(
         &self,
         rng: &mut Pcg32,
         class: &WorkerClass,
         exclude: &[ComponentId],
+        out: &mut Vec<DispatchEffect>,
     ) -> Option<ComponentId> {
-        let candidates: Vec<&HintEntry> = self
+        let hinted = self
             .hints
             .get(class)?
             .iter()
-            .filter(|h| !exclude.contains(&h.worker))
-            .collect();
+            .filter(|h| !exclude.contains(&h.worker));
+        let Some(live) = &self.live else {
+            return self.lottery(rng, hinted.collect());
+        };
+        let workers: Vec<ComponentId> = hinted.map(|h| h.worker).collect();
+        let gauges = live.qlens(&workers);
+        let rank = |g: &Option<u64>| (g.is_none(), *g);
+        let best = gauges.iter().map(rank).min()?;
+        let minima = || {
+            let tied = workers.iter().zip(&gauges);
+            tied.filter(|(_, g)| rank(g) == best).map(|(&w, _)| w)
+        };
+        if best.1.is_some_and(|q| q > 0) {
+            out.push(DispatchEffect::Incr {
+                key: "stub.placed_busy",
+                n: 1,
+            });
+        }
+        let draw = rng.below(minima().count() as u64);
+        minima().nth(draw as usize)
+    }
+
+    /// Lottery over `candidates`, tickets inversely proportional to
+    /// estimated queue length (§3.1.2) with the §4.5 delta.
+    fn lottery(&self, rng: &mut Pcg32, candidates: Vec<&HintEntry>) -> Option<ComponentId> {
         if candidates.is_empty() {
             return None;
         }
@@ -1655,7 +1713,8 @@ impl DispatchPlane {
         }
     }
 
-    /// Dispatches a job to the least-loaded worker of `class` (lottery).
+    /// Dispatches a job to a worker of `class`: the lottery winner, or —
+    /// with a [`LiveLoad`] source — the least-loaded hinted worker.
     /// If no worker is known the dispatch stays pending — the caller's
     /// timeout drives a retry once the manager has spawned one — and the
     /// manager is asked via [`crate::msg::SnsMsg::NeedWorker`]. Returns
@@ -1697,7 +1756,7 @@ impl DispatchPlane {
                 sampled,
             },
         );
-        match self.pick(rng, &class, &[]) {
+        match self.pick(rng, &class, &[], out) {
             Some(w) => self.send_job(job_id, w, out),
             None => self.request_worker(&class, out),
         }
@@ -1830,7 +1889,7 @@ impl DispatchPlane {
             .get(&job_id)
             .map(|o| o.workers_tried.clone())
             .unwrap_or_default();
-        match self.pick(rng, &class, &tried) {
+        match self.pick(rng, &class, &tried, out) {
             Some(w) => {
                 let o = self.outstanding.get_mut(&job_id).expect("still present");
                 o.attempts += 1;
@@ -1872,7 +1931,7 @@ impl DispatchPlane {
                 let o = &self.outstanding[&job_id];
                 (o.class.clone(), o.workers_tried.clone())
             };
-            if let Some(w) = self.pick(rng, &class, &tried) {
+            if let Some(w) = self.pick(rng, &class, &tried, out) {
                 self.send_job(job_id, w, out);
             }
         }
@@ -2376,5 +2435,172 @@ mod tests {
         assert_eq!(plane.admit(&"w".into(), &mut out), Admission::Accept);
         // Untracked tenants are always accepted.
         assert_eq!(plane.admit(&"other".into(), &mut out), Admission::Accept);
+    }
+
+    /// A settable gauge table; workers absent from it are unknown.
+    #[derive(Default)]
+    struct FakeLoad(std::sync::Mutex<BTreeMap<ComponentId, u64>>);
+
+    impl FakeLoad {
+        fn set(&self, worker: u64, qlen: u64) {
+            self.0.lock().unwrap().insert(ComponentId(worker), qlen);
+        }
+    }
+
+    impl LiveLoad for FakeLoad {
+        fn qlens(&self, workers: &[ComponentId]) -> Vec<Option<u64>> {
+            let table = self.0.lock().unwrap();
+            workers.iter().map(|w| table.get(w).copied()).collect()
+        }
+    }
+
+    fn live_plane(hinted: &[(u64, f64)]) -> (DispatchPlane, Arc<FakeLoad>) {
+        let load = Arc::new(FakeLoad::default());
+        let mut plane = DispatchPlane::new(SnsConfig::default());
+        plane.set_live_load(load.clone());
+        plane.on_beacon(&beacon(hinted));
+        (plane, load)
+    }
+
+    /// Dispatches one job and returns (job id, chosen worker).
+    fn place(
+        plane: &mut DispatchPlane,
+        rng: &mut Pcg32,
+        out: &mut Vec<DispatchEffect>,
+    ) -> (u64, u64) {
+        let id = plane.dispatch(
+            rng,
+            SimTime::ZERO,
+            ComponentId(50),
+            "w".into(),
+            "op",
+            Blob::payload(10, "x"),
+            None,
+            SpanCtx::root(),
+            out,
+        );
+        (
+            id,
+            plane.outstanding[&id].worker.expect("a worker is hinted").0,
+        )
+    }
+
+    fn placed_busy(out: &[DispatchEffect]) -> usize {
+        out.iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    DispatchEffect::Incr {
+                        key: "stub.placed_busy",
+                        ..
+                    }
+                )
+            })
+            .count()
+    }
+
+    #[test]
+    fn live_load_minimum_wins_over_hints() {
+        // The hints say worker 1 is idle and 3 is swamped; the live
+        // gauges say the opposite, and they are what counts.
+        let (mut plane, load) = live_plane(&[(1, 0.0), (2, 0.0), (3, 9.0)]);
+        load.set(1, 4);
+        load.set(2, 2);
+        load.set(3, 1);
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        for _ in 0..20 {
+            assert_eq!(place(&mut plane, &mut rng, &mut out).1, 3);
+        }
+        assert_eq!(placed_busy(&out), 20, "every known worker had work");
+        load.set(2, 0);
+        out.clear();
+        assert_eq!(place(&mut plane, &mut rng, &mut out).1, 2);
+        assert_eq!(placed_busy(&out), 0, "an idle worker took it");
+    }
+
+    #[test]
+    fn live_load_tie_spreads_over_all_minima() {
+        let (mut plane, load) = live_plane(&[(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]);
+        for w in 1..=3 {
+            load.set(w, 0);
+        }
+        load.set(4, 1);
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        let mut seen = BTreeMap::new();
+        for _ in 0..300 {
+            *seen
+                .entry(place(&mut plane, &mut rng, &mut out).1)
+                .or_insert(0u32) += 1;
+        }
+        assert_eq!(
+            seen.keys().copied().collect::<Vec<_>>(),
+            vec![1, 2, 3],
+            "all three minima drawn, the busier worker never: {seen:?}"
+        );
+        assert!(seen.values().all(|&n| n >= 60), "roughly even: {seen:?}");
+    }
+
+    #[test]
+    fn live_load_retry_honours_exclude() {
+        let (mut plane, load) = live_plane(&[(1, 0.0), (2, 0.0)]);
+        load.set(1, 0);
+        load.set(2, 5);
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        let (id, first) = place(&mut plane, &mut rng, &mut out);
+        assert_eq!(first, 1);
+        // Worker 1 is still the live minimum, but it has been tried.
+        let verdict = plane.on_timeout(&mut rng, SimTime::from_secs(5), id, &mut out);
+        assert_eq!(verdict, TimeoutVerdict::Retried);
+        assert_eq!(plane.outstanding[&id].worker, Some(ComponentId(2)));
+    }
+
+    #[test]
+    fn live_load_unknown_worker_is_last_resort_and_gets_evicted() {
+        // Worker 2 was reaped after the beacon: hinted, but the source
+        // no longer knows it.
+        let (mut plane, load) = live_plane(&[(1, 0.0), (2, 0.0)]);
+        load.set(1, 7);
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        for _ in 0..50 {
+            assert_eq!(place(&mut plane, &mut rng, &mut out).1, 1);
+        }
+        // Now nothing hinted is known: the pick still names a worker,
+        // uncounted, and the driver's refusal evicts it as before.
+        load.0.lock().unwrap().clear();
+        out.clear();
+        let (id, ghost) = place(&mut plane, &mut rng, &mut out);
+        assert_eq!(placed_busy(&out), 0, "no gauge was read");
+        let verdict = plane.on_timeout(&mut rng, SimTime::from_secs(5), id, &mut out);
+        assert_eq!(verdict, TimeoutVerdict::Retried);
+        assert!(!plane.workers_of(&"w".into()).contains(&ComponentId(ghost)));
+        assert_ne!(plane.outstanding[&id].worker, Some(ComponentId(ghost)));
+    }
+
+    #[test]
+    fn lottery_without_a_live_source_is_pinned() {
+        // First 32 picks of the source-less lottery (hint estimates plus
+        // the growing §4.5 deltas: nothing is answered) for a fixed seed
+        // and hint table, recorded before `LiveLoad` existed, and the
+        // RNG's next output after them: the simulator's draw sequence.
+        let mut plane = DispatchPlane::new(SnsConfig::default());
+        plane.on_beacon(&beacon(&[(1, 0.0), (2, 1.5), (3, 0.25), (4, 4.0)]));
+        let mut rng = Pcg32::new(0x5eed);
+        let mut out = Vec::new();
+        let picks: Vec<u64> = (0..32)
+            .map(|_| place(&mut plane, &mut rng, &mut out).1)
+            .collect();
+        assert_eq!(
+            picks,
+            [
+                1, 1, 3, 2, 3, 2, 2, 2, 1, 3, 3, 3, 1, 1, 2, 1, 1, 1, 3, 3, 4, 1, 3, 4, 4, 3, 2, 4,
+                1, 4, 4, 1
+            ]
+        );
+        assert_eq!(rng.next_u64(), 836639084580551418);
+        assert_eq!(placed_busy(&out), 0);
     }
 }

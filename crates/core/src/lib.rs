@@ -62,7 +62,8 @@ use std::time::Duration;
 pub use cluster::{Cluster, SettleStats};
 pub use control::{
     Admission, Ballot, ClusterView, ControlConfig, ControlEffect, ControlPlane, DispatchEffect,
-    DispatchPlane, NodeLoad, OverloadPolicy, Quorum, QuorumDecision, SpawnPolicy, TenantPolicy,
+    DispatchPlane, LiveLoad, NodeLoad, OverloadPolicy, Quorum, QuorumDecision, SpawnPolicy,
+    TenantPolicy,
 };
 pub use frontend::{Action, FeEvent, FrontEnd, ReqState, ServiceLogic};
 pub use invariant::{Invariant, MonitorLog, MonitorTap, TapHandle};

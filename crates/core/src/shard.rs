@@ -8,13 +8,19 @@
 //! state; this type is that split for the SNS dispatch side. Policy
 //! (spawning, membership, beacon contents) stays in the single
 //! [`crate::control::ControlPlane`] behind its own lock; the dispatch
-//! state — hint cache, lottery, outstanding-job tracking — is
+//! state — hint cache, worker choice, outstanding-job tracking — is
 //! replicated into `N` shards, each with its own lock and RNG. A
 //! submitter round-robins across shards, so concurrent submits contend
 //! only 1/N of the time, and beacons are *broadcast*: every shard
 //! ingests the same hint snapshot, which is exactly the paper's
 //! tolerate-staleness discipline (§3.1.8) — shards are just additional
 //! front-end stubs that happen to live in one process.
+//!
+//! Membership is what the shards learn from beacons; *load* they need
+//! not: a shard's in-flight delta is invisible to its siblings, so a
+//! driver whose workers publish exact queue gauges hands every shard
+//! the same [`LiveLoad`] source and the shards place by it — one more
+//! step of the same split, load read where it is exact.
 //!
 //! Job-id spaces are strided ([`DispatchPlane::set_job_id_space`]):
 //! shard *i* of *n* issues ids `i+1, i+1+n, i+1+2n, …`, so ids remain
@@ -31,11 +37,11 @@
 //! same lock so one acquisition covers both.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sns_sim::rng::Pcg32;
 
-use crate::control::{DispatchEffect, DispatchPlane};
+use crate::control::{DispatchEffect, DispatchPlane, LiveLoad};
 use crate::msg::BeaconData;
 use crate::trace::Sampling;
 use crate::SnsConfig;
@@ -45,7 +51,7 @@ use crate::SnsConfig;
 pub struct DispatchShard<X> {
     /// The shard's dispatch decision machine.
     pub plane: DispatchPlane,
-    /// The shard's lottery RNG (seeded per shard; decisions stay
+    /// The shard's worker-choice RNG (seeded per shard; decisions stay
     /// deterministic per shard, not across interleavings).
     pub rng: Pcg32,
     /// Driver-owned state living under the same lock (e.g. reply
@@ -68,19 +74,25 @@ impl<X> ShardedDispatch<X> {
     /// driver extension. `tracing` arms span emission on every shard;
     /// `sampling` installs the same head-sampling policy on each (the
     /// decision keys on globally-unique job ids, so the sampled set is
-    /// independent of which shard issued an id).
+    /// independent of which shard issued an id). `live`, when given, is
+    /// shared by every shard ([`DispatchPlane::set_live_load`]);
+    /// `None` keeps the lottery.
     pub fn new(
         cfg: &SnsConfig,
         count: usize,
         seed: u64,
         tracing: bool,
         sampling: Sampling,
+        live: Option<Arc<dyn LiveLoad>>,
         mut ext: impl FnMut(usize) -> X,
     ) -> Self {
         let count = count.max(1);
         let shards = (0..count)
             .map(|i| {
                 let mut plane = DispatchPlane::new(cfg.clone());
+                if let Some(live) = &live {
+                    plane.set_live_load(Arc::clone(live));
+                }
                 plane.set_job_id_space(i as u64 + 1, count as u64);
                 plane.set_tracing(tracing);
                 plane.set_sampling(sampling);
@@ -211,6 +223,11 @@ mod tests {
         }
     }
 
+    fn sharded(count: usize) -> ShardedDispatch<()> {
+        let cfg = SnsConfig::default();
+        ShardedDispatch::new(&cfg, count, 7, false, Sampling::ALL, None, |_| ())
+    }
+
     fn dispatch_one(sd: &ShardedDispatch<()>, idx: usize) -> u64 {
         let mut shard = sd.lock(idx);
         let DispatchShard { plane, rng, .. } = &mut *shard;
@@ -229,7 +246,7 @@ mod tests {
 
     #[test]
     fn strided_ids_are_disjoint_and_route_back() {
-        let sd = ShardedDispatch::new(&SnsConfig::default(), 4, 7, false, Sampling::ALL, |_| ());
+        let sd = sharded(4);
         sd.broadcast_beacon(&beacon(&[(5, 0.0)]), |_, _, _| {});
         let mut seen = Vec::new();
         for round in 0..3 {
@@ -248,7 +265,7 @@ mod tests {
 
     #[test]
     fn single_shard_matches_unsharded_id_sequence() {
-        let sd = ShardedDispatch::new(&SnsConfig::default(), 1, 7, false, Sampling::ALL, |_| ());
+        let sd = sharded(1);
         sd.broadcast_beacon(&beacon(&[(5, 0.0)]), |_, _, _| {});
         let ids: Vec<u64> = (0..3).map(|_| dispatch_one(&sd, sd.pick())).collect();
         assert_eq!(ids, vec![1, 2, 3], "n = 1 degenerates to the old space");
@@ -256,7 +273,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_shard_and_flushes_pending() {
-        let sd = ShardedDispatch::new(&SnsConfig::default(), 3, 7, false, Sampling::ALL, |_| ());
+        let sd = sharded(3);
         // Dispatch with no hints: stays pending in each shard.
         for i in 0..3 {
             dispatch_one(&sd, i);

@@ -1,9 +1,9 @@
 //! A small MPMC channel over `Mutex<VecDeque>` + `Condvar` — the one
 //! place the runtime needs semantics `std::sync::mpsc` does not offer:
 //! clonable receivers (so the manager can salvage a crashed worker's
-//! queued jobs for redispatch), a queue-length gauge for load reports,
-//! and explicit `close()` that lets receivers drain remaining messages
-//! before observing disconnection (shutdown-drains-queues).
+//! queued jobs for redispatch) and explicit `close()` that lets
+//! receivers drain remaining messages before observing disconnection
+//! (shutdown-drains-queues).
 //!
 //! Reply paths, which are strictly one-shot SPSC, use
 //! `std::sync::mpsc::sync_channel(1)` instead — no shim needed there.
@@ -58,10 +58,6 @@ impl<T> Shared<T> {
         lock(&self.state).closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        lock(&self.state).queue.len()
     }
 }
 
@@ -121,16 +117,6 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Closes the channel: future sends fail, receivers drain what is
     /// already queued and then observe `Disconnected`.
     pub fn close(&self) {
@@ -182,30 +168,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Steals one message from the *back* of the queue without ever
-    /// blocking: returns `None` immediately if the lock is contended or
-    /// the queue is empty. Work-stealing consumers take the newest
-    /// message so the queue's owner — draining from the front — keeps
-    /// FIFO order for everything it processes itself, and a thief never
-    /// waits behind a busy owner.
-    pub fn try_steal(&self) -> Option<T> {
-        let mut st = self.0.state.try_lock().ok()?;
-        let v = st.queue.pop_back()?;
-        drop(st);
-        self.0.not_full.notify_one();
-        Some(v)
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// See [`Sender::close`].
     pub fn close(&self) {
         self.0.close();
@@ -246,7 +208,6 @@ mod tests {
         let tx2 = tx.clone();
         tx.send(1).unwrap();
         tx2.send(2).unwrap();
-        assert_eq!(rx.len(), 2);
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
         assert_eq!(rx.clone().recv_timeout(Duration::from_millis(10)), Ok(2));
         assert_eq!(
@@ -293,32 +254,6 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(got, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn steal_takes_newest_and_never_blocks() {
-        let (tx, rx) = unbounded();
-        for i in 0..4u32 {
-            tx.send(i).unwrap();
-        }
-        let thief = rx.clone();
-        assert_eq!(thief.try_steal(), Some(3), "thief takes the back");
-        assert_eq!(rx.try_recv(), Ok(0), "owner keeps FIFO at the front");
-        assert_eq!(thief.try_steal(), Some(2));
-        assert_eq!(rx.try_recv(), Ok(1));
-        assert_eq!(thief.try_steal(), None, "empty queue steals nothing");
-        // A bounded channel's blocked sender wakes when a thief frees a
-        // slot.
-        let (btx, brx) = bounded(1);
-        btx.send(10u32).unwrap();
-        let t = std::thread::spawn(move || btx.send(11).unwrap());
-        let mut stolen = None;
-        while stolen.is_none() {
-            stolen = brx.try_steal();
-        }
-        t.join().unwrap();
-        assert_eq!(stolen, Some(10));
-        assert_eq!(brx.try_recv(), Ok(11));
     }
 
     #[test]

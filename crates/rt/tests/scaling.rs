@@ -33,7 +33,7 @@ impl WorkerLogic for Sleeper {
 }
 
 /// Wall time to push `jobs` service-bound jobs through a pool of
-/// `workers`, with one dispatch shard per worker and stealing on.
+/// `workers`, with one dispatch shard per worker.
 fn run_batch(workers: usize, jobs: u64, service: Duration) -> Duration {
     let c = RtCluster::start(
         RtConfig::new()
@@ -41,8 +41,7 @@ fn run_batch(workers: usize, jobs: u64, service: Duration) -> Duration {
             .with_report_period(Duration::from_millis(10))
             .with_beacon_period(Duration::from_millis(20))
             .with_seed(0x5ca1e)
-            .with_shards(workers)
-            .with_work_stealing(true),
+            .with_shards(workers),
     );
     c.add_workers("w", workers, move || Box::new(Sleeper(service)));
     let started = Instant::now();

@@ -1,6 +1,6 @@
 //! The same TACC worker code on real OS threads: `sns-rt` runs the
 //! distillers from `sns-distillers` (unchanged) behind channel-connected
-//! worker threads with load reports, lottery scheduling and process-peer
+//! worker threads with load reports, least-loaded placement and process-peer
 //! restarts — no simulator involved.
 //!
 //! ```sh

@@ -216,10 +216,12 @@ fn pipeline_body_serves_requests_on_the_rt_backend() {
             .with_report_period(Duration::from_millis(10))
             .with_beacon_period(Duration::from_millis(20)),
     );
-    c.add_workers("origin", 2, || {
+    // One worker per source in each fan-out class, so a lone request
+    // never has to queue.
+    c.add_workers("origin", 3, || {
         Box::new(OriginServer::new().with_penalty_scale(0.02))
     });
-    c.add_workers("distiller/html", 2, || {
+    c.add_workers("distiller/html", 3, || {
         Box::new(TaccWorkerHost::transformer(
             Box::new(HtmlMunger::new()),
             BTreeMap::new(),
@@ -259,5 +261,10 @@ fn pipeline_body_serves_requests_on_the_rt_backend() {
         assert_eq!(outcome.stats.get("tacc.pipe_requests"), Some(&1));
         assert_eq!(outcome.stats.get("tacc.pipe_aggregated"), Some(&1));
     }
+    // Each request's three concurrent fetches (then distills) found
+    // three idle workers: the shards place by the live gauges, so no
+    // stage waited behind a sibling.
+    assert_eq!(c.counter("stub.dispatches"), 14);
+    assert_eq!(c.counter("stub.placed_busy"), 0);
     c.shutdown();
 }

@@ -1377,6 +1377,9 @@ pub struct DispatchPlane {
     incarnation: u64,
     last_beacon: Option<SimTime>,
     hints: BTreeMap<WorkerClass, Vec<HintEntry>>,
+    /// Bumped whenever `hints` changes (beacon, timeout eviction), so a
+    /// driver can cache what it derives from them.
+    hints_version: u64,
     /// Net dispatches (sent − answered) per worker since the last beacon.
     inflight: BTreeMap<ComponentId, i64>,
     outstanding: BTreeMap<u64, Outstanding>,
@@ -1410,6 +1413,7 @@ impl DispatchPlane {
             incarnation: 0,
             last_beacon: None,
             hints: BTreeMap::new(),
+            hints_version: 0,
             inflight: BTreeMap::new(),
             outstanding: BTreeMap::new(),
             class_tenant: BTreeMap::new(),
@@ -1562,6 +1566,12 @@ impl DispatchPlane {
             .unwrap_or_default()
     }
 
+    /// Changes whenever the hint cache does; equal versions mean
+    /// [`DispatchPlane::workers_of`] answers as before.
+    pub fn hints_version(&self) -> u64 {
+        self.hints_version
+    }
+
     /// Estimated queue length for a worker (report + local delta).
     pub fn estimate(&self, class: &WorkerClass, worker: ComponentId) -> Option<f64> {
         let base = self
@@ -1585,6 +1595,7 @@ impl DispatchPlane {
         self.manager = Some(b.manager);
         self.incarnation = b.incarnation;
         self.last_beacon = Some(b.at);
+        self.hints_version += 1;
         self.hints = b
             .hints
             .iter()
@@ -1864,6 +1875,7 @@ impl DispatchPlane {
             if let Some(v) = self.hints.get_mut(&class) {
                 v.retain(|h| h.worker != w);
             }
+            self.hints_version += 1;
             *self.inflight.entry(w).or_insert(0) -= 1;
             out.push(DispatchEffect::Incr {
                 key: "stub.timeouts",

@@ -9,11 +9,11 @@
 //! wall-clock threads in `sns-rt`:
 //!
 //! * [`Clock`] — the virtual/wall split. [`VirtualClock`] is advanced
-//!   by whoever drives the executor (the sim adapter sets it to
+//!   by whoever drives the executor (the sim driver sets it to
 //!   `ctx.now()` before every poll); [`WallClock`] reads a monotonic
 //!   `Instant` origin.
 //! * [`TimerHub`] — the timer table behind [`sleep`]. Arming records a
-//!   deadline; the sim adapter drains newly armed timers into engine
+//!   deadline; the sim driver drains newly armed timers into engine
 //!   timers (so sleeps pop in seq order off the existing `Scheduler`
 //!   heap/wheel — determinism comes from the engine, not from here).
 //! * [`Mailbox`] — a typed inbox with an async [`Mailbox::recv`].
@@ -24,10 +24,10 @@
 //!   woken tasks are polled strictly in wake order, so task scheduling
 //!   is a pure function of the event order that produced the wakes.
 //!
-//! Adapters keep migration incremental: [`component::AsyncComponent`]
-//! runs a whole async body as a legacy engine `Component`, and
-//! [`service::AsyncSvcLogic`] runs per-request async bodies behind the
-//! legacy `ServiceLogic` trait (see `DESIGN.md` §6i).
+//! Bodies come in two shapes: [`component::AsyncComponent`] runs a
+//! whole async body as an engine `Component`, and a
+//! [`service::AsyncService`] writes one body per request, which the
+//! [`crate::frontend::FrontEnd`] hosts directly (see `DESIGN.md` §6i).
 
 pub mod component;
 pub mod service;

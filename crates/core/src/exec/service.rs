@@ -1,44 +1,47 @@
-//! Per-request async bodies behind the legacy front-end framework.
+//! Per-request async service bodies.
 //!
 //! An [`AsyncService`] writes one `async fn` per request: awaiting a
-//! dispatch instead of matching on `FeEvent` tags, `timeout` instead of
-//! a give-up tag, `race` instead of a hedge state machine. The
-//! [`AsyncSvcLogic`] adapter runs those bodies behind the unchanged
-//! [`ServiceLogic`] trait, so the [`crate::frontend::FrontEnd`]
-//! component — thread accounting, overhead CPU, dispatch timeouts,
-//! manager supervision, tracing — is untouched and legacy services
-//! keep working while they migrate.
+//! dispatch instead of matching on reply tags, `timeout` instead of a
+//! give-up tag, `race` instead of a hedge state machine. A body talks
+//! to its driver only through its [`SvcHandle`]: every operation is
+//! queued as an [`SvcOp`] and every awaited one gets a token the driver
+//! later [`SvcHandle::fill`]s.
 //!
-//! Determinism: a body only runs when the framework delivers an event
-//! for its request, and each poll's effects drain into the same
-//! `Vec<Action>` the legacy callbacks fill — so the wire-visible event
-//! order is a pure function of the engine's (already deterministic)
-//! event order. The rt driver (`sns_rt::exec`) polls the *same* future
-//! type against wall-clock time and a live cluster.
+//! Two drivers host bodies. The sim [`crate::frontend::FrontEnd`] owns
+//! each request's handle and body and turns every framework event for
+//! the request (worker reply, give-up, compute or nap done) into a
+//! `fill` + poll + drain, so the wire-visible event order is a pure
+//! function of the engine's (already deterministic) event order. The rt
+//! driver (`sns_rt::exec`) polls the *same* future type against
+//! wall-clock time and a live cluster.
 
 use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex, Weak};
-use std::task::{Context, Poll, Wake, Waker};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
-use crate::frontend::{Action, FeEvent, ReqState, ServiceLogic, SvcView};
+use crate::frontend::Action;
 use crate::msg::{ClientRequest, JobResult, ProfileData};
 use crate::{Payload, WorkerClass};
 
 use super::BoxFut;
 
+/// Live workers per hint class: the membership snapshot a driver hands
+/// its bodies before each poll.
+pub type Hints = BTreeMap<WorkerClass, Vec<ComponentId>>;
+
 /// How an awaited framework operation resolved.
 #[derive(Debug, Clone)]
 pub enum EventOutcome {
-    /// A worker answered (`FeEvent::WorkerReply`).
+    /// A worker answered.
     Reply(JobResult),
     /// The dispatch failed permanently — timed out after retries, or
-    /// the pinned worker died (`FeEvent::DispatchFailed`).
+    /// the pinned worker died.
     Failed(WorkerClass),
     /// A compute burst or nap finished.
     Done,
@@ -54,44 +57,45 @@ impl EventOutcome {
     }
 }
 
-/// One queued effect of a body poll: either a stat (applied to the
-/// stats hub during the drain, exactly where a legacy callback would
-/// have written it) or a framework [`Action`].
+/// One queued effect of a body poll: a stat (applied to the stats hub
+/// before any action of the same poll) or a framework [`Action`].
 #[derive(Debug)]
 pub enum SvcOp {
     /// `stats().incr(key, n)`.
     Incr(&'static str, u64),
     /// `stats().observe(key, v)`.
     Observe(&'static str, f64),
+    /// `stats().sample(key, now, v)` at the poll's `now`.
+    Sample(&'static str, f64),
     /// A framework action; dispatch-like variants carry the awaited
     /// token as their tag.
     Act(Action),
 }
 
 #[derive(Debug)]
-enum SlotState {
+enum Slot {
     Pending(Option<Waker>),
     Ready(EventOutcome),
 }
 
-/// Shared per-request state between the body (via [`SvcHandle`]) and
-/// the driving adapter.
+/// Per-request state shared by the body (via [`SvcHandle`] and its
+/// [`Pending`]s) and the driver.
 #[derive(Debug, Default)]
-pub(crate) struct ReqShared {
+struct ReqShared {
     now: SimTime,
     next_token: u64,
     ops: Vec<SvcOp>,
-    slots: BTreeMap<u64, SlotState>,
-    hints: BTreeMap<WorkerClass, Vec<ComponentId>>,
+    /// Awaited tokens still live — a handful at a time, so a linear
+    /// scan beats a map.
+    slots: Vec<(u64, Slot)>,
+    /// The driver's snapshot; `None` until the first [`SvcHandle::sync`].
+    hints: Option<Arc<Hints>>,
     replied: bool,
 }
 
 impl ReqShared {
-    fn new() -> Self {
-        ReqShared {
-            next_token: 1,
-            ..ReqShared::default()
-        }
+    fn slot(&mut self, token: u64) -> Option<usize> {
+        self.slots.iter().position(|(t, _)| *t == token)
     }
 }
 
@@ -102,9 +106,13 @@ pub struct SvcHandle {
     inner: Arc<Mutex<ReqShared>>,
 }
 
+fn lock(inner: &Mutex<ReqShared>) -> MutexGuard<'_, ReqShared> {
+    inner.lock().expect("request state poisoned")
+}
+
 impl SvcHandle {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ReqShared> {
-        self.inner.lock().expect("request state poisoned")
+    fn lock(&self) -> MutexGuard<'_, ReqShared> {
+        lock(&self.inner)
     }
 
     /// Current time on the driving backend's axis.
@@ -112,12 +120,13 @@ impl SvcHandle {
         self.lock().now
     }
 
-    /// Live workers of a hint class, as of the last event delivery —
-    /// the same beacon-derived membership a legacy callback reads from
-    /// `view.stub.workers_of`. Only classes the service declared in
-    /// [`AsyncService::hint_classes`] are populated.
+    /// Live workers of a hint class, as of the last event delivery (the
+    /// beacon-derived membership, sorted). Only classes the service
+    /// declared in [`AsyncService::hint_classes`] are populated.
     pub fn workers_of(&self, class: &WorkerClass) -> Vec<ComponentId> {
-        self.lock().hints.get(class).cloned().unwrap_or_default()
+        let inner = self.lock();
+        let live = inner.hints.as_ref().and_then(|h| h.get(class));
+        live.cloned().unwrap_or_default()
     }
 
     /// Counts into the shared stats hub.
@@ -130,16 +139,23 @@ impl SvcHandle {
         self.lock().ops.push(SvcOp::Observe(key, v));
     }
 
+    /// Appends `(now, v)` to the hub's time series `key`, stamped with
+    /// the time of the poll that emits it.
+    pub fn sample(&self, key: &'static str, v: f64) {
+        self.lock().ops.push(SvcOp::Sample(key, v));
+    }
+
     fn pend(&self, mk: impl FnOnce(u64) -> Action) -> Pending {
         let mut inner = self.lock();
         let token = inner.next_token;
         inner.next_token += 1;
-        inner.slots.insert(token, SlotState::Pending(None));
+        inner.slots.push((token, Slot::Pending(None)));
         let act = mk(token);
         inner.ops.push(SvcOp::Act(act));
         Pending {
-            shared: Arc::downgrade(&self.inner),
+            shared: Arc::clone(&self.inner),
             token,
+            done: false,
         }
     }
 
@@ -210,45 +226,58 @@ impl SvcHandle {
 
     // -- driver side ----------------------------------------------------
 
-    /// (Driver.) Creates the per-request state pair.
+    /// (Driver.) Creates the per-request state.
     pub fn new_request() -> SvcHandle {
         SvcHandle {
-            inner: Arc::new(Mutex::new(ReqShared::new())),
+            inner: Arc::new(Mutex::new(ReqShared {
+                next_token: 1,
+                ..ReqShared::default()
+            })),
         }
     }
 
-    /// (Driver.) Updates the clock and hint snapshot before a poll.
-    pub fn sync(&self, now: SimTime, hints: BTreeMap<WorkerClass, Vec<ComponentId>>) {
+    /// (Driver.) Before a poll: sets the clock and the hint snapshot
+    /// (shared, replaced only when the driver rebuilt it) and lends the
+    /// handle the driver's empty op buffer, so a poll allocates none.
+    /// Ops queued since the last [`SvcHandle::take_ops`] stay queued.
+    pub fn sync(&self, now: SimTime, hints: &Arc<Hints>, ops: &mut Vec<SvcOp>) {
         let mut inner = self.lock();
         inner.now = now;
-        inner.hints = hints;
+        if !inner.hints.as_ref().is_some_and(|h| Arc::ptr_eq(h, hints)) {
+            inner.hints = Some(Arc::clone(hints));
+        }
+        if inner.ops.is_empty() {
+            std::mem::swap(&mut inner.ops, ops);
+        }
+    }
+
+    /// (Driver.) After a poll: swaps the queued ops, in emission order,
+    /// into the driver's (empty) buffer `ops`.
+    pub fn take_ops(&self, ops: &mut Vec<SvcOp>) {
+        std::mem::swap(&mut self.lock().ops, ops);
     }
 
     /// (Driver.) Resolves the awaited token; returns false when no one
     /// is waiting (cancelled future, fire-and-forget dispatch) — the
-    /// driver then skips the poll, like the legacy early-returns.
+    /// driver then skips the poll: nothing the body waits on changed.
     pub fn fill(&self, token: u64, outcome: EventOutcome) -> bool {
         let waker = {
             let mut inner = self.lock();
-            match inner.slots.get_mut(&token) {
-                Some(SlotState::Pending(w)) => {
-                    let w = w.take();
-                    inner.slots.insert(token, SlotState::Ready(outcome));
-                    w
-                }
-                _ => return false,
-            }
+            let Some(i) = inner.slot(token) else {
+                return false;
+            };
+            // A token is single-shot: a second fill finds it Ready.
+            let Slot::Pending(w) = &mut inner.slots[i].1 else {
+                return false;
+            };
+            let w = w.take();
+            inner.slots[i].1 = Slot::Ready(outcome);
+            w
         };
         if let Some(w) = waker {
             w.wake();
         }
         true
-    }
-
-    /// (Driver.) Takes the ops the last poll produced, in emission
-    /// order.
-    pub fn take_ops(&self) -> Vec<SvcOp> {
-        std::mem::take(&mut self.lock().ops)
     }
 
     /// (Driver.) Whether the body replied.
@@ -261,40 +290,43 @@ impl SvcHandle {
 /// Dropping it cancels the wait (not the underlying job).
 #[derive(Debug)]
 pub struct Pending {
-    shared: Weak<Mutex<ReqShared>>,
+    shared: Arc<Mutex<ReqShared>>,
     token: u64,
+    /// Resolved: its slot is gone, so drop has nothing to release.
+    done: bool,
 }
 
 impl Future for Pending {
     type Output = EventOutcome;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<EventOutcome> {
-        let Some(shared) = self.shared.upgrade() else {
-            // Request state gone (body outlived its request — cannot
-            // happen under the adapters, but never hang).
+        let this = self.get_mut();
+        let mut inner = lock(&this.shared);
+        let Some(i) = inner.slot(this.token) else {
+            this.done = true;
             return Poll::Ready(EventOutcome::Done);
         };
-        let mut inner = shared.lock().expect("request state poisoned");
-        match inner.slots.get_mut(&self.token) {
-            Some(SlotState::Ready(_)) => {
-                let Some(SlotState::Ready(outcome)) = inner.slots.remove(&self.token) else {
-                    unreachable!()
-                };
-                Poll::Ready(outcome)
-            }
-            Some(SlotState::Pending(w)) => {
+        if let Slot::Pending(w) = &mut inner.slots[i].1 {
+            if !w.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
                 *w = Some(cx.waker().clone());
-                Poll::Pending
             }
-            None => Poll::Ready(EventOutcome::Done),
+            return Poll::Pending;
         }
+        let Slot::Ready(outcome) = inner.slots.swap_remove(i).1 else {
+            unreachable!("checked above")
+        };
+        this.done = true;
+        Poll::Ready(outcome)
     }
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
-        if let Some(shared) = self.shared.upgrade() {
-            if let Ok(mut inner) = shared.lock() {
-                inner.slots.remove(&self.token);
+        if self.done {
+            return;
+        }
+        if let Ok(mut inner) = self.shared.lock() {
+            if let Some(i) = inner.slot(self.token) {
+                inner.slots.swap_remove(i);
             }
         }
     }
@@ -303,7 +335,7 @@ impl Drop for Pending {
 /// A service whose per-request behaviour is one async body.
 pub trait AsyncService: Send {
     /// Worker classes whose live membership bodies read via
-    /// [`SvcHandle::workers_of`] (refreshed before every poll).
+    /// [`SvcHandle::workers_of`] (current at every poll).
     fn hint_classes(&self) -> Vec<WorkerClass> {
         Vec::new()
     }
@@ -314,131 +346,16 @@ pub trait AsyncService: Send {
     fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut;
 }
 
-/// A waker that does nothing: the sim adapter re-polls a request's
-/// body exactly when the framework delivers one of its events, so the
-/// wake signal is redundant there (the rt driver runs the body on an
-/// [`super::Executor`], whose wakers queue the task for the next run).
-struct NoopWake;
-impl Wake for NoopWake {
-    fn wake(self: Arc<Self>) {}
-}
-
-/// Per-request task stored in [`ReqState::data`].
-struct ReqTask {
-    fut: BoxFut,
-    svc: SvcHandle,
-}
-
-/// Runs an [`AsyncService`] behind the legacy [`ServiceLogic`] trait:
-/// the migration adapter (`DESIGN.md` §6i).
-pub struct AsyncSvcLogic<S> {
-    svc: S,
-    hint_classes: Vec<WorkerClass>,
-    waker: Waker,
-}
-
-impl<S: AsyncService> AsyncSvcLogic<S> {
-    /// Wraps a service.
-    pub fn new(svc: S) -> Self {
-        let hint_classes = svc.hint_classes();
-        AsyncSvcLogic {
-            svc,
-            hint_classes,
-            waker: Waker::from(Arc::new(NoopWake)),
-        }
-    }
-
-    fn snapshot(&self, view: &SvcView<'_, '_>) -> BTreeMap<WorkerClass, Vec<ComponentId>> {
-        self.hint_classes
-            .iter()
-            .map(|c| {
-                let mut live = view.stub.workers_of(c);
-                live.sort();
-                (c.clone(), live)
-            })
-            .collect()
-    }
-
-    /// Polls the task once and drains its effects: stats straight into
-    /// the hub (legacy callbacks write them mid-callback too — always
-    /// before `apply` runs the actions), actions into `out`.
-    fn poll_and_drain(
-        &mut self,
-        task: &mut ReqTask,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) -> bool {
-        task.svc.sync(view.now, self.snapshot(view));
-        let mut cx = Context::from_waker(&self.waker);
-        let done = task.fut.as_mut().poll(&mut cx).is_ready();
-        for op in task.svc.take_ops() {
-            match op {
-                SvcOp::Incr(key, n) => view.stats().incr(key, n),
-                SvcOp::Observe(key, v) => view.stats().observe(key, v),
-                SvcOp::Act(a) => out.push(a),
-            }
-        }
-        if done && !task.svc.replied() {
-            view.stats().incr("exec.body_no_reply", 1);
-            out.push(Action::Reply(Err(
-                "service body returned without replying".into()
-            )));
-        }
-        done
-    }
-}
-
-impl<S: AsyncService> ServiceLogic for AsyncSvcLogic<S> {
-    fn on_request(
-        &mut self,
-        req: &mut ReqState,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        let svc = SvcHandle::new_request();
-        let fut = self.svc.handle(req.request.clone(), svc.clone());
-        let mut task = ReqTask { fut, svc };
-        if !self.poll_and_drain(&mut task, view, out) {
-            req.data = Some(Box::new(task));
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        req: &mut ReqState,
-        ev: FeEvent<'_>,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        let Some(data) = req.data.take() else {
-            return;
-        };
-        let Ok(mut task) = data.downcast::<ReqTask>() else {
-            return;
-        };
-        let (token, outcome) = match ev {
-            FeEvent::WorkerReply { tag, result } => (tag, EventOutcome::Reply(result.clone())),
-            FeEvent::DispatchFailed { tag, class } => (tag, EventOutcome::Failed(class)),
-            FeEvent::ComputeDone { tag } => (tag, EventOutcome::Done),
-            FeEvent::NapDone { tag } => (tag, EventOutcome::Done),
-        };
-        if !task.svc.fill(token, outcome) {
-            // No awaiter: a fire-and-forget dispatch's late reply or a
-            // race loser's event. Nothing can have changed; skip the
-            // poll (the legacy logic's early-return arm).
-            req.data = Some(task);
-            return;
-        }
-        if !self.poll_and_drain(&mut task, view, out) {
-            req.data = Some(task);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Blob;
+
+    fn drain(svc: &SvcHandle) -> Vec<SvcOp> {
+        let mut ops = Vec::new();
+        svc.take_ops(&mut ops);
+        ops
+    }
 
     #[test]
     fn handle_allocates_tokens_and_queues_ops_in_emission_order() {
@@ -447,10 +364,11 @@ mod tests {
         let p1 = svc.dispatch(WorkerClass::new("echo"), "op", Blob::payload(4, "x"), None);
         svc.observe("b", 2.0);
         let p2 = svc.compute(Duration::from_millis(1));
+        svc.sample("c", 3.0);
         assert_eq!(p1.token, 1);
         assert_eq!(p2.token, 2);
-        let ops = svc.take_ops();
-        assert_eq!(ops.len(), 4);
+        let ops = drain(&svc);
+        assert_eq!(ops.len(), 5);
         assert!(matches!(ops[0], SvcOp::Incr("a", 1)));
         assert!(matches!(
             ops[1],
@@ -458,6 +376,7 @@ mod tests {
         ));
         assert!(matches!(ops[2], SvcOp::Observe("b", _)));
         assert!(matches!(ops[3], SvcOp::Act(Action::Compute { tag: 2, .. })));
+        assert!(matches!(ops[4], SvcOp::Sample("c", _)));
     }
 
     #[test]
@@ -473,12 +392,29 @@ mod tests {
         );
         assert!(svc.fill(pending.token, EventOutcome::Done));
         assert!(!svc.fill(pending.token, EventOutcome::Done), "single-shot");
-        let waker = Waker::from(Arc::new(NoopWake));
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(Waker::noop());
         let mut p = pending;
         assert!(matches!(
             Pin::new(&mut p).poll(&mut cx),
             Poll::Ready(EventOutcome::Done)
         ));
+        assert!(!svc.fill(p.token, EventOutcome::Done), "consumed");
+    }
+
+    #[test]
+    fn sync_lends_the_op_buffer_and_shares_the_snapshot() {
+        let svc = SvcHandle::new_request();
+        let hints: Arc<Hints> = Arc::new(BTreeMap::from([(
+            WorkerClass::new("w"),
+            vec![ComponentId(3)],
+        )]));
+        let mut buf = Vec::with_capacity(8);
+        svc.sync(SimTime::from_millis(7), &hints, &mut buf);
+        assert_eq!(svc.now(), SimTime::from_millis(7));
+        assert_eq!(svc.workers_of(&"w".into()), vec![ComponentId(3)]);
+        svc.incr("k", 1);
+        svc.take_ops(&mut buf);
+        assert_eq!(buf.len(), 1);
+        assert!(buf.capacity() >= 8, "the lent buffer came back");
     }
 }

@@ -1,41 +1,45 @@
 //! The front-end framework (§2.2.1, §3.1.1): request shepherding over a
-//! bounded thread pool, service-specific dispatch logic, and process-peer
+//! bounded thread pool, per-request service bodies, and process-peer
 //! supervision of the manager.
 //!
 //! "The static partitioning of functionality between front ends and
 //! workers reflects our desire to keep workers as simple as possible, by
 //! localizing in the front ends the control decisions associated with
-//! satisfying user requests." A service plugs in a [`ServiceLogic`]: a
-//! per-request state machine that reacts to request arrival, worker
-//! replies, dispatch failures and local compute completions by emitting
-//! [`Action`]s. The framework handles everything else: thread
-//! accounting, per-request TCP/kernel overhead, dispatch timeouts and
-//! retries (via the embedded [`ManagerStub`]), manager registration and
-//! manager restart.
+//! satisfying user requests." A service plugs in an [`AsyncService`]:
+//! one `async fn` body per request, which the front end hosts directly.
+//! Each framework event for a request — a worker reply, a dispatch given
+//! up on, a compute burst or nap finished — fills the token its body
+//! awaits, polls the body once and drains what the poll queued: stats
+//! into the hub first, then [`Action`]s in emission order. The framework
+//! handles everything else: thread accounting, per-request TCP/kernel
+//! overhead, dispatch timeouts and retries (via the embedded
+//! [`ManagerStub`]), manager registration and manager restart.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::task::{Context, Waker};
 use std::time::Duration;
 
 use sns_sim::engine::{Component, Ctx};
-use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_sim::{ComponentId, GroupId};
 
+use crate::exec::service::{AsyncService, EventOutcome, Hints, SvcHandle, SvcOp};
+use crate::exec::BoxFut;
 use crate::monitor::MonitorEvent;
-use crate::msg::{ClientRequest, ClientResponse, JobResult, ProfileData, SnsMsg};
+use crate::msg::{ClientRequest, ClientResponse, ProfileData, SnsMsg};
 use crate::stub::{ManagerStub, TimeoutVerdict};
 use crate::trace;
 use crate::{Payload, SnsConfig, WorkerClass};
 
-/// What service logic can ask the framework to do.
+/// What a service body can ask the framework to do (queued through its
+/// [`SvcHandle`]; the tag is the token the body awaits).
 #[derive(Debug)]
 pub enum Action {
     /// Dispatch a job to the best worker of a class (lottery + retries).
     Dispatch {
-        /// Service-chosen correlation tag (unique per request).
+        /// The awaiting body's token (unique per request).
         tag: u64,
         /// Worker class.
         class: WorkerClass,
@@ -69,8 +73,8 @@ pub enum Action {
         /// CPU time.
         cost: Duration,
     },
-    /// Sleep without holding CPU (async bodies' give-up and hedge
-    /// deadlines; see [`crate::exec::service::SvcHandle::nap`]).
+    /// Sleep without holding CPU (bodies' give-up and hedge deadlines;
+    /// see [`SvcHandle::nap`]).
     Nap {
         /// Correlation tag.
         tag: u64,
@@ -82,90 +86,6 @@ pub enum Action {
     /// Flag the eventual response as degraded (approximate answer,
     /// §3.1.8).
     MarkDegraded,
-}
-
-/// Framework-maintained per-request state handed to the service logic.
-pub struct ReqState {
-    /// The original client request.
-    pub request: Arc<ClientRequest>,
-    /// Service-private state (parsed plan, partial results, …).
-    pub data: Option<Box<dyn Any + Send>>,
-    /// Set by [`Action::MarkDegraded`].
-    pub degraded: bool,
-    /// When the framework started processing.
-    pub started: SimTime,
-    client: ComponentId,
-    /// Head-sampling decision, made once on arrival and gating every
-    /// span of this request (see `crate::trace::Sampling`).
-    sampled: bool,
-}
-
-/// Context available to service-logic callbacks: the clock, the RNG and
-/// stats sink, and a read-only view of the hint cache.
-pub struct SvcView<'a, 'k> {
-    /// Current time.
-    pub now: SimTime,
-    /// The hint cache (worker membership, estimates).
-    pub stub: &'a ManagerStub,
-    ctx: &'a mut Ctx<'k, SnsMsg>,
-}
-
-impl<'a, 'k> SvcView<'a, 'k> {
-    /// Deterministic RNG stream.
-    pub fn rng(&mut self) -> &mut Pcg32 {
-        self.ctx.rng()
-    }
-
-    /// The shared measurement sink.
-    pub fn stats(&mut self) -> &mut sns_sim::stats::StatsHub {
-        self.ctx.stats()
-    }
-}
-
-/// Events delivered to service logic about one of its dispatches.
-#[derive(Debug)]
-pub enum FeEvent<'a> {
-    /// A worker answered.
-    WorkerReply {
-        /// The dispatch's tag.
-        tag: u64,
-        /// The result.
-        result: &'a JobResult,
-    },
-    /// A dispatch failed permanently (timeout after retries, or a pinned
-    /// worker timed out). The service layer decides the fallback
-    /// (§2.2.4).
-    DispatchFailed {
-        /// The dispatch's tag.
-        tag: u64,
-        /// The class it targeted.
-        class: WorkerClass,
-    },
-    /// An [`Action::Compute`] finished.
-    ComputeDone {
-        /// The compute's tag.
-        tag: u64,
-    },
-    /// An [`Action::Nap`] elapsed.
-    NapDone {
-        /// The nap's tag.
-        tag: u64,
-    },
-}
-
-/// Service-specific front-end behaviour: a per-request state machine.
-pub trait ServiceLogic: Send {
-    /// A request arrived and holds a thread; emit initial actions.
-    fn on_request(&mut self, req: &mut ReqState, view: &mut SvcView<'_, '_>, out: &mut Vec<Action>);
-
-    /// Something happened to one of this request's dispatches/computes.
-    fn on_event(
-        &mut self,
-        req: &mut ReqState,
-        ev: FeEvent<'_>,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    );
 }
 
 /// Builds a replacement manager with the given incarnation (front ends
@@ -193,17 +113,41 @@ const K_DISPATCH: u64 = 4 << KIND_SHIFT;
 const K_NAP: u64 = 5 << KIND_SHIFT;
 const ID_MASK: u64 = (1 << KIND_SHIFT) - 1;
 
+/// One request holding a front-end thread.
+struct Request {
+    request: Arc<ClientRequest>,
+    client: ComponentId,
+    /// When the framework started processing.
+    started: SimTime,
+    /// Head-sampling decision, made once on arrival and gating every
+    /// span of this request (see `crate::trace::Sampling`).
+    sampled: bool,
+    /// Set by [`Action::MarkDegraded`].
+    degraded: bool,
+    svc: SvcHandle,
+    /// The service body; spawned when the per-request overhead burst
+    /// ends, dropped when it completes.
+    body: Option<BoxFut>,
+}
+
 /// The front-end component.
 pub struct FrontEnd {
     cfg: FeConfig,
-    logic: Box<dyn ServiceLogic>,
+    service: Box<dyn AsyncService>,
     stub: ManagerStub,
-    requests: BTreeMap<u64, ReqState>,
-    /// job id → (request, tag).
+    /// The classes bodies read membership of, and the snapshot they
+    /// read, rebuilt only when the stub's hints version moves.
+    hint_classes: Vec<WorkerClass>,
+    hints: Arc<Hints>,
+    hints_version: Option<u64>,
+    /// Op buffer lent to every polled body and drained after the poll.
+    ops: Vec<SvcOp>,
+    requests: BTreeMap<u64, Request>,
+    /// job id → (request, token).
     jobs: BTreeMap<u64, (u64, u64)>,
-    /// compute token id → (request, tag, when requested).
+    /// compute id → (request, token, when requested).
     computes: BTreeMap<u64, (u64, u64, SimTime)>,
-    /// nap token id → (request, tag).
+    /// nap id → (request, token).
     naps: BTreeMap<u64, (u64, u64)>,
     next_nap: u64,
     accept_queue: VecDeque<(ComponentId, Arc<ClientRequest>)>,
@@ -215,13 +159,17 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Creates a front end around service logic.
-    pub fn new(logic: Box<dyn ServiceLogic>, cfg: FeConfig) -> Self {
+    /// Creates a front end hosting `service`'s request bodies.
+    pub fn new(service: Box<dyn AsyncService>, cfg: FeConfig) -> Self {
         let stub = ManagerStub::new(cfg.sns.clone());
         FrontEnd {
             cfg,
-            logic,
+            hint_classes: service.hint_classes(),
+            service,
             stub,
+            hints: Arc::default(),
+            hints_version: None,
+            ops: Vec::new(),
             requests: BTreeMap::new(),
             jobs: BTreeMap::new(),
             computes: BTreeMap::new(),
@@ -268,13 +216,14 @@ impl FrontEnd {
         let sampled = ctx.tracer().decide(req_id);
         self.requests.insert(
             req_id,
-            ReqState {
+            Request {
                 request: r,
-                data: None,
-                degraded: false,
-                started: now,
                 client,
+                started: now,
                 sampled,
+                degraded: false,
+                svc: SvcHandle::new_request(),
+                body: None,
             },
         );
         // Per-request TCP/kernel overhead occupies the FE's CPU first
@@ -282,120 +231,182 @@ impl FrontEnd {
         ctx.exec_cpu(self.cfg.sns.fe_request_overhead, K_OVERHEAD | req_id);
     }
 
-    fn run_logic<F>(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64, f: F)
-    where
-        F: FnOnce(&mut dyn ServiceLogic, &mut ReqState, &mut SvcView<'_, '_>, &mut Vec<Action>),
-    {
-        let Some(mut req) = self.requests.remove(&req_id) else {
+    /// The overhead burst is over: spawn the request's body and run it
+    /// up to its first await.
+    fn spawn_body(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64) {
+        let Some(req) = self.requests.get_mut(&req_id) else {
             return;
         };
-        let mut out = Vec::new();
-        {
-            let mut view = SvcView {
-                now: ctx.now(),
-                stub: &self.stub,
-                ctx,
-            };
-            f(self.logic.as_mut(), &mut req, &mut view, &mut out);
-        }
-        self.requests.insert(req_id, req);
-        self.apply(ctx, req_id, out);
+        req.body = Some(self.service.handle(req.request.clone(), req.svc.clone()));
+        self.poll(ctx, req_id);
     }
 
-    fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64, actions: Vec<Action>) {
-        for action in actions {
-            if !self.requests.contains_key(&req_id) {
-                // A Reply already finished this request; drop the rest.
-                break;
+    /// Resolves the token a request's body awaits and polls the body —
+    /// unless nothing awaits it any more (a fire-and-forget dispatch's
+    /// late reply, a race loser's event): then nothing it waits on
+    /// changed and the body is not polled.
+    fn deliver(
+        &mut self,
+        ctx: &mut Ctx<'_, SnsMsg>,
+        req_id: u64,
+        token: u64,
+        outcome: EventOutcome,
+    ) {
+        let Some(req) = self.requests.get(&req_id) else {
+            return;
+        };
+        if req.svc.fill(token, outcome) {
+            self.poll(ctx, req_id);
+        }
+    }
+
+    /// Polls a request's body once and drains what it queued: stats
+    /// straight into the hub, then actions in emission order. A body
+    /// that finishes without replying gets the error reply.
+    fn poll(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64) {
+        let version = self.stub.hints_version();
+        if self.hints_version != Some(version) {
+            self.hints_version = Some(version);
+            let snapshot = self.hint_classes.iter().map(|c| {
+                let mut live = self.stub.workers_of(c);
+                live.sort();
+                (c.clone(), live)
+            });
+            self.hints = Arc::new(snapshot.collect());
+        }
+        let Some(req) = self.requests.get_mut(&req_id) else {
+            return;
+        };
+        let Some(body) = req.body.as_mut() else {
+            return;
+        };
+        let mut ops = std::mem::take(&mut self.ops);
+        req.svc.sync(ctx.now(), &self.hints, &mut ops);
+        let done = body
+            .as_mut()
+            .poll(&mut Context::from_waker(Waker::noop()))
+            .is_ready();
+        req.svc.take_ops(&mut ops);
+        let unanswered = done && !req.svc.replied();
+        if done {
+            req.body = None;
+        }
+        let now = ctx.now();
+        for op in &ops {
+            match *op {
+                SvcOp::Incr(key, n) => ctx.stats().incr(key, n),
+                SvcOp::Observe(key, v) => ctx.stats().observe(key, v),
+                SvcOp::Sample(key, v) => ctx.stats().sample(key, now, v),
+                SvcOp::Act(_) => {}
             }
-            match action {
-                Action::Dispatch {
-                    tag,
-                    class,
-                    op,
-                    input,
-                    profile,
-                } => {
-                    let span = self.span_ctx(ctx, req_id);
-                    let job_id = self.stub.dispatch(ctx, class, op, input, profile, span);
-                    self.jobs.insert(job_id, (req_id, tag));
-                    ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | job_id);
+        }
+        if unanswered {
+            ctx.stats().incr("exec.body_no_reply", 1);
+        }
+        for op in ops.drain(..) {
+            if let SvcOp::Act(action) = op {
+                self.apply(ctx, req_id, action);
+            }
+        }
+        if unanswered {
+            let why = "service body returned without replying";
+            self.apply(ctx, req_id, Action::Reply(Err(why.into())));
+        }
+        self.ops = ops;
+    }
+
+    fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64, action: Action) {
+        if !self.requests.contains_key(&req_id) {
+            // A Reply already finished this request; drop the rest.
+            return;
+        }
+        match action {
+            Action::Dispatch {
+                tag,
+                class,
+                op,
+                input,
+                profile,
+            } => {
+                let span = self.span_ctx(ctx, req_id);
+                let job_id = self.stub.dispatch(ctx, class, op, input, profile, span);
+                self.jobs.insert(job_id, (req_id, tag));
+                ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | job_id);
+            }
+            Action::DispatchTo {
+                tag,
+                worker,
+                class,
+                op,
+                input,
+                profile,
+            } => {
+                let span = self.span_ctx(ctx, req_id);
+                let job_id = self
+                    .stub
+                    .dispatch_to(ctx, worker, class, op, input, profile, span);
+                self.jobs.insert(job_id, (req_id, tag));
+                ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | job_id);
+            }
+            Action::Compute { tag, cost } => {
+                let cid = self.next_compute;
+                self.next_compute += 1;
+                self.computes.insert(cid, (req_id, tag, ctx.now()));
+                ctx.exec_cpu(cost, K_COMPUTE | cid);
+            }
+            Action::Nap { tag, delay } => {
+                let nid = self.next_nap;
+                self.next_nap += 1;
+                self.naps.insert(nid, (req_id, tag));
+                ctx.timer(delay, K_NAP | nid);
+            }
+            Action::MarkDegraded => {
+                if let Some(req) = self.requests.get_mut(&req_id) {
+                    req.degraded = true;
                 }
-                Action::DispatchTo {
-                    tag,
-                    worker,
-                    class,
-                    op,
-                    input,
-                    profile,
-                } => {
-                    let span = self.span_ctx(ctx, req_id);
-                    let job_id = self
-                        .stub
-                        .dispatch_to(ctx, worker, class, op, input, profile, span);
-                    self.jobs.insert(job_id, (req_id, tag));
-                    ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | job_id);
+            }
+            Action::Reply(result) => {
+                let Some(req) = self.requests.remove(&req_id) else {
+                    return;
+                };
+                let now = ctx.now();
+                if req.sampled && ctx.tracer().is_enabled() {
+                    let me = ctx.me();
+                    let bytes = result.as_ref().map(|p| p.wire_size()).unwrap_or(0);
+                    ctx.tracer().record(trace::span(
+                        trace::request_span_id(me, req_id),
+                        None,
+                        trace::REQUEST,
+                        trace::CAT_FE,
+                        me,
+                        "",
+                        req.started,
+                        now,
+                        bytes,
+                        result.is_ok(),
+                    ));
                 }
-                Action::Compute { tag, cost } => {
-                    let cid = self.next_compute;
-                    self.next_compute += 1;
-                    self.computes.insert(cid, (req_id, tag, ctx.now()));
-                    ctx.exec_cpu(cost, K_COMPUTE | cid);
+                let latency = now.since(req.started);
+                ctx.stats().observe("fe.latency_s", latency.as_secs_f64());
+                ctx.stats().incr("fe.replies", 1);
+                if req.degraded {
+                    ctx.stats().incr("fe.degraded_replies", 1);
                 }
-                Action::Nap { tag, delay } => {
-                    let nid = self.next_nap;
-                    self.next_nap += 1;
-                    self.naps.insert(nid, (req_id, tag));
-                    ctx.timer(delay, K_NAP | nid);
+                if result.is_err() {
+                    ctx.stats().incr("fe.error_replies", 1);
                 }
-                Action::MarkDegraded => {
-                    if let Some(req) = self.requests.get_mut(&req_id) {
-                        req.degraded = true;
-                    }
-                }
-                Action::Reply(result) => {
-                    let Some(req) = self.requests.remove(&req_id) else {
-                        continue;
-                    };
-                    let now = ctx.now();
-                    if req.sampled && ctx.tracer().is_enabled() {
-                        let me = ctx.me();
-                        let bytes = result.as_ref().map(|p| p.wire_size()).unwrap_or(0);
-                        ctx.tracer().record(trace::span(
-                            trace::request_span_id(me, req_id),
-                            None,
-                            trace::REQUEST,
-                            trace::CAT_FE,
-                            me,
-                            "",
-                            req.started,
-                            now,
-                            bytes,
-                            result.is_ok(),
-                        ));
-                    }
-                    let latency = now.since(req.started);
-                    ctx.stats().observe("fe.latency_s", latency.as_secs_f64());
-                    ctx.stats().incr("fe.replies", 1);
-                    if req.degraded {
-                        ctx.stats().incr("fe.degraded_replies", 1);
-                    }
-                    if result.is_err() {
-                        ctx.stats().incr("fe.error_replies", 1);
-                    }
-                    ctx.send(
-                        req.client,
-                        SnsMsg::Response(Arc::new(ClientResponse {
-                            id: req.request.id,
-                            result,
-                            degraded: req.degraded,
-                        })),
-                    );
-                    self.active -= 1;
-                    // Free thread: admit a queued connection.
-                    if let Some((client, r)) = self.accept_queue.pop_front() {
-                        self.begin(ctx, client, r);
-                    }
+                ctx.send(
+                    req.client,
+                    SnsMsg::Response(Arc::new(ClientResponse {
+                        id: req.request.id,
+                        result,
+                        degraded: req.degraded,
+                    })),
+                );
+                self.active -= 1;
+                // Free thread: admit a queued connection.
+                if let Some((client, r)) = self.accept_queue.pop_front() {
+                    self.begin(ctx, client, r);
                 }
             }
         }
@@ -486,21 +497,9 @@ impl Component<SnsMsg> for FrontEnd {
                 if self.stub.on_response(ctx, job_id).is_none() {
                     return; // late duplicate after timeout
                 }
-                let Some(&(req_id, tag)) = self.jobs.get(&job_id) else {
-                    return;
-                };
-                self.jobs.remove(&job_id);
-                self.run_logic(ctx, req_id, |logic, req, view, out| {
-                    logic.on_event(
-                        req,
-                        FeEvent::WorkerReply {
-                            tag,
-                            result: &result,
-                        },
-                        view,
-                        out,
-                    );
-                });
+                if let Some((req_id, token)) = self.jobs.remove(&job_id) {
+                    self.deliver(ctx, req_id, token, EventOutcome::Reply(result));
+                }
             }
             _ => {}
         }
@@ -516,19 +515,15 @@ impl Component<SnsMsg> for FrontEnd {
                     ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | id);
                 }
                 TimeoutVerdict::GaveUp(class) => {
-                    if let Some((req_id, tag)) = self.jobs.remove(&id) {
-                        self.run_logic(ctx, req_id, |logic, req, view, out| {
-                            logic.on_event(req, FeEvent::DispatchFailed { tag, class }, view, out);
-                        });
+                    if let Some((req_id, token)) = self.jobs.remove(&id) {
+                        self.deliver(ctx, req_id, token, EventOutcome::Failed(class));
                     }
                 }
                 TimeoutVerdict::Unknown => {}
             },
             K_NAP => {
-                if let Some((req_id, tag)) = self.naps.remove(&id) {
-                    self.run_logic(ctx, req_id, |logic, req, view, out| {
-                        logic.on_event(req, FeEvent::NapDone { tag }, view, out);
-                    });
+                if let Some((req_id, token)) = self.naps.remove(&id) {
+                    self.deliver(ctx, req_id, token, EventOutcome::Done);
                 }
             }
             _ => {}
@@ -557,12 +552,10 @@ impl Component<SnsMsg> for FrontEnd {
                         ));
                     }
                 }
-                self.run_logic(ctx, id, |logic, req, view, out| {
-                    logic.on_request(req, view, out);
-                });
+                self.spawn_body(ctx, id);
             }
             K_COMPUTE => {
-                if let Some((req_id, tag, started)) = self.computes.remove(&id) {
+                if let Some((req_id, token, started)) = self.computes.remove(&id) {
                     let sampled = self
                         .requests
                         .get(&req_id)
@@ -583,9 +576,7 @@ impl Component<SnsMsg> for FrontEnd {
                             true,
                         ));
                     }
-                    self.run_logic(ctx, req_id, |logic, req, view, out| {
-                        logic.on_event(req, FeEvent::ComputeDone { tag }, view, out);
-                    });
+                    self.deliver(ctx, req_id, token, EventOutcome::Done);
                 }
             }
             _ => {}

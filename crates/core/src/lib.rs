@@ -26,9 +26,9 @@
 //!   estimated queue length with the §4.5 *queue-delta correction*, and
 //!   recovers from stale choices with timeouts and retries.
 //! * [`frontend::FrontEnd`] — the request-shepherding framework: a
-//!   bounded thread pool, per-request state machines driven by
-//!   service-specific [`frontend::ServiceLogic`], and process-peer
-//!   supervision of the manager.
+//!   bounded thread pool, one service-specific async body per request
+//!   ([`exec::service::AsyncService`]) hosted directly, and
+//!   process-peer supervision of the manager.
 //! * [`monitor::Monitor`] — the (non-graphical) system monitor: receives
 //!   multicast reports, keeps an event log and counters, and raises
 //!   operator alerts when components go quiet.
@@ -65,7 +65,7 @@ pub use control::{
     DispatchPlane, LiveLoad, NodeLoad, OverloadPolicy, Quorum, QuorumDecision, SpawnPolicy,
     TenantPolicy,
 };
-pub use frontend::{Action, FeEvent, FrontEnd, ReqState, ServiceLogic};
+pub use frontend::{Action, FrontEnd};
 pub use invariant::{Invariant, MonitorLog, MonitorTap, TapHandle};
 pub use manager::{Manager, ManagerConfig, WorkerFactory, WorkerSpec};
 pub use monitor::{Monitor, MonitorEvent};

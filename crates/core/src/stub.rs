@@ -120,6 +120,12 @@ impl ManagerStub {
         self.plane.workers_of(class)
     }
 
+    /// Changes whenever the hint cache does (beacon, timeout eviction);
+    /// the front end rebuilds its bodies' membership snapshot only then.
+    pub fn hints_version(&self) -> u64 {
+        self.plane.hints_version()
+    }
+
     /// Estimated queue length for a worker (report + local delta).
     pub fn estimate(&self, class: &WorkerClass, worker: ComponentId) -> Option<f64> {
         self.plane.estimate(class, worker)

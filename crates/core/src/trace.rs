@@ -14,11 +14,11 @@
 //!   that travels inside the job message — so a worker can parent its
 //!   queue/service spans under the dispatch span *without any extra
 //!   protocol field*, in both backends;
-//! * **exporters**: newline-delimited JSON ([`JsonlSink`]), the
-//!   Chrome `trace_event` format ([`ChromeSink`]), loadable directly in
-//!   `chrome://tracing` / Perfetto, and the Perfetto *protobuf* format
-//!   ([`PerfettoSink`]) — a hand-rolled, std-only TrackEvent encoder
-//!   that streams packets with bounded memory, for ui.perfetto.dev;
+//! * **two exporters**: newline-delimited JSON ([`to_jsonl`]), the
+//!   byte-stable form the determinism goldens and diffs read, and the
+//!   Perfetto *protobuf* format ([`PerfettoSink`], [`to_perfetto`]) —
+//!   a hand-rolled, std-only TrackEvent encoder that streams packets
+//!   with bounded memory — for viewing in ui.perfetto.dev;
 //! * **head sampling** ([`Sampling`], [`SpanCtx`]): the always-on
 //!   production mode — one keep/skip decision per request made where
 //!   the request enters the system and carried through the `Job`, so
@@ -53,7 +53,6 @@
 //! ));
 //! let log = tracer.snapshot().unwrap();
 //! assert!(trace::to_jsonl(&log).starts_with("{\"id\":\"req:c7:1\""));
-//! assert!(trace::to_chrome(&log).starts_with("{\"traceEvents\":["));
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -210,37 +209,37 @@ pub fn span(
     }
 }
 
-/// A consumer of spans during export. Implementations accumulate into
-/// an internal buffer; [`TraceSink::into_string`] closes any framing
-/// and returns the finished document.
-pub trait TraceSink {
-    /// Consumes one span, in log order.
-    fn span(&mut self, s: &SpanRecord);
-    /// Finishes the export and returns the rendered document.
-    fn into_string(self: Box<Self>) -> String;
-}
-
-/// Drives every span of `log` through `sink` and returns the document.
-pub fn export(log: &TraceLog, mut sink: Box<dyn TraceSink>) -> String {
-    for s in log.spans() {
-        sink.span(s);
-    }
-    sink.into_string()
-}
-
 /// Renders `log` as newline-delimited JSON, one span per line, in
-/// emission order. Same-seed runs produce byte-identical output (this
-/// is the determinism surface checked in `tests/determinism.rs`).
+/// emission order, with the raw model fields (`id`, `parent`, `name`,
+/// `cat`, `who`, `class`, `start_ns`, `end_ns`, `bytes`, `ok`).
+/// Same-seed runs produce byte-identical output (this is the
+/// determinism surface checked in `tests/determinism.rs`).
 pub fn to_jsonl(log: &TraceLog) -> String {
-    export(log, Box::new(JsonlSink::new()))
-}
-
-/// Renders `log` in the Chrome `trace_event` format (a JSON object
-/// with a `traceEvents` array), loadable in `chrome://tracing` and
-/// Perfetto. Complete spans become `ph:"X"` events with microsecond
-/// `ts`/`dur`; instants become `ph:"i"` events.
-pub fn to_chrome(log: &TraceLog) -> String {
-    export(log, Box::new(ChromeSink::new()))
+    let mut out = String::new();
+    for s in log.spans() {
+        let _ = write!(out, "{{\"id\":\"{}\",", s.id.render());
+        match s.parent {
+            Some(p) => {
+                let _ = write!(out, "\"parent\":\"{}\",", p.render());
+            }
+            None => out.push_str("\"parent\":null,"),
+        }
+        out.push_str("\"name\":\"");
+        escape_into(&mut out, s.name);
+        out.push_str("\",\"cat\":\"");
+        escape_into(&mut out, s.cat);
+        let _ = write!(out, "\",\"who\":{},\"class\":\"", s.who.0);
+        escape_into(&mut out, s.class);
+        let _ = writeln!(
+            out,
+            "\",\"start_ns\":{},\"end_ns\":{},\"bytes\":{},\"ok\":{}}}",
+            s.start.as_nanos(),
+            s.end.as_nanos(),
+            s.bytes,
+            s.ok
+        );
+    }
+    out
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -253,131 +252,6 @@ fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
-    }
-}
-
-/// Newline-delimited JSON exporter: one object per span with the raw
-/// model fields (`id`, `parent`, `name`, `cat`, `who`, `class`,
-/// `start_ns`, `end_ns`, `bytes`, `ok`).
-#[derive(Debug, Default)]
-pub struct JsonlSink {
-    out: String,
-}
-
-impl JsonlSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        JsonlSink::default()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn span(&mut self, s: &SpanRecord) {
-        let out = &mut self.out;
-        let _ = write!(out, "{{\"id\":\"{}\",", s.id.render());
-        match s.parent {
-            Some(p) => {
-                let _ = write!(out, "\"parent\":\"{}\",", p.render());
-            }
-            None => out.push_str("\"parent\":null,"),
-        }
-        out.push_str("\"name\":\"");
-        escape_into(out, s.name);
-        out.push_str("\",\"cat\":\"");
-        escape_into(out, s.cat);
-        let _ = write!(out, "\",\"who\":{},\"class\":\"", s.who.0);
-        escape_into(out, s.class);
-        let _ = writeln!(
-            out,
-            "\",\"start_ns\":{},\"end_ns\":{},\"bytes\":{},\"ok\":{}}}",
-            s.start.as_nanos(),
-            s.end.as_nanos(),
-            s.bytes,
-            s.ok
-        );
-    }
-
-    fn into_string(self: Box<Self>) -> String {
-        self.out
-    }
-}
-
-/// Chrome `trace_event` exporter. `pid` is always 1; `tid` is the
-/// emitting component id, so each component gets its own track in the
-/// viewer. Timestamps are microseconds with nanosecond precision kept
-/// in three decimal places (rendered deterministically, no floats).
-#[derive(Debug, Default)]
-pub struct ChromeSink {
-    out: String,
-    any: bool,
-}
-
-impl ChromeSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        ChromeSink::default()
-    }
-
-    fn event_head(&mut self, s: &SpanRecord) {
-        if self.any {
-            self.out.push(',');
-        } else {
-            self.out.push_str("{\"traceEvents\":[");
-            self.any = true;
-        }
-        self.out.push_str("{\"name\":\"");
-        escape_into(&mut self.out, s.name);
-        self.out.push_str("\",\"cat\":\"");
-        escape_into(&mut self.out, s.cat);
-        let ns = s.start.as_nanos();
-        let _ = write!(
-            self.out,
-            "\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}",
-            ns / 1_000,
-            ns % 1_000,
-            s.who.0
-        );
-    }
-
-    fn event_tail(&mut self, s: &SpanRecord) {
-        let _ = write!(self.out, ",\"args\":{{\"id\":\"{}\"", s.id.render());
-        if let Some(p) = s.parent {
-            let _ = write!(self.out, ",\"parent\":\"{}\"", p.render());
-        }
-        if !s.class.is_empty() {
-            self.out.push_str(",\"class\":\"");
-            escape_into(&mut self.out, s.class);
-            self.out.push('"');
-        }
-        let _ = write!(self.out, ",\"bytes\":{},\"ok\":{}}}}}", s.bytes, s.ok);
-    }
-}
-
-impl TraceSink for ChromeSink {
-    fn span(&mut self, s: &SpanRecord) {
-        self.event_head(s);
-        if s.start == s.end {
-            self.out.push_str(",\"ph\":\"i\",\"s\":\"g\"");
-        } else {
-            let dur = s.end.since(s.start).as_nanos() as u64;
-            let _ = write!(
-                self.out,
-                ",\"ph\":\"X\",\"dur\":{}.{:03}",
-                dur / 1_000,
-                dur % 1_000
-            );
-        }
-        self.event_tail(s);
-    }
-
-    fn into_string(self: Box<Self>) -> String {
-        let mut out = self.out;
-        if self.any {
-            out.push_str("]}");
-        } else {
-            out.push_str("{\"traceEvents\":[]}");
-        }
-        out
     }
 }
 
@@ -694,19 +568,6 @@ mod tests {
             assert!(l.starts_with('{') && l.ends_with('}'));
             assert_eq!(l.matches('"').count() % 2, 0, "balanced quotes: {l}");
         }
-    }
-
-    #[test]
-    fn chrome_export_frames_complete_and_instant_events() {
-        let out = to_chrome(&log());
-        assert!(out.starts_with("{\"traceEvents\":["));
-        assert!(out.ends_with("]}"));
-        // 7 ms dispatch span → ts 2000 µs, dur 7000 µs.
-        assert!(out.contains("\"ts\":2000.000,\"pid\":1,\"tid\":9,\"ph\":\"X\",\"dur\":7000.000"));
-        assert!(out.contains("\"ph\":\"i\",\"s\":\"g\""));
-        assert!(out.contains("\"class\":\"echo\""));
-        let empty = to_chrome(&TraceLog::new());
-        assert_eq!(empty, "{\"traceEvents\":[]}");
     }
 
     #[test]

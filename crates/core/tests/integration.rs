@@ -4,15 +4,21 @@
 //! process-peer restarts, timeout-driven retry, and on-demand spawning.
 
 use std::collections::BTreeMap;
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::Duration;
 
-use sns_core::frontend::{FeConfig, FeEvent, ManagerFactory, ReqState, SvcView};
+use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle};
+use sns_core::exec::BoxFut;
+use sns_core::frontend::{FeConfig, ManagerFactory};
 use sns_core::manager::{Manager, ManagerConfig, WorkerFactory, WorkerSpec};
 use sns_core::monitor::Monitor;
 use sns_core::msg::{ClientRequest, Job, JobResult, SnsMsg};
 use sns_core::worker::{WorkerError, WorkerLogic, WorkerStub, WorkerStubConfig};
-use sns_core::{Action, Blob, FrontEnd, Payload, ServiceLogic, SnsConfig, WorkerClass};
+use sns_core::{Blob, FrontEnd, Payload, SnsConfig, WorkerClass};
 use sns_san::{San, SanConfig};
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig};
 use sns_sim::rng::Pcg32;
@@ -39,49 +45,27 @@ impl WorkerLogic for Echo {
     }
 }
 
-/// Service logic: forward the request body to one echo worker, reply with
+/// Service body: forward the request body to one echo worker, reply with
 /// its output; fall back to a degraded original on dispatch failure.
 struct EchoService;
 
-impl ServiceLogic for EchoService {
-    fn on_request(
-        &mut self,
-        req: &mut ReqState,
-        _view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        out.push(Action::Dispatch {
-            tag: 1,
-            class: "echo".into(),
-            op: "echo".into(),
-            input: req
-                .request
+impl AsyncService for EchoService {
+    fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        Box::pin(async move {
+            let input = request
                 .body
                 .clone()
-                .unwrap_or_else(|| Blob::payload(1000, "default")),
-            profile: None,
-        });
-    }
-
-    fn on_event(
-        &mut self,
-        _req: &mut ReqState,
-        ev: FeEvent<'_>,
-        _view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        match ev {
-            FeEvent::WorkerReply { result, .. } => match result {
-                JobResult::Ok(p) => out.push(Action::Reply(Ok(p.clone()))),
-                JobResult::Failed(e) => out.push(Action::Reply(Err(e.clone()))),
-            },
-            FeEvent::DispatchFailed { .. } => {
-                // BASE approximate answer: reply with the original.
-                out.push(Action::MarkDegraded);
-                out.push(Action::Reply(Ok(Blob::payload(100, "original"))));
+                .unwrap_or_else(|| Blob::payload(1000, "default"));
+            match svc.dispatch("echo".into(), "echo", input, None).await {
+                EventOutcome::Reply(JobResult::Ok(p)) => svc.reply(Ok(p)),
+                EventOutcome::Reply(JobResult::Failed(e)) => svc.reply(Err(e)),
+                _ => {
+                    // BASE approximate answer: reply with the original.
+                    svc.mark_degraded();
+                    svc.reply(Ok(Blob::payload(100, "original")));
+                }
             }
-            FeEvent::ComputeDone { .. } | FeEvent::NapDone { .. } => {}
-        }
+        })
     }
 }
 
@@ -219,6 +203,38 @@ fn cluster(min_workers: u32) -> Cluster {
         beacon,
         monitor_group,
     }
+}
+
+/// A second front end hosting `service` on a spare node, supervising
+/// no manager.
+fn spawn_fe(c: &mut Cluster, sns: SnsConfig, service: Box<dyn AsyncService>) -> ComponentId {
+    let node = c.sim.nodes_with_tag("dedicated")[3];
+    let fe = FrontEnd::new(
+        service,
+        FeConfig {
+            sns,
+            beacon_group: c.beacon,
+            monitor_group: c.monitor_group,
+            manager_factory: None,
+        },
+    );
+    c.sim.spawn(node, Box::new(fe), "frontend")
+}
+
+/// Sends `n` requests to `fe` from the client node, after warm-up.
+fn spawn_client(c: &mut Cluster, fe: ComponentId, n: u64, period: Duration) {
+    let client_node = c.sim.nodes_with_tag("dedicated")[4];
+    c.sim.spawn(
+        client_node,
+        Box::new(TestClient {
+            fe,
+            n,
+            period,
+            sent: 0,
+            delay: Duration::from_secs(3),
+        }),
+        "client",
+    );
 }
 
 #[test]
@@ -381,38 +397,14 @@ fn thread_pool_queues_excess_connections() {
     // §3.1.1/§4.4: each in-flight request holds one FE thread; excess
     // connections wait in the accept queue but are never refused.
     let mut c = cluster(1);
-    let fe = c.fe;
     // Shrink the pool drastically via a fresh FE on another node.
     let tiny_pool = SnsConfig {
         fe_threads: 2,
         ..Default::default()
     };
-    let node = c.sim.nodes_with_tag("dedicated")[3];
-    let small_fe = c.sim.spawn(
-        node,
-        Box::new(FrontEnd::new(
-            Box::new(EchoService),
-            FeConfig {
-                sns: tiny_pool,
-                beacon_group: c.beacon,
-                monitor_group: c.monitor_group,
-                manager_factory: None,
-            },
-        )),
-        "frontend",
-    );
-    let _ = fe;
-    c.sim.spawn(
-        c.sim.nodes_with_tag("dedicated")[4],
-        Box::new(TestClient {
-            fe: small_fe,
-            n: 40,
-            period: Duration::from_millis(5), // much faster than service
-            sent: 0,
-            delay: Duration::from_secs(3),
-        }),
-        "client",
-    );
+    let small_fe = spawn_fe(&mut c, tiny_pool, Box::new(EchoService));
+    // Much faster than service.
+    spawn_client(&mut c, small_fe, 40, Duration::from_millis(5));
     c.sim.run_until(SimTime::from_secs(30));
     let stats = c.sim.stats();
     assert_eq!(stats.counter("client.responses"), 40, "nothing refused");
@@ -505,4 +497,83 @@ fn monitor_sees_cluster_lifecycle() {
     );
     c.sim.run_until(SimTime::from_secs(10));
     assert!(c.sim.stats().counter("monitor.events") > 10);
+}
+
+/// A body that finishes without calling `reply`.
+struct Mute;
+
+impl AsyncService for Mute {
+    fn handle(&mut self, _request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        Box::pin(async move { svc.incr("mute.bodies", 1) })
+    }
+}
+
+#[test]
+fn a_body_that_returns_without_replying_gets_the_error_reply() {
+    let mut c = cluster(1);
+    let fe = spawn_fe(&mut c, SnsConfig::default(), Box::new(Mute));
+    spawn_client(&mut c, fe, 1, Duration::from_millis(100));
+    c.sim.run_until(SimTime::from_secs(10));
+    let stats = c.sim.stats();
+    assert_eq!(stats.counter("mute.bodies"), 1);
+    assert_eq!(stats.counter("exec.body_no_reply"), 1);
+    assert_eq!(stats.counter("fe.error_replies"), 1);
+    assert_eq!(
+        stats.counter("client.responses"),
+        1,
+        "the client is answered"
+    );
+    assert_eq!(stats.counter("client.ok"), 0, "with an error");
+}
+
+/// Counts how often the front end polls the body it wraps.
+struct Counted {
+    polls: Arc<AtomicU64>,
+    body: BoxFut,
+}
+
+impl Future for Counted {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.polls.fetch_add(1, Ordering::Relaxed);
+        self.body.as_mut().poll(cx)
+    }
+}
+
+/// Fires an echo job without awaiting it, then naps far longer than the
+/// job takes, then replies.
+struct FireAndForget {
+    polls: Arc<AtomicU64>,
+}
+
+impl AsyncService for FireAndForget {
+    fn handle(&mut self, _request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        let body = Box::pin(async move {
+            drop(svc.dispatch("echo".into(), "echo", Blob::payload(64, "ff"), None));
+            svc.nap(Duration::from_secs(2)).await;
+            svc.reply(Ok(Blob::payload(8, "done")));
+        });
+        Box::pin(Counted {
+            polls: Arc::clone(&self.polls),
+            body,
+        })
+    }
+}
+
+#[test]
+fn a_late_reply_to_a_dropped_await_does_not_repoll_the_body() {
+    let mut c = cluster(1);
+    let polls = Arc::new(AtomicU64::new(0));
+    let service = FireAndForget {
+        polls: Arc::clone(&polls),
+    };
+    let fe = spawn_fe(&mut c, SnsConfig::default(), Box::new(service));
+    spawn_client(&mut c, fe, 1, Duration::from_millis(100));
+    c.sim.run_until(SimTime::from_secs(10));
+    let stats = c.sim.stats();
+    assert_eq!(stats.counter("client.ok"), 1);
+    // The echo reply came back mid-nap (20 ms of service against a 2 s
+    // nap) and reached nobody: first poll, then the nap's wake-up only.
+    assert_eq!(stats.counter("worker.jobs_done"), 1, "the job ran");
+    assert_eq!(polls.load(Ordering::Relaxed), 2);
 }

@@ -20,7 +20,7 @@ use sns_sim::sched::SchedulerKind;
 use sns_sim::{ComponentId, GroupId, NodeId};
 
 use crate::client::{HotBotClient, QueryReportHandle};
-use crate::logic::HotBotLogic;
+use crate::logic::HotBotService;
 use crate::worker::SearchWorker;
 
 /// Fluent HotBot cluster builder.
@@ -281,7 +281,7 @@ impl HotBotBuilder {
             fes.push(sim.spawn(
                 node,
                 Box::new(FrontEnd::new(
-                    Box::new(HotBotLogic::new(partitions)),
+                    Box::new(HotBotService::new(partitions)),
                     FeConfig {
                         sns: self.sns.clone(),
                         beacon_group: beacon,
@@ -310,8 +310,8 @@ impl HotBotBuilder {
 impl HotBotCluster {
     /// Snapshot of the recorded request trace, or `None` unless the
     /// cluster was built with [`HotBotBuilder::with_tracing`]. Export
-    /// with [`sns_core::trace::to_jsonl`] or
-    /// [`sns_core::trace::to_chrome`].
+    /// with [`sns_core::trace::to_jsonl`] (diffing) or
+    /// [`sns_core::trace::to_perfetto`] (viewing).
     pub fn trace(&self) -> Option<sns_core::trace::TraceLog> {
         self.sim.tracer().snapshot()
     }

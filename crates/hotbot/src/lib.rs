@@ -11,8 +11,9 @@
 //! and an integrated cache of recent searches for incremental delivery.
 //!
 //! * [`worker::SearchWorker`] — one index partition as SNS worker logic;
-//! * [`logic::HotBotLogic`] — the front-end fan-out/collation state
-//!   machine with the recent-search cache and partial-result tolerance;
+//! * [`logic::HotBotService`] — the front-end fan-out/collation body
+//!   (one `async fn` per query) with the recent-search cache and
+//!   partial-result tolerance;
 //! * [`client::HotBotClient`] — a Zipf-query client model;
 //! * [`builder::HotBotBuilder`] — cluster assembly: corpus generation,
 //!   partitioning, pinned per-node partition workers, front ends.
@@ -26,7 +27,7 @@ pub mod worker;
 
 pub use builder::{HotBotBuilder, HotBotCluster};
 pub use client::{HotBotClient, QueryReport};
-pub use logic::{HotBotLogic, QueryRequest, SearchPage};
+pub use logic::{HotBotService, QueryRequest, SearchPage};
 pub use worker::{PartitionResults, SearchWorker};
 
 /// Class name for search partition `i`.

@@ -1,5 +1,6 @@
-//! HotBot's front-end logic: all-partitions fan-out, collation, dynamic
-//! HTML generation, the recent-search cache, and graceful degradation.
+//! HotBot's front-end logic as one `async fn` per query: all-partitions
+//! fan-out, collation, dynamic HTML generation, the recent-search cache,
+//! and graceful degradation.
 //!
 //! §3.2: "every query goes to all workers in parallel"; partitions that
 //! are down or time out simply reduce *coverage* — the query still
@@ -8,12 +9,13 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use sns_core::frontend::{Action, FeEvent, ReqState, SvcView};
-use sns_core::msg::JobResult;
-use sns_core::{payload_as, AppData, ServiceLogic, WorkerClass};
+use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle};
+use sns_core::exec::{select_some, BoxFut};
+use sns_core::msg::{ClientRequest, JobResult};
+use sns_core::{payload_as, AppData, WorkerClass};
 use sns_search::index::SearchHit;
 use sns_search::qcache::QueryCache;
 use sns_tacc::content::ContentObject;
@@ -65,262 +67,207 @@ impl AppData for SearchPage {
     }
 }
 
-const TAG_PART0: u64 = 32;
-const TAG_RENDER: u64 = 2;
-
-struct QState {
-    query: QueryRequest,
-    expected: usize,
-    answered: BTreeMap<usize, PartitionResults>,
-    missing: usize,
-    total_docs_known: u64,
-    rendered: Option<SearchPage>,
-}
-
-/// The HotBot service logic.
-pub struct HotBotLogic {
-    /// Number of index partitions (fan-out width).
-    partitions: usize,
+/// State shared across one front end's queries.
+struct HbShared {
     /// Expected docs per partition (coverage accounting when some are
     /// down; refreshed from answers).
     docs_per_partition: Vec<u64>,
     /// Integrated cache of recent searches (Table 1).
     qcache: QueryCache,
-    /// Per-result render cost (dynamic HTML via Tcl macros, §3.2).
-    render_cost_per_hit: Duration,
 }
 
-impl HotBotLogic {
-    /// Creates the logic for an `n`-partition corpus.
+type Shared = Arc<Mutex<HbShared>>;
+
+/// Per-result render cost (dynamic HTML via Tcl macros, §3.2).
+const RENDER_COST_PER_HIT: Duration = Duration::from_micros(200);
+
+/// The HotBot service: one body per query.
+pub struct HotBotService {
+    /// Number of index partitions (fan-out width).
+    partitions: usize,
+    shared: Shared,
+}
+
+impl HotBotService {
+    /// Creates the service for an `n`-partition corpus.
     pub fn new(partitions: usize) -> Self {
-        HotBotLogic {
+        HotBotService {
             partitions,
-            docs_per_partition: vec![0; partitions],
-            qcache: QueryCache::new(512),
-            render_cost_per_hit: Duration::from_micros(200),
+            shared: Arc::new(Mutex::new(HbShared {
+                docs_per_partition: vec![0; partitions],
+                qcache: QueryCache::new(512),
+            })),
         }
-    }
-
-    fn render(query: &str, hits: &[SearchHit], coverage: f64) -> ContentObject {
-        use std::fmt::Write as _;
-        let mut html =
-            format!("<html><head><title>HotBot: {query}</title></head><body><h1>{query}</h1>\n");
-        if coverage < 1.0 {
-            let _ = writeln!(
-                html,
-                "<p><i>Results from {:.0}% of the index (partial database availability).</i></p>",
-                coverage * 100.0
-            );
-        }
-        html.push_str("<ol>\n");
-        for h in hits {
-            let _ = writeln!(
-                html,
-                "<li><a href=\"http://doc/{}\">Document {}</a> (score {:.2})</li>",
-                h.doc, h.doc, h.score
-            );
-        }
-        html.push_str("</ol></body></html>\n");
-        ContentObject::text(format!("hotbot://q={query}"), MimeType::Html, html)
-    }
-
-    fn finish(&mut self, st: &mut QState, view: &mut SvcView<'_, '_>, out: &mut Vec<Action>) {
-        // Collate all partition top-k lists into the global ranking.
-        let mut all: Vec<SearchHit> = Vec::new();
-        let mut docs_searched = 0u64;
-        for (p, r) in &st.answered {
-            all.extend(r.hits.iter().cloned());
-            docs_searched += r.docs;
-            self.docs_per_partition[*p] = r.docs;
-        }
-        all.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then(a.doc.cmp(&b.doc))
-        });
-        let total_known: u64 = self.docs_per_partition.iter().sum();
-        let coverage = if total_known == 0 {
-            if st.missing == 0 {
-                1.0
-            } else {
-                st.answered.len() as f64 / st.expected as f64
-            }
-        } else {
-            docs_searched as f64 / total_known as f64
-        };
-        st.total_docs_known = total_known;
-        view.stats().observe("hb.coverage", coverage);
-        let now = view.now;
-        view.stats().sample("hb.coverage_ts", now, coverage);
-        if st.missing > 0 {
-            view.stats().incr("hb.partial_answers", 1);
-            out.push(Action::MarkDegraded);
-        }
-        // Cache the full collated list for incremental delivery.
-        let full = all.clone();
-        self.qcache.page(&st.query.query, 0, usize::MAX, || full);
-
-        let page_hits: Vec<SearchHit> = all
-            .iter()
-            .skip(st.query.page * st.query.page_size)
-            .take(st.query.page_size)
-            .cloned()
-            .collect();
-        let html = Self::render(&st.query.query, &page_hits, coverage);
-        let page = SearchPage {
-            hits: page_hits,
-            coverage,
-            partitions_answered: st.answered.len(),
-            partitions_missing: st.missing,
-            html,
-        };
-        // Dynamic HTML generation burns front-end CPU (§3.2).
-        let cost = self.render_cost_per_hit * (page.hits.len().max(1) as u32);
-        st.rendered = Some(page);
-        out.push(Action::Compute {
-            tag: TAG_RENDER,
-            cost,
-        });
     }
 }
 
-impl ServiceLogic for HotBotLogic {
-    fn on_request(
-        &mut self,
-        req: &mut ReqState,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        view.stats().incr("hb.queries", 1);
-        let query = req
-            .request
-            .body
-            .as_ref()
-            .and_then(|b| payload_as::<QueryRequest>(b).cloned())
-            .unwrap_or(QueryRequest {
-                query: req.request.url.clone(),
-                page: 0,
-                page_size: 10,
-            });
+impl AsyncService for HotBotService {
+    fn hint_classes(&self) -> Vec<WorkerClass> {
+        (0..self.partitions)
+            .map(|p| WorkerClass::new(crate::partition_class(p)))
+            .collect()
+    }
 
-        // Incremental delivery: later pages come straight from the
-        // recent-search cache when present.
-        if query.page > 0 {
-            let mut served = None;
-            // Peek without recomputing: a miss falls through to fan-out.
-            let q = query.query.clone();
-            let mut missed = false;
-            let hits = self.qcache.page(&q, query.page, query.page_size, || {
+    fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        Box::pin(run(self.partitions, Arc::clone(&self.shared), request, svc))
+    }
+}
+
+fn lock(shared: &Shared) -> MutexGuard<'_, HbShared> {
+    shared.lock().expect("hotbot shared state poisoned")
+}
+
+fn render(query: &str, hits: &[SearchHit], coverage: f64) -> ContentObject {
+    use std::fmt::Write as _;
+    let mut html =
+        format!("<html><head><title>HotBot: {query}</title></head><body><h1>{query}</h1>\n");
+    if coverage < 1.0 {
+        let _ = writeln!(
+            html,
+            "<p><i>Results from {:.0}% of the index (partial database availability).</i></p>",
+            coverage * 100.0
+        );
+    }
+    html.push_str("<ol>\n");
+    for h in hits {
+        let _ = writeln!(
+            html,
+            "<li><a href=\"http://doc/{}\">Document {}</a> (score {:.2})</li>",
+            h.doc, h.doc, h.score
+        );
+    }
+    html.push_str("</ol></body></html>\n");
+    ContentObject::text(format!("hotbot://q={query}"), MimeType::Html, html)
+}
+
+/// One query, top to bottom.
+async fn run(partitions: usize, shared: Shared, req: Arc<ClientRequest>, svc: SvcHandle) {
+    svc.incr("hb.queries", 1);
+    let query = req
+        .body
+        .as_ref()
+        .and_then(|b| payload_as::<QueryRequest>(b).cloned())
+        .unwrap_or(QueryRequest {
+            query: req.url.clone(),
+            page: 0,
+            page_size: 10,
+        });
+
+    // Incremental delivery: later pages come straight from the
+    // recent-search cache when present; a miss falls through to fan-out.
+    if query.page > 0 {
+        let mut missed = false;
+        let hits = lock(&shared)
+            .qcache
+            .page(&query.query, query.page, query.page_size, || {
                 missed = true;
                 Vec::new()
             });
-            if !missed {
-                view.stats().incr("hb.qcache_hits", 1);
-                let html = Self::render(&q, &hits, 1.0);
-                served = Some(SearchPage {
-                    hits,
-                    coverage: 1.0,
-                    partitions_answered: 0,
-                    partitions_missing: 0,
-                    html,
-                });
-            }
-            if let Some(page) = served {
-                out.push(Action::Reply(Ok(Arc::new(page))));
-                return;
-            }
+        if !missed {
+            svc.incr("hb.qcache_hits", 1);
+            let html = render(&query.query, &hits, 1.0);
+            svc.reply(Ok(Arc::new(SearchPage {
+                hits,
+                coverage: 1.0,
+                partitions_answered: 0,
+                partitions_missing: 0,
+                html,
+            })));
+            return;
         }
+    }
 
-        // Fan out to every *live* partition in parallel (§3.2); a
-        // partition with no live worker is immediately counted as
-        // missing — the query proceeds with reduced coverage rather than
-        // waiting for a node that may be down for minutes.
-        let k = (query.page + 1) * query.page_size;
-        let mut missing = 0;
-        let mut dispatched = 0;
-        for p in 0..self.partitions {
-            let class = WorkerClass::new(crate::partition_class(p));
-            if view.stub.workers_of(&class).is_empty() {
+    // Fan out to every *live* partition in parallel (§3.2); a partition
+    // with no live worker is immediately counted as missing — the query
+    // proceeds with reduced coverage rather than waiting for a node that
+    // may be down for minutes.
+    let k = (query.page + 1) * query.page_size;
+    let mut missing = 0;
+    let mut fanout = Vec::new();
+    for p in 0..partitions {
+        let class = WorkerClass::new(crate::partition_class(p));
+        if svc.workers_of(&class).is_empty() {
+            missing += 1;
+            svc.incr("hb.partition_misses", 1);
+            continue;
+        }
+        let input = Arc::new(PartitionQuery {
+            query: query.query.clone(),
+            k,
+        });
+        fanout.push(Some(svc.dispatch(class, "query", input, None)));
+    }
+    let mut answered: BTreeMap<usize, PartitionResults> = BTreeMap::new();
+    for _ in 0..fanout.len() {
+        match select_some(&mut fanout).await.1 {
+            EventOutcome::Reply(JobResult::Ok(p)) => match payload_as::<PartitionResults>(&p) {
+                Some(r) => {
+                    answered.insert(r.partition, r.clone());
+                }
+                None => missing += 1,
+            },
+            // Partition down: degrade coverage, never the query.
+            EventOutcome::Failed(_) => {
                 missing += 1;
-                view.stats().incr("hb.partition_misses", 1);
-                continue;
+                svc.incr("hb.partition_misses", 1);
             }
-            dispatched += 1;
-            out.push(Action::Dispatch {
-                tag: TAG_PART0 + p as u64,
-                class,
-                op: "query".into(),
-                input: Arc::new(PartitionQuery {
-                    query: query.query.clone(),
-                    k,
-                }),
-                profile: None,
-            });
+            // The partition answered with a failure.
+            _ => missing += 1,
         }
-        let mut st = QState {
-            query,
-            expected: self.partitions,
-            answered: BTreeMap::new(),
-            missing,
-            total_docs_known: 0,
-            rendered: None,
-        };
-        if dispatched == 0 {
-            // Whole index unavailable: an (empty) approximate answer now
-            // beats an error (§1.4).
-            self.finish(&mut st, view, out);
-        }
-        req.data = Some(Box::new(st));
     }
 
-    fn on_event(
-        &mut self,
-        req: &mut ReqState,
-        ev: FeEvent<'_>,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        let Some(data) = req.data.take() else {
-            return;
-        };
-        let Ok(mut st) = data.downcast::<QState>() else {
-            return;
-        };
-        match ev {
-            FeEvent::WorkerReply { tag, result } if tag >= TAG_PART0 => {
-                match result {
-                    JobResult::Ok(p) => {
-                        if let Some(r) = payload_as::<PartitionResults>(p) {
-                            st.answered.insert(r.partition, r.clone());
-                        } else {
-                            st.missing += 1;
-                        }
-                    }
-                    JobResult::Failed(_) => st.missing += 1,
-                }
-                if st.answered.len() + st.missing == st.expected {
-                    self.finish(&mut st, view, out);
-                }
-            }
-            FeEvent::DispatchFailed { tag, .. } if tag >= TAG_PART0 => {
-                // Partition down: degrade coverage, never the query.
-                st.missing += 1;
-                view.stats().incr("hb.partition_misses", 1);
-                if st.answered.len() + st.missing == st.expected {
-                    self.finish(&mut st, view, out);
-                }
-            }
-            FeEvent::ComputeDone { tag } if tag == TAG_RENDER => {
-                if let Some(page) = st.rendered.take() {
-                    view.stats().incr("hb.answers", 1);
-                    out.push(Action::Reply(Ok(Arc::new(page))));
-                }
-            }
-            _ => {}
+    // Collate all partition top-k lists into the global ranking.
+    let mut all: Vec<SearchHit> = Vec::new();
+    let mut docs_searched = 0u64;
+    let total_known = {
+        let mut sh = lock(&shared);
+        for (p, r) in &answered {
+            all.extend(r.hits.iter().cloned());
+            docs_searched += r.docs;
+            sh.docs_per_partition[*p] = r.docs;
         }
-        req.data = Some(st);
+        sh.docs_per_partition.iter().sum::<u64>()
+    };
+    all.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .expect("finite scores")
+            .then(a.doc.cmp(&b.doc))
+    });
+    let coverage = match (total_known, missing) {
+        (0, 0) => 1.0,
+        (0, _) => answered.len() as f64 / partitions as f64,
+        _ => docs_searched as f64 / total_known as f64,
+    };
+    svc.observe("hb.coverage", coverage);
+    svc.sample("hb.coverage_ts", coverage);
+    if missing > 0 {
+        svc.incr("hb.partial_answers", 1);
+        svc.mark_degraded();
     }
+    // Cache the full collated list for incremental delivery.
+    lock(&shared)
+        .qcache
+        .page(&query.query, 0, usize::MAX, || all.clone());
+
+    let page_hits: Vec<SearchHit> = all
+        .into_iter()
+        .skip(query.page * query.page_size)
+        .take(query.page_size)
+        .collect();
+    let html = render(&query.query, &page_hits, coverage);
+    // Dynamic HTML generation burns front-end CPU (§3.2).
+    let cost = RENDER_COST_PER_HIT * (page_hits.len().max(1) as u32);
+    let page = SearchPage {
+        hits: page_hits,
+        coverage,
+        partitions_answered: answered.len(),
+        partitions_missing: missing,
+        html,
+    };
+    svc.compute(cost).await;
+    svc.incr("hb.answers", 1);
+    svc.reply(Ok(Arc::new(page)));
 }
 
 #[cfg(test)]
@@ -330,8 +277,8 @@ mod tests {
     #[test]
     fn render_marks_partial_coverage() {
         let hits = vec![SearchHit { doc: 1, score: 2.0 }];
-        let full = HotBotLogic::render("q", &hits, 1.0);
-        let partial = HotBotLogic::render("q", &hits, 25.0 / 26.0);
+        let full = render("q", &hits, 1.0);
+        let partial = render("q", &hits, 25.0 / 26.0);
         let text = |o: &ContentObject| match &o.body {
             sns_tacc::content::Body::Text(t) => t.clone(),
             _ => panic!("text"),

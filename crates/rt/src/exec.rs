@@ -2,11 +2,12 @@
 //! the sim front end polls under virtual time, polled here on real
 //! threads against a live [`RtCluster`].
 //!
-//! The split mirrors the sim adapter exactly — only the axis changes:
+//! The split mirrors the sim front end exactly — only the axis changes:
 //!
-//! | concern            | sim (`AsyncSvcLogic`)        | rt (this driver)                 |
+//! | concern            | sim (`FrontEnd`)             | rt (this driver)                 |
 //! |--------------------|------------------------------|----------------------------------|
-//! | clock              | `VirtualClock` ← `ctx.now()` | `WallClock` (monotonic)          |
+//! | clock              | `ctx.now()` at each poll     | `WallClock` (monotonic)          |
+//! | hint snapshot      | stub hints, per version      | class populations, per poll      |
 //! | `Action::Dispatch` | framework lottery dispatch   | [`RtCluster::submit_tagged`]     |
 //! | `Action::Nap`      | engine timer                 | deadline = completion-queue wait |
 //! | wake-up            | engine event delivery        | completion queue (worker's send) |
@@ -38,8 +39,8 @@ use sns_sim::ComponentId;
 use crate::RtCluster;
 
 /// The served request's outcome plus the stats the body emitted (the
-/// sim adapter writes these into the engine stats hub; here the caller
-/// aggregates them).
+/// sim front end writes these into the engine stats hub; here the
+/// caller aggregates them).
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// The body's reply.
@@ -76,23 +77,26 @@ pub fn serve<S: AsyncService>(
     let mut degraded = false;
     let mut reply: Option<Result<Payload, String>> = None;
 
+    let mut hints = Arc::default();
+    let mut ops = Vec::new();
     let stalled = loop {
         // Hint snapshot: rt reports class populations, not identities;
         // synthesise stable ids so membership-sensitive bodies (ring
         // sizing, is-the-profile-db-up checks) see the right count.
-        let hints = hint_classes
-            .iter()
-            .map(|c| {
+        if !hint_classes.is_empty() {
+            let synth = hint_classes.iter().map(|c| {
                 let n = cluster.workers_of(c.name()) as u64;
                 (c.clone(), (0..n).map(ComponentId).collect())
-            })
-            .collect();
-        handle.sync(clock.now(), hints);
+            });
+            hints = Arc::new(synth.collect());
+        }
+        handle.sync(clock.now(), &hints, &mut ops);
         exec.run_ready();
-        for op in handle.take_ops() {
+        handle.take_ops(&mut ops);
+        for op in ops.drain(..) {
             match op {
                 SvcOp::Incr(key, n) => *stats.entry(key).or_insert(0) += n,
-                SvcOp::Observe(_, _) => {}
+                SvcOp::Observe(..) | SvcOp::Sample(..) => {}
                 SvcOp::Act(act) => match act {
                     Action::Dispatch {
                         tag,

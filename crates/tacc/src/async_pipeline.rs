@@ -1,28 +1,26 @@
 //! A multi-stage TACC worker path as one `async fn`: fetch → distill →
 //! aggregate → cache → reply, in a single readable body.
 //!
-//! The legacy equivalent of [`PipelineService`] is a per-request state
-//! machine spread across tag constants and `on_event` arms (see
-//! `sns_transend::logic::TranSendLogic` for the production-sized
-//! version). Here the same control flow reads top to bottom, and the
-//! paper's tactics become library calls:
+//! Written as a per-request state machine, [`PipelineService`] would be
+//! spread across tag constants and `on_event` arms. Here the same
+//! control flow reads top to bottom, and the paper's tactics become
+//! library calls:
 //!
 //! * **give-up** (§3.1.8 "serve approximate answers fast") is
 //!   [`sns_core::exec::timeout`] around a stage, with a framework nap
 //!   as the deadline;
 //! * **hedged retry** is [`sns_core::exec::race`] between the primary
 //!   dispatch and a delayed backup — the loser is dropped, which
-//!   releases its await slot (the reply, if any, is ignored like the
-//!   legacy early-return arms);
+//!   releases its await slot (a late reply, if any, polls nothing);
 //! * **fan-in** is [`sns_core::exec::select_some`] over one chain
 //!   future per source (its fetch, then its distill stages), which
 //!   resolves strictly in completion order — the sources' stages run
 //!   side by side on the distiller pool, not one object after another.
 //!
-//! The body runs unmodified on both backends: behind the sim front end
-//! via [`sns_core::exec::service::AsyncSvcLogic`] (virtual time), and
-//! against a live `sns_rt` cluster via its wall-clock driver
-//! (`sns_rt::exec::serve` — a downstream crate, hence not linkable).
+//! The body runs unmodified on both backends: hosted by the sim
+//! [`sns_core::FrontEnd`] (virtual time), and against a live `sns_rt`
+//! cluster via its wall-clock driver (`sns_rt::exec::serve` — a
+//! downstream crate, hence not linkable).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use sns_core::exec::service::AsyncService;
 use sns_core::frontend::{FeConfig, ManagerFactory};
 use sns_core::manager::{Manager, ManagerConfig, WorkerFactory, WorkerSpec};
 use sns_core::monitor::Monitor;
@@ -25,22 +26,8 @@ use sns_tacc::profile_worker::ProfileWorker;
 use sns_tacc::worker::TaccWorkerHost;
 use sns_workload::trace::TraceRecord;
 
-use crate::async_logic::TranSendAsync;
 use crate::client::{ClientReportHandle, TranSendClient};
-use crate::logic::{TranSendConfig, TranSendLogic};
-
-/// Builds the service logic — legacy state machine or its async
-/// re-expression (`DESIGN.md` §6i); both are action-for-action
-/// equivalent.
-fn make_logic(ts: &TranSendConfig, async_logic: bool) -> Box<dyn sns_core::ServiceLogic> {
-    if async_logic {
-        Box::new(sns_core::exec::service::AsyncSvcLogic::new(
-            TranSendAsync::new(ts.clone()),
-        ))
-    } else {
-        Box::new(TranSendLogic::new(ts.clone()))
-    }
-}
+use crate::logic::{TranSendAsync, TranSendConfig};
 
 /// Fluent TranSend cluster builder.
 ///
@@ -77,7 +64,6 @@ pub struct TranSendBuilder {
     scheduler: SchedulerKind,
     tracing: bool,
     trace_sample_rate: u32,
-    async_logic: bool,
 }
 
 impl Default for TranSendBuilder {
@@ -106,7 +92,6 @@ impl Default for TranSendBuilder {
             scheduler: SchedulerKind::default(),
             tracing: false,
             trace_sample_rate: 1,
-            async_logic: false,
         }
     }
 }
@@ -284,15 +269,6 @@ impl TranSendBuilder {
         self.trace_sample_rate = rate;
         self
     }
-
-    /// Runs the front ends on [`TranSendAsync`] — the request path as
-    /// one `async fn` polled deterministically behind the unchanged
-    /// framework — instead of the legacy state machine. Off by default;
-    /// both emit identical actions (see `tests/async_path.rs`).
-    pub fn with_async_logic(mut self, on: bool) -> Self {
-        self.async_logic = on;
-        self
-    }
 }
 
 /// A built cluster plus the handles experiments need.
@@ -319,7 +295,6 @@ pub struct TranSendCluster {
     ts: TranSendConfig,
     fe_nic: Option<LinkParams>,
     mgr_factory: ManagerFactory,
-    async_logic: bool,
 }
 
 struct Wiring {
@@ -529,7 +504,7 @@ impl TranSendBuilder {
         let mut fes = Vec::new();
         for &node in &fe_nodes {
             let mut frontend = FrontEnd::new(
-                make_logic(&self.ts, self.async_logic),
+                Box::new(TranSendAsync::new(self.ts.clone())),
                 FeConfig {
                     sns: self.sns.clone(),
                     beacon_group: beacon,
@@ -566,7 +541,6 @@ impl TranSendBuilder {
             ts: self.ts,
             fe_nic: self.fe_nic,
             mgr_factory,
-            async_logic: self.async_logic,
         }
     }
 }
@@ -589,16 +563,13 @@ impl TranSendCluster {
     /// Note: already-attached clients keep their FE list; attach clients
     /// after all front ends exist, or use one client per configuration.
     pub fn add_frontend(&mut self) -> ComponentId {
-        self.add_frontend_with_logic(make_logic(&self.ts, self.async_logic))
+        self.add_frontend_with_logic(Box::new(TranSendAsync::new(self.ts.clone())))
     }
 
-    /// Adds a front end running an arbitrary [`sns_core::ServiceLogic`]
-    /// on a fresh node — the hook for hosting a different service (e.g.
-    /// an async TACC pipeline) inside an already-built cluster.
-    pub fn add_frontend_with_logic(
-        &mut self,
-        logic: Box<dyn sns_core::ServiceLogic>,
-    ) -> ComponentId {
+    /// Adds a front end hosting an arbitrary [`AsyncService`] on a fresh
+    /// node — the hook for hosting a different service (e.g. an async
+    /// TACC pipeline) inside an already-built cluster.
+    pub fn add_frontend_with_logic(&mut self, service: Box<dyn AsyncService>) -> ComponentId {
         let node = self.sim.add_node(NodeSpec::new(2, "frontend"));
         if let Some(nic) = &self.fe_nic {
             self.sim.net_mut().set_nic(node, nic.clone());
@@ -606,7 +577,7 @@ impl TranSendCluster {
         let fe = self.sim.spawn(
             node,
             Box::new(FrontEnd::new(
-                logic,
+                service,
                 FeConfig {
                     sns: self.sns.clone(),
                     beacon_group: self.beacon,
@@ -637,8 +608,8 @@ impl TranSendCluster {
 
     /// Snapshot of the recorded request trace, or `None` unless the
     /// cluster was built with [`TranSendBuilder::with_tracing`]. Export
-    /// with [`sns_core::trace::to_jsonl`] or
-    /// [`sns_core::trace::to_chrome`].
+    /// with [`sns_core::trace::to_jsonl`] (diffing) or
+    /// [`sns_core::trace::to_perfetto`] (viewing).
     pub fn trace(&self) -> Option<sns_core::trace::TraceLog> {
         self.sim.tracer().snapshot()
     }

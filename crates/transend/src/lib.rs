@@ -5,8 +5,9 @@
 //! Berkeley dialup-IP population. This crate assembles it from the
 //! layers below:
 //!
-//! * [`logic::TranSendLogic`] — the front-end dispatch logic (§3.1.1):
-//!   profile lookup (with a write-through cache, §3.1.4), virtual-cache
+//! * [`logic::TranSendAsync`] — the front-end dispatch logic (§3.1.1)
+//!   as one `async fn` per request, hosted by the front end: profile
+//!   lookup (with a write-through cache, §3.1.4), virtual-cache
 //!   lookup via consistent hashing over live cache workers (§3.1.5),
 //!   origin fetch on miss, a per-MIME-type distillation pipeline, cache
 //!   injection of post-transformation content, and the §3.1.8 BASE
@@ -24,13 +25,11 @@
 
 #![warn(missing_docs)]
 
-pub mod async_logic;
 pub mod builder;
 pub mod client;
 pub mod config;
 pub mod logic;
 
-pub use async_logic::TranSendAsync;
 pub use builder::{TranSendBuilder, TranSendCluster};
 pub use client::{ClientReport, TranSendClient};
-pub use logic::{PrefUpdate, TranSendConfig, TranSendLogic};
+pub use logic::{AggregateServiceRequest, PrefUpdate, TranSendAsync, TranSendConfig};

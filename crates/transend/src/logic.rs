@@ -1,5 +1,5 @@
-//! TranSend's front-end dispatch logic (§3.1.1): the per-request state
-//! machine the FE framework drives.
+//! TranSend's front-end dispatch logic (§3.1.1) as one `async fn` per
+//! request (`DESIGN.md` §6i).
 //!
 //! Request processing: pair the request with the user's customisation
 //! preferences (write-through-cached, §3.1.4) → look up the distilled
@@ -10,16 +10,20 @@
 //! missing profile means default preferences, a cache timeout is just a
 //! miss, a failed distiller means the user gets the original content,
 //! degraded but fast.
+//!
+//! [`TranSendAsync`] writes that flow top to bottom; the front end hosts
+//! it directly, and the same body type runs against a live cluster under
+//! `sns-rt`'s wall-clock driver.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use sns_cache::CacheKey;
-use sns_cache::VirtualCache;
-use sns_core::frontend::{Action, FeEvent, ReqState, SvcView};
-use sns_core::msg::{JobResult, ProfileData};
-use sns_core::{payload_as, AppData, ServiceLogic, WorkerClass};
+use sns_cache::{CacheKey, VirtualCache};
+use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle};
+use sns_core::exec::{select_some, BoxFut};
+use sns_core::msg::{ClientRequest, JobResult, ProfileData};
+use sns_core::{payload_as, AppData, WorkerClass};
+use sns_sim::ComponentId;
 use sns_tacc::cache_worker::{CacheGet, CacheGetResult, CacheInject, CacheWorker};
 use sns_tacc::content::ContentObject;
 use sns_tacc::origin::{FetchRequest, OriginServer};
@@ -100,523 +104,443 @@ impl AppData for AggregateServiceRequest {
     }
 }
 
-// Dispatch tags.
-const TAG_PROFILE: u64 = 1;
-const TAG_CACHE_FINAL: u64 = 2;
-const TAG_CACHE_ORIG: u64 = 3;
-const TAG_ORIGIN: u64 = 4;
-const TAG_INJECT: u64 = 5;
-const TAG_PREF: u64 = 6;
-const TAG_DISTILL0: u64 = 16;
-const TAG_AGGREGATE: u64 = 8;
-const TAG_AGG_FETCH0: u64 = 1024;
-
-/// Aggregation-request state stored in [`ReqState::data`].
-struct TsAgg {
-    request: AggregateServiceRequest,
-    fetched: Vec<Option<ContentObject>>,
-    remaining: usize,
-}
-
-/// Per-request state stored in [`ReqState::data`].
-struct TsState {
-    fetch: FetchRequest,
-    profile: Option<ProfileData>,
-    pipeline: PipelineSpec,
-    args: TaccArgs,
-    stage: usize,
-    original: Option<ContentObject>,
-}
-
-/// The TranSend service logic.
-pub struct TranSendLogic {
-    cfg: TranSendConfig,
-    vcache: VirtualCache<sns_sim::ComponentId>,
+/// State shared across one front end's requests: the consistent-hash
+/// ring and the write-through profile cache.
+struct TsShared {
+    vcache: VirtualCache<ComponentId>,
     profile_cache: BTreeMap<String, Option<ProfileData>>,
     profile_order: VecDeque<String>,
 }
 
-impl TranSendLogic {
-    /// Creates the logic.
+type Shared = Arc<Mutex<TsShared>>;
+
+/// The TranSend service: one body per request.
+pub struct TranSendAsync {
+    cfg: Arc<TranSendConfig>,
+    shared: Shared,
+}
+
+impl TranSendAsync {
+    /// Creates the service.
     pub fn new(cfg: TranSendConfig) -> Self {
-        TranSendLogic {
-            cfg,
-            vcache: VirtualCache::new(),
-            profile_cache: BTreeMap::new(),
-            profile_order: VecDeque::new(),
-        }
-    }
-
-    /// Syncs the consistent-hash ring with the live cache-worker set from
-    /// the latest beacon ("automatically re-hashing when cache nodes are
-    /// added or removed", §3.1.5).
-    fn refresh_ring(&mut self, view: &SvcView<'_, '_>) {
-        let mut live = view.stub.workers_of(&WorkerClass::new(CacheWorker::CLASS));
-        live.sort();
-        let current: Vec<_> = self.vcache.partitions().to_vec();
-        for gone in current.iter().filter(|p| !live.contains(p)) {
-            self.vcache.remove_partition(gone);
-        }
-        for fresh in live.iter().filter(|p| !current.contains(p)) {
-            self.vcache.add_partition(*fresh);
-        }
-    }
-
-    fn cache_profile(&mut self, user: &str, profile: Option<ProfileData>) {
-        if !self.profile_cache.contains_key(user) {
-            self.profile_order.push_back(user.to_string());
-            if self.profile_order.len() > self.cfg.profile_cache_cap {
-                if let Some(victim) = self.profile_order.pop_front() {
-                    self.profile_cache.remove(&victim);
-                }
-            }
-        }
-        self.profile_cache.insert(user.to_string(), profile);
-    }
-
-    fn plan(&self, st: &mut TsState) {
-        let args = TaccArgs::merged(&self.cfg.defaults, st.profile.as_ref());
-        let mut pipeline = match st.fetch.mime {
-            MimeType::Gif => PipelineSpec::single("gif"),
-            MimeType::Jpeg => PipelineSpec::single("jpeg"),
-            MimeType::Html => PipelineSpec::single("html"),
-            MimeType::Other => PipelineSpec::identity(),
-        };
-        // Per-user composition: a keyword filter chains after the HTML
-        // munger when the profile asks for it (§5.1).
-        if st.fetch.mime == MimeType::Html && args.get("keywords").is_some() {
-            pipeline = pipeline.then("keyword");
-        }
-        // Thin clients get the spoon-feeding simplifier as a final stage
-        // (§5.1 "Real Web Access for PDAs and Smart Phones").
-        if st.fetch.mime == MimeType::Html && args.get("device") == Some("palm") {
-            pipeline = pipeline.then("pda");
-        }
-        if st.fetch.size < self.cfg.distill_threshold || args.get_bool("originals", false) {
-            pipeline = PipelineSpec::identity();
-        }
-        st.args = args;
-        st.pipeline = pipeline;
-    }
-
-    fn final_key(st: &TsState) -> CacheKey {
-        let v = st.pipeline.final_variant(&st.args);
-        if st.pipeline.is_empty() {
-            CacheKey::original(&st.fetch.url)
-        } else {
-            CacheKey::variant(&st.fetch.url, v)
-        }
-    }
-
-    fn cache_get(&self, key: CacheKey, tag: u64, out: &mut Vec<Action>) -> bool {
-        let Some(&worker) = self.vcache.route(&key) else {
-            return false;
-        };
-        out.push(Action::DispatchTo {
-            tag,
-            worker,
-            class: CacheWorker::CLASS.into(),
-            op: "get".into(),
-            input: Arc::new(CacheGet { key }),
-            profile: None,
-        });
-        true
-    }
-
-    fn cache_inject(&self, key: CacheKey, object: ContentObject, out: &mut Vec<Action>) {
-        if let Some(&worker) = self.vcache.route(&key) {
-            out.push(Action::DispatchTo {
-                tag: TAG_INJECT,
-                worker,
-                class: CacheWorker::CLASS.into(),
-                op: "inject".into(),
-                input: Arc::new(CacheInject { key, object }),
-                profile: None,
-            });
-        }
-    }
-
-    fn fetch_origin(st: &TsState, out: &mut Vec<Action>) {
-        out.push(Action::Dispatch {
-            tag: TAG_ORIGIN,
-            class: OriginServer::CLASS.into(),
-            op: "fetch".into(),
-            input: Arc::new(st.fetch.clone()),
-            profile: None,
-        });
-    }
-
-    fn dispatch_stage(st: &TsState, input: ContentObject, out: &mut Vec<Action>) {
-        let stage_name = &st.pipeline.stages()[st.stage];
-        out.push(Action::Dispatch {
-            tag: TAG_DISTILL0 + st.stage as u64,
-            class: WorkerClass::new(format!("distiller/{stage_name}")),
-            op: "transform".into(),
-            input: input.into_payload(),
-            profile: Some(Arc::new(st.args.as_map().clone())),
-        });
-    }
-
-    /// Entry point once the profile is resolved: plan and start lookups.
-    fn start_processing(
-        &mut self,
-        st: &mut TsState,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        self.plan(st);
-        self.refresh_ring(view);
-        if !self.cfg.cache_distilled && !st.pipeline.is_empty() {
-            // Distilled variants are not cached: look up the original and
-            // re-distill per request (the §4.6 measurement mode).
-            let key = CacheKey::original(&st.fetch.url);
-            if self.cache_get(key, TAG_CACHE_ORIG, out) {
-                return;
-            }
-        } else {
-            let key = Self::final_key(st);
-            if self.cache_get(key, TAG_CACHE_FINAL, out) {
-                return;
-            }
-        }
-        // No cache workers known (bootstrap or total cache loss): the
-        // cache is only an optimisation — go straight to the origin.
-        view.stats().incr("ts.no_cache_available", 1);
-        Self::fetch_origin(st, out);
-    }
-
-    /// The original object is in hand: distill or reply.
-    fn have_original(
-        &mut self,
-        st: &mut TsState,
-        obj: ContentObject,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        st.original = Some(obj.clone());
-        if st.pipeline.is_empty() {
-            view.stats().incr("ts.passthrough", 1);
-            view.stats().observe("ts.response_bytes", obj.len() as f64);
-            out.push(Action::Reply(Ok(obj.into_payload())));
-            return;
-        }
-        st.stage = 0;
-        Self::dispatch_stage(st, obj, out);
-    }
-
-    /// Drives an aggregation request: collect fetches, run the
-    /// aggregator, reply. Missing sources are tolerated (BASE
-    /// approximate answers — the culture page is useful even when a
-    /// source site is down).
-    #[allow(clippy::too_many_arguments)]
-    fn on_agg_event(
-        &mut self,
-        req: &mut ReqState,
-        mut st: TsAgg,
-        tag: u64,
-        reply: Option<&JobResult>,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        if tag >= TAG_AGG_FETCH0 {
-            let i = (tag - TAG_AGG_FETCH0) as usize;
-            if i < st.fetched.len() && st.fetched[i].is_none() {
-                st.remaining -= 1;
-                if let Some(JobResult::Ok(p)) = reply {
-                    st.fetched[i] = ContentObject::from_payload(p).cloned();
-                } else {
-                    view.stats().incr("ts.agg_source_missing", 1);
-                    out.push(Action::MarkDegraded);
-                }
-            }
-            if st.remaining == 0 {
-                let inputs: Vec<ContentObject> = st.fetched.iter().flatten().cloned().collect();
-                if inputs.is_empty() {
-                    view.stats().incr("ts.errors", 1);
-                    out.push(Action::Reply(Err("no sources reachable".into())));
-                } else {
-                    out.push(Action::Dispatch {
-                        tag: TAG_AGGREGATE,
-                        class: WorkerClass::new(format!("aggregator/{}", st.request.aggregator)),
-                        op: "aggregate".into(),
-                        input: Arc::new(sns_tacc::worker::AggregateRequest { inputs }),
-                        profile: Some(Arc::new(st.request.args.clone())),
-                    });
-                }
-            }
-            req.data = Some(Box::new(st));
-            return;
-        }
-        if tag == TAG_AGGREGATE {
-            match reply {
-                Some(JobResult::Ok(p)) => {
-                    view.stats().incr("ts.agg_answers", 1);
-                    out.push(Action::Reply(Ok(p.clone())));
-                }
-                _ => {
-                    view.stats().incr("ts.errors", 1);
-                    out.push(Action::Reply(Err("aggregator unavailable".into())));
-                }
-            }
-        }
-        req.data = Some(Box::new(st));
-    }
-
-    fn reply_original_degraded(
-        st: &TsState,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-        why: &str,
-    ) {
-        if let Some(orig) = &st.original {
-            view.stats().incr("ts.fallback_original", 1);
-            view.stats().observe("ts.response_bytes", orig.len() as f64);
-            out.push(Action::MarkDegraded);
-            out.push(Action::Reply(Ok(orig.clone().into_payload())));
-        } else {
-            view.stats().incr("ts.errors", 1);
-            out.push(Action::Reply(Err(format!("service degraded: {why}"))));
+        TranSendAsync {
+            cfg: Arc::new(cfg),
+            shared: Arc::new(Mutex::new(TsShared {
+                vcache: VirtualCache::new(),
+                profile_cache: BTreeMap::new(),
+                profile_order: VecDeque::new(),
+            })),
         }
     }
 }
 
-impl ServiceLogic for TranSendLogic {
-    fn on_request(
-        &mut self,
-        req: &mut ReqState,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        view.stats().incr("ts.requests", 1);
-        // Preference updates go to the ACID database (§3.1.4).
-        if let Some(body) = &req.request.body {
-            if let Some(update) = payload_as::<PrefUpdate>(body) {
-                self.profile_cache.remove(&req.request.user);
-                out.push(Action::Dispatch {
-                    tag: TAG_PREF,
-                    class: ProfileWorker::CLASS.into(),
-                    op: "put".into(),
-                    input: Arc::new(ProfilePut {
-                        user: req.request.user.clone(),
-                        settings: update.settings.clone(),
-                    }),
-                    profile: None,
-                });
-                return;
-            }
-        }
-        if let Some(body) = &req.request.body {
-            if let Some(agg) = payload_as::<AggregateServiceRequest>(body).cloned() {
-                // Aggregation service (§5.1): fan out the source fetches.
-                view.stats().incr("ts.agg_requests", 1);
-                let n = agg.sources.len();
-                for (i, src) in agg.sources.iter().enumerate() {
-                    out.push(Action::Dispatch {
-                        tag: TAG_AGG_FETCH0 + i as u64,
-                        class: OriginServer::CLASS.into(),
-                        op: "fetch".into(),
-                        input: Arc::new(src.clone()),
-                        profile: None,
-                    });
-                }
-                req.data = Some(Box::new(TsAgg {
-                    request: agg,
-                    fetched: vec![None; n],
-                    remaining: n,
-                }));
-                return;
-            }
-        }
-        let fetch = req
-            .request
-            .body
-            .as_ref()
-            .and_then(|b| payload_as::<FetchRequest>(b).cloned())
-            .unwrap_or(FetchRequest {
-                url: req.request.url.clone(),
-                mime: MimeType::Other,
-                size: 8 * 1024,
-            });
-        let mut st = TsState {
-            fetch,
-            profile: None,
-            pipeline: PipelineSpec::identity(),
-            args: TaccArgs::default(),
-            stage: 0,
-            original: None,
-        };
-        // Profile: write-through cache absorbs reads (§3.1.4).
-        if let Some(cached) = self.profile_cache.get(&req.request.user) {
-            view.stats().incr("ts.profile_cache_hits", 1);
-            st.profile = cached.clone();
-            self.start_processing(&mut st, view, out);
-        } else if !view
-            .stub
-            .workers_of(&WorkerClass::new(ProfileWorker::CLASS))
-            .is_empty()
-        {
-            out.push(Action::Dispatch {
-                tag: TAG_PROFILE,
-                class: ProfileWorker::CLASS.into(),
-                op: "get".into(),
-                input: Arc::new(ProfileGet {
-                    user: req.request.user.clone(),
-                }),
-                profile: None,
-            });
-        } else {
-            // No profile DB reachable: default preferences (BASE — the
-            // ACID island being down degrades, not fails, the service).
-            view.stats().incr("ts.profile_unavailable", 1);
-            self.start_processing(&mut st, view, out);
-        }
-        req.data = Some(Box::new(st));
+impl AsyncService for TranSendAsync {
+    fn hint_classes(&self) -> Vec<WorkerClass> {
+        vec![
+            WorkerClass::new(CacheWorker::CLASS),
+            WorkerClass::new(ProfileWorker::CLASS),
+        ]
     }
 
-    fn on_event(
-        &mut self,
-        req: &mut ReqState,
-        ev: FeEvent<'_>,
-        view: &mut SvcView<'_, '_>,
-        out: &mut Vec<Action>,
-    ) {
-        // Preference-update acks carry no TsState.
-        let (tag, reply): (u64, Option<&JobResult>) = match &ev {
-            FeEvent::WorkerReply { tag, result } => (*tag, Some(result)),
-            FeEvent::DispatchFailed { tag, .. } => (*tag, None),
-            FeEvent::ComputeDone { tag } => (*tag, None),
-            FeEvent::NapDone { tag } => (*tag, None),
-        };
-        if tag == TAG_PREF {
-            let ok = matches!(reply, Some(JobResult::Ok(_)));
-            out.push(if ok {
-                view.stats().incr("ts.pref_updates", 1);
-                Action::Reply(Ok(ContentObject::text(
+    fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        Box::pin(run(
+            Arc::clone(&self.cfg),
+            Arc::clone(&self.shared),
+            request,
+            svc,
+        ))
+    }
+}
+
+fn lock(shared: &Shared) -> MutexGuard<'_, TsShared> {
+    shared.lock().expect("transend shared state poisoned")
+}
+
+/// Syncs the ring with the live cache-worker set ("automatically
+/// re-hashing when cache nodes are added or removed", §3.1.5).
+fn refresh_ring(shared: &Shared, svc: &SvcHandle) {
+    let live = svc.workers_of(&WorkerClass::new(CacheWorker::CLASS));
+    let mut sh = lock(shared);
+    if sh.vcache.partitions() == live.as_slice() {
+        return; // both sorted: same membership, nothing to re-hash
+    }
+    let current: Vec<_> = sh.vcache.partitions().to_vec();
+    for gone in current.iter().filter(|p| !live.contains(p)) {
+        sh.vcache.remove_partition(gone);
+    }
+    for fresh in live.iter().filter(|p| !current.contains(p)) {
+        sh.vcache.add_partition(*fresh);
+    }
+}
+
+fn route(shared: &Shared, key: &CacheKey) -> Option<ComponentId> {
+    lock(shared).vcache.route(key).copied()
+}
+
+fn cache_profile(shared: &Shared, cap: usize, user: &str, profile: Option<ProfileData>) {
+    let mut sh = lock(shared);
+    if !sh.profile_cache.contains_key(user) {
+        sh.profile_order.push_back(user.to_string());
+        if sh.profile_order.len() > cap {
+            if let Some(victim) = sh.profile_order.pop_front() {
+                sh.profile_cache.remove(&victim);
+            }
+        }
+    }
+    sh.profile_cache.insert(user.to_string(), profile);
+}
+
+/// The distillation plan for one fetch: arguments (defaults overridden
+/// by the profile) and the per-MIME stage chain.
+fn plan(
+    cfg: &TranSendConfig,
+    fetch: &FetchRequest,
+    profile: Option<&ProfileData>,
+) -> (TaccArgs, PipelineSpec) {
+    let args = TaccArgs::merged(&cfg.defaults, profile);
+    let mut pipeline = match fetch.mime {
+        MimeType::Gif => PipelineSpec::single("gif"),
+        MimeType::Jpeg => PipelineSpec::single("jpeg"),
+        MimeType::Html => PipelineSpec::single("html"),
+        MimeType::Other => PipelineSpec::identity(),
+    };
+    // Per-user composition: a keyword filter chains after the HTML
+    // munger when the profile asks for it (§5.1).
+    if fetch.mime == MimeType::Html && args.get("keywords").is_some() {
+        pipeline = pipeline.then("keyword");
+    }
+    // Thin clients get the spoon-feeding simplifier as a final stage
+    // (§5.1 "Real Web Access for PDAs and Smart Phones").
+    if fetch.mime == MimeType::Html && args.get("device") == Some("palm") {
+        pipeline = pipeline.then("pda");
+    }
+    if fetch.size < cfg.distill_threshold || args.get_bool("originals", false) {
+        pipeline = PipelineSpec::identity();
+    }
+    (args, pipeline)
+}
+
+/// The cache key of what the plan produces.
+fn final_key(fetch: &FetchRequest, pipeline: &PipelineSpec, args: &TaccArgs) -> CacheKey {
+    let v = pipeline.final_variant(args);
+    if pipeline.is_empty() {
+        CacheKey::original(&fetch.url)
+    } else {
+        CacheKey::variant(&fetch.url, v)
+    }
+}
+
+/// Fire-and-forget cache injection: the `Pending` is dropped on the
+/// spot, so the dispatch still runs but nobody awaits the ack.
+fn cache_inject(shared: &Shared, svc: &SvcHandle, key: CacheKey, object: ContentObject) {
+    if let Some(worker) = route(shared, &key) {
+        drop(svc.dispatch_to(
+            worker,
+            CacheWorker::CLASS.into(),
+            "inject",
+            Arc::new(CacheInject { key, object }),
+            None,
+        ));
+    }
+}
+
+/// A cache `get` routed on the ring: `Some(hit)` when a worker
+/// answered (`hit` is `None` on a miss), `None` when the lookup failed
+/// or timed out.
+async fn cache_get(
+    svc: &SvcHandle,
+    worker: ComponentId,
+    key: CacheKey,
+) -> Option<Option<ContentObject>> {
+    let outcome = svc
+        .dispatch_to(
+            worker,
+            CacheWorker::CLASS.into(),
+            "get",
+            Arc::new(CacheGet { key }),
+            None,
+        )
+        .await;
+    let p = outcome.ok_payload()?;
+    Some(payload_as::<CacheGetResult>(p).and_then(|r| r.object.clone()))
+}
+
+/// [`cache_get`] of the original: a hit counts `ts.cache_hit_orig`, a
+/// failed lookup `ts.cache_unavailable`.
+async fn cached_original(
+    svc: &SvcHandle,
+    worker: ComponentId,
+    key: CacheKey,
+) -> Option<ContentObject> {
+    match cache_get(svc, worker, key).await {
+        Some(Some(obj)) => {
+            svc.incr("ts.cache_hit_orig", 1);
+            Some(obj)
+        }
+        Some(None) => None,
+        None => {
+            svc.incr("ts.cache_unavailable", 1);
+            None
+        }
+    }
+}
+
+fn reply_original_degraded(svc: &SvcHandle, original: Option<&ContentObject>, why: &str) {
+    if let Some(orig) = original {
+        svc.incr("ts.fallback_original", 1);
+        svc.observe("ts.response_bytes", orig.len() as f64);
+        svc.mark_degraded();
+        svc.reply(Ok(orig.clone().into_payload()));
+    } else {
+        svc.incr("ts.errors", 1);
+        svc.reply(Err(format!("service degraded: {why}")));
+    }
+}
+
+/// One TranSend request, top to bottom.
+async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, svc: SvcHandle) {
+    svc.incr("ts.requests", 1);
+    // Preference updates go to the ACID database (§3.1.4).
+    if let Some(body) = &req.body {
+        if let Some(update) = payload_as::<PrefUpdate>(body) {
+            lock(&shared).profile_cache.remove(&req.user);
+            let ack = svc
+                .dispatch(
+                    ProfileWorker::CLASS.into(),
+                    "put",
+                    Arc::new(ProfilePut {
+                        user: req.user.clone(),
+                        settings: update.settings.clone(),
+                    }),
+                    None,
+                )
+                .await;
+            if ack.ok_payload().is_some() {
+                svc.incr("ts.pref_updates", 1);
+                svc.reply(Ok(ContentObject::text(
                     "transend://prefs",
                     MimeType::Html,
                     "<html><body>preferences saved</body></html>",
                 )
-                .into_payload()))
+                .into_payload()));
             } else {
-                Action::Reply(Err("preference update failed".into()))
-            });
+                svc.reply(Err("preference update failed".into()));
+            }
             return;
         }
-        if tag == TAG_INJECT {
-            return; // fire-and-forget
-        }
-        let Some(data) = req.data.take() else {
+        if let Some(agg) = payload_as::<AggregateServiceRequest>(body).cloned() {
+            run_aggregate(agg, &svc).await;
             return;
-        };
-        let mut st = match data.downcast::<TsState>() {
-            Ok(st) => st,
-            Err(other) => {
-                if let Ok(agg) = other.downcast::<TsAgg>() {
-                    self.on_agg_event(req, *agg, tag, reply, view, out);
+        }
+    }
+    let fetch = req
+        .body
+        .as_ref()
+        .and_then(|b| payload_as::<FetchRequest>(b).cloned())
+        .unwrap_or(FetchRequest {
+            url: req.url.clone(),
+            mime: MimeType::Other,
+            size: 8 * 1024,
+        });
+
+    // Profile: write-through cache absorbs reads (§3.1.4); a missing
+    // profile database means default preferences (BASE — the ACID
+    // island being down degrades, not fails, the service).
+    let cached = lock(&shared).profile_cache.get(&req.user).cloned();
+    let profile = if let Some(hit) = cached {
+        svc.incr("ts.profile_cache_hits", 1);
+        hit
+    } else if !svc
+        .workers_of(&WorkerClass::new(ProfileWorker::CLASS))
+        .is_empty()
+    {
+        let got = svc
+            .dispatch(
+                ProfileWorker::CLASS.into(),
+                "get",
+                Arc::new(ProfileGet {
+                    user: req.user.clone(),
+                }),
+                None,
+            )
+            .await;
+        if let Some(p) = got.ok_payload() {
+            let profile = payload_as::<ProfileReply>(p).and_then(|r| r.profile.clone());
+            cache_profile(&shared, cfg.profile_cache_cap, &req.user, profile.clone());
+            profile
+        } else {
+            svc.incr("ts.profile_unavailable", 1);
+            None
+        }
+    } else {
+        svc.incr("ts.profile_unavailable", 1);
+        None
+    };
+
+    let (args, pipeline) = plan(&cfg, &fetch, profile.as_ref());
+    refresh_ring(&shared, &svc);
+
+    // Cache lookups, falling through to the origin. The block produces
+    // the original object to distill; a hit on the *final* variant
+    // replies inside and returns.
+    let original: ContentObject = 'have: {
+        if !cfg.cache_distilled && !pipeline.is_empty() {
+            // Distilled variants are not cached: look up the original
+            // and re-distill per request (the §4.6 measurement mode).
+            let key = CacheKey::original(&fetch.url);
+            if let Some(worker) = route(&shared, &key) {
+                if let Some(obj) = cached_original(&svc, worker, key).await {
+                    break 'have obj;
                 }
-                return;
+            } else {
+                // No cache workers known (bootstrap or total cache
+                // loss): the cache is only an optimisation.
+                svc.incr("ts.no_cache_available", 1);
             }
-        };
-        match (tag, reply) {
-            (TAG_PROFILE, Some(JobResult::Ok(p))) => {
-                let profile = payload_as::<ProfileReply>(p).and_then(|r| r.profile.clone());
-                self.cache_profile(&req.request.user, profile.clone());
-                st.profile = profile;
-                self.start_processing(&mut st, view, out);
-            }
-            (TAG_PROFILE, _) => {
-                // Failed or timed out: default preferences, degraded.
-                view.stats().incr("ts.profile_unavailable", 1);
-                self.start_processing(&mut st, view, out);
-            }
-            (TAG_CACHE_FINAL, Some(JobResult::Ok(p))) => {
-                let hit = payload_as::<CacheGetResult>(p).and_then(|r| r.object.clone());
-                match hit {
-                    Some(obj) => {
-                        view.stats().incr("ts.cache_hit_final", 1);
-                        view.stats().observe("ts.response_bytes", obj.len() as f64);
-                        out.push(Action::Reply(Ok(obj.into_payload())));
+        } else {
+            let key = final_key(&fetch, &pipeline, &args);
+            if let Some(worker) = route(&shared, &key) {
+                match cache_get(&svc, worker, key).await {
+                    Some(Some(obj)) => {
+                        svc.incr("ts.cache_hit_final", 1);
+                        svc.observe("ts.response_bytes", obj.len() as f64);
+                        svc.reply(Ok(obj.into_payload()));
+                        return;
                     }
-                    None if st.pipeline.is_empty() => {
-                        view.stats().incr("ts.cache_miss", 1);
-                        Self::fetch_origin(&st, out);
-                    }
-                    None => {
-                        view.stats().incr("ts.cache_miss", 1);
-                        let key = CacheKey::original(&st.fetch.url);
-                        if !self.cache_get(key, TAG_CACHE_ORIG, out) {
-                            Self::fetch_origin(&st, out);
+                    Some(None) if pipeline.is_empty() => svc.incr("ts.cache_miss", 1),
+                    Some(None) => {
+                        svc.incr("ts.cache_miss", 1);
+                        let key = CacheKey::original(&fetch.url);
+                        if let Some(worker) = route(&shared, &key) {
+                            if let Some(obj) = cached_original(&svc, worker, key).await {
+                                break 'have obj;
+                            }
                         }
                     }
+                    // Cache timeout/failure = miss (caching is an
+                    // optimisation, §3.1.5).
+                    None => svc.incr("ts.cache_unavailable", 1),
                 }
+            } else {
+                svc.incr("ts.no_cache_available", 1);
             }
-            (TAG_CACHE_FINAL, _) => {
-                // Cache timeout/failure = miss (caching is an
-                // optimisation, §3.1.5).
-                view.stats().incr("ts.cache_unavailable", 1);
-                Self::fetch_origin(&st, out);
-            }
-            (TAG_CACHE_ORIG, Some(JobResult::Ok(p))) => {
-                let hit = payload_as::<CacheGetResult>(p).and_then(|r| r.object.clone());
-                match hit {
-                    Some(obj) => {
-                        view.stats().incr("ts.cache_hit_orig", 1);
-                        self.have_original(&mut st, obj, view, out);
-                    }
-                    None => Self::fetch_origin(&st, out),
-                }
-            }
-            (TAG_CACHE_ORIG, _) => {
-                view.stats().incr("ts.cache_unavailable", 1);
-                Self::fetch_origin(&st, out);
-            }
-            (TAG_ORIGIN, Some(JobResult::Ok(p))) => {
-                let Some(obj) = ContentObject::from_payload(p).cloned() else {
-                    out.push(Action::Reply(Err("origin returned garbage".into())));
-                    req.data = Some(st);
-                    return;
-                };
-                view.stats().incr("ts.origin_fetches", 1);
-                self.refresh_ring(view);
-                self.cache_inject(CacheKey::original(&st.fetch.url), obj.clone(), out);
-                self.have_original(&mut st, obj, view, out);
-            }
-            (TAG_ORIGIN, _) => {
-                Self::reply_original_degraded(&st, view, out, "origin unreachable");
-            }
-            (t, Some(JobResult::Ok(p))) if t >= TAG_DISTILL0 => {
-                let Some(obj) = ContentObject::from_payload(p).cloned() else {
-                    Self::reply_original_degraded(&st, view, out, "distiller garbage");
-                    req.data = Some(st);
-                    return;
-                };
-                st.stage += 1;
-                if st.stage < st.pipeline.len() {
-                    Self::dispatch_stage(&st, obj, out);
-                } else {
-                    view.stats().incr("ts.distilled", 1);
-                    if let Some(orig) = &st.original {
-                        let saved = orig.len().saturating_sub(obj.len());
-                        view.stats().observe("ts.bytes_saved", saved as f64);
-                    }
-                    view.stats().observe("ts.response_bytes", obj.len() as f64);
-                    if self.cfg.cache_distilled {
-                        self.refresh_ring(view);
-                        self.cache_inject(Self::final_key(&st), obj.clone(), out);
-                    }
-                    out.push(Action::Reply(Ok(obj.into_payload())));
-                }
-            }
-            (t, Some(JobResult::Failed(_)) | None) if t >= TAG_DISTILL0 => {
-                // Distiller failed or timed out after retries: the user
-                // gets the original — an approximate answer delivered
-                // quickly beats an exact answer delivered slowly
-                // (§3.1.8).
-                Self::reply_original_degraded(&st, view, out, "distiller unavailable");
-            }
-            _ => {}
         }
-        req.data = Some(st);
+        // Origin fetch.
+        let fetched = svc
+            .dispatch(
+                OriginServer::CLASS.into(),
+                "fetch",
+                Arc::new(fetch.clone()),
+                None,
+            )
+            .await;
+        let Some(p) = fetched.ok_payload() else {
+            reply_original_degraded(&svc, None, "origin unreachable");
+            return;
+        };
+        let Some(obj) = ContentObject::from_payload(p).cloned() else {
+            svc.reply(Err("origin returned garbage".into()));
+            return;
+        };
+        svc.incr("ts.origin_fetches", 1);
+        refresh_ring(&shared, &svc);
+        cache_inject(&shared, &svc, CacheKey::original(&fetch.url), obj.clone());
+        obj
+    };
+
+    // The original is in hand: pass through or distill, stage by stage.
+    if pipeline.is_empty() {
+        svc.incr("ts.passthrough", 1);
+        svc.observe("ts.response_bytes", original.len() as f64);
+        svc.reply(Ok(original.into_payload()));
+        return;
+    }
+    let mut cur = original.clone();
+    for stage_name in pipeline.stages() {
+        let distilled = svc
+            .dispatch(
+                WorkerClass::new(format!("distiller/{stage_name}")),
+                "transform",
+                cur.into_payload(),
+                Some(Arc::new(args.as_map().clone())),
+            )
+            .await;
+        // A failed or timed-out distiller (after retries) means the user
+        // gets the original — an approximate answer delivered quickly
+        // beats an exact answer delivered slowly (§3.1.8).
+        let Some(p) = distilled.ok_payload() else {
+            reply_original_degraded(&svc, Some(&original), "distiller unavailable");
+            return;
+        };
+        let Some(next) = ContentObject::from_payload(p).cloned() else {
+            reply_original_degraded(&svc, Some(&original), "distiller garbage");
+            return;
+        };
+        cur = next;
+    }
+    svc.incr("ts.distilled", 1);
+    let saved = original.len().saturating_sub(cur.len());
+    svc.observe("ts.bytes_saved", saved as f64);
+    svc.observe("ts.response_bytes", cur.len() as f64);
+    if cfg.cache_distilled {
+        refresh_ring(&shared, &svc);
+        cache_inject(
+            &shared,
+            &svc,
+            final_key(&fetch, &pipeline, &args),
+            cur.clone(),
+        );
+    }
+    svc.reply(Ok(cur.into_payload()));
+}
+
+/// Aggregation (§5.1): fan out the source fetches, collect them in
+/// arrival order, tolerate missing sources (the culture page is useful
+/// even when a source site is down), run the aggregator.
+async fn run_aggregate(agg: AggregateServiceRequest, svc: &SvcHandle) {
+    svc.incr("ts.agg_requests", 1);
+    let mut fetches: Vec<Option<_>> = agg
+        .sources
+        .iter()
+        .map(|src| {
+            Some(svc.dispatch(
+                OriginServer::CLASS.into(),
+                "fetch",
+                Arc::new(src.clone()),
+                None,
+            ))
+        })
+        .collect();
+    let mut fetched: Vec<Option<ContentObject>> = vec![None; agg.sources.len()];
+    for _ in 0..agg.sources.len() {
+        let (i, outcome) = select_some(&mut fetches).await;
+        if let Some(p) = outcome.ok_payload() {
+            fetched[i] = ContentObject::from_payload(p).cloned();
+        } else {
+            svc.incr("ts.agg_source_missing", 1);
+            svc.mark_degraded();
+        }
+    }
+    let inputs: Vec<ContentObject> = fetched.into_iter().flatten().collect();
+    if inputs.is_empty() {
+        svc.incr("ts.errors", 1);
+        svc.reply(Err("no sources reachable".into()));
+        return;
+    }
+    let answer = svc
+        .dispatch(
+            WorkerClass::new(format!("aggregator/{}", agg.aggregator)),
+            "aggregate",
+            Arc::new(sns_tacc::worker::AggregateRequest { inputs }),
+            Some(Arc::new(agg.args)),
+        )
+        .await;
+    if let EventOutcome::Reply(JobResult::Ok(p)) = answer {
+        svc.incr("ts.agg_answers", 1);
+        svc.reply(Ok(p));
+    } else {
+        svc.incr("ts.errors", 1);
+        svc.reply(Err("aggregator unavailable".into()));
     }
 }
 
@@ -624,90 +548,46 @@ impl ServiceLogic for TranSendLogic {
 mod tests {
     use super::*;
 
+    fn fetch(url: &str, mime: MimeType, size: u64) -> FetchRequest {
+        FetchRequest {
+            url: url.into(),
+            mime,
+            size,
+        }
+    }
+
     #[test]
     fn plan_selects_pipeline_by_mime_and_threshold() {
-        let logic = TranSendLogic::new(TranSendConfig::default());
-        let mk = |mime, size| TsState {
-            fetch: FetchRequest {
-                url: "u".into(),
-                mime,
-                size,
-            },
-            profile: None,
-            pipeline: PipelineSpec::identity(),
-            args: TaccArgs::default(),
-            stage: 0,
-            original: None,
-        };
-        let mut st = mk(MimeType::Gif, 10_000);
-        logic.plan(&mut st);
-        assert_eq!(st.pipeline.stages(), &["gif"]);
-        let mut st = mk(MimeType::Jpeg, 10_000);
-        logic.plan(&mut st);
-        assert_eq!(st.pipeline.stages(), &["jpeg"]);
-        let mut st = mk(MimeType::Other, 10_000);
-        logic.plan(&mut st);
-        assert!(st.pipeline.is_empty());
+        let cfg = TranSendConfig::default();
+        let stages = |mime, size| plan(&cfg, &fetch("u", mime, size), None).1;
+        assert_eq!(stages(MimeType::Gif, 10_000).stages(), &["gif"]);
+        assert_eq!(stages(MimeType::Jpeg, 10_000).stages(), &["jpeg"]);
+        assert!(stages(MimeType::Other, 10_000).is_empty());
         // Below the 1 KB threshold: pass through unmodified (§4.1).
-        let mut st = mk(MimeType::Gif, 600);
-        logic.plan(&mut st);
-        assert!(st.pipeline.is_empty());
+        assert!(stages(MimeType::Gif, 600).is_empty());
     }
 
     #[test]
     fn keyword_filter_chains_for_users_with_keywords() {
-        let logic = TranSendLogic::new(TranSendConfig::default());
-        let mut profile = BTreeMap::new();
-        profile.insert("keywords".to_string(), "rust".to_string());
-        let mut st = TsState {
-            fetch: FetchRequest {
-                url: "u".into(),
-                mime: MimeType::Html,
-                size: 8_000,
-            },
-            profile: Some(Arc::new(profile)),
-            pipeline: PipelineSpec::identity(),
-            args: TaccArgs::default(),
-            stage: 0,
-            original: None,
-        };
-        logic.plan(&mut st);
-        assert_eq!(st.pipeline.stages(), &["html", "keyword"]);
+        let profile: ProfileData = Arc::new(BTreeMap::from([(
+            "keywords".to_string(),
+            "rust".to_string(),
+        )]));
+        let html = fetch("u", MimeType::Html, 8_000);
+        let (_, pipeline) = plan(&TranSendConfig::default(), &html, Some(&profile));
+        assert_eq!(pipeline.stages(), &["html", "keyword"]);
     }
 
     #[test]
     fn final_key_is_original_for_identity_pipeline() {
-        let logic = TranSendLogic::new(TranSendConfig::default());
-        let mut st = TsState {
-            fetch: FetchRequest {
-                url: "http://x/tiny.gif".into(),
-                mime: MimeType::Gif,
-                size: 100,
-            },
-            profile: None,
-            pipeline: PipelineSpec::identity(),
-            args: TaccArgs::default(),
-            stage: 0,
-            original: None,
-        };
-        logic.plan(&mut st);
-        let key = TranSendLogic::final_key(&st);
+        let cfg = TranSendConfig::default();
+        let tiny = fetch("http://x/tiny.gif", MimeType::Gif, 100);
+        let (args, pipeline) = plan(&cfg, &tiny, None);
+        let key = final_key(&tiny, &pipeline, &args);
         assert_eq!(key, CacheKey::original("http://x/tiny.gif"));
         // And distinct variants for distilled content.
-        let mut st2 = TsState {
-            fetch: FetchRequest {
-                url: "http://x/big.gif".into(),
-                mime: MimeType::Gif,
-                size: 10_000,
-            },
-            profile: None,
-            pipeline: PipelineSpec::identity(),
-            args: TaccArgs::default(),
-            stage: 0,
-            original: None,
-        };
-        logic.plan(&mut st2);
-        let key2 = TranSendLogic::final_key(&st2);
-        assert_ne!(key2.variant, 0);
+        let big = fetch("http://x/big.gif", MimeType::Gif, 10_000);
+        let (args, pipeline) = plan(&cfg, &big, None);
+        assert_ne!(final_key(&big, &pipeline, &args).variant, 0);
     }
 }

@@ -15,8 +15,8 @@
 //!
 //! For contrast, the *legacy* expression of the same control flow — the
 //! per-request state machine every front-end service was written as
-//! before the executor existed — looks like this (abbreviated from
-//! `sns_transend::logic::TranSendLogic`):
+//! before the executor existed, and which the front end no longer
+//! hosts — looked like this (abbreviated):
 //!
 //! ```ignore
 //! const TAG_FETCH0: u64 = 1024;   // + source index
@@ -58,7 +58,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cluster_sns::core::exec::component::{AcBody, AsyncComponent};
-use cluster_sns::core::exec::service::AsyncSvcLogic;
 use cluster_sns::core::exec::timeout;
 use cluster_sns::core::msg::{ClientRequest, SnsMsg};
 use cluster_sns::sim::SimTime;
@@ -82,15 +81,13 @@ fn main() {
         .with_aggregators(["metasearch"])
         .with_origin_penalty_scale(0.2)
         .build();
-    let pipe_fe = cluster.add_frontend_with_logic(Box::new(AsyncSvcLogic::new(
-        PipelineService::new(PipelineConfig {
-            stages: vec!["html".into()],
-            aggregator: Some("metasearch".into()),
-            give_up: Duration::from_secs(8),
-            hedge_after: Duration::from_secs(2),
-            cache_final: true,
-        }),
-    )));
+    let pipe_fe = cluster.add_frontend_with_logic(Box::new(PipelineService::new(PipelineConfig {
+        stages: vec!["html".into()],
+        aggregator: Some("metasearch".into()),
+        give_up: Duration::from_secs(8),
+        hedge_after: Duration::from_secs(2),
+        cache_final: true,
+    })));
 
     // The driver is an async body too: send each query, await the
     // response (bounded), record the outcome.

@@ -4,16 +4,15 @@
 //! ```sh
 //! cargo run --release --example transend_trace
 //! # Also capture a request trace (see OBSERVABILITY.md):
-//! cargo run --release --example transend_trace -- transend.trace.json
+//! cargo run --release --example transend_trace -- transend.perfetto-trace
 //! ```
 //!
 //! With an output path the run records every request as a span tree and
-//! writes a Chrome `trace_event` file loadable in `chrome://tracing` or
-//! https://ui.perfetto.dev.
+//! writes a Perfetto protobuf trace loadable in https://ui.perfetto.dev.
 
 use std::time::Duration;
 
-use cluster_sns::core::trace::to_chrome;
+use cluster_sns::core::trace::to_perfetto;
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
 use cluster_sns::workload::bursts::ArrivalProcess;
@@ -121,9 +120,9 @@ fn main() {
 
     if let Some(path) = trace_out {
         let log = cluster.trace().expect("tracing was enabled");
-        std::fs::write(&path, to_chrome(&log)).expect("write trace file");
+        std::fs::write(&path, to_perfetto(&log)).expect("write trace file");
         println!(
-            "trace               : {} spans → {path} (load in chrome://tracing or ui.perfetto.dev)",
+            "trace               : {} spans → {path} (load in ui.perfetto.dev)",
             log.len()
         );
     }

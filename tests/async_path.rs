@@ -1,87 +1,25 @@
-//! The async-ported request path, end to end: the legacy TranSend state
-//! machine and its `async fn` re-expression must be client-equivalent
-//! on the sim backend, and the same pipeline body must run unmodified
-//! on **both** backends — deterministic virtual time behind the sim
-//! front end, wall-clock threads against a live [`RtCluster`].
+//! The async request path, end to end: the same pipeline body must run
+//! unmodified on **both** backends — deterministic virtual time behind
+//! the sim front end, wall-clock threads against a live [`RtCluster`].
+//! (That the async TranSend body replays the retired state machine bit
+//! for bit is pinned by the goldens in `tests/determinism.rs`.)
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cluster_sns::core::exec::component::{AcBody, AsyncComponent};
-use cluster_sns::core::exec::service::AsyncSvcLogic;
 use cluster_sns::core::exec::timeout;
 use cluster_sns::core::msg::{ClientRequest, SnsMsg};
 use cluster_sns::core::trace::{children_of, SpanRecord, DISPATCH, REQUEST};
 use cluster_sns::distillers::{HtmlMunger, MetasearchAggregator};
 use cluster_sns::rt::{exec::serve, RtCluster, RtConfig};
-use cluster_sns::sim::{SchedulerKind, SimTime};
+use cluster_sns::sim::SimTime;
 use cluster_sns::tacc::origin::FetchRequest;
 use cluster_sns::tacc::worker::TaccWorkerHost;
 use cluster_sns::tacc::{OriginServer, PipelineConfig, PipelineJob, PipelineService};
 use cluster_sns::transend::TranSendBuilder;
-use cluster_sns::workload::playback::{Playback, Schedule};
-use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 use cluster_sns::workload::MimeType;
-
-/// One seeded TranSend replay; returns the client-visible outcome plus
-/// the service counters that summarise what the FE logic decided.
-fn transend_outcomes(async_logic: bool) -> (u64, u64, u64, u64, u64, Vec<(String, u64)>) {
-    let mut cluster = TranSendBuilder::new()
-        .with_seed(0xA51)
-        .with_scheduler(SchedulerKind::default())
-        .with_async_logic(async_logic)
-        .with_worker_nodes(5)
-        .with_frontends(1)
-        .with_cache_partitions(2)
-        .with_min_distillers(1)
-        .with_origin_penalty_scale(0.1)
-        .build();
-    let mut gen = TraceGenerator::new(WorkloadConfig {
-        seed: 0xA51 ^ 0x11,
-        users: 25,
-        shared_objects: 80,
-        private_per_user: 6,
-        ..Default::default()
-    });
-    let t = gen.constant_rate(4.0, Duration::from_secs(25));
-    let items: Vec<_> = Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
-    let report = cluster.attach_client(items, Duration::from_secs(3));
-    cluster.sim.run_until(SimTime::from_secs(150));
-    let r = report.borrow();
-    let counters = cluster
-        .sim
-        .stats()
-        .all_counters()
-        .filter(|(k, _)| k.starts_with("ts."))
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    (
-        r.sent,
-        r.responses,
-        r.errors,
-        r.degraded,
-        r.bytes_received,
-        counters,
-    )
-}
-
-/// The migration contract: swapping the front end's state machine for
-/// the async body changes *nothing* a client (or the service's own
-/// `ts.*` counters) can see. Tags and timer tokens differ internally,
-/// but every action leaves the FE in the same order with the same
-/// contents, so the runs stay outcome-identical.
-#[test]
-fn async_and_legacy_transend_agree_on_client_outcomes() {
-    let legacy = transend_outcomes(false);
-    let asynced = transend_outcomes(true);
-    assert_eq!(
-        legacy, asynced,
-        "async body diverged from the legacy state machine"
-    );
-}
 
 fn pipeline_cfg() -> PipelineConfig {
     PipelineConfig {
@@ -125,9 +63,7 @@ fn pipeline_body_serves_requests_on_the_sim_backend() {
         .with_origin_penalty_scale(0.2)
         .with_tracing(true)
         .build();
-    let fe = cluster.add_frontend_with_logic(Box::new(AsyncSvcLogic::new(PipelineService::new(
-        pipeline_cfg(),
-    ))));
+    let fe = cluster.add_frontend_with_logic(Box::new(PipelineService::new(pipeline_cfg())));
 
     let outcomes: Arc<Mutex<Vec<(u64, bool, bool)>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&outcomes);

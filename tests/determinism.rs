@@ -12,15 +12,10 @@ use cluster_sns::transend::TranSendBuilder;
 use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
-fn transend_fingerprint_on(
-    seed: u64,
-    scheduler: SchedulerKind,
-    async_logic: bool,
-) -> (u64, u64, u64, String) {
+fn transend_fingerprint_on(seed: u64, scheduler: SchedulerKind) -> (u64, u64, u64, String) {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
         .with_scheduler(scheduler)
-        .with_async_logic(async_logic)
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
@@ -66,7 +61,7 @@ fn transend_fingerprint_on(
 }
 
 fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
-    transend_fingerprint_on(seed, SchedulerKind::default(), false)
+    transend_fingerprint_on(seed, SchedulerKind::default())
 }
 
 #[test]
@@ -88,29 +83,17 @@ fn different_seeds_give_different_runs() {
 /// and the timer wheel.
 #[test]
 fn transend_replay_is_identical_across_schedulers() {
-    let heap = transend_fingerprint_on(0xd5, SchedulerKind::Heap, false);
-    let wheel = transend_fingerprint_on(0xd5, SchedulerKind::Wheel, false);
+    let heap = transend_fingerprint_on(0xd5, SchedulerKind::Heap);
+    let wheel = transend_fingerprint_on(0xd5, SchedulerKind::Wheel);
     assert_eq!(heap, wheel, "heap and wheel replays must be bit-identical");
-}
-
-/// The async-ported request path (`TranSendAsync` bodies polled by the
-/// deterministic executor) must be exactly as replayable as the legacy
-/// state machine: same seed, same fault injection, bit-identical event
-/// counts and counters on the heap baseline and the timer wheel.
-#[test]
-fn async_transend_replay_is_identical_across_schedulers() {
-    let heap = transend_fingerprint_on(0xd5, SchedulerKind::Heap, true);
-    let wheel = transend_fingerprint_on(0xd5, SchedulerKind::Wheel, true);
-    assert_eq!(heap, wheel, "async replays must be bit-identical");
 }
 
 /// One full chaos run: same seed, same fault plan, returns the
 /// byte-stable canonical rendering of the tapped monitor-event log.
-fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind, async_logic: bool) -> String {
+fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
         .with_scheduler(scheduler)
-        .with_async_logic(async_logic)
         .with_worker_nodes(5)
         .with_overflow_nodes(1)
         .with_frontends(1)
@@ -169,7 +152,7 @@ fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind, async_logic: bool) 
 }
 
 fn chaos_monitor_log(seed: u64) -> String {
-    chaos_monitor_log_on(seed, SchedulerKind::default(), false)
+    chaos_monitor_log_on(seed, SchedulerKind::default())
 }
 
 #[test]
@@ -186,19 +169,9 @@ fn same_seed_same_plan_gives_byte_identical_monitor_logs() {
 /// engine schedules with the heap baseline or the timer wheel.
 #[test]
 fn chaos_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = chaos_monitor_log_on(0xFA, SchedulerKind::Heap, false);
-    let wheel = chaos_monitor_log_on(0xFA, SchedulerKind::Wheel, false);
+    let heap = chaos_monitor_log_on(0xFA, SchedulerKind::Heap);
+    let wheel = chaos_monitor_log_on(0xFA, SchedulerKind::Wheel);
     assert_eq!(heap, wheel, "monitor logs must match byte-for-byte");
-}
-
-/// The same chaos plan with the front ends on async bodies: every task
-/// wake is keyed to an engine event, so the monitor-event log stays
-/// byte-identical across schedulers even mid-fault-injection.
-#[test]
-fn async_chaos_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = chaos_monitor_log_on(0xFA, SchedulerKind::Heap, true);
-    let wheel = chaos_monitor_log_on(0xFA, SchedulerKind::Wheel, true);
-    assert_eq!(heap, wheel, "async monitor logs must match byte-for-byte");
 }
 
 /// One rolling-upgrade-under-load chaos run: a `RollingUpgrade` plan
@@ -269,20 +242,14 @@ fn rolling_upgrade_monitor_logs_are_byte_identical_across_schedulers() {
 /// engine's event order, so the export must inherit the engine's
 /// scheduler-independence.
 fn transend_trace_jsonl_on(seed: u64, scheduler: SchedulerKind) -> String {
-    transend_trace_jsonl_sampled(seed, scheduler, 1, false)
+    transend_trace_jsonl_sampled(seed, scheduler, 1)
 }
 
 /// The same traced run, head-sampled 1-in-`rate` at the front end.
-fn transend_trace_jsonl_sampled(
-    seed: u64,
-    scheduler: SchedulerKind,
-    rate: u32,
-    async_logic: bool,
-) -> String {
+fn transend_trace_jsonl_sampled(seed: u64, scheduler: SchedulerKind, rate: u32) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
         .with_scheduler(scheduler)
-        .with_async_logic(async_logic)
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
@@ -317,8 +284,8 @@ fn transend_trace_jsonl_sampled(
 #[test]
 fn sampled_trace_exports_are_deterministic_and_subset_the_full_export() {
     let full = transend_trace_jsonl_on(0xd7, SchedulerKind::Heap);
-    let heap = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Heap, 4, false);
-    let wheel = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Wheel, 4, false);
+    let heap = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Heap, 4);
+    let wheel = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Wheel, 4);
     assert_eq!(heap, wheel, "sampled exports must match byte-for-byte");
     assert!(
         heap.lines().count() > 0,
@@ -347,19 +314,94 @@ fn same_seed_trace_exports_are_byte_identical_across_schedulers() {
     assert_eq!(heap, wheel, "trace exports must match byte-for-byte");
 }
 
-/// Head-sampled tracing over the async request path: span emission
-/// rides the same engine event order the executor wakes on, so the
-/// sampled JSONL export from async-ported front ends must also be
-/// byte-identical across schedulers.
-#[test]
-fn async_sampled_trace_exports_are_byte_identical_across_schedulers() {
-    let heap = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Heap, 4, true);
-    let wheel = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Wheel, 4, true);
-    assert_eq!(
-        heap, wheel,
-        "async sampled exports must match byte-for-byte"
+/// FNV-1a over a rendered run, so a golden pins a whole log as one u64.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A HotBot run with one index partition's node killed mid-run and
+/// revived later, rendered with every counter, the `hb.coverage`
+/// summary and the `hb.coverage_ts` series: the degraded-coverage path
+/// (partitions missing from the hints, fan-out dispatches given up on)
+/// as well as the happy path.
+fn hotbot_degraded_run() -> String {
+    let mut cluster = HotBotBuilder::new()
+        .with_partitions(6)
+        .with_corpus_docs(600)
+        .with_frontends(1)
+        .build();
+    let report = cluster.attach_client(8.0, 160, Duration::from_secs(4));
+    let victim = cluster.partition_nodes[2];
+    cluster
+        .sim
+        .at(SimTime::from_secs(10), move |sim| sim.kill_node(victim));
+    cluster
+        .sim
+        .at(SimTime::from_secs(40), move |sim| sim.revive_node(victim));
+    cluster.sim.run_until(SimTime::from_secs(60));
+    let stats = cluster.sim.stats();
+    for key in ["hb.partition_misses", "hb.partial_answers", "stub.gave_up"] {
+        assert!(stats.counter(key) > 0, "the run must exercise {key}");
+    }
+    let mut out: String = stats
+        .all_counters()
+        .map(|(k, v)| format!("{k}={v};"))
+        .collect();
+    let cov = stats.summary("hb.coverage").expect("coverage observed");
+    out += &format!(
+        "coverage={}/{:x}/{:x}/{:x};",
+        cov.count(),
+        cov.mean().to_bits(),
+        cov.min().to_bits(),
+        cov.stddev().to_bits()
     );
-    assert!(heap.lines().count() > 0, "sampling should keep some spans");
+    let series = stats.series("hb.coverage_ts").expect("coverage sampled");
+    for (t, v) in series.points() {
+        out += &format!("{}:{:x};", t.as_nanos(), v.to_bits());
+    }
+    let r = report.borrow();
+    out += &format!(
+        "events={};answered={};partial={}",
+        cluster.sim.events_dispatched(),
+        r.answered,
+        r.partial_coverage
+    );
+    out
+}
+
+// Goldens recorded on the parent of the one-request-path change (PR 21),
+// when the TranSend and HotBot front ends still ran hand-written
+// per-request state machines: the async bodies that replaced them must
+// reproduce these runs bit for bit.
+
+#[test]
+fn transend_fingerprint_matches_the_legacy_golden() {
+    let (events, responses, bytes, counters) = transend_fingerprint(0xd5);
+    assert_eq!(
+        (events, responses, bytes, fnv(&counters)),
+        (10_179, 121, 203_562, 0xbec4_38c4_d664_face)
+    );
+}
+
+#[test]
+fn chaos_monitor_log_matches_the_legacy_golden() {
+    assert_eq!(fnv(&chaos_monitor_log(0xFA)), 0x3fcc_c93b_63ee_8af7);
+}
+
+#[test]
+fn sampled_trace_export_matches_the_legacy_golden() {
+    let jsonl = transend_trace_jsonl_sampled(0xd7, SchedulerKind::default(), 4);
+    assert_eq!(
+        (jsonl.lines().count(), fnv(&jsonl)),
+        (217, 0x8cc8_b621_ad18_cdb3)
+    );
+}
+
+#[test]
+fn hotbot_degraded_run_matches_the_legacy_golden() {
+    assert_eq!(fnv(&hotbot_degraded_run()), 0x158d_5fa1_5775_d651);
 }
 
 #[test]

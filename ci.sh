@@ -67,12 +67,14 @@ if [ ! -s BENCH_sim.json ]; then
   echo "BENCH_sim.json missing or empty after the bench stage" >&2
   exit 1
 fi
-echo "== bench stage: trace_overhead (disabled-path + sampled-path guards)"
+echo "== bench stage: trace_overhead (sampled-path guard against its own A/A noise)"
 # Runs the TranSend request-path profile disabled / disabled-again /
-# enabled / head-sampled-1-in-64 in one process, asserts all four runs
-# dispatched bit-identical event streams, and fails if the disabled
-# path regresses more than 2% against its A/A control or the
-# enabled-but-sampled-out path costs more than 2% over disabled.
+# enabled / head-sampled-1-in-64 in one process, interleaved run by run
+# over 10 rounds, and asserts every run dispatched a bit-identical event
+# stream. It fails if the median round's sampled/base ratio exceeds
+# max(2%, 1.5 x the worst round's |off/base - 1|): the sampled-out path
+# is judged against this run's own A/A noise, not a fixed constant that
+# host noise alone could trip.
 # Appends request_path/* rows and the span-derived slo/* summary rows
 # to BENCH_sim.json (replacing stale ones), so the row guard covers
 # both bench binaries and the SLO pipeline.
@@ -161,7 +163,7 @@ echo "   ok: gate passes clean and catches the injected slowdown"
 echo "== rt_scaling stage: worker-scaling curve guard"
 # The sharded dispatch plane must keep the scaling curve near-linear:
 # 8 workers at least 2x the 1-worker throughput on the service-bound
-# batch (the bench itself reports ~7.7x; 2.0 leaves headroom for a
+# batch (the bench itself reports ~7.9x; 2.0 leaves headroom for a
 # loaded single-core runner). A regression here means submits are
 # serializing on a shared lock again.
 scaling_mean() {
@@ -208,6 +210,11 @@ chaos_suite sns-rt scaling 2
 # latency cases fail on a polling driver) and every accepted dispatch is
 # answered with a typed result across crash and shutdown.
 chaos_suite sns-rt serve_wake 5
+# Service time is a deadline: real work runs inside it, longer work
+# adds no wait, service spans end within microseconds of it, and a
+# front end's nap ends at its deadline (all four fail on a worker that
+# sleeps the service and then works, and a serve that blocks to a nap).
+chaos_suite sns-rt service_time 4
 # Placement by live queue gauge: back-to-back submits through different
 # shards and threads land on distinct idle workers (fails on a lottery),
 # a job placed on a busy class is counted, a killed worker loses none.

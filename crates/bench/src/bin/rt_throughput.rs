@@ -6,9 +6,10 @@
 //!   channel, with `time_scale: 0` so service time is zero and the
 //!   measurement isolates dispatch and channel overhead per job.
 //! * `scaling/workers{1,2,4,8,16}` — the worker-scaling curve: a
-//!   fixed batch of jobs with a real (slept) service time, submitted
-//!   from several threads, with one dispatch shard per worker.
-//!   Service sleeps overlap across worker threads, so wall time
+//!   fixed batch of jobs with a real service time (a deadline each
+//!   worker waits out), submitted from several threads, with one
+//!   dispatch shard per worker. The waits overlap across worker
+//!   threads, so wall time
 //!   should fall near-linearly with the pool size until
 //!   the dispatch plane stops being the bottleneck — this is the curve
 //!   `ci.sh`'s `rt_scaling` stage guards (1→8 workers must be ≥ 2×).

@@ -5,9 +5,10 @@
 //! is disabled each site costs one `Option` branch. This bench proves
 //! that cost is inside the noise floor: the same TranSend request-path
 //! profile (pass-through requests through admission → lottery dispatch
-//! → queue → service → reply) is measured four times in one process —
+//! → queue → service → reply) is measured in four configurations in one
+//! process —
 //!
-//! * `request_path/base` — tracing disabled, first measurement;
+//! * `request_path/base` — tracing disabled;
 //! * `request_path/off`  — tracing disabled again (the A/A control:
 //!   any base↔off gap is pure measurement noise);
 //! * `request_path/on`   — tracing enabled, every span recorded;
@@ -15,12 +16,17 @@
 //!   the always-on production configuration, where almost every
 //!   request takes the enabled-but-sampled-out path.
 //!
-//! The bin asserts the disabled path's A/A regression stays ≤ 2%
-//! (fastest-batch means), that the enabled-but-sampled-out path also
-//! stays ≤ 2% over the disabled baseline, and that all four
-//! configurations dispatch bit-identical simulations — recording (or
-//! deciding not to record) spans must observe the run, never perturb
-//! it. Rows are *appended* to `BENCH_sim.json` alongside the
+//! The four are measured in interleaved rounds, each round timing every
+//! configuration for a short budget (starting from a different one each
+//! round), so a host that speeds up or slows down mid-run moves every
+//! configuration alike instead of landing on whichever block it hit.
+//! Each round yields one fastest run per configuration and so one
+//! `x/base` ratio. The bin asserts that the median round's
+//! `sampled/base` stays within `max(2%, 1.5 × worst |off/base − 1|)` —
+//! the sampled-out path costs no more than this run's own A/A noise —
+//! and that all four configurations dispatch bit-identical simulations:
+//! recording (or deciding not to record) spans must observe the run,
+//! never perturb it. Rows are *appended* to `BENCH_sim.json` alongside the
 //! `sim_throughput` scheduler rows, together with the span-derived
 //! `slo/*` summary rows aggregated from the fully traced run.
 //!
@@ -28,12 +34,12 @@
 //! cargo run -p sns-bench --release --bin trace_overhead [-- OUTPUT.json]
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sns_core::slo::SloAggregator;
 use sns_core::trace::TraceLog;
 use sns_sim::time::SimTime;
-use sns_testkit::{BenchConfig, BenchSuite};
+use sns_testkit::BenchSuite;
 use sns_transend::client::ClientReportHandle;
 use sns_transend::{TranSendBuilder, TranSendCluster};
 use sns_workload::trace::TraceRecord;
@@ -98,60 +104,83 @@ fn append_rows(path: &str, new_rows_json: &str) {
     std::fs::write(path, format!("[\n{body}\n]")).expect("write bench rows");
 }
 
+/// Measured rounds; one more, discarded, warms up first.
+const ROUNDS: usize = 10;
+/// Runs of each configuration per round, the four taking turns run by
+/// run so a slow stretch of the host lands on all of them.
+const CYCLES: usize = 8;
+/// Head-sampling rate of the always-on configuration.
+const SAMPLE_RATE: u32 = 64;
+/// `(row tag, tracing, sample rate)`; each cycle of a round starts one
+/// entry later than the last, so none always runs first.
+const CONFIGS: [(&str, bool, u32); 4] = [
+    ("base", false, 1),
+    ("off", false, 1),
+    ("on", true, 1),
+    ("sampled", true, SAMPLE_RATE),
+];
+
+/// One run's simulation: (events dispatched, responses, bytes received).
+type Fingerprint = (u64, u64, u64);
+
+/// Builds a cluster untimed, then times its run.
+fn run_once(traced: bool, rate: u32) -> (Duration, Fingerprint, Option<TraceLog>) {
+    let (mut cluster, report) = build(traced, rate);
+    let t = Instant::now();
+    cluster.sim.run_until(SimTime::from_secs(30));
+    let wall = t.elapsed();
+    let r = report.borrow();
+    assert_eq!(r.responses, REQUESTS, "every request must be answered");
+    let fingerprint = (
+        cluster.sim.events_dispatched(),
+        r.responses,
+        r.bytes_received,
+    );
+    (wall, fingerprint, cluster.trace())
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let mut suite = BenchSuite::with_config(
-        "sim",
-        BenchConfig {
-            warmup: Duration::from_millis(50),
-            measure: Duration::from_millis(400),
-            ..Default::default()
-        },
-    );
+    let mut suite = BenchSuite::new("sim");
 
-    /// Head-sampling rate of the always-on configuration.
-    const SAMPLE_RATE: u32 = 64;
-    let mut fingerprints: Vec<(u64, u64, u64)> = Vec::new();
+    let mut samples: [Vec<f64>; 4] = Default::default();
+    // The fastest run of each configuration in each measured round.
+    let mut fastest = [[f64::INFINITY; 4]; ROUNDS];
+    let mut fingerprint: Option<Fingerprint> = None;
     let mut full_trace: Option<TraceLog> = None;
     let mut sampled_spans = 0usize;
-    let configs = [
-        ("base", false, 1),
-        ("off", false, 1),
-        ("on", true, 1),
-        ("sampled", true, SAMPLE_RATE),
-    ];
-    for (tag, traced, rate) in configs {
-        let mut last = None;
-        suite.bench_batched(
-            &format!("request_path/{tag}"),
-            || build(traced, rate),
-            |(mut cluster, report)| {
-                cluster.sim.run_until(SimTime::from_secs(30));
-                let r = report.borrow();
-                assert_eq!(r.responses, REQUESTS, "every request must be answered");
-                last = Some((
-                    cluster.sim.events_dispatched(),
-                    r.responses,
-                    r.bytes_received,
-                ));
-                if traced && rate == 1 {
-                    full_trace = Some(cluster.trace().expect("tracing enabled"));
-                } else if traced {
-                    sampled_spans = cluster.trace().expect("tracing enabled").len();
+    for round in 0..=ROUNDS {
+        for cycle in 0..CYCLES {
+            for k in 0..CONFIGS.len() {
+                let i = (round + cycle + k) % CONFIGS.len();
+                let (tag, traced, rate) = CONFIGS[i];
+                let (wall, fp, trace) = run_once(traced, rate);
+                // Tracing — on, off, or sampled — must observe the run,
+                // not perturb it: every configuration executes the
+                // bit-identical simulation (the sampling decision never
+                // touches component RNGs).
+                let first = *fingerprint.get_or_insert(fp);
+                assert_eq!(fp, first, "enabling tracing changed the simulation ({tag})");
+                match trace {
+                    Some(t) if rate == 1 => full_trace = Some(t),
+                    Some(t) => sampled_spans = t.len(),
+                    None => {}
                 }
-            },
-        );
-        fingerprints.push(last.expect("at least one measured run"));
+                if round > 0 {
+                    let ns = wall.as_nanos() as f64;
+                    samples[i].push(ns);
+                    fastest[round - 1][i] = fastest[round - 1][i].min(ns);
+                }
+            }
+        }
     }
-    // Tracing — on, off, or sampled — must observe the run, not
-    // perturb it: all four configurations executed the bit-identical
-    // simulation (the sampling decision never touches component RNGs).
-    assert!(
-        fingerprints.iter().all(|f| *f == fingerprints[0]),
-        "enabling tracing changed the simulation: {fingerprints:?}"
-    );
     let full_trace = full_trace.expect("the traced run ran");
     let spans_recorded = full_trace.len();
     assert!(
@@ -163,34 +192,42 @@ fn main() {
         "1-in-{SAMPLE_RATE} sampling must keep a small non-empty slice: \
          {sampled_spans} of {spans_recorded} spans"
     );
+    for ((tag, ..), runs) in CONFIGS.iter().zip(&samples) {
+        suite.record(&format!("request_path/{tag}"), runs);
+    }
 
-    let row = |name: &str| {
-        suite
-            .rows()
-            .iter()
-            .find(|r| r.bench == name)
-            .expect("row exists")
-    };
-    let base = row("request_path/base").min_ns;
-    let off = row("request_path/off").min_ns;
-    let on = row("request_path/on").min_ns;
-    let sampled = row("request_path/sampled").min_ns;
+    // Per-round ratios against the same round's base: drift between
+    // rounds cancels, what is left is this host's noise and the cost.
+    let ratios = |i: usize| -> Vec<f64> { fastest.iter().map(|r| r[i] / r[0]).collect() };
+    let (off, on, sampled) = (ratios(1), ratios(2), ratios(3));
+    let pct = |r: f64| (r - 1.0) * 100.0;
+    for (round, ((o, e), s)) in off.iter().zip(&on).zip(&sampled).enumerate() {
+        println!(
+            "   round {round}: off {:+.2}%  on {:+.2}%  sampled {:+.2}%",
+            pct(*o),
+            pct(*e),
+            pct(*s)
+        );
+    }
+    let noise = off.iter().map(|r| (r - 1.0).abs()).fold(0.0, f64::max);
+    let bound = (1.5 * noise).max(0.02);
+    let sampled_cost = median(sampled) - 1.0;
     println!(
-        "-- disabled-path A/A delta {:+.2}%   enabled cost {:+.2}%   sampled-out cost {:+.2}%   \
+        "-- {ROUNDS} interleaved rounds, medians: disabled-path A/A delta {:+.2}% (worst {:.2}%)   \
+         enabled cost {:+.2}%   sampled-out cost {:+.2}% (bound {:.2}%)   \
          ({spans_recorded} spans/run on, {sampled_spans} at 1/{SAMPLE_RATE})",
-        (off / base - 1.0) * 100.0,
-        (on / base - 1.0) * 100.0,
-        (sampled / base - 1.0) * 100.0,
+        pct(median(off)),
+        noise * 100.0,
+        pct(median(on)),
+        sampled_cost * 100.0,
+        bound * 100.0,
     );
     assert!(
-        off <= base * 1.02,
-        "disabled tracing path regressed the request profile by more than 2%: \
-         base {base:.0} ns vs off {off:.0} ns"
-    );
-    assert!(
-        sampled <= base * 1.02,
-        "enabled-but-sampled-out tracing costs more than 2% over disabled: \
-         base {base:.0} ns vs sampled {sampled:.0} ns"
+        sampled_cost <= bound,
+        "enabled-but-sampled-out tracing costs {:+.2}% over disabled in the median round, \
+         beyond max(2%, 1.5 x this run's worst A/A delta) = {:.2}%",
+        sampled_cost * 100.0,
+        bound * 100.0
     );
 
     // Span-derived SLO summary rows from the fully traced run: request

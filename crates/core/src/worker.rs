@@ -49,7 +49,10 @@ pub trait WorkerLogic: Send {
     /// occupancy; real workers would simply take this long).
     fn service_time(&mut self, job: &Job, now: SimTime, rng: &mut Pcg32) -> Duration;
 
-    /// Performs the job once its service time has elapsed.
+    /// Performs the job. The simulator calls it once the service time
+    /// has elapsed and it takes no virtual time; the threaded runtime
+    /// runs it inside the service time, so a job holds its worker for
+    /// whichever of the two is longer.
     fn process(&mut self, job: &Job, now: SimTime, rng: &mut Pcg32)
         -> Result<Payload, WorkerError>;
 

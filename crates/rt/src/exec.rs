@@ -36,7 +36,7 @@ use sns_core::msg::{ClientRequest, JobResult};
 use sns_core::Payload;
 use sns_sim::ComponentId;
 
-use crate::RtCluster;
+use crate::{sleep_until, RtCluster};
 
 /// The served request's outcome plus the stats the body emitted (the
 /// sim front end writes these into the engine stats hub; here the
@@ -128,13 +128,12 @@ pub fn serve<S: AsyncService>(
         }
 
         // Block until the next event: a reply the moment its worker
-        // sends it, or the nearest nap deadline. Filled slots wake the
+        // sends it, or the nearest nap deadline — on time, the way a
+        // worker meets its service deadline. Filled slots wake the
         // body, so loop straight back into run_ready.
         let next_nap = naps.iter().map(|&(_, deadline)| deadline).min();
         let first = match next_nap {
-            Some(deadline) => done_rx
-                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                .ok(),
+            Some(deadline) => sleep_until(deadline, |d| done_rx.recv_timeout(d).ok()),
             None if in_flight > 0 => done_rx.recv().ok(),
             // Nothing in flight and no timer armed: no event can ever
             // wake the body again.

@@ -46,8 +46,12 @@
 //!
 //! Scope: this is the laptop-scale runtime for examples and tests, not a
 //! distributed deployment; "nodes" are threads and the SAN is a channel
-//! fabric. Service times from the worker logic are honoured by sleeping
-//! (scaled by [`RtConfig::time_scale`], so tests stay fast).
+//! fabric. A job's modelled service time (scaled by
+//! [`RtConfig::time_scale`], so tests stay fast) is a *deadline*: the
+//! worker runs the logic's real `process` inside it and then waits out
+//! the rest, so a job occupies its worker for `max(service, real work)`
+//! — the simulator's rule — and the wait ends on time rather than after
+//! the kernel's timer slack.
 //!
 //! ```
 //! use sns_rt::{RtCluster, RtConfig};
@@ -128,6 +132,50 @@ fn lock<'a, T>(m: &'a Mutex<T>, poisoned: &AtomicU64) -> MutexGuard<'a, T> {
 
 fn read_routes(r: &RwLock<Routes>) -> RwLockReadGuard<'_, Routes> {
     r.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How long before a deadline [`sleep_until`] stops sleeping and starts
+/// spinning. A Linux sleep ends up to the thread's timer slack (50 µs
+/// by default) plus a scheduler wake-up after it was due — for a 1–2 ms
+/// sleep on a 2-core VM, ≈70 µs at the median under load and 80–95 µs
+/// idle — so sleeping to 100 µs short of the deadline usually wakes
+/// before it, and a later wake-up still ends no later than a plain
+/// sleep would. Every microsecond of tail is spun on a core another
+/// thread may need: a 200 µs tail let spinning workers delay each
+/// other's deadlines (`rt_pipeline` service +1.4–2.6 % over
+/// configured, against +0.6–0.7 % at 100 µs). A constant rather than
+/// `prctl(PR_SET_TIMERSLACK)`: that needs `unsafe` FFI, which the
+/// workspace has none of.
+const TAIL: Duration = Duration::from_micros(100);
+
+/// Waits until `deadline`, or until `wait` returns something. `wait(d)`
+/// blocks for at most `d` (`thread::sleep` for a worker, a completion
+/// queue's `recv_timeout` for a front end); it is called with the time
+/// left minus [`TAIL`] while that is positive, then with zero in a spin
+/// until the deadline passes, so the wait never ends early and ends
+/// late only when the sleep itself woke past the deadline. The tail
+/// spins rather than calling `yield_now`:
+/// on cores saturated by other threads a yield hands the CPU away for a
+/// whole scheduler slice (a 2 ms wait then ended ≈1.7 ms late, against
+/// ≈85 µs for a plain sleep), while the spin keeps the core its wake-up
+/// won for at most `TAIL`.
+pub(crate) fn sleep_until<T>(
+    deadline: Instant,
+    mut wait: impl FnMut(Duration) -> Option<T>,
+) -> Option<T> {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        let woke = wait(left.saturating_sub(TAIL));
+        if woke.is_some() {
+            return woke;
+        }
+        if left <= TAIL {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// Runtime configuration. Build with [`RtConfig::new`] and the fluent
@@ -963,10 +1011,12 @@ impl RtCluster {
         self.need_workers(need);
     }
 
-    /// Spawns one worker thread. The thread honours service times by
-    /// sleeping (scaled), crashes by *not replying* (the queue is
-    /// salvaged later), and reports completions straight into its
-    /// dispatch shard.
+    /// Spawns one worker thread. The thread treats a job's (scaled)
+    /// service time as a deadline: it runs `process` inside it and
+    /// waits out the remainder ([`sleep_until`]), so real work longer
+    /// than the service adds no wait and the service span covers both.
+    /// It crashes by *not replying* (the queue is salvaged later) and
+    /// reports completions straight into its dispatch shard.
     fn spawn_worker_thread(
         &self,
         mut logic: Box<dyn WorkerLogic>,
@@ -1033,7 +1083,13 @@ impl RtCluster {
                         }
                         Err(_) => break, // shut down, or inbox closed and drained
                     };
-                    let now = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
+                    // One clock read stamps the service start and anchors
+                    // its deadline, so the service span is never shorter
+                    // than the service and the span bookkeeping below
+                    // runs inside it.
+                    let dequeued = Instant::now();
+                    let now =
+                        SimTime::from_nanos(dequeued.duration_since(started).as_nanos() as u64);
                     let me = ComponentId(id);
                     let parent = trace::job_span_id(rt_job.job.reply_to, rt_job.job.id);
                     if rt_job.job.sampled && tracer.is_enabled() {
@@ -1052,7 +1108,12 @@ impl RtCluster {
                     }
                     let service = logic.service_time(&rt_job.job, now, &mut rng);
                     let factor = time_scale.max(0.0) * f64::from_bits(slow.load(Ordering::Relaxed));
-                    std::thread::sleep(service.mul_f64(factor));
+                    let deadline = dequeued + service.mul_f64(factor);
+                    let outcome = logic.process(&rt_job.job, now, &mut rng);
+                    sleep_until(deadline, |d| {
+                        std::thread::sleep(d);
+                        None::<()>
+                    });
                     let done = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
                     let service_span = |bytes: u64, ok: bool| {
                         if rt_job.job.sampled && tracer.is_enabled() {
@@ -1070,7 +1131,6 @@ impl RtCluster {
                             ));
                         }
                     };
-                    let outcome = logic.process(&rt_job.job, now, &mut rng);
                     // The job leaves this worker — done, failed or lost
                     // with the crash — before its reply can be seen, so a
                     // submitter woken by the reply reads a gauge that no

@@ -152,6 +152,17 @@ impl BenchSuite {
         self.push_row(name, iters, summary);
     }
 
+    /// Adds a row from per-iteration times the caller measured itself —
+    /// for benches that interleave several configurations round by
+    /// round instead of timing each in one block.
+    pub fn record(&mut self, name: &str, samples_ns: &[f64]) {
+        let mut summary = Summary::with_capacity(samples_ns.len());
+        for &ns in samples_ns {
+            summary.record(ns);
+        }
+        self.push_row(name, samples_ns.len() as u64, summary);
+    }
+
     fn push_row(&mut self, name: &str, iters: u64, mut summary: Summary) {
         let row = BenchRow {
             group: self.group.clone(),
@@ -280,6 +291,15 @@ mod tests {
         for r in suite.rows() {
             assert!(r.samples >= 5, "{} got {} samples", r.bench, r.samples);
         }
+    }
+
+    #[test]
+    fn record_builds_a_row_from_caller_timed_samples() {
+        let mut suite = BenchSuite::with_config("selftest", fast_cfg());
+        suite.record("timed_elsewhere", &[30.0, 10.0, 20.0]);
+        let r = &suite.rows()[0];
+        assert_eq!((r.iters, r.samples), (3, 3));
+        assert_eq!((r.min_ns, r.max_ns, r.mean_ns), (10.0, 30.0, 20.0));
     }
 
     #[test]

@@ -58,10 +58,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test --doc -q --offline --workspace
 
 echo "== bench stage: sim_throughput macro-bench (release, 1M events/run)"
-# The scheduler macro-bench doubles as a determinism check: it asserts
-# in-process that heap and wheel runs of every profile dispatch the
-# exact same events, then records the rows. An empty or missing
-# BENCH_sim.json means the bench silently stopped measuring.
+# Times the engine on three 1M-event profiles (message ring, spawn
+# churn, a million standing timers) and asserts in-process that every
+# profile's repeated runs dispatch the same events to the same end
+# time. An empty or missing BENCH_sim.json means the bench silently
+# stopped measuring.
 cargo run -p sns-bench --release --offline --bin sim_throughput -- BENCH_sim.json
 if [ ! -s BENCH_sim.json ]; then
   echo "BENCH_sim.json missing or empty after the bench stage" >&2
@@ -80,55 +81,17 @@ echo "== bench stage: trace_overhead (sampled-path guard against its own A/A noi
 # both bench binaries and the SLO pipeline.
 cargo run -p sns-bench --release --offline --bin trace_overhead -- BENCH_sim.json
 
-echo "== bench stage: sim_scale (sharded lanes + million-user flow replay)"
-# Proves fidelity before it measures: sequential/parallel fingerprints
-# must match at 1/2/4 shards, and the flow-mode replay must deliver the
-# same request count as the per-datagram path with delays inside the
-# (0.5, 2.0) band. Appends scale/* and replay/* rows to BENCH_sim.json.
-# Two gates ride the rows: the flow-vs-datagram replay speedup is
-# algorithmic and must always hold (>= 10x on the matched window); the
-# 4-shard route-profile speedup needs real cores, so it is only
-# enforced on hosts with >= 4 CPUs.
+echo "== bench stage: sim_scale (million-user replay at two SAN fidelity levels)"
+# Proves fidelity before it measures: the flow-mode replay must deliver
+# the same request count as the per-datagram path on a matched window,
+# with mean delay inside the (0.5, 2.0) band, and must run >= 10x faster
+# (the bin asserts both in-process). Appends the three replay/* rows to
+# BENCH_sim.json.
 cargo run -p sns-bench --release --offline --bin sim_scale -- BENCH_sim.json
-scale_min() {
-  grep "\"bench\":\"$1\"" BENCH_sim.json \
-    | sed -E 's/.*"min_ns":([0-9.]+).*/\1/'
-}
-for row in scale/route/shards1 scale/route/shards2 scale/route/shards4 \
-           replay/datagram_window replay/flow_window replay/flow_24h; do
-  if [ -z "$(scale_min "$row")" ]; then
-    echo "BENCH_sim.json is missing the $row row after sim_scale" >&2
-    exit 1
-  fi
-done
-dgram=$(scale_min replay/datagram_window)
-flow=$(scale_min replay/flow_window)
-flow_speedup=$(awk -v a="$dgram" -v b="$flow" \
-  'BEGIN { if (a > 0 && b > 0) printf "%.1f", a / b; else print "0" }')
-echo "   flow-level replay speedup: ${flow_speedup}x"
-if ! awk -v r="$flow_speedup" 'BEGIN { exit !(r >= 10.0) }'; then
-  echo "flow replay speedup $flow_speedup < 10.0: flow mode stopped paying" >&2
-  exit 1
-fi
-cores=$(nproc 2>/dev/null || echo 1)
-s1=$(scale_min scale/route/shards1)
-s4=$(scale_min scale/route/shards4)
-shard_speedup=$(awk -v a="$s1" -v b="$s4" \
-  'BEGIN { if (a > 0 && b > 0) printf "%.2f", a / b; else print "0" }')
-echo "   4-shard route-profile speedup: ${shard_speedup}x on $cores core(s)"
-if [ "$cores" -ge 4 ]; then
-  if ! awk -v r="$shard_speedup" 'BEGIN { exit !(r >= 2.0) }'; then
-    echo "4-shard speedup $shard_speedup < 2.0 on a $cores-core host: lanes are serializing" >&2
-    exit 1
-  fi
-  echo "   ok: shard speedup $shard_speedup >= 2.0"
-else
-  echo "   SKIPPED shard-speedup gate: host has $cores core(s), needs >= 4 to measure parallelism"
-fi
 
 rows=$(grep -c '"bench"' BENCH_sim.json || true)
-if [ "$rows" -lt 21 ]; then
-  echo "BENCH_sim.json carries $rows rows, expected >= 21 (6 scheduler + 4 trace_overhead + >= 5 slo + 6 sim_scale)" >&2
+if [ "$rows" -lt 15 ]; then
+  echo "BENCH_sim.json carries $rows rows, expected >= 15 (3 sim_throughput + 4 trace_overhead + >= 5 slo + 3 replay)" >&2
   exit 1
 fi
 echo "   ok: $rows bench rows in BENCH_sim.json"
@@ -227,12 +190,11 @@ echo "== chaos stage: fault-injection suites under a pinned seed"
 # number of tests it is supposed to carry.
 chaos_suite sns-chaos prop 5
 chaos_suite cluster-sns failure_recovery 12
-chaos_suite cluster-sns determinism 14
+chaos_suite cluster-sns determinism 11
 chaos_suite cluster-sns paper_shapes 4
 chaos_suite cluster-sns trace_shapes 3
 chaos_suite cluster-sns flow_shapes 5
-chaos_suite sns-sim sched_equiv 3
-chaos_suite sns-sim lane_equiv 4
+chaos_suite sns-sim sched_equiv 2
 
 echo "== exec stage: deterministic executor + async request path"
 # The executor-contract property suite (wake-order replay, timeout /

@@ -1,29 +1,15 @@
-//! Scaling of the simulator itself: cores and abstraction levels.
+//! Scaling of the simulator by abstraction level: the million-user
+//! diurnal replay ([`sns_workload::ReplayLoad`], peak rotated to the
+//! window) through the SAN at both fidelity levels. `replay/datagram_window`
+//! walks every request through the exact per-message model,
+//! `replay/flow_window` offers the same epochs as aggregate flows
+//! (`San::offer_flow`), and `replay/flow_24h` is the headline full-day
+//! flow-level replay. Rows are appended to `BENCH_sim.json`.
 //!
-//! Two families of rows, both appended to `BENCH_sim.json`:
-//!
-//! * `scale/route/shardsN` — the *route profile*: a fixed ring of token
-//!   routers (CPU burst per hop, cross-shard hops over 1 ms boundary
-//!   links) partitioned into 1 / 2 / 4 event lanes and driven with
-//!   [`sns_sim::ShardedSim::run_parallel`]. The total work is identical
-//!   across shard counts, so `shards1 / shards4` wall-clock is the
-//!   parallel speedup. Before timing anything the bin asserts, per shard
-//!   count, that the parallel driver's fingerprint is byte-identical to
-//!   the sequential driver's — speed never buys back determinism.
-//! * `replay/*` — the million-user diurnal replay
-//!   ([`sns_workload::ReplayLoad`], peak rotated to the window) through
-//!   the SAN at both fidelity levels: `datagram_window` walks every
-//!   request through the exact per-message model, `flow_window` offers
-//!   the same epochs as aggregate flows (`San::offer_flow`), and
-//!   `flow_24h` is the headline full-day flow-level replay. The bin
-//!   asserts the two windows agree on delivered counts and mean delay
-//!   (coarse fidelity band — the fine bands live in the `flow_shapes`
-//!   suite) and that flow mode is ≥10× faster on the matched window.
-//!
-//! The 4-shard speedup is *printed*, not asserted: ci.sh gates it at
-//! ≥2.0× only on hosts with ≥4 cores (a single-core runner cannot
-//! measure parallelism). The ≥10× flow speedup is asserted here — it is
-//! algorithmic, not core-count dependent.
+//! Fidelity before speed: the bin asserts the two windows agree on
+//! delivered counts and mean delay (coarse band — the fine bands live in
+//! the `flow_shapes` suite), then that flow mode is ≥10× faster on the
+//! matched window. The speedup is algorithmic, so it holds on any host.
 //!
 //! ```sh
 //! cargo run -p sns-bench --release --bin sim_scale [-- OUTPUT.json]
@@ -32,128 +18,11 @@
 use std::time::Duration;
 
 use sns_san::{San, SanConfig, SanMode};
-use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
-use sns_sim::network::{Delivery, Endpoint, IdealNetwork, Network, TrafficClass};
+use sns_sim::network::{Delivery, Endpoint, Network, TrafficClass};
 use sns_sim::time::SimTime;
-use sns_sim::{ComponentId, Lane, NodeId, Pcg32, PortId, ShardedSim, Uplink};
+use sns_sim::{ComponentId, NodeId, Pcg32};
 use sns_testkit::{BenchConfig, BenchSuite};
 use sns_workload::ReplayLoad;
-
-/// Routers in the ring (total, across all shards).
-const ROUTERS: u32 = 8;
-/// Tokens circulating concurrently.
-const TOKENS: u64 = 32;
-/// Hops each token makes before dying.
-const TTL: u64 = 400;
-/// CPU burst per hop.
-const HOP_WORK: Duration = Duration::from_micros(50);
-/// Shard-local work messages fanned out per ring hop — the per-shard
-/// event volume the parallel driver gets to overlap across cores.
-const BURST: u64 = 16;
-
-#[derive(Clone)]
-struct Tok(u64);
-impl Wire for Tok {
-    fn wire_size(&self) -> u64 {
-        64
-    }
-}
-
-/// Where a router forwards to: its ring successor, either on the same
-/// shard (direct send) or across the boundary (uplink).
-enum Next {
-    Local(ComponentId),
-    Up(Uplink<Tok>),
-}
-
-/// One ring hop: burn a CPU burst, fan local work out to the shard's
-/// sink, then forward the decremented token.
-struct Router {
-    next: Next,
-    sink: ComponentId,
-}
-
-impl Component<Tok> for Router {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Tok>, _from: ComponentId, msg: Tok) {
-        ctx.stats().incr("hops", 1);
-        if msg.0 == 0 {
-            ctx.stats().incr("retired", 1);
-            return;
-        }
-        ctx.exec_cpu(HOP_WORK, msg.0);
-    }
-
-    fn on_cpu_done(&mut self, ctx: &mut Ctx<'_, Tok>, token: u64) {
-        for _ in 0..BURST {
-            ctx.send(self.sink, Tok(0));
-        }
-        match &self.next {
-            Next::Local(c) => ctx.send(*c, Tok(token - 1)),
-            Next::Up(u) => u.send(ctx.now(), Tok(token - 1)),
-        }
-    }
-}
-
-/// Counts the shard-local work messages.
-struct Sink;
-
-impl Component<Tok> for Sink {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Tok>, _from: ComponentId, _msg: Tok) {
-        ctx.stats().incr("work", 1);
-    }
-}
-
-/// The route profile partitioned into `shards` lanes: routers
-/// `[lo, hi)` per shard, ring successor local within a shard, uplinked
-/// at the shard edge. Port `s` is bound to shard `s`'s first router.
-fn route_profile(shards: u32) -> ShardedSim<Tok, IdealNetwork> {
-    assert_eq!(ROUTERS % shards, 0, "even partition");
-    let span = ROUTERS / shards;
-    let mut ss: ShardedSim<Tok, IdealNetwork> = ShardedSim::new(Duration::from_millis(1));
-    for _ in 0..shards {
-        ss.add_shard(move |shard| {
-            let sim = Sim::new(
-                SimConfig::new().with_seed(0x5ca1e ^ u64::from(shard.0)),
-                IdealNetwork::default(),
-            );
-            let mut lane = Lane::new(sim);
-            let node = lane.sim().add_node(NodeSpec::new(2, "dedicated"));
-            let sink = lane.sim().spawn(node, Box::new(Sink), "sink");
-            // Spawn the shard's routers from the ring edge back to the
-            // port anchor so each knows its successor's id; the edge
-            // router uplinks to the next shard's port.
-            let up = lane.uplink(PortId((shard.0 + 1) % shards));
-            let mut next = Next::Up(up);
-            let mut anchor = None;
-            for _ in 0..span {
-                let id = lane
-                    .sim()
-                    .spawn(node, Box::new(Router { next, sink }), "router");
-                next = Next::Local(id);
-                anchor = Some(id);
-            }
-            let anchor = anchor.expect("span >= 1");
-            lane.bind(PortId(shard.0), anchor);
-            // Every shard launches its share of the tokens, staggered.
-            for t in 0..TOKENS / u64::from(shards) {
-                lane.sim()
-                    .inject_at(SimTime::from_millis(t), anchor, Tok(TTL));
-            }
-            lane.set_report(|sim| {
-                format!(
-                    "hops={} retired={} work={}",
-                    sim.stats().counter("hops"),
-                    sim.stats().counter("retired"),
-                    sim.stats().counter("work"),
-                )
-            });
-            lane
-        });
-    }
-    ss
-}
-
-const ROUTE_HORIZON: SimTime = SimTime::from_secs(60);
 
 /// Nodes on each side of the replayed SAN traffic matrix.
 const REPLAY_PAIRS: u32 = 4;
@@ -256,15 +125,12 @@ fn flow_replay(secs: u64) -> (u64, f64, u64) {
 }
 
 /// Rebuilds `path` as one JSON row array: every pre-existing row except
-/// stale `scale/*` and `replay/*` ones, then the given fresh rows.
+/// stale `replay/*` ones, then the given fresh rows.
 fn append_rows(path: &str, new_rows_json: &str) {
     let row_lines = |s: &str, drop_ours: bool| -> Vec<String> {
         s.lines()
             .filter(|l| l.contains("\"bench\":"))
-            .filter(|l| {
-                !(drop_ours
-                    && (l.contains("\"bench\":\"scale/") || l.contains("\"bench\":\"replay/")))
-            })
+            .filter(|l| !(drop_ours && l.contains("\"bench\":\"replay/")))
             .map(|l| l.trim_end().trim_end_matches(',').to_string())
             .collect()
     };
@@ -291,47 +157,8 @@ fn main() {
         },
     );
 
-    // Determinism first: per shard count, the parallel driver must be
-    // byte-identical to the sequential reference before its speed means
-    // anything.
-    let mut expected_hops = None;
-    for shards in [1u32, 2, 4] {
-        let seq = route_profile(shards).run_sequential(ROUTE_HORIZON);
-        let par = route_profile(shards).run_parallel(ROUTE_HORIZON);
-        assert_eq!(
-            seq.fingerprint(),
-            par.fingerprint(),
-            "shards={shards}: parallel run diverged from sequential"
-        );
-        // The ring retires every token regardless of partitioning.
-        let hops: u64 = TOKENS * TTL + TOKENS;
-        let got: u64 = seq
-            .reports
-            .iter()
-            .map(|r| {
-                r.split(&['=', ' '][..])
-                    .nth(1)
-                    .and_then(|h| h.parse().ok())
-                    .unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(got, hops, "shards={shards}: the full ring must run");
-        match expected_hops {
-            None => expected_hops = Some(hops),
-            Some(h) => assert_eq!(h, hops),
-        }
-    }
-
-    for shards in [1u32, 2, 4] {
-        suite.bench_batched(
-            &format!("scale/route/shards{shards}"),
-            || route_profile(shards),
-            |ss| ss.run_parallel(ROUTE_HORIZON),
-        );
-    }
-
-    // Fidelity before speed for the replay rows too: matched window,
-    // same envelope, both fidelity levels.
+    // Fidelity before speed: matched window, same envelope, both
+    // fidelity levels.
     let (d_del, d_delay, d_total) = datagram_replay(WINDOW_SECS);
     let (f_del, f_delay, f_total) = flow_replay(WINDOW_SECS);
     assert_eq!(d_total, f_total, "both replays offer the same envelope");
@@ -355,15 +182,9 @@ fn main() {
             .find(|r| r.bench == name)
             .expect("row exists")
     };
-    let s1 = row("scale/route/shards1").min_ns;
-    let s4 = row("scale/route/shards4").min_ns;
     let dgram = row("replay/datagram_window").min_ns;
     let flow = row("replay/flow_window").min_ns;
     let day = row("replay/flow_24h").min_ns;
-    println!(
-        "-- 4-shard speedup {:.2}x (route profile; ci gates >=2.0x on >=4-core hosts)",
-        s1 / s4
-    );
     println!(
         "-- flow-level replay {:.0}x faster than datagram on the matched {WINDOW_SECS}s peak \
          window ({d_total} requests); full 24h flow replay {:.1} ms/run vs ~{:.0} s estimated \

@@ -1,7 +1,7 @@
 //! Macro-benchmark of the discrete-event engine's scheduling/dispatch
-//! hot path: whole simulation runs of 1M+ events, measured for both
-//! pending-event schedulers (`heap` baseline vs `wheel` + arenas) in
-//! the same process so the recorded ratio is apples-to-apples.
+//! hot path: whole simulation runs of 1M+ events on the engine's timer
+//! wheel. Rows keep their `/wheel` suffix so they stay comparable with
+//! the recorded history, in which each profile also had a `/heap` row.
 //!
 //! Three profiles stress different parts of the hot path:
 //!
@@ -11,22 +11,22 @@
 //! * `spawn_1m` — components continuously spawning and killing
 //!   children (component-table churn, start/death bookkeeping).
 //! * `monitor_1m` — ~1M standing re-arming timers spread over 1000 s
-//!   of virtual time, the Section-2 monitoring workload shape: every
-//!   pop digs through a million-entry priority queue (heap) or drains
-//!   an O(1) wheel bucket.
+//!   of virtual time, the Section-2 monitoring workload shape: a
+//!   million entries stand in the queue, and each pop drains an O(1)
+//!   wheel bucket.
 //!
 //! ```sh
 //! cargo run -p sns-bench --release --bin sim_throughput [-- OUTPUT.json]
 //! ```
 //!
-//! Rows land in `BENCH_sim.json`; events/sec and the wheel-vs-heap
-//! speedup per profile print at the end.
+//! Rows land in `BENCH_sim.json`; events/sec per profile print at the
+//! end. Every profile's repeated runs must finish at the same time after
+//! the same number of events.
 
 use std::time::Duration;
 
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
 use sns_sim::network::IdealNetwork;
-use sns_sim::sched::SchedulerKind;
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 use sns_testkit::{BenchConfig, BenchSuite};
@@ -42,19 +42,16 @@ impl Wire for Ping {
     }
 }
 
-fn config(kind: SchedulerKind, max_events: u64) -> SimConfig {
-    SimConfig {
-        seed: 0x517,
-        scheduler: kind,
-        max_events,
-        ..Default::default()
-    }
+fn config(max_events: u64) -> SimConfig {
+    SimConfig::new()
+        .with_seed(0x517)
+        .with_max_events(max_events)
 }
 
 /// 64 tokens circulating a component ring; each delivery forwards to
 /// the next member, so 64 messages are always in flight and most of
 /// them share timestamps.
-fn route_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
+fn route_sim() -> Sim<Ping, IdealNetwork> {
     struct Fwd {
         next: ComponentId,
     }
@@ -63,7 +60,7 @@ fn route_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
             ctx.send(self.next, msg);
         }
     }
-    let mut sim: Sim<Ping, IdealNetwork> = Sim::new(config(kind, EVENTS), IdealNetwork::default());
+    let mut sim: Sim<Ping, IdealNetwork> = Sim::new(config(EVENTS), IdealNetwork::default());
     let ring = 64u64;
     let node = sim.add_node(NodeSpec::new(4, "dedicated"));
     // Component ids are allocated sequentially from 1, so each member
@@ -81,7 +78,7 @@ fn route_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
 
 /// Spawner components that kill their previous child and fork a new
 /// one on every timer tick (manager respawn-churn shape).
-fn spawn_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
+fn spawn_sim() -> Sim<Ping, IdealNetwork> {
     struct Child;
     impl Component<Ping> for Child {
         fn on_message(&mut self, _: &mut Ctx<'_, Ping>, _: ComponentId, _: Ping) {}
@@ -102,7 +99,7 @@ fn spawn_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
         }
         fn on_message(&mut self, _: &mut Ctx<'_, Ping>, _: ComponentId, _: Ping) {}
     }
-    let mut sim: Sim<Ping, IdealNetwork> = Sim::new(config(kind, EVENTS), IdealNetwork::default());
+    let mut sim: Sim<Ping, IdealNetwork> = Sim::new(config(EVENTS), IdealNetwork::default());
     for _ in 0..8 {
         let node = sim.add_node(NodeSpec::new(4, "dedicated"));
         for _ in 0..8 {
@@ -115,7 +112,7 @@ fn spawn_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
 /// ~1M standing timers uniformly spread over 1000 s of virtual time;
 /// each firing re-arms, so the pending population stays at ~1M for the
 /// whole run.
-fn monitor_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
+fn monitor_sim() -> Sim<Ping, IdealNetwork> {
     const WATCHERS: u64 = 1_000;
     const TIMERS_EACH: u64 = 1_000;
     const SPREAD_NS: u64 = 1_000 * 1_000_000_000;
@@ -136,7 +133,7 @@ fn monitor_sim(kind: SchedulerKind) -> Sim<Ping, IdealNetwork> {
     // Leave headroom for the Start events so the cap still cuts off at
     // EVENTS-many timer firings.
     let mut sim: Sim<Ping, IdealNetwork> =
-        Sim::new(config(kind, EVENTS + WATCHERS), IdealNetwork::default());
+        Sim::new(config(EVENTS + WATCHERS), IdealNetwork::default());
     let node = sim.add_node(NodeSpec::new(4, "dedicated"));
     for _ in 0..WATCHERS {
         sim.spawn(node, Box::new(Watcher), "watcher");
@@ -164,44 +161,24 @@ fn main() {
             ..Default::default()
         },
     );
-    type Builder = fn(SchedulerKind) -> Sim<Ping, IdealNetwork>;
+    type Builder = fn() -> Sim<Ping, IdealNetwork>;
     let profiles: [(&str, Builder); 3] = [
         ("route_1m", route_sim),
         ("spawn_1m", spawn_sim),
         ("monitor_1m", monitor_sim),
     ];
     for (profile, build) in profiles {
-        let mut per_kind: Vec<(SimTime, u64)> = Vec::new();
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let tag = match kind {
-                SchedulerKind::Heap => "heap",
-                SchedulerKind::Wheel => "wheel",
-            };
-            let mut fingerprints: Vec<(SimTime, u64)> = Vec::new();
-            suite.bench_batched(
-                &format!("{profile}/{tag}"),
-                || build(kind),
-                |mut sim| {
-                    sim.run();
-                    fingerprints.push((sim.now(), sim.events_dispatched()));
-                },
-            );
-            let f = fingerprints.last().copied().expect("at least one run");
-            assert!(
-                fingerprints.iter().all(|&x| x == f),
-                "{profile}/{tag}: repeated runs diverged"
-            );
-            println!(
-                "    {profile}/{tag}: finished at {} after {} events",
-                f.0, f.1
-            );
-            per_kind.push(f);
-        }
-        // Both schedulers must have executed the exact same run.
-        assert_eq!(
-            per_kind[0], per_kind[1],
-            "{profile}: heap and wheel runs diverged"
+        let mut fingerprints: Vec<(SimTime, u64)> = Vec::new();
+        suite.bench_batched(&format!("{profile}/wheel"), build, |mut sim| {
+            sim.run();
+            fingerprints.push((sim.now(), sim.events_dispatched()));
+        });
+        let f = fingerprints.last().copied().expect("at least one run");
+        assert!(
+            fingerprints.iter().all(|&x| x == f),
+            "{profile}: repeated runs diverged"
         );
+        println!("    {profile}: finished at {} after {} events", f.0, f.1);
     }
     suite.write_json(&out).expect("write bench rows");
 
@@ -215,15 +192,8 @@ fn main() {
             .mean_ns
     };
     for (profile, _) in profiles {
-        let heap_ns = row(&format!("{profile}/heap"));
-        let wheel_ns = row(&format!("{profile}/wheel"));
-        let eps = |ns: f64| EVENTS as f64 / (ns / 1e9);
-        println!(
-            "  {profile:<12} heap {:>12.0} ev/s   wheel {:>12.0} ev/s   speedup {:.2}x",
-            eps(heap_ns),
-            eps(wheel_ns),
-            heap_ns / wheel_ns
-        );
+        let ns = row(&format!("{profile}/wheel"));
+        println!("  {profile:<12} {:>12.0} ev/s", EVENTS as f64 / (ns / 1e9));
     }
     println!("wrote {} rows to {out}", suite.rows().len());
 }

@@ -27,7 +27,7 @@
 //! and that all four configurations dispatch bit-identical simulations:
 //! recording (or deciding not to record) spans must observe the run,
 //! never perturb it. Rows are *appended* to `BENCH_sim.json` alongside the
-//! `sim_throughput` scheduler rows, together with the span-derived
+//! `sim_throughput` engine rows, together with the span-derived
 //! `slo/*` summary rows aggregated from the fully traced run.
 //!
 //! ```sh

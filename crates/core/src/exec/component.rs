@@ -5,8 +5,8 @@
 //! trait. The engine keeps dispatching events exactly as before; the
 //! adapter translates them (message → mailbox push, timer pop →
 //! [`TimerHub::fire`]) and runs the executor, so every task wake-up is
-//! keyed to an engine event and pops in seq order off the existing
-//! `Scheduler` heap/wheel. After each run, newly armed sleeps drain
+//! keyed to an engine event and pops in seq order off the engine's
+//! timer wheel. After each run, newly armed sleeps drain
 //! into engine timers and queued sends drain into `ctx.send` — in
 //! emission order. Determinism therefore survives by construction:
 //! the body's effects are a pure function of the engine's (already

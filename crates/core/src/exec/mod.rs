@@ -14,8 +14,8 @@
 //!   `Instant` origin.
 //! * [`TimerHub`] — the timer table behind [`sleep`]. Arming records a
 //!   deadline; the sim driver drains newly armed timers into engine
-//!   timers (so sleeps pop in seq order off the existing `Scheduler`
-//!   heap/wheel — determinism comes from the engine, not from here).
+//!   timers (so sleeps pop in seq order off the engine's timer wheel —
+//!   determinism comes from the engine, not from here).
 //! * [`Mailbox`] — a typed inbox with an async [`Mailbox::recv`].
 //! * [`timeout`] / [`race`] — give-up and hedged-retry combinators;
 //!   the loser of a race is dropped, which cancels its timers.

@@ -16,7 +16,6 @@ use sns_san::{San, SanConfig};
 use sns_search::doc::CorpusGenerator;
 use sns_search::index::InvertedIndex;
 use sns_sim::engine::{NodeSpec, Sim, SimConfig};
-use sns_sim::sched::SchedulerKind;
 use sns_sim::{ComponentId, GroupId, NodeId};
 
 use crate::client::{HotBotClient, QueryReportHandle};
@@ -45,7 +44,6 @@ pub struct HotBotBuilder {
     corpus_docs: usize,
     vocab: usize,
     auto_restart_partitions: bool,
-    scheduler: SchedulerKind,
     tracing: bool,
     trace_sample_rate: u32,
 }
@@ -64,7 +62,6 @@ impl Default for HotBotBuilder {
             corpus_docs: 5_200,
             vocab: 20_000,
             auto_restart_partitions: true,
-            scheduler: SchedulerKind::default(),
             tracing: false,
             trace_sample_rate: 1,
         }
@@ -87,13 +84,6 @@ impl HotBotBuilder {
     /// Sets the engine seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.topology.seed = seed;
-        self
-    }
-
-    /// Selects the engine's pending-event scheduler (both kinds dispatch
-    /// in bit-identical order; see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -204,11 +194,7 @@ impl HotBotBuilder {
         let shared: Vec<Arc<InvertedIndex>> = indexes.into_iter().map(Arc::new).collect();
 
         let mut sim: Sim<SnsMsg, San> = Sim::new(
-            SimConfig {
-                seed: topo.seed,
-                scheduler: self.scheduler,
-                ..Default::default()
-            },
+            SimConfig::new().with_seed(topo.seed),
             San::new(topo.san.clone()),
         );
         if self.tracing {

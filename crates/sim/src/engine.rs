@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use crate::network::{Delivery, Endpoint, Network, TrafficClass};
 use crate::rng::Pcg32;
-use crate::sched::{Scheduler, SchedulerKind};
+use crate::sched::{Scheduler, WheelScheduler};
 use crate::stats::StatsHub;
 use crate::time::SimTime;
 use crate::trace::Tracer;
@@ -31,9 +31,6 @@ pub struct SimConfig {
     pub death_detect_latency: Duration,
     /// Hard cap on dispatched events (runaway-loop protection).
     pub max_events: u64,
-    /// Which pending-event scheduler the run loop pops from. Both kinds
-    /// dispatch in bit-identical order; see [`SchedulerKind`].
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SimConfig {
@@ -43,7 +40,6 @@ impl Default for SimConfig {
             spawn_latency: Duration::from_millis(300),
             death_detect_latency: Duration::from_millis(50),
             max_events: u64::MAX,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -53,12 +49,8 @@ impl SimConfig {
     ///
     /// ```
     /// use sns_sim::engine::SimConfig;
-    /// use sns_sim::sched::SchedulerKind;
     ///
-    /// let cfg = SimConfig::new()
-    ///     .with_seed(0x517)
-    ///     .with_scheduler(SchedulerKind::Wheel)
-    ///     .with_max_events(1_000_000);
+    /// let cfg = SimConfig::new().with_seed(0x517).with_max_events(1_000_000);
     /// assert_eq!(cfg.seed, 0x517);
     /// ```
     pub fn new() -> Self {
@@ -68,13 +60,6 @@ impl SimConfig {
     /// Sets the engine RNG seed.
     pub fn with_seed(mut self, v: u64) -> Self {
         self.seed = v;
-        self
-    }
-
-    /// Selects the pending-event scheduler the run loop pops from (both
-    /// kinds dispatch in bit-identical order; see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, v: SchedulerKind) -> Self {
-        self.scheduler = v;
         self
     }
 
@@ -247,7 +232,7 @@ pub struct Kernel<M, N> {
     now: SimTime,
     seq: u64,
     events_dispatched: u64,
-    queue: Box<dyn Scheduler<Ev<M>>>,
+    queue: WheelScheduler<Ev<M>>,
     rng: Pcg32,
     nodes: Slab<Node>,
     groups: Slab<BTreeSet<ComponentId>>,
@@ -673,13 +658,12 @@ impl<M: Wire + Clone + 'static, N: Network> Sim<M, N> {
     /// Creates a simulation over the given interconnect model.
     pub fn new(cfg: SimConfig, net: N) -> Self {
         let rng = Pcg32::new(cfg.seed);
-        let queue = cfg.scheduler.make();
         Sim {
             kernel: Kernel {
                 now: SimTime::ZERO,
                 seq: 0,
                 events_dispatched: 0,
-                queue,
+                queue: WheelScheduler::new(),
                 rng,
                 nodes: Slab::new(),
                 groups: Slab::new(),
@@ -838,22 +822,6 @@ impl<M: Wire + Clone + 'static, N: Network> Sim<M, N> {
     pub fn inject(&mut self, to: ComponentId, msg: M) {
         self.kernel.schedule(
             self.kernel.now,
-            Ev::Msg {
-                to,
-                from: ComponentId::EXTERNAL,
-                msg,
-            },
-        );
-    }
-
-    /// Injects a message from "outside" the cluster at an absolute future
-    /// time (no network transit). The sharded driver uses this to place
-    /// cross-shard boundary messages at their precomputed delivery times;
-    /// harnesses can use it to pre-load a whole arrival schedule.
-    pub fn inject_at(&mut self, at: SimTime, to: ComponentId, msg: M) {
-        assert!(at >= self.kernel.now, "injecting into the past");
-        self.kernel.schedule(
-            at,
             Ev::Msg {
                 to,
                 from: ComponentId::EXTERNAL,

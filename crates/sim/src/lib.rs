@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod lanes;
 pub mod network;
 pub mod rng;
 pub mod sched;
@@ -85,10 +84,9 @@ impl std::fmt::Display for ComponentId {
 pub struct GroupId(pub u32);
 
 pub use engine::{Component, Ctx, Kernel, NodeSpec, RunOutcome, Sim, SimConfig, Wire};
-pub use lanes::{BoundaryMsg, Lane, PortId, ShardId, ShardRun, ShardedSim, Uplink};
 pub use network::{Delivery, Endpoint, IdealNetwork, Network, TrafficClass};
 pub use rng::Pcg32;
-pub use sched::{HeapScheduler, Scheduler, SchedulerKind, WheelScheduler};
+pub use sched::{HeapScheduler, Scheduler, WheelScheduler};
 pub use stats::{Histogram, MetricKey, Series, StatsHub, Summary};
 pub use time::SimTime;
 pub use trace::{SpanId, SpanRecord, TraceLog, Tracer};
@@ -117,7 +115,6 @@ pub mod prelude {
     pub use crate::engine::{Component, Ctx, NodeSpec, RunOutcome, Sim, SimConfig, Wire};
     pub use crate::network::{Delivery, Endpoint, IdealNetwork, Network, TrafficClass};
     pub use crate::rng::Pcg32;
-    pub use crate::sched::SchedulerKind;
     pub use crate::stats::StatsHub;
     pub use crate::time::SimTime;
     pub use crate::{ComponentId, GroupId, NodeId};

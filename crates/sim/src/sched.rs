@@ -1,23 +1,18 @@
 //! Pending-event schedulers: the ordering contract behind the engine's
-//! run loop, a binary-heap baseline and a hierarchical timer wheel.
+//! run loop, the timer wheel the engine runs on and the binary heap it
+//! is checked against.
 //!
 //! The engine pops events in `(at, seq)` order — earliest virtual time
 //! first, FIFO by a monotonic sequence number among equal timestamps.
-//! Every [`Scheduler`] implementation must reproduce that order
-//! **bit-for-bit**: swapping implementations must never change a run
-//! (the cross-scheduler suites in `tests/` and `tests/determinism.rs`
-//! enforce this byte-identically).
 //!
-//! Two implementations are provided:
-//!
-//! * [`HeapScheduler`] — the `BinaryHeap` the engine historically used.
-//!   `O(log n)` push/pop; pops on large queues walk `log n` levels of a
-//!   cache-cold array.
-//! * [`WheelScheduler`] — a hierarchical timer wheel (64 slots × 6
-//!   levels, 65.536 µs level-0 ticks, ~52 days of span) with a binary
-//!   heap as the overflow level for far-future events. Push is `O(1)`;
-//!   pops drain one sorted level-0 bucket at a time, so cost is
-//!   independent of the standing event population.
+//! * [`WheelScheduler`] — the engine's queue: a hierarchical timer
+//!   wheel (64 slots × 6 levels, 65.536 µs level-0 ticks, ~52 days of
+//!   span) with a binary heap as the overflow level for far-future
+//!   events. Push is `O(1)`; pops drain one sorted level-0 bucket at a
+//!   time, so cost is independent of the standing event population.
+//! * [`HeapScheduler`] — a plain `BinaryHeap`, `O(log n)` push/pop. The
+//!   engine never runs on it: it is the reference order the wheel must
+//!   reproduce **bit-for-bit**, call for call (`tests/sched_equiv.rs`).
 
 use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
@@ -25,32 +20,9 @@ use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
-/// Which [`Scheduler`] implementation a simulation runs on.
-///
-/// Both orderings are bit-for-bit identical; the knob exists so the
-/// equivalence can be *checked* (and so regressions can be bisected to
-/// the scheduler) while production runs default to the faster wheel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The `BinaryHeap` baseline.
-    Heap,
-    /// The hierarchical timer wheel with a heap overflow level.
-    #[default]
-    Wheel,
-}
-
-impl SchedulerKind {
-    /// Constructs a boxed scheduler of this kind.
-    pub fn make<T: 'static>(self) -> Box<dyn Scheduler<T>> {
-        match self {
-            SchedulerKind::Heap => Box::new(HeapScheduler::new()),
-            SchedulerKind::Wheel => Box::new(WheelScheduler::new()),
-        }
-    }
-}
-
 /// A priority queue of `(at, seq, item)` entries popped in `(at, seq)`
-/// lexicographic order.
+/// lexicographic order: the contract [`WheelScheduler`] and its
+/// reference [`HeapScheduler`] share, default `pop_batch` included.
 ///
 /// `seq` values are unique and assigned in scheduling order by the
 /// caller, so the order is total and equal-time entries pop FIFO.
@@ -132,8 +104,8 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The historical `BinaryHeap` scheduler: the reference implementation
-/// the wheel is checked against.
+/// The `BinaryHeap` reference implementation the wheel is checked
+/// against. The engine never runs on it.
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<HeapEntry<T>>,
     cancelled: BTreeSet<u64>,
@@ -528,10 +500,16 @@ mod tests {
         assert_eq!(wheel.pop().map(|e| e.2), Some(40));
     }
 
+    fn both_impls() -> [Box<dyn Scheduler<u32>>; 2] {
+        [
+            Box::new(HeapScheduler::new()),
+            Box::new(WheelScheduler::new()),
+        ]
+    }
+
     #[test]
     fn cancel_suppresses_entries_in_both_impls() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut s: Box<dyn Scheduler<u32>> = kind.make();
+        for mut s in both_impls() {
             s.push(SimTime::from_millis(1), 1, 1);
             s.push(SimTime::from_millis(2), 2, 2);
             s.push(SimTime::from_millis(3), 3, 3);
@@ -586,19 +564,14 @@ mod tests {
 
     #[test]
     fn pop_batch_takes_equal_timestamps_only() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut s: Box<dyn Scheduler<u32>> = kind.make();
+        for mut s in both_impls() {
             let t = SimTime::from_millis(7);
             s.push(t, 1, 1);
             s.push(t, 2, 2);
             s.push(t + Duration::from_millis(1), 3, 3);
             let mut out = Vec::new();
             assert_eq!(s.pop_batch(&mut out, 10), 2);
-            assert_eq!(
-                out.iter().map(|e| e.2).collect::<Vec<_>>(),
-                vec![1, 2],
-                "{kind:?}"
-            );
+            assert_eq!(out.iter().map(|e| e.2).collect::<Vec<_>>(), vec![1, 2]);
             out.clear();
             assert_eq!(s.pop_batch(&mut out, 10), 1);
             assert_eq!(out[0].2, 3);

@@ -1,8 +1,8 @@
-//! Cross-scheduler equivalence: the heap baseline and the timer wheel
-//! must produce bit-identical pop order — `(time, seq, item)` — for any
-//! operation sequence, and the engine must deliver bit-identical runs
-//! on either. Failures shrink to a minimal divergent op sequence via
-//! the testkit's choice-stream shrinking.
+//! The heap oracle: the engine's timer wheel must produce the same pop
+//! order — `(time, seq, item)` — as the reference `BinaryHeap` for any
+//! operation sequence, through every queue call the engine makes
+//! (`push`, `peek`, `pop_batch`). Failures shrink to a minimal divergent
+//! op sequence via the testkit's choice-stream shrinking.
 
 use std::time::Duration;
 
@@ -10,7 +10,7 @@ use sns_testkit::{gens, props, tk_assert, tk_assert_eq};
 
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
 use sns_sim::network::IdealNetwork;
-use sns_sim::sched::{HeapScheduler, Scheduler, SchedulerKind, WheelScheduler};
+use sns_sim::sched::{HeapScheduler, Scheduler, WheelScheduler};
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
@@ -32,6 +32,8 @@ enum Op {
     Cancel { k: usize },
     /// Pop once and compare both schedulers.
     Pop,
+    /// Drain up to `max` equal-timestamp entries, as the run loop does.
+    PopBatch { max: usize },
     /// `every_until`-shaped burst: `n` entries at a fixed period.
     Burst { n: u64, period: u64 },
 }
@@ -53,7 +55,9 @@ fn decode(word: u64) -> Op {
             n: 2 + (word >> 3) % 12,
             period: 1 + delay(word >> 7) % 1_000_000_000,
         },
-        _ => Op::Pop,
+        _ => Op::PopBatch {
+            max: 1 + (word >> 3) as usize % 8,
+        },
     }
 }
 
@@ -96,6 +100,17 @@ props! {
                         popped.push((at, s));
                     }
                 }
+                Op::PopBatch { max } => {
+                    let (mut h, mut w) = (Vec::new(), Vec::new());
+                    let n = heap.pop_batch(&mut h, max);
+                    tk_assert_eq!(n, wheel.pop_batch(&mut w, max));
+                    tk_assert_eq!(h, w);
+                    for &(at, s, _) in &h {
+                        now = at;
+                        pending.retain(|&p| p != s);
+                        popped.push((at, s));
+                    }
+                }
                 Op::Burst { n, period } => {
                     for j in 1..=n {
                         let at = SimTime::from_nanos(
@@ -125,63 +140,12 @@ props! {
             p[0].0 < p[1].0 || (p[0].0 == p[1].0 && p[0].1 < p[1].1)
         }));
     }
-
-    /// Whole-engine equivalence: the same seeded run delivers the same
-    /// `(time, token)` firing log on either scheduler, including timers
-    /// re-armed with zero delay (fires at the *current* timestamp,
-    /// inside the wheel's dispatch batch).
-    fn engine_runs_identically_on_both_schedulers(
-        seed in gens::any_u64(),
-        delays in gens::vec(gens::u64_in(0..2_000), 1..30),
-    ) {
-        struct Probe {
-            delays_ms: Vec<u64>,
-        }
-        impl Component<Nop> for Probe {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Nop>) {
-                for (i, &d) in self.delays_ms.iter().enumerate() {
-                    ctx.timer(Duration::from_millis(d), i as u64);
-                }
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_, Nop>, _: ComponentId, _: Nop) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Nop>, token: u64) {
-                let now = ctx.now();
-                ctx.stats().sample("fired", now, token as f64);
-                // Sometimes re-arm at the current timestamp, sometimes a
-                // little later; the RNG stream is part of the replayed
-                // state so both schedulers see identical choices.
-                if token < 600 {
-                    let bump = if ctx.rng().chance(0.3) {
-                        Duration::ZERO
-                    } else {
-                        Duration::from_millis(ctx.rng().below(50))
-                    };
-                    ctx.timer(bump, token + 100);
-                }
-            }
-        }
-        let run = |kind: SchedulerKind| {
-            let mut sim: Sim<Nop, IdealNetwork> = Sim::new(
-                SimConfig { seed, scheduler: kind, ..Default::default() },
-                IdealNetwork::default(),
-            );
-            let n = sim.add_node(NodeSpec::new(1, "d"));
-            sim.spawn(n, Box::new(Probe { delays_ms: delays.clone() }), "probe");
-            sim.run_until(SimTime::from_secs(60));
-            (
-                sim.now(),
-                sim.events_dispatched(),
-                sim.stats().series("fired").map(|s| s.points().to_vec()),
-            )
-        };
-        tk_assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
-    }
 }
 
 /// Regression: FIFO-by-seq at equal `SimTime`, including an event
-/// scheduled *during* delivery at the current timestamp — wheel
-/// batching must slot it after everything already pending at that
-/// time, exactly like the heap does.
+/// scheduled *during* delivery at the current timestamp — the engine's
+/// batched dispatch must slot it after everything already pending at
+/// that time.
 #[test]
 fn same_timestamp_events_fire_fifo_including_mid_delivery_schedules() {
     struct Probe;
@@ -201,23 +165,15 @@ fn same_timestamp_events_fire_fifo_including_mid_delivery_schedules() {
             }
         }
     }
-    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-        let mut sim: Sim<Nop, IdealNetwork> = Sim::new(
-            SimConfig {
-                scheduler: kind,
-                ..Default::default()
-            },
-            IdealNetwork::default(),
-        );
-        let n = sim.add_node(NodeSpec::new(1, "d"));
-        sim.spawn(n, Box::new(Probe), "probe");
-        sim.run();
-        let fired = sim.stats().series("order").unwrap().points().to_vec();
-        let t = SimTime::from_millis(1);
-        assert_eq!(
-            fired,
-            vec![(t, 0.0), (t, 1.0), (t, 2.0)],
-            "{kind:?}: same-timestamp events must fire FIFO by seq"
-        );
-    }
+    let mut sim: Sim<Nop, IdealNetwork> = Sim::new(SimConfig::default(), IdealNetwork::default());
+    let n = sim.add_node(NodeSpec::new(1, "d"));
+    sim.spawn(n, Box::new(Probe), "probe");
+    sim.run();
+    let fired = sim.stats().series("order").unwrap().points().to_vec();
+    let t = SimTime::from_millis(1);
+    assert_eq!(
+        fired,
+        vec![(t, 0.0), (t, 1.0), (t, 2.0)],
+        "same-timestamp events must fire FIFO by seq"
+    );
 }

@@ -18,7 +18,6 @@ use sns_distillers::{
 };
 use sns_san::{LinkParams, San, SanConfig, SanMode};
 use sns_sim::engine::{NodeSpec, Sim, SimConfig};
-use sns_sim::sched::SchedulerKind;
 use sns_sim::{ComponentId, GroupId, NodeId};
 use sns_tacc::cache_worker::CacheWorker;
 use sns_tacc::origin::OriginServer;
@@ -61,7 +60,6 @@ pub struct TranSendBuilder {
     fe_nic: Option<LinkParams>,
     distiller_crash_prob: f64,
     delta_correction: bool,
-    scheduler: SchedulerKind,
     tracing: bool,
     trace_sample_rate: u32,
 }
@@ -89,7 +87,6 @@ impl Default for TranSendBuilder {
             fe_nic: None,
             distiller_crash_prob: 0.0,
             delta_correction: true,
-            scheduler: SchedulerKind::default(),
             tracing: false,
             trace_sample_rate: 1,
         }
@@ -111,13 +108,6 @@ impl TranSendBuilder {
     /// Sets the engine seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.topology.seed = seed;
-        self
-    }
-
-    /// Selects the engine's pending-event scheduler (both kinds dispatch
-    /// in bit-identical order; see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -263,7 +253,7 @@ impl TranSendBuilder {
     /// Sets the head-sampling rate used when tracing: keep roughly one
     /// request in `rate` (`<= 1` keeps all). The decision stream is
     /// seeded from the topology seed, so the sampled set is a pure
-    /// function of `(seed, rate)` — identical across schedulers and
+    /// function of `(seed, rate)` — identical run to run and across
     /// backends (see `OBSERVABILITY.md`).
     pub fn with_trace_sampling(mut self, rate: u32) -> Self {
         self.trace_sample_rate = rate;
@@ -426,14 +416,7 @@ impl TranSendBuilder {
     pub fn build(self) -> TranSendCluster {
         let topo = &self.topology;
         let san = San::new(topo.san.clone());
-        let mut sim: Sim<SnsMsg, San> = Sim::new(
-            SimConfig {
-                seed: topo.seed,
-                scheduler: self.scheduler,
-                ..Default::default()
-            },
-            san,
-        );
+        let mut sim: Sim<SnsMsg, San> = Sim::new(SimConfig::new().with_seed(topo.seed), san);
         if self.tracing {
             sim.set_tracer(sns_core::trace::Tracer::sampled(
                 sns_core::trace::Sampling::per(self.trace_sample_rate, topo.seed),

@@ -7,15 +7,14 @@ use std::time::Duration;
 use cluster_sns::chaos::{FaultKind, FaultPlan, SimChaos, SimChaosConfig};
 use cluster_sns::core::MonitorTap;
 use cluster_sns::hotbot::HotBotBuilder;
-use cluster_sns::sim::{SchedulerKind, SimTime};
+use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
 use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
-fn transend_fingerprint_on(seed: u64, scheduler: SchedulerKind) -> (u64, u64, u64, String) {
+fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
@@ -60,10 +59,6 @@ fn transend_fingerprint_on(seed: u64, scheduler: SchedulerKind) -> (u64, u64, u6
     )
 }
 
-fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
-    transend_fingerprint_on(seed, SchedulerKind::default())
-}
-
 #[test]
 fn transend_runs_are_bit_identical_given_a_seed() {
     let a = transend_fingerprint(0xd5);
@@ -78,22 +73,11 @@ fn different_seeds_give_different_runs() {
     assert_ne!(a.0, b.0, "different seeds must diverge");
 }
 
-/// A full TranSend trace replay (fault injection included) produces the
-/// same event count, responses, bytes and counters on the heap baseline
-/// and the timer wheel.
-#[test]
-fn transend_replay_is_identical_across_schedulers() {
-    let heap = transend_fingerprint_on(0xd5, SchedulerKind::Heap);
-    let wheel = transend_fingerprint_on(0xd5, SchedulerKind::Wheel);
-    assert_eq!(heap, wheel, "heap and wheel replays must be bit-identical");
-}
-
 /// One full chaos run: same seed, same fault plan, returns the
 /// byte-stable canonical rendering of the tapped monitor-event log.
-fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind) -> String {
+fn chaos_monitor_log(seed: u64) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
         .with_worker_nodes(5)
         .with_overflow_nodes(1)
         .with_frontends(1)
@@ -151,10 +135,6 @@ fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind) -> String {
     rendered
 }
 
-fn chaos_monitor_log(seed: u64) -> String {
-    chaos_monitor_log_on(seed, SchedulerKind::default())
-}
-
 #[test]
 fn same_seed_same_plan_gives_byte_identical_monitor_logs() {
     let a = chaos_monitor_log(0xFA);
@@ -164,24 +144,13 @@ fn same_seed_same_plan_gives_byte_identical_monitor_logs() {
     assert_ne!(a, c, "a different seed must perturb the event stream");
 }
 
-/// The chaos demo plan (kill-worker, kill-manager, partition, beacon
-/// loss) must leave a byte-identical monitor-event log whether the
-/// engine schedules with the heap baseline or the timer wheel.
-#[test]
-fn chaos_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = chaos_monitor_log_on(0xFA, SchedulerKind::Heap);
-    let wheel = chaos_monitor_log_on(0xFA, SchedulerKind::Wheel);
-    assert_eq!(heap, wheel, "monitor logs must match byte-for-byte");
-}
-
 /// One rolling-upgrade-under-load chaos run: a `RollingUpgrade` plan
 /// verb walks two dedicated nodes through drain → upgraded rejoin while
 /// a trace replays, and the byte-stable canonical monitor log (drains,
 /// rejoins, respawns, and all) is returned.
-fn rolling_upgrade_log_on(seed: u64, scheduler: SchedulerKind) -> String {
+fn rolling_upgrade_log(seed: u64) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
         .with_worker_nodes(5)
         .with_overflow_nodes(1)
         .with_frontends(1)
@@ -227,29 +196,15 @@ fn rolling_upgrade_log_on(seed: u64, scheduler: SchedulerKind) -> String {
     rendered
 }
 
-/// A rolling upgrade under live load — the most schedule-sensitive
-/// cluster operation, since drains race in-flight dispatches — must
-/// leave a byte-identical monitor log on the heap baseline and the
-/// timer wheel.
-#[test]
-fn rolling_upgrade_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = rolling_upgrade_log_on(0xFA, SchedulerKind::Heap);
-    let wheel = rolling_upgrade_log_on(0xFA, SchedulerKind::Wheel);
-    assert_eq!(heap, wheel, "upgrade logs must match byte-for-byte");
-}
-
-/// One traced TranSend run, exported as JSONL. Trace emission rides the
-/// engine's event order, so the export must inherit the engine's
-/// scheduler-independence.
-fn transend_trace_jsonl_on(seed: u64, scheduler: SchedulerKind) -> String {
-    transend_trace_jsonl_sampled(seed, scheduler, 1)
+/// One traced TranSend run, exported as JSONL.
+fn transend_trace_jsonl(seed: u64) -> String {
+    transend_trace_jsonl_sampled(seed, 1)
 }
 
 /// The same traced run, head-sampled 1-in-`rate` at the front end.
-fn transend_trace_jsonl_sampled(seed: u64, scheduler: SchedulerKind, rate: u32) -> String {
+fn transend_trace_jsonl_sampled(seed: u64, rate: u32) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
@@ -277,41 +232,31 @@ fn transend_trace_jsonl_sampled(seed: u64, scheduler: SchedulerKind, rate: u32) 
 }
 
 /// Head sampling is a pure function of the request number, so a
-/// sampled export must be (a) byte-identical across schedulers, like
-/// the full export, and (b) a strict, non-empty line-subset of the
-/// full export for the same seed — sampling drops whole requests, it
-/// never invents or reorders spans.
+/// sampled export must be (a) byte-identical run to run, like the full
+/// export, and (b) a strict, non-empty line-subset of the full export
+/// for the same seed — sampling drops whole requests, it never invents
+/// or reorders spans.
 #[test]
 fn sampled_trace_exports_are_deterministic_and_subset_the_full_export() {
-    let full = transend_trace_jsonl_on(0xd7, SchedulerKind::Heap);
-    let heap = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Heap, 4);
-    let wheel = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Wheel, 4);
-    assert_eq!(heap, wheel, "sampled exports must match byte-for-byte");
+    let full = transend_trace_jsonl(0xd7);
+    let a = transend_trace_jsonl_sampled(0xd7, 4);
+    let b = transend_trace_jsonl_sampled(0xd7, 4);
+    assert_eq!(a, b, "sampled exports must match byte-for-byte");
     assert!(
-        heap.lines().count() > 0,
+        a.lines().count() > 0,
         "1-in-4 sampling should keep some spans"
     );
     assert!(
-        heap.lines().count() < full.lines().count(),
+        a.lines().count() < full.lines().count(),
         "1-in-4 sampling should drop some spans"
     );
     let full_lines: std::collections::BTreeSet<&str> = full.lines().collect();
-    for line in heap.lines() {
+    for line in a.lines() {
         assert!(
             full_lines.contains(line),
             "sampled span missing from the full export: {line}"
         );
     }
-}
-
-/// Same seed, same workload: the JSONL trace export is byte-identical
-/// whether the engine schedules with the heap baseline or the timer
-/// wheel — traces are as replayable as the runs they observe.
-#[test]
-fn same_seed_trace_exports_are_byte_identical_across_schedulers() {
-    let heap = transend_trace_jsonl_on(0xd7, SchedulerKind::Heap);
-    let wheel = transend_trace_jsonl_on(0xd7, SchedulerKind::Wheel);
-    assert_eq!(heap, wheel, "trace exports must match byte-for-byte");
 }
 
 /// FNV-1a over a rendered run, so a golden pins a whole log as one u64.
@@ -392,7 +337,7 @@ fn chaos_monitor_log_matches_the_legacy_golden() {
 
 #[test]
 fn sampled_trace_export_matches_the_legacy_golden() {
-    let jsonl = transend_trace_jsonl_sampled(0xd7, SchedulerKind::default(), 4);
+    let jsonl = transend_trace_jsonl_sampled(0xd7, 4);
     assert_eq!(
         (jsonl.lines().count(), fnv(&jsonl)),
         (217, 0x8cc8_b621_ad18_cdb3)
@@ -402,6 +347,24 @@ fn sampled_trace_export_matches_the_legacy_golden() {
 #[test]
 fn hotbot_degraded_run_matches_the_legacy_golden() {
     assert_eq!(fnv(&hotbot_degraded_run()), 0x158d_5fa1_5775_d651);
+}
+
+// Goldens recorded while the engine could still run on the heap
+// scheduler and these two runs were checked heap against wheel: the
+// engine that owns its timer wheel must reproduce them bit for bit.
+
+#[test]
+fn rolling_upgrade_monitor_log_matches_the_golden() {
+    assert_eq!(fnv(&rolling_upgrade_log(0xFA)), 0x5754_02c7_5343_2332);
+}
+
+#[test]
+fn full_trace_export_matches_the_golden() {
+    let jsonl = transend_trace_jsonl(0xd7);
+    assert_eq!(
+        (jsonl.lines().count(), fnv(&jsonl)),
+        (893, 0x6149_ce51_7550_5b4c)
+    );
 }
 
 #[test]
@@ -422,125 +385,4 @@ fn hotbot_runs_are_bit_identical_given_a_seed() {
         )
     };
     assert_eq!(run(), run());
-}
-
-/// Shrinkable sequential ≡ sharded equivalence: random word streams
-/// decode to a multi-shard topology (2–4 lanes of echo workers behind a
-/// gateway), a packet schedule and a fault plan of echo kills; the
-/// parallel lane driver must reproduce the sequential reference
-/// fingerprint byte for byte. Failures shrink to a minimal divergent
-/// word sequence via the testkit's choice-stream shrinking.
-mod sharded {
-    use std::time::Duration;
-
-    use sns_testkit::{gens, props, tk_assert, tk_assert_eq};
-
-    use cluster_sns::sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
-    use cluster_sns::sim::network::IdealNetwork;
-    use cluster_sns::sim::time::SimTime;
-    use cluster_sns::sim::{ComponentId, Lane, PortId, ShardRun, ShardedSim, Uplink};
-
-    #[derive(Clone)]
-    struct Pkt(u64);
-    impl Wire for Pkt {
-        fn wire_size(&self) -> u64 {
-            96
-        }
-    }
-
-    struct Gateway {
-        ups: Vec<Uplink<Pkt>>,
-        local: ComponentId,
-    }
-    impl Component<Pkt> for Gateway {
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Pkt>, _from: ComponentId, msg: Pkt) {
-            ctx.stats().incr("hops", 1);
-            if msg.0 == 0 {
-                return;
-            }
-            if ctx.rng().below(3) == 0 {
-                ctx.send(self.local, Pkt(msg.0 - 1));
-            } else {
-                let k = ctx.rng().below(self.ups.len() as u64) as usize;
-                self.ups[k].send(ctx.now(), Pkt(msg.0 - 1));
-            }
-        }
-    }
-
-    struct Echo;
-    impl Component<Pkt> for Echo {
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Pkt>, from: ComponentId, msg: Pkt) {
-            ctx.stats().incr("echoed", 1);
-            ctx.send(from, msg);
-        }
-    }
-
-    fn run(words: &[u64], parallel: bool) -> ShardRun {
-        let shards = 2 + (words.first().copied().unwrap_or(0) % 3) as u32;
-        let latency = Duration::from_millis(1);
-        let mut ss: ShardedSim<Pkt, IdealNetwork> = ShardedSim::new(latency);
-        for _ in 0..shards {
-            let words: Vec<u64> = words.to_vec();
-            ss.add_shard(move |shard| {
-                let sim = Sim::new(
-                    SimConfig::new().with_seed(0xdef ^ u64::from(shard.0)),
-                    IdealNetwork::default(),
-                );
-                let mut lane = Lane::new(sim);
-                let node = lane.sim().add_node(NodeSpec::new(1, "dedicated"));
-                let local = lane.sim().spawn(node, Box::new(Echo), "echo");
-                let ups: Vec<Uplink<Pkt>> = (0..shards)
-                    .filter(|&t| t != shard.0)
-                    .map(|t| lane.uplink(PortId(t)))
-                    .collect();
-                let gw = lane
-                    .sim()
-                    .spawn(node, Box::new(Gateway { ups, local }), "gateway");
-                lane.bind(PortId(shard.0), gw);
-                for (i, &w) in words.iter().enumerate() {
-                    if i as u32 % shards != shard.0 {
-                        continue;
-                    }
-                    if w % 5 == 4 {
-                        // Fault plan: kill the shard's echo worker.
-                        let at = SimTime::from_nanos((1 + (w >> 8) % 150_000) * 1_000);
-                        lane.sim().at(at, |sim| {
-                            if let Some(&v) = sim.components_of_kind("echo").first() {
-                                sim.kill_component(v);
-                            }
-                        });
-                    } else {
-                        let at = SimTime::from_nanos(((w >> 8) % 100_000) * 1_000);
-                        lane.sim().inject_at(at, gw, Pkt(2 + (w >> 4) % 30));
-                    }
-                }
-                lane.set_report(|sim| {
-                    sim.stats()
-                        .all_counters()
-                        .map(|(k, v)| format!("{k}={v};"))
-                        .collect()
-                });
-                lane
-            });
-        }
-        let until = SimTime::from_secs(1);
-        if parallel {
-            ss.run_parallel(until)
-        } else {
-            ss.run_sequential(until)
-        }
-    }
-
-    props! {
-        /// Whatever topology, schedule and fault plan the words encode,
-        /// both lane drivers agree byte for byte.
-        fn sharded_runs_match_the_sequential_reference(
-            words in gens::vec(gens::any_u64(), 1..32),
-        ) {
-            let seq = run(&words, false);
-            let par = run(&words, true);
-            tk_assert_eq!(seq.fingerprint(), par.fingerprint());
-            tk_assert!(seq.total_events() > 0);
-        }
-    }
 }

@@ -1,26 +1,22 @@
-//! Macro-benchmark of the threaded runtime's dispatch path, in two
-//! parts:
+//! Macro-benchmark of the threaded runtime's worker-scaling curve:
+//! `scaling/workers{1,2,4,8,16}` push a fixed batch of jobs with a real
+//! service time (a deadline each worker waits out), submitted from
+//! several threads, with one dispatch shard per worker. The waits
+//! overlap across worker threads, so wall time should fall
+//! near-linearly with the pool size until the dispatch plane stops
+//! being the bottleneck — this is the curve `ci.sh`'s `rt_scaling`
+//! stage guards (1→8 workers must be ≥ 2×).
 //!
-//! * `submit_1k/workers{1,4}` — jobs/sec through `RtCluster::submit`
-//!   → sharded `DispatchPlane` pick → worker thread → reply
-//!   channel, with `time_scale: 0` so service time is zero and the
-//!   measurement isolates dispatch and channel overhead per job.
-//! * `scaling/workers{1,2,4,8,16}` — the worker-scaling curve: a
-//!   fixed batch of jobs with a real service time (a deadline each
-//!   worker waits out), submitted from several threads, with one
-//!   dispatch shard per worker. The waits overlap across worker
-//!   threads, so wall time
-//!   should fall near-linearly with the pool size until
-//!   the dispatch plane stops being the bottleneck — this is the curve
-//!   `ci.sh`'s `rt_scaling` stage guards (1→8 workers must be ≥ 2×).
+//! The warm zero-service submit path is measured by perfbench's
+//! `rt_submit` workload, not here.
 //!
 //! ```sh
 //! cargo run -p sns-bench --release --bin rt_throughput [-- OUTPUT.json]
 //! ```
 //!
 //! Rows land in `BENCH_rt.json` together with span-derived `slo/*`
-//! summary rows from a separate head-sampled traced run; jobs/sec per
-//! pool size prints at the end.
+//! summary rows from a separate head-sampled traced run of zero-service
+//! jobs; jobs/sec per pool size prints at the end.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,7 +31,7 @@ use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_testkit::{BenchConfig, BenchSuite};
 
-/// Jobs per measured zero-service run.
+/// Jobs in the sampled zero-service SLO run.
 const JOBS: u64 = 1_000;
 
 /// Jobs per scaling-curve run (smaller: each carries a real sleep).
@@ -70,18 +66,6 @@ impl WorkerLogic for Sleeper {
     fn process(&mut self, job: &Job, _n: SimTime, _r: &mut Pcg32) -> Result<Payload, WorkerError> {
         Ok(Blob::payload(job.input.wire_size(), "done"))
     }
-}
-
-fn cluster(workers: usize) -> Arc<RtCluster> {
-    let c = RtCluster::start(
-        RtConfig::new()
-            .with_time_scale(0.0)
-            .with_report_period(Duration::from_millis(10))
-            .with_beacon_period(Duration::from_millis(20))
-            .with_seed(0x6274),
-    );
-    c.add_workers("nop", workers, || Box::new(Nop));
-    c
 }
 
 /// Scaling cluster: real (scaled 1:1) service sleeps, one dispatch
@@ -143,26 +127,6 @@ fn main() {
             ..Default::default()
         },
     );
-    let pools = [1usize, 4];
-    for workers in pools {
-        suite.bench_batched(
-            &format!("submit_1k/workers{workers}"),
-            || cluster(workers),
-            |c| {
-                let receivers: Vec<_> = (0..JOBS)
-                    .map(|i| c.submit("nop", "op", Blob::payload(64 + i, "x"), None))
-                    .collect();
-                for rx in receivers {
-                    match rx.recv().expect("reply") {
-                        JobResult::Ok(_) => {}
-                        JobResult::Failed(e) => panic!("bench job failed: {e}"),
-                    }
-                }
-                assert_eq!(c.jobs_done.load(Ordering::Relaxed), JOBS);
-                c.shutdown();
-            },
-        );
-    }
     let scale_pools = [1usize, 2, 4, 8, 16];
     for workers in scale_pools {
         suite.bench_batched(
@@ -236,14 +200,6 @@ fn main() {
             .expect("row exists")
             .mean_ns
     };
-    println!("-- jobs/sec ({JOBS} jobs per run, zero service time)");
-    for workers in pools {
-        let ns = row(&format!("submit_1k/workers{workers}"));
-        println!(
-            "  workers{workers:<2}  {:>12.0} jobs/s",
-            JOBS as f64 / (ns / 1e9)
-        );
-    }
     println!("-- scaling ({SCALE_JOBS} jobs per run, {SERVICE:?} service, shards = workers)");
     let base = row("scaling/workers1");
     for workers in scale_pools {

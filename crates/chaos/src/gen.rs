@@ -39,10 +39,6 @@ pub struct PlanSpace {
     /// Whether cluster-operations verbs (drain, rejoin, rolling
     /// upgrade) over the pools may be drawn.
     pub cluster_ops: bool,
-    /// Manager replica count for quorum-regroup plans: when > 0,
-    /// `KillManagerReplica` (over `0..manager_replicas`) and
-    /// `RestartManager` events may be drawn.
-    pub manager_replicas: usize,
 }
 
 impl PlanSpace {
@@ -59,7 +55,6 @@ impl PlanSpace {
             net_faults: false,
             max_burst: Duration::from_secs(3),
             cluster_ops: false,
-            manager_replicas: 0,
         }
     }
 
@@ -75,7 +70,6 @@ impl PlanSpace {
             net_faults: true,
             max_burst: Duration::from_secs(3),
             cluster_ops: false,
-            manager_replicas: 0,
         }
     }
 
@@ -94,26 +88,6 @@ impl PlanSpace {
             net_faults: false,
             max_burst: Duration::from_secs(3),
             cluster_ops: true,
-            manager_replicas: 0,
-        }
-    }
-
-    /// A space of manager-replica kills and restarts for the quorum
-    /// regroup rig. The zero alternative is `KillManagerReplica` of
-    /// replica 0 (the boot leader) at the earliest time, so failing
-    /// plans shrink toward the minimal kill-the-leader witness.
-    pub fn regroup(replicas: usize) -> Self {
-        PlanSpace {
-            classes: vec![],
-            pools: vec![],
-            earliest: Duration::from_secs(2),
-            latest: Duration::from_secs(30),
-            max_events: 4,
-            kill_manager: false,
-            net_faults: false,
-            max_burst: Duration::from_secs(3),
-            cluster_ops: false,
-            manager_replicas: replicas.max(1),
         }
     }
 }
@@ -122,10 +96,7 @@ impl PlanSpace {
 /// yields the empty plan; one extra nonzero choice yields a single
 /// `KillWorker` of the first class at the earliest time.
 pub fn fault_plan(space: &PlanSpace) -> Gen<FaultPlan> {
-    assert!(
-        !space.classes.is_empty() || space.manager_replicas > 0,
-        "plan space needs worker classes or manager replicas"
-    );
+    assert!(!space.classes.is_empty(), "plan space needs worker classes");
     assert!(space.earliest < space.latest, "empty time window");
 
     let event = fault_event(space);
@@ -137,26 +108,12 @@ fn fault_event(space: &PlanSpace) -> Gen<FaultEvent> {
 
     // KillWorker first and heaviest: the zero alternative is the shrink
     // target, and worker crashes are the paper's headline fault (§3.1.6).
-    // (In a replica-only space, KillManagerReplica takes that slot and
-    // failing plans shrink toward a kill of the boot leader instead.)
-    let mut alts: Vec<(u32, Gen<FaultKind>)> = Vec::new();
-    if !space.classes.is_empty() {
-        let classes = space.classes.clone();
-        let kill_worker =
-            gens::usize_in(0..classes.len() * 4).map(move |raw| FaultKind::KillWorker {
-                class: classes[raw % classes.len()].clone(),
-                which: raw / classes.len(),
-            });
-        alts.push((6, kill_worker));
-    }
-    if space.manager_replicas > 0 {
-        let replicas = space.manager_replicas;
-        alts.push((
-            6,
-            gens::usize_in(0..replicas).map(|which| FaultKind::KillManagerReplica { which }),
-        ));
-        alts.push((3, gens::just(FaultKind::RestartManager)));
-    }
+    let classes = space.classes.clone();
+    let kill_worker = gens::usize_in(0..classes.len() * 4).map(move |raw| FaultKind::KillWorker {
+        class: classes[raw % classes.len()].clone(),
+        which: raw / classes.len(),
+    });
+    let mut alts: Vec<(u32, Gen<FaultKind>)> = vec![(6, kill_worker)];
     if space.cluster_ops && !space.pools.is_empty() {
         let pools = space.pools.clone();
         let drain = gens::usize_in(0..pools.len() * 4).map(move |raw| FaultKind::DrainNode {
@@ -287,27 +244,6 @@ mod tests {
                 assert!(matches!(ev.kind, FaultKind::KillWorker { .. }));
             }
         }
-    }
-
-    #[test]
-    fn regroup_space_draws_only_replica_verbs() {
-        let space = PlanSpace::regroup(3);
-        let g = fault_plan(&space);
-        let mut src = Source::live(11);
-        let mut kills = 0;
-        for _ in 0..200 {
-            for ev in &g.run(&mut src).events {
-                match &ev.kind {
-                    FaultKind::KillManagerReplica { which } => {
-                        assert!(*which < 3, "{}", ev.kind);
-                        kills += 1;
-                    }
-                    FaultKind::RestartManager => {}
-                    other => panic!("unexpected verb in regroup space: {other}"),
-                }
-            }
-        }
-        assert!(kills > 0, "replica kills must be drawn");
     }
 
     #[test]

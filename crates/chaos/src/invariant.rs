@@ -6,7 +6,6 @@
 //! conservation `responses + errors == submitted`, drain bound "all
 //! answered by `plan.horizon(window)`", population restoration).
 
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 use sns_core::cluster::SettleStats;
@@ -155,65 +154,6 @@ pub fn check_death_reconciliation(
     }
 }
 
-/// `QuorumSafety`: never two live incarnations acting as manager.
-///
-/// Replays `leader_elected` / `leader_lost` events and fails if a
-/// replica is elected while another replica still holds leadership —
-/// the split-brain the majority-vote regroup rule exists to prevent
-/// (and which the legacy single-beacon rule permits when a deposed
-/// leader is revived with its old state).
-#[derive(Debug, Clone, Default)]
-pub struct QuorumSafety {
-    leading: BTreeSet<u32>,
-    violations: Vec<String>,
-}
-
-impl QuorumSafety {
-    /// A fresh checker (no leader known yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Invariant for QuorumSafety {
-    fn name(&self) -> &'static str {
-        "chaos.quorum_safety"
-    }
-    fn on_event(&mut self, at: SimTime, event: &MonitorEvent) {
-        match event {
-            MonitorEvent::LeaderElected {
-                replica,
-                incarnation,
-                ..
-            } => {
-                if let Some(&other) = self.leading.iter().find(|&&r| r != *replica) {
-                    self.violations.push(format!(
-                        "at {at}: replica {replica} elected (incarnation {incarnation}) \
-                         while replica {other} still leads"
-                    ));
-                }
-                self.leading.insert(*replica);
-            }
-            MonitorEvent::LeaderLost { replica, .. } => {
-                self.leading.remove(replica);
-            }
-            _ => {}
-        }
-    }
-    fn verdict(&self) -> Result<(), String> {
-        if self.violations.is_empty() {
-            Ok(())
-        } else {
-            Err(self.violations.join("; "))
-        }
-    }
-}
-
-/// Runs [`QuorumSafety`] over a recorded log.
-pub fn check_quorum_safety(log: &MonitorLog) -> Result<(), String> {
-    log.check(&mut QuorumSafety::new())
-}
-
 /// `UpgradeNoJobLoss`: a rolling upgrade must not lose work or nodes.
 ///
 /// After an upgrade plan settles, demand that (a) every submitted job
@@ -318,46 +258,6 @@ mod tests {
         assert!(check_death_reconciliation(5, 3, 2).is_ok());
         assert!(check_death_reconciliation(2, 3, 0).is_err());
         assert!(check_death_reconciliation(6, 3, 2).is_err());
-    }
-
-    #[test]
-    fn quorum_safety_flags_concurrent_leaders() {
-        let mut log = MonitorLog::default();
-        log.push(
-            SimTime::from_secs(1),
-            MonitorEvent::LeaderElected {
-                replica: 0,
-                incarnation: 1,
-                votes: 3,
-            },
-        );
-        log.push(
-            SimTime::from_secs(5),
-            MonitorEvent::LeaderLost {
-                replica: 0,
-                incarnation: 1,
-            },
-        );
-        log.push(
-            SimTime::from_secs(6),
-            MonitorEvent::LeaderElected {
-                replica: 1,
-                incarnation: 2,
-                votes: 2,
-            },
-        );
-        assert!(check_quorum_safety(&log).is_ok(), "clean handover");
-        // Replica 0 comes back leading while 1 still leads: split brain.
-        log.push(
-            SimTime::from_secs(7),
-            MonitorEvent::LeaderElected {
-                replica: 0,
-                incarnation: 1,
-                votes: 1,
-            },
-        );
-        let err = check_quorum_safety(&log).unwrap_err();
-        assert!(err.contains("still leads"), "{err}");
     }
 
     #[test]

@@ -30,7 +30,6 @@
 pub mod gen;
 pub mod harness;
 pub mod invariant;
-pub mod regroup;
 pub mod rt;
 pub mod sim;
 
@@ -40,10 +39,9 @@ use std::time::Duration;
 pub use gen::{fault_plan, PlanSpace};
 pub use harness::{SimCluster, SimClusterBuilder};
 pub use invariant::{
-    check_death_reconciliation, check_quorum_safety, check_tenant_isolation,
-    check_upgrade_no_job_loss, p99, CrashBudget, QuorumSafety, RespawnCoverage, SpawnBudget,
+    check_death_reconciliation, check_tenant_isolation, check_upgrade_no_job_loss, p99,
+    CrashBudget, RespawnCoverage, SpawnBudget,
 };
-pub use regroup::{run_regroup, RegroupMode, RegroupOutcome};
 pub use sim::{SimChaos, SimChaosConfig};
 
 /// One fault or cluster operation to inject.
@@ -155,15 +153,6 @@ pub enum FaultKind {
         /// Per-round settle window between drain and upgraded rejoin.
         settle: Duration,
     },
-    /// Kill manager replica `which` of the quorum regroup rig. In the
-    /// sim/rt backends only replica 0 (the real manager process) exists:
-    /// `which == 0` maps to [`FaultKind::KillManager`] and higher
-    /// replicas are reported as skips. The N-replica dynamics are
-    /// exercised by the deterministic [`regroup`] rig.
-    KillManagerReplica {
-        /// Replica index (0 = the leader-eligible real manager).
-        which: usize,
-    },
 }
 
 impl fmt::Display for FaultKind {
@@ -218,9 +207,6 @@ impl fmt::Display for FaultKind {
                 "rolling-upgrade pool={pool} nodes={nodes} batch={batch} settle={:.3}s",
                 settle.as_secs_f64()
             ),
-            FaultKind::KillManagerReplica { which } => {
-                write!(f, "kill-manager-replica which={which}")
-            }
         }
     }
 }

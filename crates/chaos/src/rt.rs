@@ -140,19 +140,6 @@ pub fn run_plan<C: Cluster + Send + Sync + 'static>(
                     }
                 }
             }
-            // Only replica 0 (the real manager thread) exists here; the
-            // N-replica quorum dynamics run in the `regroup` rig.
-            FaultKind::KillManagerReplica { which } => {
-                if *which == 0 {
-                    timeline.push((ev.at, line, Action::KillManager));
-                } else {
-                    timeline.push((
-                        ev.at,
-                        line,
-                        Action::Skip("no standby replicas in this backend".into()),
-                    ));
-                }
-            }
         }
     }
     timeline.sort_by_key(|(at, _, _)| *at);

@@ -116,7 +116,6 @@ impl SimChaos {
             .filter_map(|e| match &e.kind {
                 FaultKind::KillWorker { .. }
                 | FaultKind::KillManager
-                | FaultKind::KillManagerReplica { which: 0 }
                 | FaultKind::KillNode { .. } => {
                     Some((SimTime::ZERO + e.at, SimTime::ZERO + e.at + cfg.grace))
                 }
@@ -339,15 +338,6 @@ fn apply(s: &mut SnsSim, kind: &FaultKind, blackout_depth: &Rc<Cell<u32>>) -> bo
                 });
             }
             true
-        }
-        // Only replica 0 — the real manager process — exists in this
-        // backend; standby-replica kills are skips here (the N-replica
-        // quorum dynamics run in the deterministic `regroup` rig).
-        FaultKind::KillManagerReplica { which } => {
-            if *which != 0 {
-                return false;
-            }
-            apply(s, &FaultKind::KillManager, blackout_depth)
         }
     }
 }

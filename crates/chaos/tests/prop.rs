@@ -164,41 +164,6 @@ fn broken_invariant_shrinks_to_a_minimal_plan() {
 }
 
 #[test]
-fn quorum_safety_violation_shrinks_to_kill_plus_restart() {
-    // Under the legacy single-rival rule a revived ex-leader resumes
-    // acting as manager while its successor still leads, so any regroup
-    // plan containing a leader kill followed (past the vote timeout) by
-    // a manager restart violates QuorumSafety. The shrinker must walk
-    // every failing plan down to that minimal two-event witness.
-    let space = PlanSpace::regroup(3);
-    let result = std::panic::catch_unwind(|| {
-        check_config(
-            "chaos.quorum_safety_shrinks",
-            &Config {
-                cases: 60,
-                seed: 0x0B5E,
-                shrink_budget: 768,
-            },
-            (fault_plan(&space),),
-            |(plan,)| {
-                let out = sns_chaos::run_regroup(3, &plan, sns_chaos::RegroupMode::Legacy);
-                sns_chaos::check_quorum_safety(&out.log).map_err(Into::into)
-            },
-        );
-    });
-    let msg = *result
-        .expect_err("the legacy rule must produce a split-brain counterexample")
-        .downcast::<String>()
-        .expect("string panic");
-    assert!(msg.contains("chaos.quorum_safety"), "{msg}");
-    // The shrunk witness is minimal: kill the leader, then restart it.
-    let events = msg.matches("FaultEvent {").count();
-    assert_eq!(events, 2, "shrinker left {events} events:\n{msg}");
-    assert!(msg.contains("KillManagerReplica"), "{msg}");
-    assert!(msg.contains("RestartManager"), "{msg}");
-}
-
-#[test]
 #[should_panic(expected = "chaos.spawn_budget")]
 fn spawn_budget_violation_panics_with_invariant_name() {
     // The acceptance-criterion demo: a fixed single-kill plan against the

@@ -250,12 +250,9 @@ pub struct ControlPlane {
     node_epoch: BTreeMap<NodeId, u64>,
     /// Max live+pending workers per tenant (absent = uncapped).
     tenant_caps: BTreeMap<&'static str, u32>,
-    /// Manager replica-group size for the regroup rule (1 = the paper's
-    /// single-manager deployment).
-    manager_replicas: u32,
-    /// Membership machine behind rival-beacon resolution; built at
-    /// [`ControlPlane::on_start`] once `me` is known.
-    quorum: Option<Quorum>,
+    /// Whether this incarnation acts as the manager: set by
+    /// [`ControlPlane::on_start`], cleared for good by a step-down.
+    leading: bool,
     load_reports_handled: u64,
     started_at: Option<SimTime>,
     next_token: u64,
@@ -276,8 +273,7 @@ impl ControlPlane {
             drained: BTreeSet::new(),
             node_epoch: BTreeMap::new(),
             tenant_caps: BTreeMap::new(),
-            manager_replicas: 1,
-            quorum: None,
+            leading: false,
             load_reports_handled: 0,
             started_at: None,
             next_token: 0,
@@ -295,14 +291,6 @@ impl ControlPlane {
     /// the other tenant's node budget.
     pub fn set_tenant_cap(&mut self, tenant: &'static str, cap: u32) {
         self.tenant_caps.insert(tenant, cap);
-    }
-
-    /// Sets the manager replica-group size consulted by the regroup
-    /// rule. Must be called before [`ControlPlane::on_start`]; the
-    /// default of 1 reproduces the paper's single-manager rival-beacon
-    /// behavior exactly.
-    pub fn set_manager_replicas(&mut self, replicas: u32) {
-        self.manager_replicas = replicas.max(1);
     }
 
     /// Live + pending workers billed to `tenant`.
@@ -711,12 +699,7 @@ impl ControlPlane {
         self.started_at = Some(now);
         self.me = me;
         self.node = node;
-        self.quorum = Some(Quorum::leader(
-            self.manager_replicas,
-            me.0,
-            self.cfg.incarnation,
-            self.cfg.sns.beacon_loss_timeout,
-        ));
+        self.leading = true;
         out.push(ControlEffect::Emit(MonitorEvent::Started {
             who: me,
             kind: "manager",
@@ -931,24 +914,16 @@ impl ControlPlane {
     }
 
     /// A beacon arrived on the manager's own group (a rival incarnation
-    /// is announcing itself). Resolution is delegated to the [`Quorum`]
-    /// membership machine; with `manager_replicas == 1` (the default)
-    /// its ballot rule degenerates to the paper's original comparison —
-    /// the (incarnation, id)-greater rival wins and the loser steps
-    /// down (duplicate restart resolution).
+    /// is announcing itself): duplicate-restart resolution. The rival
+    /// with the greater (incarnation, id) wins and a leading loser steps
+    /// down, once. Before [`ControlPlane::on_start`], after a step-down,
+    /// and for the manager's own beacon there is nothing to do.
     pub fn on_rival_beacon(&mut self, b: &BeaconData, out: &mut Vec<ControlEffect>) {
-        let ballot = Ballot {
-            id: b.manager.0,
-            incarnation: b.incarnation,
-            leading: true,
-            at: b.at,
-        };
-        let decision = match self.quorum.as_mut() {
-            Some(q) => q.on_ballot(&ballot),
-            // Before on_start there is nothing to step down; ignore.
-            None => QuorumDecision::Hold,
-        };
-        if matches!(decision, QuorumDecision::StepDown) {
+        if !self.leading || b.manager == self.me {
+            return;
+        }
+        if (b.incarnation, b.manager.0) >= (self.cfg.incarnation, self.me.0) {
+            self.leading = false;
             out.push(ControlEffect::Incr {
                 key: "manager.stepdowns",
                 n: 1,
@@ -1028,214 +1003,6 @@ impl ControlPlane {
                 }));
             }
         }
-    }
-}
-
-/// One manager replica's periodic membership announcement — the vote
-/// currency of the [`Quorum`] machine. In the degenerate single-manager
-/// deployment the only ballots are rival-manager beacons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ballot {
-    /// Stable identity of the sender (replica index, or `ComponentId.0`
-    /// when the ballot is a manager beacon).
-    pub id: u64,
-    /// The sender's incarnation number.
-    pub incarnation: u64,
-    /// Whether the sender currently acts as the manager.
-    pub leading: bool,
-    /// When the ballot was cast (liveness bookkeeping).
-    pub at: SimTime,
-}
-
-/// What a [`Quorum`] handler decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuorumDecision {
-    /// Nothing to do.
-    Hold,
-    /// A better-qualified leader exists: stop acting as the manager.
-    StepDown,
-    /// This replica won the election and must start acting as the
-    /// manager at the given (fresh) incarnation.
-    TakeOver {
-        /// The new leader incarnation (strictly above anything seen).
-        incarnation: u64,
-    },
-    /// Fewer than a majority of replicas are reachable: the group must
-    /// not elect (split-brain risk) — surface to the operator instead.
-    Unrecoverable {
-        /// Replicas currently reachable (including self).
-        live: u32,
-        /// The majority threshold that was missed.
-        need: u32,
-    },
-}
-
-/// MSCS-style quorum membership for the manager group (Vogels et al.,
-/// PAPERS.md): N replicas exchange [`Ballot`]s; a majority of live
-/// replicas is required before any takeover, and a rejoining replica
-/// re-enters as a standby until elected. With `replicas == 1` the
-/// machine degenerates exactly to the paper's single rival-beacon rule:
-/// the (incarnation, id)-greater claimant wins and the loser steps down.
-///
-/// Sans-IO like the planes: callers deliver ballots and drive
-/// [`Quorum::tick`] on their own clock, then act on the returned
-/// [`QuorumDecision`].
-#[derive(Debug, Clone)]
-pub struct Quorum {
-    replicas: u32,
-    me: u64,
-    incarnation: u64,
-    leading: bool,
-    vote_timeout: Duration,
-    /// Last ballot time per peer replica.
-    last_heard: BTreeMap<u64, SimTime>,
-    /// The (incarnation, id) ballot currently believed to lead.
-    leader: Option<(u64, u64)>,
-    /// Highest incarnation observed anywhere (takeover fencing).
-    seen_incarnation: u64,
-}
-
-impl Quorum {
-    /// A replica that starts out acting as the manager (the bootstrap
-    /// leader, or the single manager of an N=1 deployment).
-    pub fn leader(replicas: u32, me: u64, incarnation: u64, vote_timeout: Duration) -> Self {
-        Quorum {
-            replicas: replicas.max(1),
-            me,
-            incarnation,
-            leading: true,
-            vote_timeout,
-            last_heard: BTreeMap::new(),
-            leader: Some((incarnation, me)),
-            seen_incarnation: incarnation,
-        }
-    }
-
-    /// A replica that starts out (or rejoins) as a standby: it acts
-    /// only if elected by [`Quorum::tick`] — the MSCS regroup
-    /// discipline that prevents a revived old leader from resuming
-    /// leadership it no longer holds.
-    pub fn standby(replicas: u32, me: u64, vote_timeout: Duration) -> Self {
-        Quorum {
-            replicas: replicas.max(1),
-            me,
-            incarnation: 0,
-            leading: false,
-            vote_timeout,
-            last_heard: BTreeMap::new(),
-            leader: None,
-            seen_incarnation: 0,
-        }
-    }
-
-    /// Whether this replica currently acts as the manager.
-    pub fn is_leading(&self) -> bool {
-        self.leading
-    }
-
-    /// This replica's incarnation (0 for a never-elected standby).
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
-    /// Votes needed for any takeover: a strict majority of the group.
-    pub fn majority(&self) -> u32 {
-        self.replicas / 2 + 1
-    }
-
-    /// The ballot this replica broadcasts.
-    pub fn ballot(&self, at: SimTime) -> Ballot {
-        Ballot {
-            id: self.me,
-            incarnation: self.incarnation,
-            leading: self.leading,
-            at,
-        }
-    }
-
-    /// Ingests a peer's ballot. A leading replica steps down when a
-    /// rival leader's (incarnation, id) is ≥ its own — byte-identical
-    /// to the old rival-beacon comparison when `replicas == 1`.
-    pub fn on_ballot(&mut self, b: &Ballot) -> QuorumDecision {
-        if b.id == self.me {
-            return QuorumDecision::Hold;
-        }
-        self.last_heard.insert(b.id, b.at);
-        self.seen_incarnation = self.seen_incarnation.max(b.incarnation);
-        if !b.leading {
-            return QuorumDecision::Hold;
-        }
-        if self.leading {
-            if (b.incarnation, b.id) >= (self.incarnation, self.me) {
-                self.leading = false;
-                self.leader = Some((b.incarnation, b.id));
-                return QuorumDecision::StepDown;
-            }
-            return QuorumDecision::Hold;
-        }
-        // Standby: adopt the highest-qualified claimant as leader.
-        if self
-            .leader
-            .is_none_or(|(inc, id)| (b.incarnation, b.id) >= (inc, id))
-        {
-            self.leader = Some((b.incarnation, b.id));
-        }
-        QuorumDecision::Hold
-    }
-
-    /// Live replicas (self plus peers heard within the vote timeout).
-    pub fn live(&self, now: SimTime) -> u32 {
-        1 + self
-            .last_heard
-            .values()
-            .filter(|&&t| now.since(t) <= self.vote_timeout)
-            .count() as u32
-    }
-
-    /// Periodic membership pass: checks quorum, detects leader silence,
-    /// and elects the lowest-id live replica with majority backing.
-    /// A leader that can no longer hear a majority relinquishes
-    /// leadership as it reports [`QuorumDecision::Unrecoverable`] — a
-    /// minority island must stop acting as the manager.
-    pub fn tick(&mut self, now: SimTime) -> QuorumDecision {
-        let live = self.live(now);
-        let need = self.majority();
-        if live < need {
-            self.leading = false;
-            return QuorumDecision::Unrecoverable { live, need };
-        }
-        if self.leading {
-            return QuorumDecision::Hold;
-        }
-        let leader_live = match self.leader {
-            Some((_, id)) => self
-                .last_heard
-                .get(&id)
-                .is_some_and(|&t| now.since(t) <= self.vote_timeout),
-            None => false,
-        };
-        if leader_live {
-            return QuorumDecision::Hold;
-        }
-        // Election among live replicas: the lowest id wins (every live
-        // replica computes the same winner from the same ballots).
-        let min_live = self
-            .last_heard
-            .iter()
-            .filter(|(_, &t)| now.since(t) <= self.vote_timeout)
-            .map(|(&id, _)| id)
-            .chain(std::iter::once(self.me))
-            .min()
-            .expect("self is always a candidate");
-        if min_live == self.me {
-            let incarnation = self.seen_incarnation + 1;
-            self.incarnation = incarnation;
-            self.seen_incarnation = incarnation;
-            self.leading = true;
-            self.leader = Some((incarnation, self.me));
-            return QuorumDecision::TakeOver { incarnation };
-        }
-        QuorumDecision::Hold
     }
 }
 
@@ -2235,8 +2002,7 @@ mod tests {
 
     #[test]
     fn rival_beacon_n1_rule_survives_lower_rival() {
-        // The quorum delegation must keep the exact degenerate rule: a
-        // rival with a *lower* (incarnation, id) loses and we stay up.
+        // A rival with a *lower* (incarnation, id) loses and we stay up.
         let mut p = plane(0);
         let mut out = Vec::new();
         p.on_start(
@@ -2257,81 +2023,71 @@ mod tests {
         assert!(out.is_empty(), "lower rival must not unseat us");
     }
 
-    #[test]
-    fn quorum_majority_elects_lowest_standby() {
-        let vt = Duration::from_secs(4);
-        let mut q = Quorum::standby(3, 1, vt);
-        let now = SimTime::from_secs(10);
-        // Hear replica 2 (standby); leader 0 stays silent.
-        assert_eq!(
-            q.on_ballot(&Ballot {
-                id: 2,
-                incarnation: 0,
-                leading: false,
-                at: now
-            }),
-            QuorumDecision::Hold
+    fn rival(id: u64, incarnation: u64) -> BeaconData {
+        BeaconData {
+            manager: ComponentId(id),
+            incarnation,
+            hints: BTreeMap::new(),
+            at: SimTime::from_secs(1),
+        }
+    }
+
+    fn started(me: u64) -> ControlPlane {
+        let mut p = plane(0);
+        p.on_start(
+            SimTime::ZERO,
+            ComponentId(me),
+            NodeId(0),
+            &view(&[]),
+            &mut Vec::new(),
         );
-        assert_eq!(q.live(now), 2);
-        assert_eq!(q.majority(), 2);
-        let d = q.tick(now);
-        assert_eq!(d, QuorumDecision::TakeOver { incarnation: 1 });
-        assert!(q.is_leading());
-        // Replica 2 sees our leader ballot and holds.
-        let mut peer = Quorum::standby(3, 2, vt);
-        peer.on_ballot(&q.ballot(now));
-        assert_eq!(peer.tick(now), QuorumDecision::Hold);
+        p
     }
 
     #[test]
-    fn quorum_minority_is_unrecoverable_not_electing() {
-        let vt = Duration::from_secs(4);
-        let mut q = Quorum::standby(3, 1, vt);
-        // Nobody else heard from: 1 of 3 live, need 2.
-        assert_eq!(
-            q.tick(SimTime::from_secs(10)),
-            QuorumDecision::Unrecoverable { live: 1, need: 2 }
-        );
-        assert!(!q.is_leading(), "no election without a majority");
+    fn rival_beacon_before_start_is_ignored() {
+        let mut p = plane(0);
+        let mut out = Vec::new();
+        p.on_rival_beacon(&rival(9, 7), &mut out);
+        assert!(out.is_empty(), "nothing to step down before on_start");
     }
 
     #[test]
-    fn quorum_leader_steps_down_in_minority_island() {
-        let vt = Duration::from_secs(4);
-        let mut q = Quorum::leader(3, 0, 1, vt);
-        let peer = Quorum::standby(3, 1, vt);
-        assert_eq!(
-            q.on_ballot(&peer.ballot(SimTime::from_secs(1))),
-            QuorumDecision::Hold
-        );
-        assert_eq!(q.tick(SimTime::from_secs(2)), QuorumDecision::Hold);
-        // The peers go silent past the vote timeout: the leader loses
-        // its majority and must stop acting as the manager.
-        assert_eq!(
-            q.tick(SimTime::from_secs(10)),
-            QuorumDecision::Unrecoverable { live: 1, need: 2 }
-        );
-        assert!(!q.is_leading(), "a minority island relinquishes leadership");
+    fn rival_beacon_steps_down_once() {
+        let mut p = started(1);
+        let mut out = Vec::new();
+        p.on_rival_beacon(&rival(9, 2), &mut out);
+        // A still higher rival after the step-down changes nothing.
+        let mut later = Vec::new();
+        p.on_rival_beacon(&rival(10, 5), &mut later);
+        assert!(later.is_empty(), "a stepped-down manager stays down");
+        let stepdowns: u64 = out
+            .iter()
+            .filter_map(|e| match e {
+                ControlEffect::Incr {
+                    key: "manager.stepdowns",
+                    n,
+                } => Some(*n),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(stepdowns, 1);
+        let steps = out
+            .iter()
+            .filter(|e| matches!(e, ControlEffect::StepDown))
+            .count();
+        assert_eq!(steps, 1);
     }
 
     #[test]
-    fn quorum_rejoined_old_leader_defers_to_new_one() {
-        let vt = Duration::from_secs(4);
-        let now = SimTime::from_secs(20);
-        // Replica 1 took over at incarnation 2; old leader 0 rejoins as
-        // a standby, hears the new leader, and never re-elects itself.
-        let mut rejoined = Quorum::standby(3, 0, vt);
-        assert_eq!(
-            rejoined.on_ballot(&Ballot {
-                id: 1,
-                incarnation: 2,
-                leading: true,
-                at: now
-            }),
-            QuorumDecision::Hold
-        );
-        assert_eq!(rejoined.tick(now), QuorumDecision::Hold);
-        assert!(!rejoined.is_leading());
+    fn rival_beacon_equal_incarnation_breaks_tie_on_id() {
+        // `plane` runs at incarnation 1, like both rivals below.
+        let mut p = started(5);
+        let mut out = Vec::new();
+        p.on_rival_beacon(&rival(4, 1), &mut out);
+        assert!(out.is_empty(), "a lower id at equal incarnation loses");
+        p.on_rival_beacon(&rival(6, 1), &mut out);
+        assert!(out.iter().any(|e| matches!(e, ControlEffect::StepDown)));
     }
 
     #[test]

@@ -61,9 +61,8 @@ use std::time::Duration;
 
 pub use cluster::{Cluster, SettleStats};
 pub use control::{
-    Admission, Ballot, ClusterView, ControlConfig, ControlEffect, ControlPlane, DispatchEffect,
-    DispatchPlane, LiveLoad, NodeLoad, OverloadPolicy, Quorum, QuorumDecision, SpawnPolicy,
-    TenantPolicy,
+    Admission, ClusterView, ControlConfig, ControlEffect, ControlPlane, DispatchEffect,
+    DispatchPlane, LiveLoad, NodeLoad, OverloadPolicy, SpawnPolicy, TenantPolicy,
 };
 pub use frontend::{Action, FrontEnd};
 pub use invariant::{Invariant, MonitorLog, MonitorTap, TapHandle};

@@ -85,22 +85,6 @@ pub enum MonitorEvent {
         /// Upgrade epoch of the node after rejoin (0 = never upgraded).
         epoch: u64,
     },
-    /// A manager replica won a majority vote and took over leadership.
-    LeaderElected {
-        /// Replica id of the new leader.
-        replica: u32,
-        /// Incarnation it leads at.
-        incarnation: u64,
-        /// Live replicas (votes) observed at election time.
-        votes: u32,
-    },
-    /// A leading manager replica stopped leading (killed or stepped down).
-    LeaderLost {
-        /// Replica id that lost leadership.
-        replica: u32,
-        /// Incarnation it was leading at.
-        incarnation: u64,
-    },
     /// Free-form operator-visible warning.
     Warning(String),
 }
@@ -108,7 +92,8 @@ pub enum MonitorEvent {
 impl MonitorEvent {
     /// Stable per-variant key, used for monitor counters and invariant
     /// checkers (`"started"`, `"spawned"`, `"reaped"`, `"crashed"`,
-    /// `"peer_restarted"`, `"heartbeat"`, `"warning"`).
+    /// `"peer_restarted"`, `"heartbeat"`, `"node_drained"`,
+    /// `"node_rejoined"`, `"warning"`).
     pub fn kind_key(&self) -> &'static str {
         match self {
             MonitorEvent::Started { .. } => "started",
@@ -119,8 +104,6 @@ impl MonitorEvent {
             MonitorEvent::Heartbeat { .. } => "heartbeat",
             MonitorEvent::NodeDrained { .. } => "node_drained",
             MonitorEvent::NodeRejoined { .. } => "node_rejoined",
-            MonitorEvent::LeaderElected { .. } => "leader_elected",
-            MonitorEvent::LeaderLost { .. } => "leader_lost",
             MonitorEvent::Warning(_) => "warning",
         }
     }
@@ -154,17 +137,6 @@ impl MonitorEvent {
             MonitorEvent::NodeRejoined { node, epoch } => {
                 format!("node_rejoined node={node} epoch={epoch}")
             }
-            MonitorEvent::LeaderElected {
-                replica,
-                incarnation,
-                votes,
-            } => {
-                format!("leader_elected replica={replica} incarnation={incarnation} votes={votes}")
-            }
-            MonitorEvent::LeaderLost {
-                replica,
-                incarnation,
-            } => format!("leader_lost replica={replica} incarnation={incarnation}"),
             MonitorEvent::Warning(msg) => format!("warning {msg}"),
         }
     }

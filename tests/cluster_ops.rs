@@ -1,13 +1,12 @@
-//! Cluster-operations chaos: drains, rejoins, rolling upgrades, quorum
-//! regroup and multi-tenant mixes — every scenario pinned by an
-//! invariant (`UpgradeNoJobLoss`, `QuorumSafety`, `TenantIsolation`).
+//! Cluster-operations chaos: drains, rejoins, rolling upgrades and
+//! multi-tenant mixes — every scenario pinned by an invariant
+//! (`UpgradeNoJobLoss`, `TenantIsolation`).
 //!
 //! The operations verbs run through the backend-agnostic [`Cluster`]
 //! trait, so the same script drives the simulator harness and the
 //! threaded runtime and their normalized monitor logs must agree; the
-//! quorum scenarios replay deterministic plans through the N-replica
-//! regroup rig; the tenant scenarios saturate one service of a shared
-//! cluster and pin the other's latency inside a band.
+//! tenant scenarios saturate one service of a shared cluster and pin
+//! the other's latency inside a band.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,8 +14,8 @@ use std::time::Duration;
 
 use cluster_sns::chaos::harness::SimClusterBuilder;
 use cluster_sns::chaos::{
-    check_quorum_safety, check_tenant_isolation, check_upgrade_no_job_loss, p99, run_regroup,
-    FaultKind, FaultPlan, RegroupMode, SimChaos, SimChaosConfig,
+    check_tenant_isolation, check_upgrade_no_job_loss, p99, FaultKind, FaultPlan, SimChaos,
+    SimChaosConfig,
 };
 use cluster_sns::core::cluster::{Cluster, SettleStats};
 use cluster_sns::core::invariant::MonitorLog;
@@ -294,74 +293,6 @@ fn rolling_upgrade_plan_runs_through_rt_injector() {
     check_upgrade_no_job_loss(&total, &log).unwrap();
     assert_eq!(log.count("node_drained"), 2, "both rounds drained");
     assert_eq!(log.count("node_rejoined"), 2, "both rounds rejoined");
-}
-
-#[test]
-fn quorum_minority_kill_regroups_with_majority() {
-    // Kill one standby, then the leader: the survivors still form a
-    // majority, so the lowest live standby takes over and at no instant
-    // do two incarnations act as manager.
-    let plan = FaultPlan::new()
-        .with(
-            Duration::from_secs(5),
-            FaultKind::KillManagerReplica { which: 2 },
-        )
-        .with(
-            Duration::from_secs(12),
-            FaultKind::KillManagerReplica { which: 0 },
-        );
-    let out = run_regroup(5, &plan, RegroupMode::Quorum);
-    check_quorum_safety(&out.log).unwrap();
-    assert!(!out.unrecoverable, "3 of 5 live is still a majority");
-    assert_eq!(out.leader, Some(1), "lowest live standby took over");
-    assert_eq!(out.log.count("leader_elected"), 1);
-}
-
-#[test]
-fn quorum_majority_kill_is_detected_unrecoverable() {
-    // Kill three of five replicas including the leader: the minority
-    // island must refuse to elect and report itself unrecoverable.
-    let plan = FaultPlan::new()
-        .with(
-            Duration::from_secs(5),
-            FaultKind::KillManagerReplica { which: 0 },
-        )
-        .with(
-            Duration::from_secs(5),
-            FaultKind::KillManagerReplica { which: 1 },
-        )
-        .with(
-            Duration::from_secs(5),
-            FaultKind::KillManagerReplica { which: 3 },
-        );
-    let out = run_regroup(5, &plan, RegroupMode::Quorum);
-    check_quorum_safety(&out.log).unwrap();
-    assert!(out.unrecoverable, "2 of 5 live is below majority");
-    assert_eq!(out.leader, None, "no minority self-election");
-    assert_eq!(out.log.count("leader_elected"), 0);
-}
-
-#[test]
-fn quorum_rule_prevents_the_legacy_split_brain() {
-    // The same kill-leader-then-restart plan under both takeover rules:
-    // the legacy single-rival rule lets the revived leader resume while
-    // its successor leads (QuorumSafety violation); the majority rule
-    // re-admits it as a standby.
-    let plan = FaultPlan::new()
-        .with(
-            Duration::from_secs(3),
-            FaultKind::KillManagerReplica { which: 0 },
-        )
-        .with(Duration::from_secs(12), FaultKind::RestartManager);
-    let legacy = run_regroup(3, &plan, RegroupMode::Legacy);
-    assert!(
-        check_quorum_safety(&legacy.log).is_err(),
-        "legacy revival must split the brain:\n{:?}",
-        legacy.log.entries()
-    );
-    let quorum = run_regroup(3, &plan, RegroupMode::Quorum);
-    check_quorum_safety(&quorum.log).unwrap();
-    assert_eq!(quorum.leader, Some(1), "the successor keeps leading");
 }
 
 struct SlowEcho(&'static str, Duration);

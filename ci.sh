@@ -58,10 +58,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test --doc -q --offline --workspace
 
 echo "== bench stage: sim_throughput macro-bench (release, 1M events/run)"
-# Times the engine on three 1M-event profiles (message ring, spawn
-# churn, a million standing timers) and asserts in-process that every
-# profile's repeated runs dispatch the same events to the same end
-# time. An empty or missing BENCH_sim.json means the bench silently
+# Times the engine on two 1M-event profiles (spawn churn, a million
+# standing timers) and asserts in-process that every profile's repeated
+# runs dispatch the same events to the same end time. (The message ring
+# is perfbench's sim_route.) An empty or missing BENCH_sim.json means the bench silently
 # stopped measuring.
 cargo run -p sns-bench --release --offline --bin sim_throughput -- BENCH_sim.json
 if [ ! -s BENCH_sim.json ]; then
@@ -85,13 +85,13 @@ echo "== bench stage: sim_scale (million-user replay at two SAN fidelity levels)
 # Proves fidelity before it measures: the flow-mode replay must deliver
 # the same request count as the per-datagram path on a matched window,
 # with mean delay inside the (0.5, 2.0) band, and must run >= 10x faster
-# (the bin asserts both in-process). Appends the three replay/* rows to
-# BENCH_sim.json.
+# (the bin asserts both in-process). Appends the two replay/*_window rows
+# to BENCH_sim.json. (The full-day replay is perfbench's san_flow_day.)
 cargo run -p sns-bench --release --offline --bin sim_scale -- BENCH_sim.json
 
 rows=$(grep -c '"bench"' BENCH_sim.json || true)
-if [ "$rows" -lt 15 ]; then
-  echo "BENCH_sim.json carries $rows rows, expected >= 15 (3 sim_throughput + 4 trace_overhead + >= 5 slo + 3 replay)" >&2
+if [ "$rows" -lt 13 ]; then
+  echo "BENCH_sim.json carries $rows rows, expected >= 13 (2 sim_throughput + 4 trace_overhead + >= 5 slo + 2 replay)" >&2
   exit 1
 fi
 echo "   ok: $rows bench rows in BENCH_sim.json"
@@ -191,20 +191,35 @@ echo "== chaos stage: fault-injection suites under a pinned seed"
 chaos_suite sns-chaos prop 4
 chaos_suite cluster-sns failure_recovery 12
 chaos_suite cluster-sns determinism 11
-chaos_suite cluster-sns paper_shapes 4
+chaos_suite cluster-sns paper_shapes 5
 chaos_suite cluster-sns trace_shapes 3
 chaos_suite cluster-sns flow_shapes 5
 chaos_suite sns-sim sched_equiv 2
 
 echo "== exec stage: deterministic executor + async request path"
 # The executor-contract property suite (wake-order replay, timeout /
-# race cancellation under engine-ordered timer delivery) and the
-# whole-stack async path: the same pipeline body serving on the sim and
-# rt backends. (The bodies' equivalence to the retired state machines
-# is pinned by the goldens in the determinism suite.) Roster-guarded
-# like the chaos suites — a filtered-out determinism proof is no proof.
+# race truth tables and nap release under engine-ordered nap delivery)
+# and the whole-stack async path: the same pipeline body serving on the
+# sim and rt backends. (The bodies' equivalence to the retired state
+# machines is pinned by the goldens in the determinism suite.)
+# Roster-guarded like the chaos suites — a filtered-out determinism
+# proof is no proof.
 chaos_suite sns-core exec 4
 chaos_suite cluster-sns async_path 2
+# The exec layer's demo runs too: all 8 pipeline queries must print an
+# answer and none an error.
+out=$(cargo run --release --offline --quiet --example async_pipeline 2>&1) || {
+  echo "$out"
+  echo "example async_pipeline FAILED" >&2
+  exit 1
+}
+answered=$(printf '%s\n' "$out" | grep -cE '^query [0-9]+: [0-9]+ bytes' || true)
+if [ "$answered" -ne 8 ] || printf '%s\n' "$out" | grep -q 'error:'; then
+  echo "$out"
+  echo "example async_pipeline answered $answered/8 queries or printed an error" >&2
+  exit 1
+fi
+echo "   ok: async_pipeline answered 8/8"
 
 echo "== cluster_ops stage: operations chaos under a pinned seed"
 # Rolling upgrades under load (UpgradeNoJobLoss on both backends),

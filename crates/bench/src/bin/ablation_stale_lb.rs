@@ -9,77 +9,7 @@
 //! in distiller queue lengths between successive reports; these
 //! estimates were sufficient to eliminate the oscillations."
 
-use std::time::Duration;
-
-use sns_bench::{banner, compare, ramp_workload, series_buckets, sparkline, warmup_workload};
-use sns_sim::time::SimTime;
-use sns_transend::{TranSendBuilder, TranSendConfig};
-
-struct Outcome {
-    /// Mean absolute per-bucket change of each distiller queue (the
-    /// oscillation measure).
-    oscillation: f64,
-    /// Mean across distillers of time-averaged queue length.
-    mean_queue: f64,
-    p95_latency: f64,
-    sparklines: Vec<(String, String)>,
-}
-
-fn run(delta_correction: bool) -> Outcome {
-    let n_objects = 40;
-    let mut cluster = TranSendBuilder::new()
-        .with_seed(0xab1a7e)
-        .with_worker_nodes(8)
-        .with_overflow_nodes(2)
-        .with_cores_per_node(2)
-        .with_frontends(1)
-        .with_cache_partitions(2)
-        .with_min_distillers(3)
-        .with_distillers(["jpeg"])
-        .with_origin_penalty_scale(0.05)
-        .with_delta_correction(delta_correction)
-        .with_ts(TranSendConfig {
-            cache_distilled: false,
-            ..Default::default()
-        })
-        .build();
-    // Steady 55 req/s across 3 distillers: high enough that misrouting a
-    // beacon interval's worth of work visibly swings the queues.
-    let mut items = warmup_workload(n_objects, 10 * 1024, Duration::from_millis(50));
-    let mut load = ramp_workload(&[(100.0, 55.0)], n_objects, 10 * 1024, 13);
-    load.retain(|(at, _)| at.as_secs_f64() > 6.0);
-    items.extend(load);
-    let report = cluster.attach_client(items, Duration::from_secs(3));
-    cluster.sim.run_until(SimTime::from_secs(125));
-
-    let stats = cluster.sim.stats();
-    let mut oscillation_sum = 0.0;
-    let mut queue_sum = 0.0;
-    let mut series_n = 0usize;
-    let mut sparklines = Vec::new();
-    for (name, series) in stats.all_series() {
-        let Some(id) = name.strip_prefix("worker.qlen.distiller/jpeg.") else {
-            continue;
-        };
-        let (_, vals) = series_buckets(series, 60);
-        if vals.len() < 10 {
-            continue;
-        }
-        let osc: f64 =
-            vals.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (vals.len() - 1) as f64;
-        oscillation_sum += osc;
-        queue_sum += series.time_weighted_mean();
-        series_n += 1;
-        sparklines.push((id.to_string(), sparkline(&vals)));
-    }
-    let mut r = report.borrow_mut();
-    Outcome {
-        oscillation: oscillation_sum / series_n.max(1) as f64,
-        mean_queue: queue_sum / series_n.max(1) as f64,
-        p95_latency: r.latency.quantile(0.95),
-        sparklines,
-    }
-}
+use sns_bench::{banner, compare, stale_lb_run};
 
 fn main() {
     banner(
@@ -87,8 +17,8 @@ fn main() {
         "Fox et al., SOSP '97, §4.5 (the oscillation anecdote)",
     );
 
-    let with = run(true);
-    let without = run(false);
+    let with = stale_lb_run(true);
+    let without = stale_lb_run(false);
 
     println!("\nqueue lengths WITH the delta correction (3 distillers, 55 req/s):");
     for (id, line) in &with.sparklines {

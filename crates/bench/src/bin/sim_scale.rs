@@ -1,10 +1,10 @@
 //! Scaling of the simulator by abstraction level: the million-user
 //! diurnal replay ([`sns_workload::ReplayLoad`], peak rotated to the
 //! window) through the SAN at both fidelity levels. `replay/datagram_window`
-//! walks every request through the exact per-message model,
+//! walks every request through the exact per-message model and
 //! `replay/flow_window` offers the same epochs as aggregate flows
-//! (`San::offer_flow`), and `replay/flow_24h` is the headline full-day
-//! flow-level replay. Rows are appended to `BENCH_sim.json`.
+//! (`San::offer_flow`). Rows are appended to `BENCH_sim.json`. The
+//! full-day flow replay is perfbench's `san_flow_day` workload.
 //!
 //! Fidelity before speed: the bin asserts the two windows agree on
 //! delivered counts and mean delay (coarse band — the fine bands live in
@@ -28,8 +28,6 @@ use sns_workload::ReplayLoad;
 const REPLAY_PAIRS: u32 = 4;
 /// Replay window compared across fidelity levels.
 const WINDOW_SECS: u64 = 60;
-/// The full-day headline replay.
-const DAY_SECS: u64 = 24 * 3600;
 
 /// The replay envelope: one million users, peak rotated onto the window
 /// so the matched comparison runs at the diurnal maximum (~1300 req/s).
@@ -173,7 +171,6 @@ fn main() {
 
     suite.bench("replay/datagram_window", || datagram_replay(WINDOW_SECS));
     suite.bench("replay/flow_window", || flow_replay(WINDOW_SECS));
-    suite.bench("replay/flow_24h", || flow_replay(DAY_SECS));
 
     let row = |name: &str| {
         suite
@@ -184,14 +181,10 @@ fn main() {
     };
     let dgram = row("replay/datagram_window").min_ns;
     let flow = row("replay/flow_window").min_ns;
-    let day = row("replay/flow_24h").min_ns;
     println!(
         "-- flow-level replay {:.0}x faster than datagram on the matched {WINDOW_SECS}s peak \
-         window ({d_total} requests); full 24h flow replay {:.1} ms/run vs ~{:.0} s estimated \
-         per-datagram",
+         window ({d_total} requests)",
         dgram / flow,
-        day / 1e6,
-        dgram * (DAY_SECS / WINDOW_SECS) as f64 / 1e9,
     );
     assert!(
         dgram / flow >= 10.0,

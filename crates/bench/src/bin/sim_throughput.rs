@@ -3,17 +3,18 @@
 //! wheel. Rows keep their `/wheel` suffix so they stay comparable with
 //! the recorded history, in which each profile also had a `/heap` row.
 //!
-//! Three profiles stress different parts of the hot path:
+//! Two profiles stress different parts of the hot path:
 //!
-//! * `route_1m` — a 64-component message ring over the ideal network;
-//!   small queue, many same-timestamp deliveries (batching + arena
-//!   dispatch dominate).
 //! * `spawn_1m` — components continuously spawning and killing
 //!   children (component-table churn, start/death bookkeeping).
 //! * `monitor_1m` — ~1M standing re-arming timers spread over 1000 s
 //!   of virtual time, the Section-2 monitoring workload shape: a
 //!   million entries stand in the queue, and each pop drains an O(1)
 //!   wheel bucket.
+//!
+//! The message-ring profile (engine dispatch, tiny queue) is measured
+//! by perfbench's `sim_route` workload against A/A-derived bounds, not
+//! here.
 //!
 //! ```sh
 //! cargo run -p sns-bench --release --bin sim_throughput [-- OUTPUT.json]
@@ -46,34 +47,6 @@ fn config(max_events: u64) -> SimConfig {
     SimConfig::new()
         .with_seed(0x517)
         .with_max_events(max_events)
-}
-
-/// 64 tokens circulating a component ring; each delivery forwards to
-/// the next member, so 64 messages are always in flight and most of
-/// them share timestamps.
-fn route_sim() -> Sim<Ping, IdealNetwork> {
-    struct Fwd {
-        next: ComponentId,
-    }
-    impl Component<Ping> for Fwd {
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, _from: ComponentId, msg: Ping) {
-            ctx.send(self.next, msg);
-        }
-    }
-    let mut sim: Sim<Ping, IdealNetwork> = Sim::new(config(EVENTS), IdealNetwork::default());
-    let ring = 64u64;
-    let node = sim.add_node(NodeSpec::new(4, "dedicated"));
-    // Component ids are allocated sequentially from 1, so each member
-    // can name its successor before it exists.
-    let first = ComponentId(1);
-    for i in 0..ring {
-        let next = ComponentId(first.0 + (i + 1) % ring);
-        sim.spawn(node, Box::new(Fwd { next }), "fwd");
-    }
-    for i in 0..ring {
-        sim.inject(ComponentId(first.0 + i), Ping);
-    }
-    sim
 }
 
 /// Spawner components that kill their previous child and fork a new
@@ -162,11 +135,7 @@ fn main() {
         },
     );
     type Builder = fn() -> Sim<Ping, IdealNetwork>;
-    let profiles: [(&str, Builder); 3] = [
-        ("route_1m", route_sim),
-        ("spawn_1m", spawn_sim),
-        ("monitor_1m", monitor_sim),
-    ];
+    let profiles: [(&str, Builder); 2] = [("spawn_1m", spawn_sim), ("monitor_1m", monitor_sim)];
     for (profile, build) in profiles {
         let mut fingerprints: Vec<(SimTime, u64)> = Vec::new();
         suite.bench_batched(&format!("{profile}/wheel"), build, |mut sim| {

@@ -17,11 +17,14 @@
 //! cargo run -p sns-bench --release --bin economics
 //! ```
 //!
-//! This library holds the shared report-formatting and workload helpers.
+//! This library holds the shared report-formatting and workload helpers,
+//! and the experiment runs `tests/paper_shapes.rs` pins as well.
 
 use std::time::Duration;
 
 use sns_sim::stats::Series;
+use sns_sim::time::SimTime;
+use sns_transend::{TranSendBuilder, TranSendConfig};
 use sns_workload::trace::TraceRecord;
 use sns_workload::MimeType;
 
@@ -162,6 +165,78 @@ pub fn warmup_workload(
             )
         })
         .collect()
+}
+
+/// What one §4.5 stale-load-balancing run measured.
+pub struct StaleLbOutcome {
+    /// Mean absolute per-bucket change of each distiller queue (the
+    /// oscillation measure).
+    pub oscillation: f64,
+    /// Mean across distillers of time-averaged queue length.
+    pub mean_queue: f64,
+    /// p95 end-to-end latency, seconds.
+    pub p95_latency: f64,
+    /// One `(distiller id, queue-length sparkline)` per distiller.
+    pub sparklines: Vec<(String, String)>,
+}
+
+/// The §4.5 ablation on its pinned seed: a steady 55 req/s across three
+/// JPEG distillers, load-balanced on stale queue reports with or
+/// without the manager stub's queue-delta correction.
+pub fn stale_lb_run(delta_correction: bool) -> StaleLbOutcome {
+    let n_objects = 40;
+    let mut cluster = TranSendBuilder::new()
+        .with_seed(0xab1a7e)
+        .with_worker_nodes(8)
+        .with_overflow_nodes(2)
+        .with_cores_per_node(2)
+        .with_frontends(1)
+        .with_cache_partitions(2)
+        .with_min_distillers(3)
+        .with_distillers(["jpeg"])
+        .with_origin_penalty_scale(0.05)
+        .with_delta_correction(delta_correction)
+        .with_ts(TranSendConfig {
+            cache_distilled: false,
+            ..Default::default()
+        })
+        .build();
+    // Steady 55 req/s across 3 distillers: high enough that misrouting a
+    // beacon interval's worth of work visibly swings the queues.
+    let mut items = warmup_workload(n_objects, 10 * 1024, Duration::from_millis(50));
+    let mut load = ramp_workload(&[(100.0, 55.0)], n_objects, 10 * 1024, 13);
+    load.retain(|(at, _)| at.as_secs_f64() > 6.0);
+    items.extend(load);
+    let report = cluster.attach_client(items, Duration::from_secs(3));
+    cluster.sim.run_until(SimTime::from_secs(125));
+
+    let stats = cluster.sim.stats();
+    let mut oscillation_sum = 0.0;
+    let mut queue_sum = 0.0;
+    let mut series_n = 0usize;
+    let mut sparklines = Vec::new();
+    for (name, series) in stats.all_series() {
+        let Some(id) = name.strip_prefix("worker.qlen.distiller/jpeg.") else {
+            continue;
+        };
+        let (_, vals) = series_buckets(series, 60);
+        if vals.len() < 10 {
+            continue;
+        }
+        let osc: f64 =
+            vals.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (vals.len() - 1) as f64;
+        oscillation_sum += osc;
+        queue_sum += series.time_weighted_mean();
+        series_n += 1;
+        sparklines.push((id.to_string(), sparkline(&vals)));
+    }
+    let mut r = report.borrow_mut();
+    StaleLbOutcome {
+        oscillation: oscillation_sum / series_n.max(1) as f64,
+        mean_queue: queue_sum / series_n.max(1) as f64,
+        p95_latency: r.latency.quantile(0.95),
+        sparklines,
+    }
 }
 
 #[cfg(test)]

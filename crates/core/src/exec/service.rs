@@ -11,9 +11,12 @@
 //! each request's handle and body and turns every framework event for
 //! the request (worker reply, give-up, compute or nap done) into a
 //! `fill` + poll + drain, so the wire-visible event order is a pure
-//! function of the engine's (already deterministic) event order. The rt
-//! driver (`sns_rt::exec`) polls the *same* future type against
-//! wall-clock time and a live cluster.
+//! function of the engine's (already deterministic) event order: a
+//! [`SvcHandle::nap`] is an engine timer, and same-deadline naps fill
+//! in `(deadline, token)` order. The rt driver (`sns_rt::exec`) polls
+//! the *same* future type against a live cluster, with
+//! [`SvcHandle::now`] on the cluster's clock and each nap a deadline
+//! on its completion-queue wait. Naps are the only timer a body has.
 
 use std::collections::BTreeMap;
 use std::future::Future;

@@ -6,7 +6,7 @@
 //!
 //! | concern            | sim (`FrontEnd`)             | rt (this driver)                 |
 //! |--------------------|------------------------------|----------------------------------|
-//! | clock              | `ctx.now()` at each poll     | `WallClock` (monotonic)          |
+//! | clock              | `ctx.now()` at each poll     | the cluster's clock (span axis)  |
 //! | hint snapshot      | stub hints, per version      | class populations, per poll      |
 //! | `Action::Dispatch` | framework lottery dispatch   | [`RtCluster::submit_tagged`]     |
 //! | `Action::Nap`      | engine timer                 | deadline = completion-queue wait |
@@ -30,7 +30,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle, SvcOp};
-use sns_core::exec::{Clock as _, Executor, WallClock};
+use sns_core::exec::Executor;
 use sns_core::frontend::Action;
 use sns_core::msg::{ClientRequest, JobResult};
 use sns_core::Payload;
@@ -59,7 +59,6 @@ pub fn serve<S: AsyncService>(
     svc: &mut S,
     request: ClientRequest,
 ) -> ServeOutcome {
-    let clock = WallClock::new();
     let handle = SvcHandle::new_request();
     let hint_classes = svc.hint_classes();
     let fut = svc.handle(Arc::new(request), handle.clone());
@@ -90,7 +89,7 @@ pub fn serve<S: AsyncService>(
             });
             hints = Arc::new(synth.collect());
         }
-        handle.sync(clock.now(), &hints, &mut ops);
+        handle.sync(cluster.now(), &hints, &mut ops);
         exec.run_ready();
         handle.take_ops(&mut ops);
         for op in ops.drain(..) {

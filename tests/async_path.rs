@@ -4,17 +4,18 @@
 //! (That the async TranSend body replays the retired state machine bit
 //! for bit is pinned by the goldens in `tests/determinism.rs`.)
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
-use cluster_sns::core::exec::component::{AcBody, AsyncComponent};
-use cluster_sns::core::exec::timeout;
 use cluster_sns::core::msg::{ClientRequest, SnsMsg};
 use cluster_sns::core::trace::{children_of, SpanRecord, DISPATCH, REQUEST};
 use cluster_sns::distillers::{HtmlMunger, MetasearchAggregator};
 use cluster_sns::rt::{exec::serve, RtCluster, RtConfig};
-use cluster_sns::sim::SimTime;
+use cluster_sns::sim::engine::{Component, Ctx};
+use cluster_sns::sim::{ComponentId, SimTime};
 use cluster_sns::tacc::origin::FetchRequest;
 use cluster_sns::tacc::worker::TaccWorkerHost;
 use cluster_sns::tacc::{OriginServer, PipelineConfig, PipelineJob, PipelineService};
@@ -47,9 +48,60 @@ fn pipeline_job(id: u64) -> PipelineJob {
     }
 }
 
+/// A closed-loop sim client: after a start delay it sends request 0,
+/// and each response it records sends the next, until `total` are
+/// answered.
+struct PipeClient {
+    fe: ComponentId,
+    next: u64,
+    total: u64,
+    /// `(id, ok, degraded)` per response, in arrival order.
+    answered: Rc<RefCell<Vec<(u64, bool, bool)>>>,
+}
+
+impl PipeClient {
+    fn send_next(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
+        if self.next == self.total {
+            return;
+        }
+        let id = self.next;
+        self.next += 1;
+        let request = ClientRequest {
+            id,
+            user: "tester".into(),
+            url: format!("transend://pipeline?q={id}"),
+            body: Some(Arc::new(pipeline_job(id))),
+        };
+        ctx.send(self.fe, SnsMsg::Request(Arc::new(request)));
+    }
+}
+
+impl Component<SnsMsg> for PipeClient {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
+        // Let bootstrap spawns register and the first beacon land.
+        ctx.timer(Duration::from_secs(5), 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SnsMsg>, _token: u64) {
+        self.send_next(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, SnsMsg>, _from: ComponentId, msg: SnsMsg) {
+        if let SnsMsg::Response(resp) = msg {
+            let outcome = (resp.id, resp.result.is_ok(), resp.degraded);
+            self.answered.borrow_mut().push(outcome);
+            self.send_next(ctx);
+        }
+    }
+
+    fn kind(&self) -> &'static str {
+        "pipe-client"
+    }
+}
+
 /// The multi-stage TACC worker body (per-source fetch → hedged distill
-/// chains → aggregate → cache) behind a *sim* front end: driven by an
-/// [`AsyncComponent`] client, every request aggregates and replies.
+/// chains → aggregate → cache) behind a *sim* front end: driven by a
+/// closed-loop client, every request aggregates and replies.
 #[test]
 fn pipeline_body_serves_requests_on_the_sim_backend() {
     let mut cluster = TranSendBuilder::new()
@@ -65,39 +117,18 @@ fn pipeline_body_serves_requests_on_the_sim_backend() {
         .build();
     let fe = cluster.add_frontend_with_logic(Box::new(PipelineService::new(pipeline_cfg())));
 
-    let outcomes: Arc<Mutex<Vec<(u64, bool, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&outcomes);
-    let body: AcBody<SnsMsg> = Box::new(move |inbox, h| {
-        Box::pin(async move {
-            h.sleep(Duration::from_secs(5)).await;
-            for id in 0..4u64 {
-                h.send(
-                    fe,
-                    SnsMsg::Request(Arc::new(ClientRequest {
-                        id,
-                        user: "tester".into(),
-                        url: format!("transend://pipeline?q={id}"),
-                        body: Some(Arc::new(pipeline_job(id))),
-                    })),
-                );
-                let got = timeout(inbox.recv(), h.sleep(Duration::from_secs(60))).await;
-                if let Some(Some((_, SnsMsg::Response(resp)))) = got {
-                    sink.lock()
-                        .unwrap()
-                        .push((resp.id, resp.result.is_ok(), resp.degraded));
-                }
-            }
-        })
-    });
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let client = PipeClient {
+        fe,
+        next: 0,
+        total: 4,
+        answered: Rc::clone(&outcomes),
+    };
     let node = cluster.client_node;
-    cluster.sim.spawn(
-        node,
-        Box::new(AsyncComponent::new("pipe-client", body).exit_when_done()),
-        "pipe-client",
-    );
+    cluster.sim.spawn(node, Box::new(client), "pipe-client");
     cluster.sim.run_until(SimTime::from_secs(400));
 
-    let got = outcomes.lock().unwrap().clone();
+    let got = outcomes.borrow().clone();
     assert_eq!(got.len(), 4, "every request must be answered: {got:?}");
     for (id, ok, degraded) in &got {
         assert!(ok, "request {id} failed");

@@ -2,7 +2,7 @@
 //! EXPERIMENTS.md, pinned as envelope assertions with fixed seeds so a
 //! refactor that silently bends a reproduced curve fails loudly.
 //!
-//! Three shapes are guarded:
+//! Four shapes are guarded:
 //!
 //! * **Figure 5** — the GIF content-length distribution is bimodal
 //!   around the 1 KB distillation threshold (icon plateau below,
@@ -13,6 +13,9 @@
 //! * **Table 2** — under the scalability protocol the manager grows the
 //!   distiller pool roughly linearly with offered load, keeping the
 //!   per-distiller throughput inside the ~23 req/s linearity band.
+//! * **§4.5** — load balancing on stale queue reports oscillates; the
+//!   manager stub's queue-delta correction damps the oscillation and
+//!   lowers the latency tail.
 
 use std::time::Duration;
 
@@ -26,7 +29,7 @@ use cluster_sns::tacc::worker::{TaccArgs, TaccWorker};
 use cluster_sns::transend::{TranSendBuilder, TranSendConfig};
 use cluster_sns::workload::sizes::SizeModel;
 use cluster_sns::workload::MimeType;
-use sns_bench::{fit_linear, ramp_workload, warmup_workload};
+use sns_bench::{fit_linear, ramp_workload, stale_lb_run, warmup_workload};
 
 /// Figure 5: per-MIME mean content lengths near the paper's averages
 /// (HTML 5131 B, GIF 3428 B, JPEG 12070 B), within 10%.
@@ -195,4 +198,27 @@ fn table2_distiller_pool_tracks_offered_load_linearly() {
         );
         prev = distillers;
     }
+}
+
+/// §4.5: without the correction every front end dumps a beacon
+/// interval's worth of work on whichever distiller last reported the
+/// shortest queue; the running delta estimate damps that oscillation to
+/// at most 0.6× and lowers p95 latency, on the `ablation_stale_lb`
+/// harness's pinned seed.
+#[test]
+fn sec4_5_delta_correction_damps_stale_report_oscillation() {
+    let with = stale_lb_run(true);
+    let without = stale_lb_run(false);
+    assert!(
+        with.oscillation <= 0.6 * without.oscillation,
+        "queue oscillation {:.2} with the correction vs {:.2} without: not damped to 0.6x",
+        with.oscillation,
+        without.oscillation
+    );
+    assert!(
+        with.p95_latency < without.p95_latency,
+        "p95 {:.3} s with the correction, {:.3} s without",
+        with.p95_latency,
+        without.p95_latency
+    );
 }

@@ -124,25 +124,24 @@ fi
 echo "   ok: gate passes clean and catches the injected slowdown"
 
 echo "== rt_scaling stage: worker-scaling curve guard"
-# The sharded dispatch plane must keep the scaling curve near-linear:
-# 8 workers at least 2x the 1-worker throughput on the service-bound
-# batch (the bench itself reports ~7.9x; 2.0 leaves headroom for a
-# loaded single-core runner). A regression here means submits are
-# serializing on a shared lock again.
-scaling_mean() {
-  grep "\"bench\":\"scaling/workers$1\"" BENCH_rt.json \
-    | sed -E 's/.*"mean_ns":([0-9.]+).*/\1/'
-}
-w1=$(scaling_mean 1)
-w8=$(scaling_mean 8)
-ratio=$(awk -v a="$w1" -v b="$w8" \
-  'BEGIN { if (a > 0 && b > 0) printf "%.2f", a / b; else print "0" }')
-echo "   scaling 1->8 workers: ${ratio}x"
-if ! awk -v r="$ratio" 'BEGIN { exit !(r >= 2.0) }'; then
-  echo "rt scaling ratio $ratio < 2.0: dispatch plane is serializing" >&2
-  exit 1
-fi
-echo "   ok: scaling ratio $ratio >= 2.0"
+# rt_throughput pushes 256 jobs of 4 ms service through N workers. On
+# the single-server timeline each worker starts its next job exactly
+# when the last one's service ends, and the workers overlap, so the
+# ideal batch time is 256 x 4 ms / N. Every scaling/workers{1,2,4,8,16}
+# p50 must lie within 2 ms of it: submits serializing on a shared lock,
+# or workers starting service late, push a row past the band.
+for n in 1 2 4 8 16; do
+  p50=$(grep "\"bench\":\"scaling/workers$n\"" BENCH_rt.json \
+    | sed -E 's/.*"p50_ns":([0-9.]+).*/\1/')
+  if ! awk -v n="$n" -v p="${p50:-0}" 'BEGIN {
+      ideal = 256 * 4e6 / n; off = p - ideal
+      printf "   scaling/workers%-2d p50 %8.2f ms, ideal %7.2f ms, %+.2f ms\n", n, p / 1e6, ideal / 1e6, off / 1e6
+      exit !(p > 0 && off <= 2e6 && off >= -2e6) }'; then
+    echo "rt scaling/workers$n p50 is more than 2 ms off its ideal" >&2
+    exit 1
+  fi
+done
+echo "   ok: every pool within 2 ms of 256 x 4 ms / workers"
 
 echo "== rt_parity stage: one control plane, two drivers"
 # The differential suite runs the same fault script through the sim and
@@ -177,7 +176,11 @@ chaos_suite sns-rt serve_wake 5
 # adds no wait, service spans end within microseconds of it, and a
 # front end's nap ends at its deadline (all four fail on a worker that
 # sleeps the service and then works, and a serve that blocks to a nap).
-chaos_suite sns-rt service_time 4
+# Service starts when a job reaches a free worker: no queue wait on an
+# idle worker, a backlog's starts exactly one service apart, a salvaged
+# job starts only once it reaches its survivor, and shutdown answers a
+# job in service with its result.
+chaos_suite sns-rt service_time 8
 # Placement by live queue gauge: back-to-back submits through different
 # shards and threads land on distinct idle workers (fails on a lottery),
 # a job placed on a busy class is counted, a killed worker loses none.

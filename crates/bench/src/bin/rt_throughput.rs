@@ -1,11 +1,11 @@
 //! Macro-benchmark of the threaded runtime's worker-scaling curve:
 //! `scaling/workers{1,2,4,8,16}` push a fixed batch of jobs with a real
-//! service time (a deadline each worker waits out), submitted from
-//! several threads, with one dispatch shard per worker. The waits
-//! overlap across worker threads, so wall time should fall
-//! near-linearly with the pool size until the dispatch plane stops
-//! being the bottleneck — this is the curve `ci.sh`'s `rt_scaling`
-//! stage guards (1→8 workers must be ≥ 2×).
+//! service time (a deadline on each worker's timeline), submitted from
+//! several threads, with one dispatch shard per worker. The services
+//! overlap across worker threads and each worker starts its next job
+//! when the last one's service ends, so wall time should sit just above
+//! the ideal `256 × 4 ms ÷ workers` — this is the curve `ci.sh`'s
+//! `rt_scaling` stage guards (every pool within 2 ms of its ideal).
 //!
 //! The warm zero-service submit path is measured by perfbench's
 //! `rt_submit` workload, not here.

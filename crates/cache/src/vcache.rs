@@ -62,12 +62,6 @@ impl<P: Clone + Ord + std::fmt::Debug> VirtualCache<P> {
         self.ring.lookup(key.placement_hash())
     }
 
-    /// Up to `n` distinct partitions for `key` (owner first), for sibling
-    /// fallback reads.
-    pub fn route_n(&self, key: &CacheKey, n: usize) -> Vec<P> {
-        self.ring.lookup_n(key.placement_hash(), n)
-    }
-
     /// Fraction of a sampled key population whose owner changes if `p`
     /// were removed; used by tests and the monitor to predict re-hash
     /// impact.

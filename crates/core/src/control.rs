@@ -338,14 +338,6 @@ impl ControlPlane {
         self.live_of_class(class).len() as u32 + self.pending_of_class(class)
     }
 
-    /// Registered live workers of a class, in id order.
-    pub fn workers_of_class(&self, class: &WorkerClass) -> Vec<ComponentId> {
-        self.live_of_class(class)
-            .iter()
-            .map(|&(id, _)| id)
-            .collect()
-    }
-
     /// Binds a [`ControlEffect::Spawn`] to the component id the driver
     /// assigned. Must be called while applying the effect list, before
     /// the next handler call.

@@ -189,11 +189,6 @@ impl FrontEnd {
         self.stub.set_delta_correction(on);
     }
 
-    /// Requests currently holding a thread.
-    pub fn active_requests(&self) -> u32 {
-        self.active
-    }
-
     /// The span context dispatches of `req_id` carry: its request span
     /// as parent and its stored head-sampling decision.
     fn span_ctx(&self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64) -> trace::SpanCtx {

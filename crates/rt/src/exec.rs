@@ -34,13 +34,14 @@ use sns_core::exec::Executor;
 use sns_core::frontend::Action;
 use sns_core::msg::{ClientRequest, JobResult};
 use sns_core::Payload;
+use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
 use crate::{sleep_until, RtCluster};
 
-/// The served request's outcome plus the stats the body emitted (the
-/// sim front end writes these into the engine stats hub; here the
-/// caller aggregates them).
+/// The served request's outcome plus the stats the body emitted — its
+/// counters, observations and samples (the sim front end writes these
+/// into the engine stats hub; here the caller aggregates them).
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// The body's reply.
@@ -49,6 +50,11 @@ pub struct ServeOutcome {
     pub degraded: bool,
     /// Counters the body incremented, by key.
     pub stats: BTreeMap<&'static str, u64>,
+    /// Values the body observed (`observe`), in emission order.
+    pub observations: Vec<(&'static str, f64)>,
+    /// Points the body sampled (`sample`), in emission order, each
+    /// stamped with the cluster time of the poll that emitted it.
+    pub samples: Vec<(&'static str, SimTime, f64)>,
 }
 
 /// Serves one request: polls the body to completion against the live
@@ -73,6 +79,7 @@ pub fn serve<S: AsyncService>(
     let mut in_flight = 0usize;
     let mut naps: Vec<(u64, Instant)> = Vec::new();
     let mut stats: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let (mut observations, mut samples) = (Vec::new(), Vec::new());
     let mut degraded = false;
     let mut reply: Option<Result<Payload, String>> = None;
 
@@ -89,13 +96,15 @@ pub fn serve<S: AsyncService>(
             });
             hints = Arc::new(synth.collect());
         }
-        handle.sync(cluster.now(), &hints, &mut ops);
+        let now = cluster.now();
+        handle.sync(now, &hints, &mut ops);
         exec.run_ready();
         handle.take_ops(&mut ops);
         for op in ops.drain(..) {
             match op {
                 SvcOp::Incr(key, n) => *stats.entry(key).or_insert(0) += n,
-                SvcOp::Observe(..) | SvcOp::Sample(..) => {}
+                SvcOp::Observe(key, v) => observations.push((key, v)),
+                SvcOp::Sample(key, v) => samples.push((key, now, v)),
                 SvcOp::Act(act) => match act {
                     Action::Dispatch {
                         tag,
@@ -165,5 +174,66 @@ pub fn serve<S: AsyncService>(
         result,
         degraded,
         stats,
+        observations,
+        samples,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RtConfig;
+    use sns_distillers::HtmlMunger;
+    use sns_tacc::worker::TaccWorkerHost;
+    use sns_tacc::{
+        ContentObject, FetchRequest, OriginServer, PipelineConfig, PipelineJob, PipelineService,
+    };
+    use sns_workload::MimeType;
+    use std::time::Duration;
+
+    #[test]
+    fn serve_returns_the_bodys_observations() {
+        let c = RtCluster::start(RtConfig::new().with_time_scale(0.0));
+        c.add_workers("origin", 1, || Box::new(OriginServer::new()));
+        c.add_workers("distiller/html", 1, || {
+            Box::new(TaccWorkerHost::transformer(
+                Box::new(HtmlMunger::new()),
+                BTreeMap::new(),
+            ))
+        });
+        let mut svc = PipelineService::new(PipelineConfig {
+            stages: vec!["html".into()],
+            aggregator: None,
+            give_up: Duration::from_secs(10),
+            hedge_after: Duration::from_secs(10),
+            cache_final: false,
+        });
+        let job = PipelineJob {
+            sources: vec![FetchRequest {
+                url: "http://engine0/results?q=1".into(),
+                mime: MimeType::Html,
+                size: 16 * 1024,
+            }],
+            args: BTreeMap::new(),
+        };
+        let out = serve(
+            &c,
+            &mut svc,
+            ClientRequest {
+                id: 1,
+                user: "tester".into(),
+                url: "transend://pipeline?q=1".into(),
+                body: Some(Arc::new(job)),
+            },
+        );
+        let reply = out.result.expect("the pipeline answers");
+        let bytes = ContentObject::from_payload(&reply)
+            .expect("a content object")
+            .len();
+        assert_eq!(
+            out.observations,
+            vec![("tacc.pipe_response_bytes", bytes as f64)]
+        );
+        c.shutdown();
     }
 }

@@ -47,11 +47,15 @@
 //! Scope: this is the laptop-scale runtime for examples and tests, not a
 //! distributed deployment; "nodes" are threads and the SAN is a channel
 //! fabric. A job's modelled service time (scaled by
-//! [`RtConfig::time_scale`], so tests stay fast) is a *deadline*: the
-//! worker runs the logic's real `process` inside it and then waits out
-//! the rest, so a job occupies its worker for `max(service, real work)`
-//! — the simulator's rule — and the wait ends on time rather than after
-//! the kernel's timer slack.
+//! [`RtConfig::time_scale`], so tests stay fast) is a *deadline* on the
+//! simulator's single-server timeline: service starts when the job
+//! reaches a free worker (`max(arrival, free_at)`, not when the thread
+//! wakes up to it), the worker runs the logic's real `process` inside
+//! it, and the job occupies its worker for `max(service, real work)`.
+//! A job whose work ends early is settled at its deadline by the
+//! cluster's one deadline thread, which meets every such deadline on
+//! time rather than after the kernel's timer slack; the worker just
+//! sleeps until it is free again.
 //!
 //! ```
 //! use sns_rt::{RtCluster, RtConfig};
@@ -94,7 +98,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard,
+    RwLockWriteGuard, Weak,
 };
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -108,7 +113,7 @@ use sns_core::invariant::MonitorLog;
 use sns_core::monitor::MonitorEvent;
 use sns_core::msg::{BeaconData, JobResult, ProfileData};
 use sns_core::shard::{DispatchShard, ShardedDispatch};
-use sns_core::trace::{self, Sampling, SpanCtx, TraceLog, Tracer};
+use sns_core::trace::{self, Sampling, SpanCtx, SpanId, TraceLog, Tracer};
 use sns_core::worker::{WorkerError, WorkerLogic};
 use sns_core::{intern_class, Payload, SnsConfig, WorkerClass};
 use sns_sim::rng::Pcg32;
@@ -149,8 +154,9 @@ fn read_routes(r: &RwLock<Routes>) -> RwLockReadGuard<'_, Routes> {
 const TAIL: Duration = Duration::from_micros(100);
 
 /// Waits until `deadline`, or until `wait` returns something. `wait(d)`
-/// blocks for at most `d` (`thread::sleep` for a worker, a completion
-/// queue's `recv_timeout` for a front end); it is called with the time
+/// blocks for at most `d` (a condvar wait on the deadline set for the
+/// deadline thread, a completion queue's `recv_timeout` for a front
+/// end); it is called with the time
 /// left minus [`TAIL`] while that is positive, then with zero in a spin
 /// until the deadline passes, so the wait never ends early and ends
 /// late only when the sleep itself woke past the deadline. The tail
@@ -333,6 +339,226 @@ struct RtJob {
     /// When the job entered a worker inbox (queue-wait span start;
     /// survives salvage/redispatch so the wait covers the whole gap).
     enqueued: SimTime,
+    /// When the job entered its *current* worker's inbox: the earliest
+    /// its service there can start. Restamped when a salvage moves it.
+    arrival: Instant,
+}
+
+/// `at` on the span axis: nanoseconds since the cluster started.
+fn span_time(started: Instant, at: Instant) -> SimTime {
+    SimTime::from_nanos(at.saturating_duration_since(started).as_nanos() as u64)
+}
+
+/// One job's service on one worker, as its span records it.
+struct Service {
+    job: u64,
+    worker: ComponentId,
+    class: &'static str,
+    /// The job span the service span hangs under; `None` when the job
+    /// is not traced.
+    parent: Option<SpanId>,
+    /// Service start on the span axis.
+    start: SimTime,
+}
+
+impl Service {
+    fn record(&self, tracer: &Tracer, end: SimTime, bytes: u64, ok: bool) {
+        if let Some(parent) = self.parent {
+            tracer.record(trace::span(
+                trace::service_span_id(self.worker, self.job),
+                Some(parent),
+                trace::SERVICE,
+                trace::CAT_WORKER,
+                self.worker,
+                self.class,
+                self.start,
+                end,
+                bytes,
+                ok,
+            ));
+        }
+    }
+}
+
+/// What answering a served job takes besides the job itself: the
+/// cluster's done counter, its span recorder and, weakly (no `Arc`
+/// cycle with the cluster), its dispatch shards. Each worker and the
+/// deadline thread hold one.
+struct Settler {
+    jobs_done: Arc<AtomicU64>,
+    tracer: Tracer,
+    shards: Weak<ShardedDispatch<ShardExt>>,
+}
+
+impl Settler {
+    /// Settles a job whose service is over: the worker's gauge drops
+    /// first — the job has left it, so a submitter woken by the reply
+    /// reads a gauge that no longer counts it — then the count, the
+    /// service span, the dispatch shard and the reply. The reply is sent
+    /// after the shard lock is released (waking the waiter is the slow
+    /// part) and before the spans the plane emits (the closed dispatch
+    /// span) go to the tracer. A job that was already settled (gave up,
+    /// or answered by the other copy of a retried dispatch) has no
+    /// entry and sends nothing.
+    fn settle(
+        &self,
+        qlen: &AtomicU64,
+        service: Service,
+        outcome: Result<Payload, String>,
+        at: SimTime,
+    ) {
+        qlen.fetch_sub(1, Ordering::Relaxed);
+        let result = match outcome {
+            Ok(payload) => {
+                self.jobs_done.fetch_add(1, Ordering::Relaxed);
+                service.record(&self.tracer, at, payload.wire_size(), true);
+                JobResult::Ok(payload)
+            }
+            Err(reason) => {
+                service.record(&self.tracer, at, 0, false);
+                JobResult::Failed(reason)
+            }
+        };
+        let Some(shards) = self.shards.upgrade() else {
+            return;
+        };
+        let mut out = Vec::new();
+        let settled = {
+            let (_, mut shard) = shards.lock_for(service.job);
+            shard.plane.on_response(service.job, at, &mut out);
+            shard.ext.outstanding.remove(&service.job)
+        };
+        if let Some(o) = settled {
+            o.reply.deliver(result);
+        }
+        for effect in out {
+            if let DispatchEffect::Span(s) = effect {
+                self.tracer.record(s);
+            }
+        }
+    }
+}
+
+/// A served job waiting in the deadline set for its deadline.
+struct Posted {
+    /// The serving worker's queue gauge, which still counts the job.
+    qlen: Arc<AtomicU64>,
+    service: Service,
+    outcome: Result<Payload, String>,
+}
+
+/// The cluster's deadline set: jobs whose real work ended inside their
+/// service, each due at its deadline. One thread meets them all
+/// ([`run_deadlines`]), so at most one thread per cluster spins a
+/// [`TAIL`] instead of one per busy worker.
+#[derive(Default)]
+struct Deadlines {
+    set: Mutex<DeadlineSet>,
+    /// Signalled by a post earlier than the thread's wait, and by close.
+    earlier: Condvar,
+}
+
+#[derive(Default)]
+struct DeadlineSet {
+    due: BTreeMap<(Instant, u64), Posted>,
+    seq: u64,
+    /// The deadline the thread waits for; `None` while the set is empty.
+    waiting_for: Option<Instant>,
+    /// Set by shutdown and drop: the thread exits once the set is empty.
+    closed: bool,
+}
+
+impl DeadlineSet {
+    fn next(&self) -> Option<Instant> {
+        self.due.keys().next().map(|&(deadline, _)| deadline)
+    }
+}
+
+impl Deadlines {
+    /// Adds a settlement due at `deadline`. The thread is woken only for
+    /// a deadline earlier than the one it waits for; a later one it finds
+    /// when that wait ends.
+    fn post(&self, deadline: Instant, posted: Posted, poisoned: &AtomicU64) {
+        let mut set = lock(&self.set, poisoned);
+        let seq = set.seq;
+        set.seq += 1;
+        set.due.insert((deadline, seq), posted);
+        let earlier = set.waiting_for.is_none_or(|w| deadline < w);
+        if earlier {
+            set.waiting_for = Some(deadline);
+        }
+        drop(set);
+        if earlier {
+            self.earlier.notify_one();
+        }
+    }
+
+    fn close(&self, poisoned: &AtomicU64) {
+        lock(&self.set, poisoned).closed = true;
+        self.earlier.notify_one();
+    }
+
+    /// One wait of the deadline thread for `deadline`: blocks for at most
+    /// `left`, and reports whether an earlier deadline was posted.
+    fn wait_earlier(&self, deadline: Instant, left: Duration, poisoned: &AtomicU64) -> Option<()> {
+        let mut set = lock(&self.set, poisoned);
+        let earlier = |set: &DeadlineSet| set.next().is_some_and(|next| next < deadline);
+        if !left.is_zero() && !earlier(&set) {
+            set = self
+                .earlier
+                .wait_timeout(set, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        earlier(&set).then_some(())
+    }
+}
+
+/// The deadline thread: settles every posted job at its deadline, met
+/// with [`sleep_until`], in `(deadline, post order)` order. It holds the
+/// set and a [`Settler`], never the cluster, and exits once the set is
+/// closed and empty.
+fn run_deadlines(deadlines: &Deadlines, settler: &Settler, started: Instant, poisoned: &AtomicU64) {
+    let mut due = Vec::new();
+    let mut set = lock(&deadlines.set, poisoned);
+    loop {
+        let now = Instant::now();
+        while let Some(entry) = set.due.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            due.push(entry.remove());
+        }
+        if !due.is_empty() {
+            // Busy until it looks again: nothing posted meanwhile needs
+            // a wake-up.
+            set.waiting_for = Some(now);
+            drop(set);
+            for p in due.drain(..) {
+                let at = span_time(started, Instant::now());
+                settler.settle(&p.qlen, p.service, p.outcome, at);
+            }
+            set = lock(&deadlines.set, poisoned);
+            continue;
+        }
+        set.waiting_for = set.next();
+        match set.waiting_for {
+            None if set.closed => return,
+            None => {
+                set = deadlines
+                    .earlier
+                    .wait(set)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            Some(deadline) => {
+                drop(set);
+                sleep_until(deadline, |left| {
+                    deadlines.wait_earlier(deadline, left, poisoned)
+                });
+                set = lock(&deadlines.set, poisoned);
+            }
+        }
+    }
 }
 
 /// One live worker thread's handle.
@@ -517,6 +743,10 @@ pub struct RtCluster {
     next_id: AtomicU64,
     incarnation: AtomicU64,
     manager: Mutex<Option<JoinHandle<()>>>,
+    /// Jobs served inside their service time, awaiting their deadlines;
+    /// shared with the workers (who post) and the deadline thread.
+    deadlines: Arc<Deadlines>,
+    deadline_thread: Mutex<Option<JoinHandle<()>>>,
     started: Instant,
     /// Decision log in canonical monitor-event form — the same stream
     /// the simulator's `MonitorTap` captures, so chaos invariants and
@@ -593,6 +823,8 @@ impl RtCluster {
             next_id: AtomicU64::new(MANAGER.0 + 1),
             incarnation: AtomicU64::new(0),
             manager: Mutex::new(None),
+            deadlines: Arc::default(),
+            deadline_thread: Mutex::new(None),
             started: Instant::now(),
             log: Arc::new(Mutex::new(MonitorLog::default())),
             counters: Mutex::new(BTreeMap::new()),
@@ -612,6 +844,17 @@ impl RtCluster {
             cfg,
         });
         let _ = cluster.self_weak.set(Arc::downgrade(&cluster));
+        let thread = {
+            let deadlines = Arc::clone(&cluster.deadlines);
+            let settler = cluster.settler();
+            let started = cluster.started;
+            let poisoned = Arc::clone(&cluster.lock_poisoned);
+            std::thread::Builder::new()
+                .name("sns-rt-deadlines".into())
+                .spawn(move || run_deadlines(&deadlines, &settler, started, &poisoned))
+                .expect("spawn deadline thread")
+        };
+        *lock(&cluster.deadline_thread, &cluster.lock_poisoned) = Some(thread);
         cluster.start_manager();
         cluster
     }
@@ -631,7 +874,15 @@ impl RtCluster {
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
+        span_time(self.started, Instant::now())
+    }
+
+    fn settler(&self) -> Settler {
+        Settler {
+            jobs_done: Arc::clone(&self.jobs_done),
+            tracer: self.tracer.clone(),
+            shards: Arc::downgrade(&self.shards),
+        }
     }
 
     fn lock_control(&self) -> MutexGuard<'_, ControlInner> {
@@ -862,9 +1113,11 @@ impl RtCluster {
                     // The guard is gone before a refusal re-enters the
                     // plane, whose pick reads the routes again.
                     let sent = read_routes(&self.routes).live(worker).is_some_and(|r| {
+                        let arrival = Instant::now();
                         r.send(RtJob {
                             job: (*job).clone(),
-                            enqueued: self.now(),
+                            enqueued: span_time(self.started, arrival),
+                            arrival,
                         })
                     });
                     if !sent {
@@ -1012,11 +1265,14 @@ impl RtCluster {
     }
 
     /// Spawns one worker thread. The thread treats a job's (scaled)
-    /// service time as a deadline: it runs `process` inside it and
-    /// waits out the remainder ([`sleep_until`]), so real work longer
-    /// than the service adds no wait and the service span covers both.
-    /// It crashes by *not replying* (the queue is salvaged later) and
-    /// reports completions straight into its dispatch shard.
+    /// service time as a deadline on a single-server timeline: service
+    /// starts at `max(arrival, free_at)` and `process` runs inside it,
+    /// so real work longer than the service adds no wait and the
+    /// service span covers both. A job whose work ends before its
+    /// deadline is posted to the cluster's deadline set, which answers
+    /// it on time, and the worker plain-sleeps until the deadline; a job
+    /// already past it is settled here at once. The worker crashes by
+    /// *not replying* (the queue is salvaged later).
     fn spawn_worker_thread(
         &self,
         mut logic: Box<dyn WorkerLogic>,
@@ -1032,15 +1288,15 @@ impl RtCluster {
         let kill = Arc::new(AtomicBool::new(false));
 
         let running = Arc::clone(&self.running);
-        let jobs_done = Arc::clone(&self.jobs_done);
         let crashes = Arc::clone(&self.crashes);
         let log = Arc::clone(&self.log);
         let poisoned = Arc::clone(&self.lock_poisoned);
-        let weak: Weak<ShardedDispatch<ShardExt>> = Arc::downgrade(&self.shards);
+        let poisoned_t = Arc::clone(&self.lock_poisoned);
+        let settler = self.settler();
+        let deadlines = Arc::clone(&self.deadlines);
         let time_scale = self.cfg.time_scale;
         let seed = self.cfg.seed ^ id;
         let started = self.started;
-        let tracer = self.tracer.clone();
         let class_key = intern_class(class.name());
         let alive_t = Arc::clone(&alive);
         let kill_t = Arc::clone(&kill);
@@ -1051,7 +1307,7 @@ impl RtCluster {
             let class = class.clone();
             move || {
                 crashes.fetch_add(1, Ordering::Relaxed);
-                let now = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
+                let now = span_time(started, Instant::now());
                 lock(&log, &poisoned).push(
                     now,
                     MonitorEvent::WorkerCrashed {
@@ -1065,10 +1321,17 @@ impl RtCluster {
             }
         };
 
+        // The route is published after this, so no job can reach the
+        // worker, and no service on it start, before this instant.
+        let spawned = Instant::now();
         let join = std::thread::Builder::new()
             .name(format!("sns-rt-{}-{}", class.name().replace('/', "-"), id))
             .spawn(move || {
                 let mut rng = Pcg32::new(seed);
+                let me = ComponentId(id);
+                // When this worker is next free: the last job's deadline,
+                // or its real end if `process` overran it.
+                let mut free_at = spawned;
                 loop {
                     if kill_t.load(Ordering::Relaxed) {
                         crash();
@@ -1083,78 +1346,81 @@ impl RtCluster {
                         }
                         Err(_) => break, // shut down, or inbox closed and drained
                     };
-                    // One clock read stamps the service start and anchors
-                    // its deadline, so the service span is never shorter
-                    // than the service and the span bookkeeping below
-                    // runs inside it.
-                    let dequeued = Instant::now();
-                    let now =
-                        SimTime::from_nanos(dequeued.duration_since(started).as_nanos() as u64);
-                    let me = ComponentId(id);
-                    let parent = trace::job_span_id(rt_job.job.reply_to, rt_job.job.id);
-                    if rt_job.job.sampled && tracer.is_enabled() {
-                        tracer.record(trace::span(
-                            trace::queue_span_id(me, rt_job.job.id),
+                    let job = &rt_job.job;
+                    // The simulator's single-server rule: service starts
+                    // when the job reaches a free worker, so the thread's
+                    // own wake-up runs inside the service. A zero-service
+                    // job has nothing to hide the wake-up in; its service
+                    // is its real work, which starts when it is picked up.
+                    let begin = rt_job.arrival.max(free_at);
+                    let factor = time_scale.max(0.0) * f64::from_bits(slow.load(Ordering::Relaxed));
+                    let window = logic
+                        .service_time(job, span_time(started, begin), &mut rng)
+                        .mul_f64(factor);
+                    let start = if window.is_zero() {
+                        Instant::now()
+                    } else {
+                        begin
+                    };
+                    let deadline = start + window;
+                    let service = Service {
+                        job: job.id,
+                        worker: me,
+                        class: class_key,
+                        parent: (job.sampled && settler.tracer.is_enabled())
+                            .then(|| trace::job_span_id(job.reply_to, job.id)),
+                        start: span_time(started, start),
+                    };
+                    if let Some(parent) = service.parent {
+                        settler.tracer.record(trace::span(
+                            trace::queue_span_id(me, job.id),
                             Some(parent),
                             trace::QUEUE,
                             trace::CAT_WORKER,
                             me,
                             class_key,
                             rt_job.enqueued,
-                            now,
+                            service.start,
                             0,
                             true,
                         ));
                     }
-                    let service = logic.service_time(&rt_job.job, now, &mut rng);
-                    let factor = time_scale.max(0.0) * f64::from_bits(slow.load(Ordering::Relaxed));
-                    let deadline = dequeued + service.mul_f64(factor);
-                    let outcome = logic.process(&rt_job.job, now, &mut rng);
-                    sleep_until(deadline, |d| {
-                        std::thread::sleep(d);
-                        None::<()>
-                    });
-                    let done = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-                    let service_span = |bytes: u64, ok: bool| {
-                        if rt_job.job.sampled && tracer.is_enabled() {
-                            tracer.record(trace::span(
-                                trace::service_span_id(me, rt_job.job.id),
-                                Some(parent),
-                                trace::SERVICE,
-                                trace::CAT_WORKER,
-                                me,
-                                class_key,
-                                now,
-                                done,
-                                bytes,
-                                ok,
-                            ));
-                        }
-                    };
-                    // The job leaves this worker — done, failed or lost
-                    // with the crash — before its reply can be seen, so a
-                    // submitter woken by the reply reads a gauge that no
-                    // longer counts it.
-                    qlen_t.fetch_sub(1, Ordering::Relaxed);
-                    match outcome {
-                        Ok(payload) => {
-                            jobs_done.fetch_add(1, Ordering::Relaxed);
-                            service_span(payload.wire_size(), true);
-                            finish(&weak, &tracer, done, rt_job.job.id, JobResult::Ok(payload));
-                        }
-                        Err(WorkerError::Failed(reason)) => {
-                            service_span(0, false);
-                            let result = JobResult::Failed(reason);
-                            finish(&weak, &tracer, done, rt_job.job.id, result);
-                        }
+                    let outcome = logic.process(job, service.start, &mut rng);
+                    let end = Instant::now();
+                    free_at = deadline.max(end);
+                    let outcome = match outcome {
+                        Ok(payload) => Ok(payload),
+                        Err(WorkerError::Failed(reason)) => Err(reason),
                         Err(WorkerError::Crash) => {
                             // No reply, no settlement: the job vanishes
-                            // with the "process" (§3.1.6); dispatch
-                            // state is reclaimed by the deadline sweep.
-                            service_span(0, false);
+                            // with the "process" at its deadline (§3.1.6);
+                            // dispatch state is reclaimed by the deadline
+                            // sweep. The gauge drops before the death is
+                            // published, as for a settled job.
+                            std::thread::sleep(free_at - end);
+                            qlen_t.fetch_sub(1, Ordering::Relaxed);
+                            service.record(
+                                &settler.tracer,
+                                span_time(started, Instant::now()),
+                                0,
+                                false,
+                            );
                             crash();
                             return;
                         }
+                    };
+                    if end < deadline {
+                        let posted = Posted {
+                            qlen: Arc::clone(&qlen_t),
+                            service,
+                            outcome,
+                        };
+                        deadlines.post(deadline, posted, &poisoned_t);
+                        // Waking late costs nothing: the next job's
+                        // service starts at the deadline regardless.
+                        std::thread::sleep(deadline - end);
+                    } else {
+                        settler.settle(&qlen_t, service, outcome, span_time(started, end));
                     }
                 }
                 // Clean exit (inbox closed and drained): publish the
@@ -1264,7 +1530,10 @@ impl RtCluster {
                 continue;
             };
             let mut moved = 0u64;
-            while let Ok(orphan) = salvage.try_recv() {
+            while let Ok(mut orphan) = salvage.try_recv() {
+                // Its service here starts no earlier than it gets here;
+                // its queue wait still runs from the first inbox.
+                orphan.arrival = Instant::now();
                 moved += u64::from(route.send(orphan));
             }
             self.redispatched.fetch_add(moved, Ordering::Relaxed);
@@ -1613,9 +1882,10 @@ impl RtCluster {
 
     /// Stops everything: the manager thread first, then the workers
     /// (closing their inboxes so queued work is *drained*, not
-    /// dropped). Whatever is still outstanding once the workers have
-    /// exited — jobs stranded in dead workers' queues, jobs a crashed
-    /// worker took with it — is answered with a typed failure.
+    /// dropped), then the deadline thread once it has answered every
+    /// job still in service. Whatever is still outstanding after that —
+    /// jobs stranded in dead workers' queues, jobs a crashed worker took
+    /// with it — is answered with a typed failure.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Relaxed);
         self.kill_manager();
@@ -1630,6 +1900,11 @@ impl RtCluster {
             if let Some(j) = w.join.take() {
                 let _ = j.join();
             }
+        }
+        self.deadlines.close(&self.lock_poisoned);
+        let deadline_thread = lock(&self.deadline_thread, &self.lock_poisoned).take();
+        if let Some(h) = deadline_thread {
+            let _ = h.join();
         }
         self.write_routes().workers.clear();
         self.shards.for_each(|_, s| {
@@ -1727,42 +2002,10 @@ impl Cluster for RtCluster {
     }
 }
 
-/// Settles a completed job in its dispatch shard and answers it
-/// (called from worker threads; the weak ref breaks the `Arc` cycle
-/// with the cluster). The reply is sent after the shard lock is
-/// released — waking the waiter is the slow part — and before the
-/// spans the plane emits (the closed dispatch span) go to `tracer`.
-/// A job that was already settled (gave up, or answered by the other
-/// copy of a retried dispatch) has no entry and sends nothing.
-fn finish(
-    weak: &Weak<ShardedDispatch<ShardExt>>,
-    tracer: &Tracer,
-    now: SimTime,
-    job_id: u64,
-    result: JobResult,
-) {
-    let Some(shards) = weak.upgrade() else {
-        return;
-    };
-    let mut out = Vec::new();
-    let settled = {
-        let (_, mut shard) = shards.lock_for(job_id);
-        shard.plane.on_response(job_id, now, &mut out);
-        shard.ext.outstanding.remove(&job_id)
-    };
-    if let Some(o) = settled {
-        o.reply.deliver(result);
-    }
-    for effect in out {
-        if let DispatchEffect::Span(s) = effect {
-            tracer.record(s);
-        }
-    }
-}
-
 impl Drop for RtCluster {
     fn drop(&mut self) {
         self.running.store(false, Ordering::Relaxed);
+        self.deadlines.close(&self.lock_poisoned);
     }
 }
 
@@ -2021,6 +2264,25 @@ mod tests {
             assert_eq!(route.qlen.load(Ordering::Relaxed), 0, "worker {id}");
         }
         c.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_cluster_leaves_no_deadline_thread_behind() {
+        let c = cluster();
+        let rx = c.submit("echo", "echo", Blob::payload(64, "x"), None);
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(JobResult::Ok(_))
+        ));
+        // The set is shared by the cluster, its workers and the deadline
+        // thread; once all three are gone nothing holds it.
+        let set = Arc::downgrade(&c.deadlines);
+        drop(c);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while set.strong_count() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(set.strong_count(), 0, "a thread still holds the set");
     }
 
     #[test]

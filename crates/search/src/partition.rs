@@ -91,11 +91,6 @@ impl PartitionedIndex {
         self.down.remove(&part);
     }
 
-    /// Which partitions are down.
-    pub fn down_partitions(&self) -> Vec<usize> {
-        self.down.iter().copied().collect()
-    }
-
     /// Direct read access to one partition's index (worker-side use).
     pub fn part(&self, i: usize) -> &InvertedIndex {
         &self.parts[i]

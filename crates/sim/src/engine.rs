@@ -244,7 +244,6 @@ pub struct Kernel<M, N> {
     next_comp: u64,
     next_node: u32,
     next_group: u32,
-    trace: bool,
     tracer: Tracer,
     /// Reusable endpoint buffer for multicast fan-out.
     mcast_scratch: Vec<Endpoint>,
@@ -675,7 +674,6 @@ impl<M: Wire + Clone + 'static, N: Network> Sim<M, N> {
                 next_comp: 0,
                 next_node: 0,
                 next_group: 0,
-                trace: false,
                 tracer: Tracer::disabled(),
                 mcast_scratch: Vec::new(),
             },
@@ -685,11 +683,6 @@ impl<M: Wire + Clone + 'static, N: Network> Sim<M, N> {
             batch_buf: Vec::new(),
             effects_pool: Vec::new(),
         }
-    }
-
-    /// Enables verbose event tracing to stderr (debugging aid).
-    pub fn set_trace(&mut self, on: bool) {
-        self.kernel.trace = on;
     }
 
     /// Installs a span recorder; components reach it through

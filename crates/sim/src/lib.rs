@@ -87,7 +87,7 @@ pub use engine::{Component, Ctx, Kernel, NodeSpec, RunOutcome, Sim, SimConfig, W
 pub use network::{Delivery, Endpoint, IdealNetwork, Network, TrafficClass};
 pub use rng::Pcg32;
 pub use sched::{HeapScheduler, Scheduler, WheelScheduler};
-pub use stats::{Histogram, MetricKey, Series, StatsHub, Summary};
+pub use stats::{MetricKey, Series, StatsHub, Summary};
 pub use time::SimTime;
 pub use trace::{SpanId, SpanRecord, TraceLog, Tracer};
 

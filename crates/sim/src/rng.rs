@@ -145,14 +145,6 @@ impl Pcg32 {
         (mu + sigma * self.gauss()).exp()
     }
 
-    /// Bounded Pareto variate on `[lo, hi]` with shape `alpha`.
-    pub fn pareto_bounded(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        let u = self.f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
     /// Picks an index in `[0, weights.len())` with probability proportional
     /// to its weight. Panics on an empty or all-zero slice.
     pub fn weighted(&mut self, weights: &[f64]) -> usize {

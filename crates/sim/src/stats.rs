@@ -175,62 +175,6 @@ impl Summary {
     }
 }
 
-/// A fixed-bin linear histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    under: u64,
-    over: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal-width bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; n],
-            under: 0,
-            over: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.under += 1;
-        } else if x >= self.hi {
-            self.over += 1;
-        } else {
-            let i = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let last = self.bins.len() - 1;
-            self.bins[i.min(last)] += 1;
-        }
-    }
-
-    /// Total observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.under + self.over
-    }
-
-    /// Iterator of `(bin_midpoint, count)` pairs.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + (i as f64 + 0.5) * w, c))
-    }
-
-    /// Under/overflow counts.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.under, self.over)
-    }
-}
-
 /// A time-stamped series of scalar values (e.g. a queue length over time).
 #[derive(Debug, Clone, Default)]
 pub struct Series {
@@ -343,11 +287,6 @@ impl StatsHub {
     pub fn all_counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
-
-    /// Iterates all summaries (deterministic order).
-    pub fn all_summaries(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        self.summaries.iter().map(|(&k, v)| (k, v))
-    }
 }
 
 #[cfg(test)]
@@ -391,20 +330,6 @@ mod tests {
         // Quantiles remain sane.
         let med = s.quantile(0.5);
         assert!((med - 5000.0).abs() < 1500.0, "median {med}");
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.6, 9.9, -1.0, 10.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.outliers(), (1, 1));
-        let bins: Vec<u64> = h.bins().map(|(_, c)| c).collect();
-        assert_eq!(bins[0], 1);
-        assert_eq!(bins[1], 2);
-        assert_eq!(bins[9], 1);
     }
 
     #[test]

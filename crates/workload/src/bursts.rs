@@ -15,7 +15,6 @@
 use std::time::Duration;
 
 use sns_sim::rng::Pcg32;
-use sns_sim::time::SimTime;
 
 /// The 24-hour deterministic rate component.
 #[derive(Debug, Clone)]
@@ -186,11 +185,6 @@ impl ArrivalProcess {
         }
         out
     }
-}
-
-/// Converts a day offset to a [`SimTime`] (convenience for harnesses).
-pub fn day_offset(t: Duration) -> SimTime {
-    SimTime::ZERO + t
 }
 
 #[cfg(test)]

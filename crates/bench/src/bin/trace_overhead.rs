@@ -22,8 +22,9 @@
 //! configuration alike instead of landing on whichever block it hit.
 //! Each round yields one fastest run per configuration and so one
 //! `x/base` ratio. The bin asserts that the median round's
-//! `sampled/base` stays within `max(2%, 1.5 × worst |off/base − 1|)` —
-//! the sampled-out path costs no more than this run's own A/A noise —
+//! `sampled/base` stays within `max(2%, 1.5 × noise)`, where the noise
+//! is the second-largest `|off/base − 1|` of the rounds — the
+//! sampled-out path costs no more than this run's own A/A noise —
 //! and that all four configurations dispatch bit-identical simulations:
 //! recording (or deciding not to record) spans must observe the run,
 //! never perturb it. Rows are *appended* to `BENCH_sim.json` alongside the
@@ -144,6 +145,17 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// `(noise, bound)` from the rounds' `off/base` ratios: the noise is the
+/// second-largest `|off/base − 1|`, so one slow round cannot widen the
+/// band by itself, and the sampled-out path may cost up to
+/// `max(2 %, 1.5 × noise)`.
+fn sampled_bound(off: &[f64]) -> (f64, f64) {
+    let mut deltas: Vec<f64> = off.iter().map(|r| (r - 1.0).abs()).collect();
+    deltas.sort_by(|a, b| b.total_cmp(a));
+    let noise = deltas.get(1).or(deltas.first()).copied().unwrap_or(0.0);
+    (noise, (1.5 * noise).max(0.02))
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -209,11 +221,10 @@ fn main() {
             pct(*s)
         );
     }
-    let noise = off.iter().map(|r| (r - 1.0).abs()).fold(0.0, f64::max);
-    let bound = (1.5 * noise).max(0.02);
+    let (noise, bound) = sampled_bound(&off);
     let sampled_cost = median(sampled) - 1.0;
     println!(
-        "-- {ROUNDS} interleaved rounds, medians: disabled-path A/A delta {:+.2}% (worst {:.2}%)   \
+        "-- {ROUNDS} interleaved rounds, medians: disabled-path A/A delta {:+.2}% (noise {:.2}%)   \
          enabled cost {:+.2}%   sampled-out cost {:+.2}% (bound {:.2}%)   \
          ({spans_recorded} spans/run on, {sampled_spans} at 1/{SAMPLE_RATE})",
         pct(median(off)),
@@ -225,7 +236,7 @@ fn main() {
     assert!(
         sampled_cost <= bound,
         "enabled-but-sampled-out tracing costs {:+.2}% over disabled in the median round, \
-         beyond max(2%, 1.5 x this run's worst A/A delta) = {:.2}%",
+         beyond max(2%, 1.5 x this run's A/A noise) = {:.2}%",
         sampled_cost * 100.0,
         bound * 100.0
     );
@@ -252,4 +263,20 @@ fn main() {
         suite.rows().len(),
         slo.rows().len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sampled_bound;
+
+    #[test]
+    fn one_slow_round_does_not_widen_the_bound() {
+        // Nine rounds within 1 % of base, one 47 % outlier.
+        let off = [
+            1.01, 0.99, 1.005, 0.995, 1.0, 1.008, 0.992, 1.002, 0.998, 1.47,
+        ];
+        let (noise, bound) = sampled_bound(&off);
+        assert!((noise - 0.01).abs() < 1e-9, "noise {noise}");
+        assert_eq!(bound, 0.02);
+    }
 }

@@ -111,12 +111,6 @@ impl HotBotBuilder {
         self
     }
 
-    /// Sets the vocabulary size of the corpus generator.
-    pub fn with_vocab(mut self, vocab: usize) -> Self {
-        self.vocab = vocab;
-        self
-    }
-
     /// Sets the number of front ends.
     pub fn with_frontends(mut self, n: usize) -> Self {
         self.topology.frontends = n;

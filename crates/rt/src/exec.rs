@@ -10,14 +10,17 @@
 //! | hint snapshot      | stub hints, per version      | class populations, per poll      |
 //! | `Action::Dispatch` | framework lottery dispatch   | [`RtCluster::submit_tagged`]     |
 //! | `Action::Nap`      | engine timer                 | deadline = completion-queue wait |
-//! | wake-up            | engine event delivery        | completion queue (worker's send) |
+//! | wake-up            | engine event delivery        | own deadline: served job or nap  |
 //!
 //! Every dispatch of one [`serve`] call answers onto that call's own
-//! completion queue as `(token, JobResult)`, and the front-end thread
-//! blocks on the queue until the nearest nap deadline — the paper's
-//! front-end thread blocked on its workers' replies (§3.1.2). A reply
-//! wakes it the instant the worker sends it, a nap wakes it at its
-//! deadline, and nothing in between is polled.
+//! [`Completions`] queue as `(token, JobResult)`, and the front-end
+//! thread blocks on the queue until the nearest deadline it knows of —
+//! the paper's front-end thread blocked on its workers' replies
+//! (§3.1.2). A job served before its service deadline is handed to the
+//! queue with that deadline, and this thread settles it itself when the
+//! deadline passes, exactly as it ends a nap; only replies that are not
+//! served early (a zero-service job, a refusal, a give-up) wake it from
+//! another thread. Nothing in between is polled.
 //!
 //! `Action::DispatchTo` (pinned, cache-ring routing) has no rt
 //! analogue — the live cluster routes every job through the shared
@@ -26,18 +29,18 @@
 //! work; bodies that pin for *correctness* should shard by class.
 
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle, SvcOp};
 use sns_core::exec::Executor;
 use sns_core::frontend::Action;
-use sns_core::msg::{ClientRequest, JobResult};
+use sns_core::msg::ClientRequest;
 use sns_core::Payload;
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
-use crate::{sleep_until, RtCluster};
+use crate::{Completions, RtCluster};
 
 /// The served request's outcome plus the stats the body emitted — its
 /// counters, observations and samples (the sim front end writes these
@@ -75,7 +78,7 @@ pub fn serve<S: AsyncService>(
     // tagged with the token its body awaits. The cluster answers each
     // accepted submit exactly once, so `in_flight` counts what may
     // still arrive.
-    let (done_tx, done_rx) = mpsc::channel::<(u64, JobResult)>();
+    let completions = Completions::default();
     let mut in_flight = 0usize;
     let mut naps: Vec<(u64, Instant)> = Vec::new();
     let mut stats: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -121,7 +124,7 @@ pub fn serve<S: AsyncService>(
                         profile,
                         ..
                     } => {
-                        cluster.submit_tagged(class.name(), &op, input, profile, tag, &done_tx);
+                        cluster.submit_tagged(class.name(), &op, input, profile, tag, &completions);
                         in_flight += 1;
                     }
                     Action::Compute { tag, cost } => naps.push((tag, Instant::now() + cost)),
@@ -135,21 +138,22 @@ pub fn serve<S: AsyncService>(
             break false;
         }
 
-        // Block until the next event: a reply the moment its worker
-        // sends it, or the nearest nap deadline — on time, the way a
-        // worker meets its service deadline. Filled slots wake the
-        // body, so loop straight back into run_ready.
+        // Block until the next event: a reply the moment it is sent, a
+        // job served early at its service deadline (settled on this
+        // thread), or the nearest nap deadline — each met on time, the
+        // way a worker meets its service deadline. Filled slots wake
+        // the body, so loop straight back into run_ready.
         let next_nap = naps.iter().map(|&(_, deadline)| deadline).min();
-        let first = match next_nap {
-            Some(deadline) => sleep_until(deadline, |d| done_rx.recv_timeout(d).ok()),
-            None if in_flight > 0 => done_rx.recv().ok(),
+        if next_nap.is_none() && in_flight == 0 {
             // Nothing in flight and no timer armed: no event can ever
             // wake the body again.
-            None => break true,
-        };
-        for (token, result) in first.into_iter().chain(done_rx.try_iter()) {
+            break true;
+        }
+        let mut until = next_nap;
+        while let Some((token, result)) = completions.recv(until) {
             in_flight -= 1;
             handle.fill(token, EventOutcome::Reply(result));
+            until = Some(Instant::now());
         }
         let now = Instant::now();
         naps.retain(|&(token, deadline)| {
@@ -182,14 +186,128 @@ pub fn serve<S: AsyncService>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RtConfig;
+    use crate::{lock, read_routes, RtConfig};
+    use sns_core::exec::BoxFut;
+    use sns_core::msg::{Job, JobResult};
+    use sns_core::worker::{WorkerError, WorkerLogic};
+    use sns_core::{Blob, WorkerClass};
     use sns_distillers::HtmlMunger;
+    use sns_sim::rng::Pcg32;
     use sns_tacc::worker::TaccWorkerHost;
     use sns_tacc::{
         ContentObject, FetchRequest, OriginServer, PipelineConfig, PipelineJob, PipelineService,
     };
     use sns_workload::MimeType;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
+
+    /// Class `w`: a fixed service time, real work negligible.
+    struct Fixed(Duration);
+
+    impl WorkerLogic for Fixed {
+        fn class(&self) -> WorkerClass {
+            "w".into()
+        }
+        fn service_time(&mut self, _: &Job, _: SimTime, _: &mut Pcg32) -> Duration {
+            self.0
+        }
+        fn process(
+            &mut self,
+            job: &Job,
+            _: SimTime,
+            _: &mut Pcg32,
+        ) -> Result<Payload, WorkerError> {
+            Ok(Arc::clone(&job.input))
+        }
+    }
+
+    /// `0` stages dispatched to class `w` one after another.
+    struct Stages(usize);
+
+    impl AsyncService for Stages {
+        fn handle(&mut self, _: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+            let stages = self.0;
+            Box::pin(async move {
+                for _ in 0..stages {
+                    let reply = svc.dispatch("w".into(), "op", Blob::payload(64, "x"), None);
+                    if !matches!(reply.await, EventOutcome::Reply(JobResult::Ok(_))) {
+                        return svc.reply(Err("stage failed".into()));
+                    }
+                }
+                svc.reply(Ok(Blob::payload(64, "done")));
+            })
+        }
+    }
+
+    fn fixed(service: Duration) -> Arc<RtCluster> {
+        let c = RtCluster::start(RtConfig::new().with_time_scale(1.0));
+        c.add_workers("w", 1, move || Box::new(Fixed(service)));
+        c
+    }
+
+    /// `jobs` accepted and answered, every gauge at zero and no dispatch
+    /// state left behind.
+    fn assert_closed(c: &RtCluster, jobs: u64) {
+        assert_eq!(c.submitted.load(Ordering::Relaxed), jobs, "submitted");
+        assert_eq!(c.jobs_done.load(Ordering::Relaxed), jobs, "jobs_done");
+        for (id, route) in &read_routes(&c.routes).workers {
+            assert_eq!(route.qlen.load(Ordering::Relaxed), 0, "worker {id}");
+        }
+        c.shards
+            .for_each(|i, s| assert!(s.ext.outstanding.is_empty(), "shard {i}"));
+    }
+
+    #[test]
+    fn a_served_request_posts_nothing_to_the_deadline_set() {
+        let c = fixed(Duration::from_millis(2));
+        let request = ClientRequest {
+            id: 1,
+            user: "tester".into(),
+            url: "test://stages".into(),
+            body: None,
+        };
+        let out = serve(&c, &mut Stages(3), request);
+        assert!(out.result.is_ok(), "{:?}", out.result);
+        // Each stage was served early and settled by the waiting thread.
+        assert_closed(&c, 3);
+        assert_eq!(lock(&c.deadlines.set, &c.lock_poisoned).seq, 0);
+        c.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_queue_hands_its_held_settlement_back() {
+        let c = fixed(Duration::from_millis(20));
+        let q = Completions::default();
+        c.submit_tagged("w", "op", Blob::payload(64, "x"), None, 1, &q);
+        let handed = Instant::now() + Duration::from_secs(5);
+        while q.0.lock().held.is_empty() && Instant::now() < handed {
+            std::thread::yield_now();
+        }
+        assert_eq!(q.0.lock().held.len(), 1, "the worker handed it over");
+        drop(q);
+        std::thread::sleep(Duration::from_millis(40));
+        assert_closed(&c, 1);
+        c.shutdown();
+    }
+
+    #[test]
+    fn a_hand_off_to_a_dropped_queue_goes_to_the_deadline_set() {
+        let c = fixed(Duration::from_millis(20));
+        // The worker is busy with this one, so the tagged job below is
+        // served, and handed off, only after its queue is gone.
+        let first = c.submit("w", "op", Blob::payload(64, "x"), None);
+        let q = Completions::default();
+        c.submit_tagged("w", "op", Blob::payload(64, "x"), None, 1, &q);
+        drop(q);
+        assert!(matches!(
+            first.recv_timeout(Duration::from_secs(5)),
+            Ok(JobResult::Ok(_))
+        ));
+        std::thread::sleep(Duration::from_millis(40));
+        assert_closed(&c, 2);
+        assert_eq!(lock(&c.deadlines.set, &c.lock_poisoned).seq, 2);
+        c.shutdown();
+    }
 
     #[test]
     fn serve_returns_the_bodys_observations() {

@@ -16,10 +16,10 @@
 //! *live* queue gauge is lowest ([`sns_core::LiveLoad`], DESIGN.md
 //! §6g). Worker inboxes use the in-repo [`chan`] MPMC shim (a clonable
 //! receiver lets the manager salvage a crashed worker's queue for
-//! redispatch); replies use `std::sync::mpsc` — one one-shot channel
-//! per [`RtCluster::submit`], or a caller-owned completion queue shared
-//! by many jobs ([`RtCluster::submit_tagged`], what [`exec::serve`]
-//! blocks on).
+//! redispatch); a reply goes to one `std::sync::mpsc` one-shot channel
+//! per [`RtCluster::submit`], or to a caller-owned [`Completions`]
+//! queue shared by many jobs ([`RtCluster::submit_tagged`], what
+//! [`exec::serve`] blocks on).
 //!
 //! Every scheduling and respawn *decision* is made by the sans-IO
 //! control plane shared with the simulator
@@ -52,10 +52,13 @@
 //! reaches a free worker (`max(arrival, free_at)`, not when the thread
 //! wakes up to it), the worker runs the logic's real `process` inside
 //! it, and the job occupies its worker for `max(service, real work)`.
-//! A job whose work ends early is settled at its deadline by the
-//! cluster's one deadline thread, which meets every such deadline on
-//! time rather than after the kernel's timer slack; the worker just
-//! sleeps until it is free again.
+//! A job whose work ends early is settled at its deadline on time
+//! rather than after the kernel's timer slack, and the worker just
+//! sleeps until it is free again. Who settles it depends on where its
+//! reply goes: a [`Completions`] queue takes the settlement with the
+//! deadline and its waiting front end settles the job itself, so the
+//! reply needs no cross-thread wake-up; every other job goes to the
+//! cluster's one deadline thread.
 //!
 //! ```
 //! use sns_rt::{RtCluster, RtConfig};
@@ -284,12 +287,6 @@ impl RtConfig {
         self
     }
 
-    /// Sets the wall-clock dispatch timeout backstop.
-    pub fn with_dispatch_timeout(mut self, v: Duration) -> Self {
-        self.dispatch_timeout = v;
-        self
-    }
-
     /// Enables span tracing.
     pub fn with_tracing(mut self, v: bool) -> Self {
         self.tracing = v;
@@ -342,6 +339,9 @@ struct RtJob {
     /// When the job entered its *current* worker's inbox: the earliest
     /// its service there can start. Restamped when a salvage moves it.
     arrival: Instant,
+    /// Its reply goes to a [`Completions`] queue, which then also takes
+    /// its settlement when it is served early.
+    tagged: bool,
 }
 
 /// `at` on the span axis: nanoseconds since the cluster started.
@@ -382,8 +382,8 @@ impl Service {
 
 /// What answering a served job takes besides the job itself: the
 /// cluster's done counter, its span recorder and, weakly (no `Arc`
-/// cycle with the cluster), its dispatch shards. Each worker and the
-/// deadline thread hold one.
+/// cycle with the cluster), its dispatch shards. The cluster's
+/// [`Deadlines`] holds the one copy.
 struct Settler {
     jobs_done: Arc<AtomicU64>,
     tracer: Tracer,
@@ -439,7 +439,8 @@ impl Settler {
     }
 }
 
-/// A served job waiting in the deadline set for its deadline.
+/// A served job waiting for its deadline, in the deadline set or held
+/// by the completion queue its reply goes to.
 struct Posted {
     /// The serving worker's queue gauge, which still counts the job.
     qlen: Arc<AtomicU64>,
@@ -450,12 +451,17 @@ struct Posted {
 /// The cluster's deadline set: jobs whose real work ended inside their
 /// service, each due at its deadline. One thread meets them all
 /// ([`run_deadlines`]), so at most one thread per cluster spins a
-/// [`TAIL`] instead of one per busy worker.
-#[derive(Default)]
+/// [`TAIL`] instead of one per busy worker. A job submitted on a
+/// [`Completions`] queue is handed to that queue instead
+/// ([`Deadlines::hand_off`]) and comes back here only if the queue is
+/// dropped with it unsettled.
 struct Deadlines {
     set: Mutex<DeadlineSet>,
     /// Signalled by a post earlier than the thread's wait, and by close.
     earlier: Condvar,
+    settler: Settler,
+    started: Instant,
+    poisoned: Arc<AtomicU64>,
 }
 
 #[derive(Default)]
@@ -475,11 +481,23 @@ impl DeadlineSet {
 }
 
 impl Deadlines {
+    /// Settles `posted` now.
+    fn settle(&self, posted: Posted) {
+        let at = span_time(self.started, Instant::now());
+        self.settler
+            .settle(&posted.qlen, posted.service, posted.outcome, at);
+    }
+
     /// Adds a settlement due at `deadline`. The thread is woken only for
     /// a deadline earlier than the one it waits for; a later one it finds
-    /// when that wait ends.
-    fn post(&self, deadline: Instant, posted: Posted, poisoned: &AtomicU64) {
-        let mut set = lock(&self.set, poisoned);
+    /// when that wait ends. Once the set is closed nobody would meet the
+    /// deadline, so the job is settled at once.
+    fn post(&self, deadline: Instant, posted: Posted) {
+        let mut set = lock(&self.set, &self.poisoned);
+        if set.closed {
+            drop(set);
+            return self.settle(posted);
+        }
         let seq = set.seq;
         set.seq += 1;
         set.due.insert((deadline, seq), posted);
@@ -493,15 +511,48 @@ impl Deadlines {
         }
     }
 
-    fn close(&self, poisoned: &AtomicU64) {
-        lock(&self.set, poisoned).closed = true;
+    /// Hands a tagged job's settlement to the completion queue its reply
+    /// goes to, whose waiter settles it at `deadline`, and marks the
+    /// job's entry held so shutdown leaves the answer to that waiter.
+    /// The settlement is posted here instead when the job was already
+    /// answered or the queue is gone. The shard lock covers the lookup,
+    /// the hand-off and the mark, so a concurrent shutdown sweep sees
+    /// either an unheld entry or a held one with its settlement queued.
+    fn hand_off(self: &Arc<Self>, deadline: Instant, posted: Posted) {
+        let job = posted.service.job;
+        let back = match self.settler.shards.upgrade() {
+            Some(shards) => {
+                let (_, mut shard) = shards.lock_for(job);
+                let back = match shard.ext.outstanding.get_mut(&job) {
+                    Some(Outstanding {
+                        reply: ReplySink::Tagged(_, queue),
+                        held,
+                        ..
+                    }) => {
+                        let back = queue.hold(deadline, posted, self);
+                        *held = back.is_none();
+                        back
+                    }
+                    _ => Some(posted),
+                };
+                back
+            }
+            None => Some(posted),
+        };
+        if let Some(posted) = back {
+            self.post(deadline, posted);
+        }
+    }
+
+    fn close(&self) {
+        lock(&self.set, &self.poisoned).closed = true;
         self.earlier.notify_one();
     }
 
     /// One wait of the deadline thread for `deadline`: blocks for at most
     /// `left`, and reports whether an earlier deadline was posted.
-    fn wait_earlier(&self, deadline: Instant, left: Duration, poisoned: &AtomicU64) -> Option<()> {
-        let mut set = lock(&self.set, poisoned);
+    fn wait_earlier(&self, deadline: Instant, left: Duration) -> Option<()> {
+        let mut set = lock(&self.set, &self.poisoned);
         let earlier = |set: &DeadlineSet| set.next().is_some_and(|next| next < deadline);
         if !left.is_zero() && !earlier(&set) {
             set = self
@@ -516,11 +567,10 @@ impl Deadlines {
 
 /// The deadline thread: settles every posted job at its deadline, met
 /// with [`sleep_until`], in `(deadline, post order)` order. It holds the
-/// set and a [`Settler`], never the cluster, and exits once the set is
-/// closed and empty.
-fn run_deadlines(deadlines: &Deadlines, settler: &Settler, started: Instant, poisoned: &AtomicU64) {
+/// set, never the cluster, and exits once the set is closed and empty.
+fn run_deadlines(deadlines: &Deadlines) {
     let mut due = Vec::new();
-    let mut set = lock(&deadlines.set, poisoned);
+    let mut set = lock(&deadlines.set, &deadlines.poisoned);
     loop {
         let now = Instant::now();
         while let Some(entry) = set.due.first_entry() {
@@ -535,10 +585,9 @@ fn run_deadlines(deadlines: &Deadlines, settler: &Settler, started: Instant, poi
             set.waiting_for = Some(now);
             drop(set);
             for p in due.drain(..) {
-                let at = span_time(started, Instant::now());
-                settler.settle(&p.qlen, p.service, p.outcome, at);
+                deadlines.settle(p);
             }
-            set = lock(&deadlines.set, poisoned);
+            set = lock(&deadlines.set, &deadlines.poisoned);
             continue;
         }
         set.waiting_for = set.next();
@@ -552,10 +601,8 @@ fn run_deadlines(deadlines: &Deadlines, settler: &Settler, started: Instant, poi
             }
             Some(deadline) => {
                 drop(set);
-                sleep_until(deadline, |left| {
-                    deadlines.wait_earlier(deadline, left, poisoned)
-                });
-                set = lock(&deadlines.set, poisoned);
+                sleep_until(deadline, |left| deadlines.wait_earlier(deadline, left));
+                set = lock(&deadlines.set, &deadlines.poisoned);
             }
         }
     }
@@ -655,17 +702,13 @@ enum ReplySink {
     Oneshot(mpsc::SyncSender<JobResult>),
     /// [`RtCluster::submit_tagged`]: a caller-owned completion queue
     /// shared by many jobs, each result tagged with the caller's token.
-    Tagged(u64, mpsc::Sender<(u64, JobResult)>),
+    Tagged(u64, Arc<Queue>),
 }
 
 impl ReplySink {
     fn oneshot() -> (ReplySink, mpsc::Receiver<JobResult>) {
         let (tx, rx) = mpsc::sync_channel(1);
         (ReplySink::Oneshot(tx), rx)
-    }
-
-    fn tagged(token: u64, queue: &mpsc::Sender<(u64, JobResult)>) -> ReplySink {
-        ReplySink::Tagged(token, queue.clone())
     }
 
     /// Sends the result; a receiver that went away is not an error (the
@@ -675,9 +718,167 @@ impl ReplySink {
             ReplySink::Oneshot(tx) => {
                 let _ = tx.try_send(result);
             }
-            ReplySink::Tagged(token, queue) => {
-                let _ = queue.send((token, result));
+            ReplySink::Tagged(token, queue) => queue.push(token, result),
+        }
+    }
+}
+
+/// A front end's completion queue: every job submitted on it with
+/// [`RtCluster::submit_tagged`] answers here as `(token, result)`, and
+/// one [`Completions::recv`] wakes on whichever comes first.
+///
+/// A job whose real work ends before its service deadline is not
+/// answered by the cluster's deadline thread: its worker hands the
+/// settlement here together with the deadline, and `recv` meets that
+/// deadline the way it meets the caller's own (sleep, then spin the
+/// last stretch), then settles the job on the waiting thread — gauge,
+/// count, service span, dispatch shard, reply — so no other thread has
+/// to wake this one. Dropping the queue sends the settlements it still
+/// holds back to their clusters' deadline sets, so every gauge and
+/// count closes whether or not anyone waits.
+#[derive(Default)]
+pub struct Completions(Arc<Queue>);
+
+/// The shared half of a [`Completions`]: the reply sinks of its jobs
+/// hold it, the caller's `Completions` owns it.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Signalled by a result, or by a settlement due before the waiter's
+    /// target, while the waiter is blocked.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    ready: VecDeque<(u64, JobResult)>,
+    /// Settlements handed over by workers, by `(deadline, hand-off order)`.
+    held: BTreeMap<(Instant, u64), (Posted, Arc<Deadlines>)>,
+    seq: u64,
+    /// `Some(target)` while the waiter is blocked until `target`
+    /// (`None`: no bound).
+    blocked: Option<Option<Instant>>,
+    /// The `Completions` was dropped: nothing is taken any more.
+    closed: bool,
+}
+
+impl QueueState {
+    fn next_held(&self) -> Option<Instant> {
+        self.held.keys().next().map(|&(deadline, _)| deadline)
+    }
+}
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, token: u64, result: JobResult) {
+        let mut state = self.lock();
+        if state.closed {
+            return;
+        }
+        state.ready.push_back((token, result));
+        let blocked = state.blocked.is_some();
+        drop(state);
+        if blocked {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Takes a settlement due at `deadline`, or hands it back when the
+    /// queue is closed. The waiter is woken only when it is blocked past
+    /// `deadline`.
+    fn hold(&self, deadline: Instant, posted: Posted, hub: &Arc<Deadlines>) -> Option<Posted> {
+        let mut state = self.lock();
+        if state.closed {
+            return Some(posted);
+        }
+        let seq = state.seq;
+        state.seq += 1;
+        state
+            .held
+            .insert((deadline, seq), (posted, Arc::clone(hub)));
+        let earlier = state
+            .blocked
+            .is_some_and(|target| target.is_none_or(|t| deadline < t));
+        drop(state);
+        if earlier {
+            self.wake.notify_one();
+        }
+        None
+    }
+
+    /// One wait of the waiter for `target` (`None`: no bound): blocks for
+    /// at most `left` unless a result is ready or a settlement due before
+    /// `target` is held, and reports whether one is.
+    fn wait(&self, target: Option<Instant>, left: Option<Duration>) -> Option<()> {
+        let fresh = |s: &QueueState| {
+            !s.ready.is_empty() || s.next_held().is_some_and(|d| target.is_none_or(|t| d < t))
+        };
+        let mut state = self.lock();
+        if !fresh(&state) && left != Some(Duration::ZERO) {
+            state.blocked = Some(target);
+            state = match left {
+                Some(left) => {
+                    let woke = self.wake.wait_timeout(state, left);
+                    woke.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+            state.blocked = None;
+        }
+        fresh(&state).then_some(())
+    }
+}
+
+impl Completions {
+    /// The next `(token, result)`, waiting until `until` (`None`: no
+    /// bound) for one. Meanwhile every held settlement whose deadline
+    /// passes is settled on this thread, which is what answers its job.
+    /// Returns `None` once `until` has passed with nothing ready, so a
+    /// front end passes its nearest nap deadline and learns it is due.
+    pub fn recv(&self, until: Option<Instant>) -> Option<(u64, JobResult)> {
+        loop {
+            let mut state = self.0.lock();
+            if let Some(done) = state.ready.pop_front() {
+                return Some(done);
             }
+            let now = Instant::now();
+            let next = state.next_held();
+            if next.is_some_and(|d| d <= now) {
+                let (_, (posted, hub)) = state.held.pop_first().expect("a held settlement");
+                drop(state);
+                // Its reply lands in `ready`, unless the job was
+                // answered otherwise already.
+                hub.settle(posted);
+                continue;
+            }
+            if until.is_some_and(|u| u <= now) {
+                return None;
+            }
+            drop(state);
+            match next.into_iter().chain(until).min() {
+                Some(target) => sleep_until(target, |left| self.0.wait(Some(target), Some(left))),
+                None => self.0.wait(None, None),
+            };
+        }
+    }
+}
+
+impl Drop for Completions {
+    fn drop(&mut self) {
+        let held = {
+            let mut state = self.0.lock();
+            state.closed = true;
+            state.ready.clear();
+            std::mem::take(&mut state.held)
+        };
+        for ((deadline, _), (posted, hub)) in held {
+            hub.post(deadline, posted);
         }
     }
 }
@@ -692,6 +893,9 @@ struct Outstanding {
     /// Already counted in `submitted` (retries resend the same id; the
     /// conservation ledger must count it once).
     counted: bool,
+    /// The job's settlement is held by its completion queue, whose
+    /// waiter answers it with the real result.
+    held: bool,
 }
 
 /// Per-shard driver state living under the shard lock, so one
@@ -800,6 +1004,32 @@ impl RtCluster {
             Some(Arc::new(RouteLoad(Arc::clone(&routes)))),
             |_| ShardExt::default(),
         ));
+        let started = Instant::now();
+        let jobs_done = Arc::new(AtomicU64::new(0));
+        let lock_poisoned = Arc::new(AtomicU64::new(0));
+        let tracer = if cfg.tracing {
+            Tracer::sampled(cfg.sampling())
+        } else {
+            Tracer::disabled()
+        };
+        let deadlines = Arc::new(Deadlines {
+            set: Mutex::default(),
+            earlier: Condvar::new(),
+            settler: Settler {
+                jobs_done: Arc::clone(&jobs_done),
+                tracer: tracer.clone(),
+                shards: Arc::downgrade(&shards),
+            },
+            started,
+            poisoned: Arc::clone(&lock_poisoned),
+        });
+        let thread = {
+            let deadlines = Arc::clone(&deadlines);
+            std::thread::Builder::new()
+                .name("sns-rt-deadlines".into())
+                .spawn(move || run_deadlines(&deadlines))
+                .expect("spawn deadline thread")
+        };
         let cluster = Arc::new(RtCluster {
             control: Mutex::new(ControlInner {
                 // Placeholder incarnation 0; `start_manager` installs
@@ -823,38 +1053,23 @@ impl RtCluster {
             next_id: AtomicU64::new(MANAGER.0 + 1),
             incarnation: AtomicU64::new(0),
             manager: Mutex::new(None),
-            deadlines: Arc::default(),
-            deadline_thread: Mutex::new(None),
-            started: Instant::now(),
+            deadlines,
+            deadline_thread: Mutex::new(Some(thread)),
+            started,
             log: Arc::new(Mutex::new(MonitorLog::default())),
             counters: Mutex::new(BTreeMap::new()),
             pending: Mutex::new(Vec::new()),
             self_weak: OnceLock::new(),
             submitted: Arc::new(AtomicU64::new(0)),
-            jobs_done: Arc::new(AtomicU64::new(0)),
+            jobs_done,
             crashes: Arc::new(AtomicU64::new(0)),
             restarts: Arc::new(AtomicU64::new(0)),
             redispatched: Arc::new(AtomicU64::new(0)),
-            lock_poisoned: Arc::new(AtomicU64::new(0)),
-            tracer: if cfg.tracing {
-                Tracer::sampled(cfg.sampling())
-            } else {
-                Tracer::disabled()
-            },
+            lock_poisoned,
+            tracer,
             cfg,
         });
         let _ = cluster.self_weak.set(Arc::downgrade(&cluster));
-        let thread = {
-            let deadlines = Arc::clone(&cluster.deadlines);
-            let settler = cluster.settler();
-            let started = cluster.started;
-            let poisoned = Arc::clone(&cluster.lock_poisoned);
-            std::thread::Builder::new()
-                .name("sns-rt-deadlines".into())
-                .spawn(move || run_deadlines(&deadlines, &settler, started, &poisoned))
-                .expect("spawn deadline thread")
-        };
-        *lock(&cluster.deadline_thread, &cluster.lock_poisoned) = Some(thread);
         cluster.start_manager();
         cluster
     }
@@ -875,14 +1090,6 @@ impl RtCluster {
 
     fn now(&self) -> SimTime {
         span_time(self.started, Instant::now())
-    }
-
-    fn settler(&self) -> Settler {
-        Settler {
-            jobs_done: Arc::clone(&self.jobs_done),
-            tracer: self.tracer.clone(),
-            shards: Arc::downgrade(&self.shards),
-        }
     }
 
     fn lock_control(&self) -> MutexGuard<'_, ControlInner> {
@@ -1110,6 +1317,7 @@ impl RtCluster {
                     let Some(o) = shard.ext.outstanding.get_mut(&job.id) else {
                         continue; // job already settled
                     };
+                    let tagged = matches!(o.reply, ReplySink::Tagged(..));
                     // The guard is gone before a refusal re-enters the
                     // plane, whose pick reads the routes again.
                     let sent = read_routes(&self.routes).live(worker).is_some_and(|r| {
@@ -1118,6 +1326,7 @@ impl RtCluster {
                             job: (*job).clone(),
                             enqueued: span_time(self.started, arrival),
                             arrival,
+                            tagged,
                         })
                     });
                     if !sent {
@@ -1188,11 +1397,11 @@ impl RtCluster {
 
     /// [`RtCluster::submit`] for a caller that waits on many jobs at
     /// once: the job's one result arrives on `queue` as
-    /// `(token, result)`, so a single blocking receive wakes on
-    /// whichever job finishes first. A shared queue never reads as
-    /// disconnected while the caller holds its sender, so every
-    /// failure — unknown class, over quota, no live worker, shutdown —
-    /// arrives as a typed [`JobResult::Failed`].
+    /// `(token, result)`, so a single [`Completions::recv`] wakes on
+    /// whichever job finishes first, and a job served before its
+    /// deadline is settled by that receive. Every failure — unknown
+    /// class, over quota, no live worker, shutdown — arrives as a typed
+    /// [`JobResult::Failed`].
     pub fn submit_tagged(
         &self,
         class: &str,
@@ -1200,9 +1409,10 @@ impl RtCluster {
         input: Payload,
         profile: Option<ProfileData>,
         token: u64,
-        queue: &mpsc::Sender<(u64, JobResult)>,
+        queue: &Completions,
     ) {
-        self.submit_to(class, op, input, profile, ReplySink::tagged(token, queue));
+        let sink = ReplySink::Tagged(token, Arc::clone(&queue.0));
+        self.submit_to(class, op, input, profile, sink);
     }
 
     fn submit_to(
@@ -1256,6 +1466,7 @@ impl RtCluster {
                         reply: sink,
                         deadline: Instant::now() + self.cfg.dispatch_timeout,
                         counted: false,
+                        held: false,
                     },
                 );
             }
@@ -1269,10 +1480,11 @@ impl RtCluster {
     /// starts at `max(arrival, free_at)` and `process` runs inside it,
     /// so real work longer than the service adds no wait and the
     /// service span covers both. A job whose work ends before its
-    /// deadline is posted to the cluster's deadline set, which answers
-    /// it on time, and the worker plain-sleeps until the deadline; a job
-    /// already past it is settled here at once. The worker crashes by
-    /// *not replying* (the queue is salvaged later).
+    /// deadline is handed to its completion queue when it has one, else
+    /// posted to the cluster's deadline set; either answers it on time,
+    /// and the worker plain-sleeps until the deadline. A job already
+    /// past it is settled here at once. The worker crashes by *not
+    /// replying* (the queue is salvaged later).
     fn spawn_worker_thread(
         &self,
         mut logic: Box<dyn WorkerLogic>,
@@ -1291,8 +1503,6 @@ impl RtCluster {
         let crashes = Arc::clone(&self.crashes);
         let log = Arc::clone(&self.log);
         let poisoned = Arc::clone(&self.lock_poisoned);
-        let poisoned_t = Arc::clone(&self.lock_poisoned);
-        let settler = self.settler();
         let deadlines = Arc::clone(&self.deadlines);
         let time_scale = self.cfg.time_scale;
         let seed = self.cfg.seed ^ id;
@@ -1329,6 +1539,7 @@ impl RtCluster {
             .spawn(move || {
                 let mut rng = Pcg32::new(seed);
                 let me = ComponentId(id);
+                let settler = &deadlines.settler;
                 // When this worker is next free: the last job's deadline,
                 // or its real end if `process` overran it.
                 let mut free_at = spawned;
@@ -1415,7 +1626,11 @@ impl RtCluster {
                             service,
                             outcome,
                         };
-                        deadlines.post(deadline, posted, &poisoned_t);
+                        if rt_job.tagged {
+                            deadlines.hand_off(deadline, posted);
+                        } else {
+                            deadlines.post(deadline, posted);
+                        }
                         // Waking late costs nothing: the next job's
                         // service starts at the deadline regardless.
                         std::thread::sleep(deadline - end);
@@ -1883,9 +2098,11 @@ impl RtCluster {
     /// Stops everything: the manager thread first, then the workers
     /// (closing their inboxes so queued work is *drained*, not
     /// dropped), then the deadline thread once it has answered every
-    /// job still in service. Whatever is still outstanding after that —
-    /// jobs stranded in dead workers' queues, jobs a crashed worker took
-    /// with it — is answered with a typed failure.
+    /// job still in service. A job whose settlement a completion queue
+    /// holds is left to that queue's waiter, which answers it with its
+    /// result. Whatever else is still outstanding — jobs stranded in
+    /// dead workers' queues, jobs a crashed worker took with it — is
+    /// answered with a typed failure.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Relaxed);
         self.kill_manager();
@@ -1901,14 +2118,19 @@ impl RtCluster {
                 let _ = j.join();
             }
         }
-        self.deadlines.close(&self.lock_poisoned);
+        self.deadlines.close();
         let deadline_thread = lock(&self.deadline_thread, &self.lock_poisoned).take();
         if let Some(h) = deadline_thread {
             let _ = h.join();
         }
         self.write_routes().workers.clear();
         self.shards.for_each(|_, s| {
-            for (_, o) in std::mem::take(&mut s.ext.outstanding) {
+            let (held, swept): (BTreeMap<_, _>, BTreeMap<_, _>) =
+                std::mem::take(&mut s.ext.outstanding)
+                    .into_iter()
+                    .partition(|(_, o)| o.held);
+            s.ext.outstanding = held;
+            for (_, o) in swept {
                 o.reply
                     .deliver(JobResult::Failed("cluster is shut down".into()));
             }
@@ -2005,7 +2227,7 @@ impl Cluster for RtCluster {
 impl Drop for RtCluster {
     fn drop(&mut self) {
         self.running.store(false, Ordering::Relaxed);
-        self.deadlines.close(&self.lock_poisoned);
+        self.deadlines.close();
     }
 }
 

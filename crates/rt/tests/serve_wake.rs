@@ -1,7 +1,9 @@
 //! `exec::serve` is reply-driven: the front-end thread blocks on its
-//! per-call completion queue, so a worker's reply wakes it at once and
-//! every accepted dispatch is answered — by the worker, by a give-up or
-//! by shutdown — with a typed result, never by a channel going quiet.
+//! per-call completion queue, so a reply wakes it at once (a job served
+//! early is settled by the front end itself at its deadline) and every
+//! accepted dispatch is answered — by the worker, the waiting front
+//! end, a give-up or shutdown — with a typed result, never by a channel
+//! going quiet.
 //!
 //! The two latency tests fail on a polling driver (each await rounded
 //! up to the poll period); the fault tests would hang on a driver that
@@ -18,7 +20,7 @@ use sns_core::worker::{WorkerError, WorkerLogic};
 use sns_core::{Blob, Payload, WorkerClass};
 use sns_distillers::HtmlMunger;
 use sns_rt::exec::{serve, ServeOutcome};
-use sns_rt::{RtCluster, RtConfig};
+use sns_rt::{Completions, RtCluster, RtConfig};
 use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_tacc::origin::FetchRequest;
@@ -270,22 +272,60 @@ fn shutdown_answers_a_stranded_dispatch_with_a_typed_failure() {
 }
 
 #[test]
+fn a_redispatch_on_a_reply_finds_its_worker_idle() {
+    let c = cluster(Duration::from_millis(10));
+    let mut svc = Sequential {
+        awaits: 2,
+        tag: "x",
+    };
+    for id in 0..3 {
+        let out = serve(&c, &mut svc, request(id));
+        assert!(out.result.is_ok(), "request {id}: {:?}", out.result);
+    }
+    // The second await is dispatched the moment the first reply lands:
+    // the job has left the only worker's gauge by then.
+    assert_eq!(c.counter("stub.placed_busy"), 0);
+    c.shutdown();
+}
+
+#[test]
+fn shutdown_leaves_a_held_settlement_to_its_waiter() {
+    let c = cluster(Duration::from_millis(50));
+    let q = Completions::default();
+    c.submit_tagged("w", "op", Blob::payload(1, "x"), None, 1, &q);
+    // Shutdown joins the worker, which sleeps to the job's deadline, so
+    // it sweeps with the settlement handed to `q` and not yet taken.
+    let c2 = Arc::clone(&c);
+    std::thread::spawn(move || c2.shutdown())
+        .join()
+        .expect("shutdown");
+    let (token, result) = q
+        .recv(Some(Instant::now() + Duration::from_secs(5)))
+        .expect("the held job is answered");
+    assert_eq!(token, 1);
+    assert!(matches!(result, JobResult::Ok(_)), "{result:?}");
+}
+
+#[test]
 fn a_tagged_submit_reports_every_refusal_on_the_queue() {
     let c = cluster(Duration::ZERO);
-    let (tx, rx) = mpsc::channel();
-    c.submit_tagged("ghost", "op", Blob::payload(1, "x"), None, 7, &tx);
-    c.submit_tagged("w", "op", Blob::payload(1, "x"), None, 8, &tx);
+    let q = Completions::default();
+    c.submit_tagged("ghost", "op", Blob::payload(1, "x"), None, 7, &q);
+    c.submit_tagged("w", "op", Blob::payload(1, "x"), None, 8, &q);
     c.shutdown();
-    c.submit_tagged("w", "op", Blob::payload(1, "x"), None, 9, &tx);
+    c.submit_tagged("w", "op", Blob::payload(1, "x"), None, 9, &q);
     let mut got: Vec<(u64, bool)> = (0..3)
         .map(|_| {
-            let (token, result) = rx
-                .recv_timeout(Duration::from_secs(5))
+            let (token, result) = q
+                .recv(Some(Instant::now() + Duration::from_secs(5)))
                 .expect("one result per submit");
             (token, matches!(result, JobResult::Ok(_)))
         })
         .collect();
     got.sort();
     assert_eq!(got, vec![(7, false), (8, true), (9, false)]);
-    assert!(rx.try_recv().is_err(), "exactly one result per submit");
+    assert!(
+        q.recv(Some(Instant::now())).is_none(),
+        "exactly one result per submit"
+    );
 }

@@ -60,12 +60,6 @@ impl LinkParams {
         self
     }
 
-    /// Sets the datagram drop threshold.
-    pub fn with_max_queue_delay(mut self, d: Duration) -> Self {
-        self.max_queue_delay = d;
-        self
-    }
-
     /// Transmission time for `size` bytes (overhead + serialisation).
     pub fn tx_time(&self, size: u64) -> Duration {
         let secs = (size as f64 * 8.0) / self.bandwidth_bps;
@@ -179,16 +173,6 @@ impl SanConfig {
     /// Sets the flow-mode utilisation averaging window.
     pub fn with_flow_epoch(mut self, v: Duration) -> Self {
         self.flow_epoch = v;
-        self
-    }
-
-    /// Sets the flow→exact switch-over utilisation threshold.
-    pub fn with_flow_saturation(mut self, v: f64) -> Self {
-        assert!(
-            v > 0.0 && v <= 1.0,
-            "saturation threshold must be in (0, 1]"
-        );
-        self.flow_saturation = v;
         self
     }
 }

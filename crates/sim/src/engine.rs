@@ -63,18 +63,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the spawn-request-to-`on_start` latency.
-    pub fn with_spawn_latency(mut self, v: Duration) -> Self {
-        self.spawn_latency = v;
-        self
-    }
-
-    /// Sets the death-to-watcher-notification latency.
-    pub fn with_death_detect_latency(mut self, v: Duration) -> Self {
-        self.death_detect_latency = v;
-        self
-    }
-
     /// Sets the hard cap on dispatched events.
     pub fn with_max_events(mut self, v: u64) -> Self {
         self.max_events = v;

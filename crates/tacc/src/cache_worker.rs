@@ -103,12 +103,6 @@ impl CacheWorker {
             ttl,
         }
     }
-
-    /// Overrides the timing model.
-    pub fn with_timing(mut self, timing: CacheTiming) -> Self {
-        self.timing = timing;
-        self
-    }
 }
 
 impl WorkerLogic for CacheWorker {

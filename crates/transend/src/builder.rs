@@ -178,12 +178,6 @@ impl TranSendBuilder {
         self
     }
 
-    /// Sets the bytes per cache partition.
-    pub fn with_cache_capacity(mut self, bytes: u64) -> Self {
-        self.cache_capacity = bytes;
-        self
-    }
-
     /// Sets the minimum distillers per class (0 = on-demand, §4.5).
     pub fn with_min_distillers(mut self, n: u32) -> Self {
         self.min_distillers = n;

@@ -164,13 +164,6 @@ impl ReplayLoad {
         self
     }
 
-    /// Sets the mean response size.
-    pub fn with_mean_bytes(mut self, bytes: f64) -> Self {
-        assert!(bytes > 0.0);
-        self.mean_bytes = bytes;
-        self
-    }
-
     /// Population-scaled instantaneous rate (req/s) at offset `t`.
     pub fn rate_at(&self, t: Duration) -> f64 {
         let flash = self.flash.as_ref().map_or(1.0, |f| f.multiplier_at(t));

@@ -104,8 +104,8 @@ if [ ! -s BENCH_rt.json ]; then
   exit 1
 fi
 rows=$(grep -c '"bench"' BENCH_rt.json || true)
-if [ "$rows" -lt 9 ]; then
-  echo "BENCH_rt.json carries $rows rows, expected >= 9 (5 scaling + >= 4 slo)" >&2
+if [ "$rows" -lt 5 ]; then
+  echo "BENCH_rt.json carries $rows rows, expected >= 5 (5 scaling)" >&2
   exit 1
 fi
 echo "   ok: $rows bench rows in BENCH_rt.json"
@@ -183,8 +183,10 @@ chaos_suite sns-rt serve_wake 7
 # Service starts when a job reaches a free worker: no queue wait on an
 # idle worker, a backlog's starts exactly one service apart, a salvaged
 # job starts only once it reaches its survivor, and shutdown answers a
-# job in service with its result.
-chaos_suite sns-rt service_time 8
+# job in service with its result. A hold due before the deadline the
+# cluster's waiter sleeps to wakes it (fails on a hold that never
+# notifies).
+chaos_suite sns-rt service_time 9
 # Placement by live queue gauge: back-to-back submits through different
 # shards and threads land on distinct idle workers (fails on a lottery),
 # a job placed on a busy class is counted, a killed worker loses none.

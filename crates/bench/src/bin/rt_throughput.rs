@@ -7,23 +7,22 @@
 //! the ideal `256 × 4 ms ÷ workers` — this is the curve `ci.sh`'s
 //! `rt_scaling` stage guards (every pool within 2 ms of its ideal).
 //!
-//! The warm zero-service submit path is measured by perfbench's
-//! `rt_submit` workload, not here.
+//! The warm zero-service submit path, and its span-derived layer
+//! breakdown, are measured by perfbench's `rt_submit` workload, not
+//! here; `control_plane_parity` pins the rt head-sampled request set.
 //!
 //! ```sh
 //! cargo run -p sns-bench --release --bin rt_throughput [-- OUTPUT.json]
 //! ```
 //!
-//! Rows land in `BENCH_rt.json` together with span-derived `slo/*`
-//! summary rows from a separate head-sampled traced run of zero-service
-//! jobs; jobs/sec per pool size prints at the end.
+//! The five rows land in `BENCH_rt.json`; jobs/sec per pool size prints
+//! at the end.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sns_core::msg::{Job, JobResult};
-use sns_core::slo::SloAggregator;
 use sns_core::worker::{WorkerError, WorkerLogic};
 use sns_core::{Blob, Payload, WorkerClass};
 use sns_rt::{RtCluster, RtConfig};
@@ -31,28 +30,11 @@ use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_testkit::{BenchConfig, BenchSuite};
 
-/// Jobs in the sampled zero-service SLO run.
-const JOBS: u64 = 1_000;
-
-/// Jobs per scaling-curve run (smaller: each carries a real sleep).
+/// Jobs per scaling-curve run.
 const SCALE_JOBS: u64 = 256;
 
 /// Modelled service time per job in the scaling runs.
 const SERVICE: Duration = Duration::from_millis(4);
-
-struct Nop;
-
-impl WorkerLogic for Nop {
-    fn class(&self) -> WorkerClass {
-        "nop".into()
-    }
-    fn service_time(&mut self, _j: &Job, _n: SimTime, _r: &mut Pcg32) -> Duration {
-        Duration::ZERO
-    }
-    fn process(&mut self, job: &Job, _n: SimTime, _r: &mut Pcg32) -> Result<Payload, WorkerError> {
-        Ok(Blob::payload(job.input.wire_size(), "done"))
-    }
-}
 
 struct Sleeper;
 
@@ -140,58 +122,6 @@ fn main() {
     }
     suite.write_json(&out).expect("write bench rows");
 
-    // Span-derived SLO rows from an unmeasured head-sampled traced run
-    // (the always-on production configuration): request percentiles and
-    // the depth-1 queue/service/net breakdown, scaled back up by the
-    // sampling rate.
-    const SLO_RATE: u32 = 4;
-    let slo_rows = {
-        let c = RtCluster::start(
-            RtConfig::new()
-                .with_time_scale(0.0)
-                .with_report_period(Duration::from_millis(10))
-                .with_beacon_period(Duration::from_millis(20))
-                .with_seed(0x6274)
-                .with_tracing(true)
-                .with_trace_sampling(SLO_RATE),
-        );
-        c.add_workers("nop", 4, || Box::new(Nop));
-        let receivers: Vec<_> = (0..JOBS)
-            .map(|i| c.submit("nop", "op", Blob::payload(64 + i, "x"), None))
-            .collect();
-        for rx in receivers {
-            match rx.recv().expect("reply") {
-                JobResult::Ok(_) => {}
-                JobResult::Failed(e) => panic!("slo job failed: {e}"),
-            }
-        }
-        c.shutdown();
-        let log = c.trace_snapshot().expect("tracing enabled");
-        let mut slo = SloAggregator::new(SLO_RATE);
-        slo.ingest(&log);
-        // Sampling closure: the 1-in-SLO_RATE slice, scaled back up,
-        // must account for the admitted batch within a generous band.
-        let est = slo.sampled_requests() * u64::from(SLO_RATE);
-        assert!(
-            (JOBS / 2..=JOBS * 2).contains(&est),
-            "sampled-request estimate {est} is not within 2x of {JOBS} admitted jobs"
-        );
-        slo.to_json_rows("rt")
-    };
-    let merged = {
-        let bench = std::fs::read_to_string(&out).expect("read bench rows");
-        let body = |s: &str| {
-            s.trim()
-                .trim_start_matches('[')
-                .trim_end_matches(']')
-                .trim_matches('\n')
-                .trim_end_matches(',')
-                .to_string()
-        };
-        format!("[\n{},\n{}\n]", body(&bench), body(&slo_rows))
-    };
-    std::fs::write(&out, merged).expect("write merged rows");
-
     let row = |name: &str| {
         suite
             .rows()
@@ -210,8 +140,5 @@ fn main() {
             base / ns,
         );
     }
-    println!(
-        "wrote {} bench + slo rows to {out} (sample rate 1/{SLO_RATE})",
-        suite.rows().len()
-    );
+    println!("wrote {} bench rows to {out}", suite.rows().len());
 }

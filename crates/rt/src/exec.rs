@@ -186,7 +186,7 @@ pub fn serve<S: AsyncService>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lock, read_routes, RtConfig};
+    use crate::{read_routes, RtConfig};
     use sns_core::exec::BoxFut;
     use sns_core::msg::{Job, JobResult};
     use sns_core::worker::{WorkerError, WorkerLogic};
@@ -198,7 +198,7 @@ mod tests {
         ContentObject, FetchRequest, OriginServer, PipelineConfig, PipelineJob, PipelineService,
     };
     use sns_workload::MimeType;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     /// Class `w`: a fixed service time, real work negligible.
@@ -270,7 +270,7 @@ mod tests {
         assert!(out.result.is_ok(), "{:?}", out.result);
         // Each stage was served early and settled by the waiting thread.
         assert_closed(&c, 3);
-        assert_eq!(lock(&c.deadlines.set, &c.lock_poisoned).seq, 0);
+        assert_eq!(c.deadlines.queue.lock().seq, 0);
         c.shutdown();
     }
 
@@ -305,8 +305,29 @@ mod tests {
         ));
         std::thread::sleep(Duration::from_millis(40));
         assert_closed(&c, 2);
-        assert_eq!(lock(&c.deadlines.set, &c.lock_poisoned).seq, 2);
+        assert_eq!(c.deadlines.queue.lock().seq, 2);
         c.shutdown();
+    }
+
+    #[test]
+    fn a_queue_dropped_after_shutdown_settles_its_held_job() {
+        let c = fixed(Duration::from_millis(50));
+        // Shutdown clears the routes; keep the gauges to read them after.
+        let gauges: Vec<Arc<AtomicU64>> = read_routes(&c.routes)
+            .workers
+            .values()
+            .map(|r| Arc::clone(&r.qlen))
+            .collect();
+        let q = Completions::default();
+        c.submit_tagged("w", "op", Blob::payload(64, "x"), None, 1, &q);
+        // Shutdown joins the worker, which sleeps to the job's deadline
+        // after handing the settlement to `q`, and then closes the
+        // cluster queue: nobody is left to meet the deadline.
+        c.shutdown();
+        assert_eq!(q.0.lock().held.len(), 1, "the worker handed it over");
+        drop(q);
+        assert_closed(&c, 1);
+        assert!(gauges.iter().all(|g| g.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

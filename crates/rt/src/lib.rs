@@ -54,11 +54,11 @@
 //! it, and the job occupies its worker for `max(service, real work)`.
 //! A job whose work ends early is settled at its deadline on time
 //! rather than after the kernel's timer slack, and the worker just
-//! sleeps until it is free again. Who settles it depends on where its
-//! reply goes: a [`Completions`] queue takes the settlement with the
-//! deadline and its waiting front end settles the job itself, so the
-//! reply needs no cross-thread wake-up; every other job goes to the
-//! cluster's one deadline thread.
+//! sleeps until it is free again. A completion queue holds the
+//! settlement until the deadline and its waiter settles the job: a
+//! [`Completions`] queue the reply goes to, whose waiting front end
+//! then needs no cross-thread wake-up, or else the cluster's own queue,
+//! whose waiter is the cluster's one deadline thread.
 //!
 //! ```
 //! use sns_rt::{RtCluster, RtConfig};
@@ -156,30 +156,25 @@ fn read_routes(r: &RwLock<Routes>) -> RwLockReadGuard<'_, Routes> {
 /// workspace has none of.
 const TAIL: Duration = Duration::from_micros(100);
 
-/// Waits until `deadline`, or until `wait` returns something. `wait(d)`
-/// blocks for at most `d` (a condvar wait on the deadline set for the
-/// deadline thread, a completion queue's `recv_timeout` for a front
-/// end); it is called with the time
-/// left minus [`TAIL`] while that is positive, then with zero in a spin
-/// until the deadline passes, so the wait never ends early and ends
-/// late only when the sleep itself woke past the deadline. The tail
-/// spins rather than calling `yield_now`:
-/// on cores saturated by other threads a yield hands the CPU away for a
-/// whole scheduler slice (a 2 ms wait then ended ≈1.7 ms late, against
-/// ≈85 µs for a plain sleep), while the spin keeps the core its wake-up
-/// won for at most `TAIL`.
-pub(crate) fn sleep_until<T>(
-    deadline: Instant,
-    mut wait: impl FnMut(Duration) -> Option<T>,
-) -> Option<T> {
+/// Waits until `deadline`, or until `wait` reports that something came
+/// in; a completion queue's waiter ([`Queue::recv`]) meets every
+/// deadline it knows of with it. `wait(d)` blocks on the queue for at
+/// most `d`; it is called with the time left minus [`TAIL`] while that
+/// is positive, then with zero in a spin until the deadline passes, so
+/// the wait never ends early and ends late only when the sleep itself
+/// woke past the deadline. The tail spins rather than calling
+/// `yield_now`: on cores saturated by other threads a yield hands the
+/// CPU away for a whole scheduler slice (a 2 ms wait then ended
+/// ≈1.7 ms late, against ≈85 µs for a plain sleep), while the spin
+/// keeps the core its wake-up won for at most `TAIL`.
+fn sleep_until(deadline: Instant, mut wait: impl FnMut(Duration) -> bool) -> bool {
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return None;
+            return false;
         }
-        let woke = wait(left.saturating_sub(TAIL));
-        if woke.is_some() {
-            return woke;
+        if wait(left.saturating_sub(TAIL)) {
+            return true;
         }
         if left <= TAIL {
             std::hint::spin_loop();
@@ -380,17 +375,33 @@ impl Service {
     }
 }
 
-/// What answering a served job takes besides the job itself: the
+/// A served job waiting for its deadline, held by a completion queue.
+struct Posted {
+    /// The serving worker's queue gauge, which still counts the job.
+    qlen: Arc<AtomicU64>,
+    service: Service,
+    outcome: Result<Payload, String>,
+}
+
+/// What settling a served job takes besides the job itself — the
 /// cluster's done counter, its span recorder and, weakly (no `Arc`
-/// cycle with the cluster), its dispatch shards. The cluster's
-/// [`Deadlines`] holds the one copy.
-struct Settler {
+/// cycle with the cluster), its dispatch shards — and the cluster's own
+/// completion queue. That queue holds the one-shot jobs whose real work
+/// ended inside their service, each until its deadline. Its waiter is
+/// the cluster's one deadline thread, so at most one thread per cluster
+/// spins a [`TAIL`] instead of one per busy worker. A job submitted on
+/// a [`Completions`] queue is held by that queue instead
+/// ([`Deadlines::hand_off`]) and comes back here only if the queue is
+/// dropped with it unsettled.
+struct Deadlines {
+    queue: Queue,
     jobs_done: Arc<AtomicU64>,
     tracer: Tracer,
     shards: Weak<ShardedDispatch<ShardExt>>,
+    started: Instant,
 }
 
-impl Settler {
+impl Deadlines {
     /// Settles a job whose service is over: the worker's gauge drops
     /// first — the job has left it, so a submitter woken by the reply
     /// reads a gauge that no longer counts it — then the count, the
@@ -437,90 +448,32 @@ impl Settler {
             }
         }
     }
-}
 
-/// A served job waiting for its deadline, in the deadline set or held
-/// by the completion queue its reply goes to.
-struct Posted {
-    /// The serving worker's queue gauge, which still counts the job.
-    qlen: Arc<AtomicU64>,
-    service: Service,
-    outcome: Result<Payload, String>,
-}
-
-/// The cluster's deadline set: jobs whose real work ended inside their
-/// service, each due at its deadline. One thread meets them all
-/// ([`run_deadlines`]), so at most one thread per cluster spins a
-/// [`TAIL`] instead of one per busy worker. A job submitted on a
-/// [`Completions`] queue is handed to that queue instead
-/// ([`Deadlines::hand_off`]) and comes back here only if the queue is
-/// dropped with it unsettled.
-struct Deadlines {
-    set: Mutex<DeadlineSet>,
-    /// Signalled by a post earlier than the thread's wait, and by close.
-    earlier: Condvar,
-    settler: Settler,
-    started: Instant,
-    poisoned: Arc<AtomicU64>,
-}
-
-#[derive(Default)]
-struct DeadlineSet {
-    due: BTreeMap<(Instant, u64), Posted>,
-    seq: u64,
-    /// The deadline the thread waits for; `None` while the set is empty.
-    waiting_for: Option<Instant>,
-    /// Set by shutdown and drop: the thread exits once the set is empty.
-    closed: bool,
-}
-
-impl DeadlineSet {
-    fn next(&self) -> Option<Instant> {
-        self.due.keys().next().map(|&(deadline, _)| deadline)
-    }
-}
-
-impl Deadlines {
-    /// Settles `posted` now.
-    fn settle(&self, posted: Posted) {
+    /// Settles a held job now.
+    fn settle_held(&self, posted: Posted) {
         let at = span_time(self.started, Instant::now());
-        self.settler
-            .settle(&posted.qlen, posted.service, posted.outcome, at);
+        self.settle(&posted.qlen, posted.service, posted.outcome, at);
     }
 
-    /// Adds a settlement due at `deadline`. The thread is woken only for
-    /// a deadline earlier than the one it waits for; a later one it finds
-    /// when that wait ends. Once the set is closed nobody would meet the
-    /// deadline, so the job is settled at once.
-    fn post(&self, deadline: Instant, posted: Posted) {
-        let mut set = lock(&self.set, &self.poisoned);
-        if set.closed {
-            drop(set);
-            return self.settle(posted);
-        }
-        let seq = set.seq;
-        set.seq += 1;
-        set.due.insert((deadline, seq), posted);
-        let earlier = set.waiting_for.is_none_or(|w| deadline < w);
-        if earlier {
-            set.waiting_for = Some(deadline);
-        }
-        drop(set);
-        if earlier {
-            self.earlier.notify_one();
+    /// Holds a settlement in the cluster queue until `deadline`. Once
+    /// that queue is closed nobody would meet the deadline, so the job
+    /// is settled at once.
+    fn hold(self: &Arc<Self>, deadline: Instant, posted: Posted) {
+        if let Some(posted) = self.queue.hold(deadline, posted, self) {
+            self.settle_held(posted);
         }
     }
 
     /// Hands a tagged job's settlement to the completion queue its reply
     /// goes to, whose waiter settles it at `deadline`, and marks the
     /// job's entry held so shutdown leaves the answer to that waiter.
-    /// The settlement is posted here instead when the job was already
-    /// answered or the queue is gone. The shard lock covers the lookup,
+    /// The cluster queue holds it instead when the job was already
+    /// answered or its queue is gone. The shard lock covers the lookup,
     /// the hand-off and the mark, so a concurrent shutdown sweep sees
     /// either an unheld entry or a held one with its settlement queued.
     fn hand_off(self: &Arc<Self>, deadline: Instant, posted: Posted) {
         let job = posted.service.job;
-        let back = match self.settler.shards.upgrade() {
+        let back = match self.shards.upgrade() {
             Some(shards) => {
                 let (_, mut shard) = shards.lock_for(job);
                 let back = match shard.ext.outstanding.get_mut(&job) {
@@ -540,70 +493,7 @@ impl Deadlines {
             None => Some(posted),
         };
         if let Some(posted) = back {
-            self.post(deadline, posted);
-        }
-    }
-
-    fn close(&self) {
-        lock(&self.set, &self.poisoned).closed = true;
-        self.earlier.notify_one();
-    }
-
-    /// One wait of the deadline thread for `deadline`: blocks for at most
-    /// `left`, and reports whether an earlier deadline was posted.
-    fn wait_earlier(&self, deadline: Instant, left: Duration) -> Option<()> {
-        let mut set = lock(&self.set, &self.poisoned);
-        let earlier = |set: &DeadlineSet| set.next().is_some_and(|next| next < deadline);
-        if !left.is_zero() && !earlier(&set) {
-            set = self
-                .earlier
-                .wait_timeout(set, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        earlier(&set).then_some(())
-    }
-}
-
-/// The deadline thread: settles every posted job at its deadline, met
-/// with [`sleep_until`], in `(deadline, post order)` order. It holds the
-/// set, never the cluster, and exits once the set is closed and empty.
-fn run_deadlines(deadlines: &Deadlines) {
-    let mut due = Vec::new();
-    let mut set = lock(&deadlines.set, &deadlines.poisoned);
-    loop {
-        let now = Instant::now();
-        while let Some(entry) = set.due.first_entry() {
-            if entry.key().0 > now {
-                break;
-            }
-            due.push(entry.remove());
-        }
-        if !due.is_empty() {
-            // Busy until it looks again: nothing posted meanwhile needs
-            // a wake-up.
-            set.waiting_for = Some(now);
-            drop(set);
-            for p in due.drain(..) {
-                deadlines.settle(p);
-            }
-            set = lock(&deadlines.set, &deadlines.poisoned);
-            continue;
-        }
-        set.waiting_for = set.next();
-        match set.waiting_for {
-            None if set.closed => return,
-            None => {
-                set = deadlines
-                    .earlier
-                    .wait(set)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            Some(deadline) => {
-                drop(set);
-                sleep_until(deadline, |left| deadlines.wait_earlier(deadline, left));
-                set = lock(&deadlines.set, &deadlines.poisoned);
-            }
+            self.hold(deadline, posted);
         }
     }
 }
@@ -733,20 +623,24 @@ impl ReplySink {
 /// deadline the way it meets the caller's own (sleep, then spin the
 /// last stretch), then settles the job on the waiting thread — gauge,
 /// count, service span, dispatch shard, reply — so no other thread has
-/// to wake this one. Dropping the queue sends the settlements it still
-/// holds back to their clusters' deadline sets, so every gauge and
-/// count closes whether or not anyone waits.
+/// to wake this one. Dropping the queue hands the settlements it still
+/// holds back to their clusters' own queues, so every gauge and count
+/// closes whether or not anyone waits.
 #[derive(Default)]
 pub struct Completions(Arc<Queue>);
 
-/// The shared half of a [`Completions`]: the reply sinks of its jobs
-/// hold it, the caller's `Completions` owns it.
+/// A completion queue: the shared half of a [`Completions`], which the
+/// reply sinks of its jobs hold, or the cluster's own, whose waiter is
+/// the deadline thread.
 #[derive(Default)]
 struct Queue {
     state: Mutex<QueueState>,
-    /// Signalled by a result, or by a settlement due before the waiter's
-    /// target, while the waiter is blocked.
+    /// Signalled by a result, by a settlement due before the waiter's
+    /// target, or by a close, while the waiter is blocked.
     wake: Condvar,
+    /// Counts recovered poisonings of `state` (the cluster's
+    /// `lock_poisoned` for its own queue).
+    poisoned: Arc<AtomicU64>,
 }
 
 #[derive(Default)]
@@ -758,7 +652,8 @@ struct QueueState {
     /// `Some(target)` while the waiter is blocked until `target`
     /// (`None`: no bound).
     blocked: Option<Option<Instant>>,
-    /// The `Completions` was dropped: nothing is taken any more.
+    /// Nothing new is taken: the `Completions` was dropped, or the
+    /// cluster shut down. What is held is still settled on time.
     closed: bool,
 }
 
@@ -770,7 +665,7 @@ impl QueueState {
 
 impl Queue {
     fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.state, &self.poisoned)
     }
 
     fn push(&self, token: u64, result: JobResult) {
@@ -809,12 +704,20 @@ impl Queue {
         None
     }
 
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_one();
+    }
+
     /// One wait of the waiter for `target` (`None`: no bound): blocks for
-    /// at most `left` unless a result is ready or a settlement due before
-    /// `target` is held, and reports whether one is.
-    fn wait(&self, target: Option<Instant>, left: Option<Duration>) -> Option<()> {
+    /// at most `left` unless a result is ready, a settlement due before
+    /// `target` is held, or the queue is closed with nothing held, and
+    /// reports whether one is.
+    fn wait(&self, target: Option<Instant>, left: Option<Duration>) -> bool {
         let fresh = |s: &QueueState| {
-            !s.ready.is_empty() || s.next_held().is_some_and(|d| target.is_none_or(|t| d < t))
+            !s.ready.is_empty()
+                || s.next_held()
+                    .map_or(s.closed, |d| target.is_none_or(|t| d < t))
         };
         let mut state = self.lock();
         if !fresh(&state) && left != Some(Duration::ZERO) {
@@ -831,7 +734,36 @@ impl Queue {
             };
             state.blocked = None;
         }
-        fresh(&state).then_some(())
+        fresh(&state)
+    }
+
+    /// [`Completions::recv`]; also returns `None` once the queue is
+    /// closed and holds nothing, which is when the deadline thread exits.
+    fn recv(&self, until: Option<Instant>) -> Option<(u64, JobResult)> {
+        loop {
+            let mut state = self.lock();
+            if let Some(done) = state.ready.pop_front() {
+                return Some(done);
+            }
+            let now = Instant::now();
+            let next = state.next_held();
+            if next.is_some_and(|d| d <= now) {
+                let (_, (posted, hub)) = state.held.pop_first().expect("a held settlement");
+                drop(state);
+                // Its reply lands in `ready` (or the one-shot channel),
+                // unless the job was answered otherwise already.
+                hub.settle_held(posted);
+                continue;
+            }
+            if (next.is_none() && state.closed) || until.is_some_and(|u| u <= now) {
+                return None;
+            }
+            drop(state);
+            match next.into_iter().chain(until).min() {
+                Some(target) => sleep_until(target, |left| self.wait(Some(target), Some(left))),
+                None => self.wait(None, None),
+            };
+        }
     }
 }
 
@@ -842,30 +774,7 @@ impl Completions {
     /// Returns `None` once `until` has passed with nothing ready, so a
     /// front end passes its nearest nap deadline and learns it is due.
     pub fn recv(&self, until: Option<Instant>) -> Option<(u64, JobResult)> {
-        loop {
-            let mut state = self.0.lock();
-            if let Some(done) = state.ready.pop_front() {
-                return Some(done);
-            }
-            let now = Instant::now();
-            let next = state.next_held();
-            if next.is_some_and(|d| d <= now) {
-                let (_, (posted, hub)) = state.held.pop_first().expect("a held settlement");
-                drop(state);
-                // Its reply lands in `ready`, unless the job was
-                // answered otherwise already.
-                hub.settle(posted);
-                continue;
-            }
-            if until.is_some_and(|u| u <= now) {
-                return None;
-            }
-            drop(state);
-            match next.into_iter().chain(until).min() {
-                Some(target) => sleep_until(target, |left| self.0.wait(Some(target), Some(left))),
-                None => self.0.wait(None, None),
-            };
-        }
+        self.0.recv(until)
     }
 }
 
@@ -878,7 +787,7 @@ impl Drop for Completions {
             std::mem::take(&mut state.held)
         };
         for ((deadline, _), (posted, hub)) in held {
-            hub.post(deadline, posted);
+            hub.hold(deadline, posted);
         }
     }
 }
@@ -947,8 +856,9 @@ pub struct RtCluster {
     next_id: AtomicU64,
     incarnation: AtomicU64,
     manager: Mutex<Option<JoinHandle<()>>>,
-    /// Jobs served inside their service time, awaiting their deadlines;
-    /// shared with the workers (who post) and the deadline thread.
+    /// What settles served jobs, and the queue that holds one-shot jobs
+    /// served inside their service time until their deadlines; shared
+    /// with the workers (who hold) and the deadline thread (its waiter).
     deadlines: Arc<Deadlines>,
     deadline_thread: Mutex<Option<JoinHandle<()>>>,
     started: Instant,
@@ -1013,21 +923,22 @@ impl RtCluster {
             Tracer::disabled()
         };
         let deadlines = Arc::new(Deadlines {
-            set: Mutex::default(),
-            earlier: Condvar::new(),
-            settler: Settler {
-                jobs_done: Arc::clone(&jobs_done),
-                tracer: tracer.clone(),
-                shards: Arc::downgrade(&shards),
+            queue: Queue {
+                poisoned: Arc::clone(&lock_poisoned),
+                ..Queue::default()
             },
+            jobs_done: Arc::clone(&jobs_done),
+            tracer: tracer.clone(),
+            shards: Arc::downgrade(&shards),
             started,
-            poisoned: Arc::clone(&lock_poisoned),
         });
         let thread = {
             let deadlines = Arc::clone(&deadlines);
+            // The cluster queue's waiter: it settles every held job at
+            // its deadline and exits once the queue is closed and empty.
             std::thread::Builder::new()
                 .name("sns-rt-deadlines".into())
-                .spawn(move || run_deadlines(&deadlines))
+                .spawn(move || while deadlines.queue.recv(None).is_some() {})
                 .expect("spawn deadline thread")
         };
         let cluster = Arc::new(RtCluster {
@@ -1481,7 +1392,7 @@ impl RtCluster {
     /// so real work longer than the service adds no wait and the
     /// service span covers both. A job whose work ends before its
     /// deadline is handed to its completion queue when it has one, else
-    /// posted to the cluster's deadline set; either answers it on time,
+    /// to the cluster's own; either queue's waiter answers it on time,
     /// and the worker plain-sleeps until the deadline. A job already
     /// past it is settled here at once. The worker crashes by *not
     /// replying* (the queue is salvaged later).
@@ -1539,7 +1450,6 @@ impl RtCluster {
             .spawn(move || {
                 let mut rng = Pcg32::new(seed);
                 let me = ComponentId(id);
-                let settler = &deadlines.settler;
                 // When this worker is next free: the last job's deadline,
                 // or its real end if `process` overran it.
                 let mut free_at = spawned;
@@ -1578,12 +1488,12 @@ impl RtCluster {
                         job: job.id,
                         worker: me,
                         class: class_key,
-                        parent: (job.sampled && settler.tracer.is_enabled())
+                        parent: (job.sampled && deadlines.tracer.is_enabled())
                             .then(|| trace::job_span_id(job.reply_to, job.id)),
                         start: span_time(started, start),
                     };
                     if let Some(parent) = service.parent {
-                        settler.tracer.record(trace::span(
+                        deadlines.tracer.record(trace::span(
                             trace::queue_span_id(me, job.id),
                             Some(parent),
                             trace::QUEUE,
@@ -1611,7 +1521,7 @@ impl RtCluster {
                             std::thread::sleep(free_at - end);
                             qlen_t.fetch_sub(1, Ordering::Relaxed);
                             service.record(
-                                &settler.tracer,
+                                &deadlines.tracer,
                                 span_time(started, Instant::now()),
                                 0,
                                 false,
@@ -1629,13 +1539,13 @@ impl RtCluster {
                         if rt_job.tagged {
                             deadlines.hand_off(deadline, posted);
                         } else {
-                            deadlines.post(deadline, posted);
+                            deadlines.hold(deadline, posted);
                         }
                         // Waking late costs nothing: the next job's
                         // service starts at the deadline regardless.
                         std::thread::sleep(deadline - end);
                     } else {
-                        settler.settle(&qlen_t, service, outcome, span_time(started, end));
+                        deadlines.settle(&qlen_t, service, outcome, span_time(started, end));
                     }
                 }
                 // Clean exit (inbox closed and drained): publish the
@@ -2097,12 +2007,12 @@ impl RtCluster {
 
     /// Stops everything: the manager thread first, then the workers
     /// (closing their inboxes so queued work is *drained*, not
-    /// dropped), then the deadline thread once it has answered every
-    /// job still in service. A job whose settlement a completion queue
-    /// holds is left to that queue's waiter, which answers it with its
-    /// result. Whatever else is still outstanding — jobs stranded in
-    /// dead workers' queues, jobs a crashed worker took with it — is
-    /// answered with a typed failure.
+    /// dropped), then the cluster queue, whose deadline thread answers
+    /// what it still holds at their deadlines and exits. A job whose
+    /// settlement a [`Completions`] queue holds is left to that queue's
+    /// waiter, which answers it with its result. Whatever else is still
+    /// outstanding — jobs stranded in dead workers' queues, jobs a
+    /// crashed worker took with it — is answered with a typed failure.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Relaxed);
         self.kill_manager();
@@ -2118,7 +2028,7 @@ impl RtCluster {
                 let _ = j.join();
             }
         }
-        self.deadlines.close();
+        self.deadlines.queue.close();
         let deadline_thread = lock(&self.deadline_thread, &self.lock_poisoned).take();
         if let Some(h) = deadline_thread {
             let _ = h.join();
@@ -2227,7 +2137,7 @@ impl Cluster for RtCluster {
 impl Drop for RtCluster {
     fn drop(&mut self) {
         self.running.store(false, Ordering::Relaxed);
-        self.deadlines.close();
+        self.deadlines.queue.close();
     }
 }
 
@@ -2496,15 +2406,15 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)),
             Ok(JobResult::Ok(_))
         ));
-        // The set is shared by the cluster, its workers and the deadline
-        // thread; once all three are gone nothing holds it.
-        let set = Arc::downgrade(&c.deadlines);
+        // The cluster queue is shared by the cluster, its workers and the
+        // deadline thread; once all three are gone nothing holds it.
+        let queue = Arc::downgrade(&c.deadlines);
         drop(c);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while set.strong_count() > 0 && Instant::now() < deadline {
+        while queue.strong_count() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(set.strong_count(), 0, "a thread still holds the set");
+        assert_eq!(queue.strong_count(), 0, "a thread still holds the queue");
     }
 
     #[test]

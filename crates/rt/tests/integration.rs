@@ -4,7 +4,7 @@
 //! well under two seconds of wall clock).
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sns_core::msg::{Job, JobResult};
@@ -14,9 +14,15 @@ use sns_rt::{RtCluster, RtConfig};
 use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 
+/// One permit per poison job; `None` crashes at once.
+type Gate = Option<Arc<Mutex<mpsc::Receiver<()>>>>;
+
 /// Echoes its input; crashes the hosting thread on inputs tagged
-/// "poison" (simulating a worker process dying mid-queue).
-struct Echo;
+/// "poison" (simulating a worker process dying mid-queue), once it holds
+/// a permit when gated.
+struct Echo {
+    gate: Gate,
+}
 
 impl WorkerLogic for Echo {
     fn class(&self) -> WorkerClass {
@@ -28,6 +34,10 @@ impl WorkerLogic for Echo {
     fn process(&mut self, job: &Job, _n: SimTime, _r: &mut Pcg32) -> Result<Payload, WorkerError> {
         let blob = sns_core::payload_as::<Blob>(&job.input).expect("blob input");
         if blob.tag == "poison" {
+            if let Some(gate) = &self.gate {
+                let permits = gate.lock().expect("gate lock");
+                permits.recv().expect("the test outlives its workers");
+            }
             return Err(WorkerError::Crash);
         }
         Ok(Blob::payload(blob.len / 2, "echoed"))
@@ -51,13 +61,17 @@ fn crash_restart_redispatches_queued_jobs() {
     let started = Instant::now();
     let c: Arc<RtCluster> = RtCluster::start(fast_config());
     // A single worker so the queued jobs are provably behind the poison.
-    c.add_workers("echo", 1, || Box::new(Echo));
+    let (permit, permits) = mpsc::channel();
+    let gate: Gate = Some(Arc::new(Mutex::new(permits)));
+    c.add_workers("echo", 1, move || Box::new(Echo { gate: gate.clone() }));
 
-    // The poison goes first; five real jobs queue up behind it.
+    // The poison goes first; five real jobs queue up behind it, and only
+    // then may the worker die with them in its inbox.
     let poisoned = c.submit("echo", "echo", Blob::payload(10, "poison"), None);
     let queued: Vec<_> = (0..5)
         .map(|i| c.submit("echo", "echo", Blob::payload(1000 + i, "x"), None))
         .collect();
+    permit.send(()).expect("the worker is alive");
 
     // The crashed job never answers…
     assert!(
@@ -79,9 +93,10 @@ fn crash_restart_redispatches_queued_jobs() {
         c.restarts.load(Ordering::Relaxed) >= 1,
         "process peer started"
     );
-    assert!(
-        c.redispatched.load(Ordering::Relaxed) >= 1,
-        "orphaned queue redispatched"
+    assert_eq!(
+        c.redispatched.load(Ordering::Relaxed),
+        5,
+        "the whole orphaned queue redispatched"
     );
     assert_eq!(c.workers_of("echo"), 1, "population restored");
     c.shutdown();
@@ -98,7 +113,7 @@ fn crash_restart_redispatches_queued_jobs() {
 fn shutdown_drains_queues() {
     let started = Instant::now();
     let c: Arc<RtCluster> = RtCluster::start(fast_config());
-    c.add_workers("echo", 2, || Box::new(Echo));
+    c.add_workers("echo", 2, || Box::new(Echo { gate: None }));
 
     let receivers: Vec<_> = (0..40)
         .map(|i| c.submit("echo", "echo", Blob::payload(512 + i, "x"), None))

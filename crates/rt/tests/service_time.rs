@@ -363,3 +363,54 @@ fn salvaged_jobs_start_service_once_they_reach_their_survivor() {
     );
     c.shutdown();
 }
+
+/// No real work; a job's service time is its input's length in
+/// milliseconds.
+struct ByLen;
+
+impl WorkerLogic for ByLen {
+    fn class(&self) -> WorkerClass {
+        "w".into()
+    }
+    fn service_time(&mut self, job: &Job, _n: SimTime, _r: &mut Pcg32) -> Duration {
+        Duration::from_millis(sns_core::payload_as::<Blob>(&job.input).map_or(0, |b| b.len))
+    }
+    fn process(&mut self, _j: &Job, _n: SimTime, _r: &mut Pcg32) -> Result<Payload, WorkerError> {
+        Ok(Blob::payload(0, "done"))
+    }
+}
+
+/// A one-shot job served early is held by the cluster until its
+/// deadline. A hold due before the deadline the holder waits for wakes
+/// it, so a 2 ms job is answered at its own deadline, not when a 50 ms
+/// job held before it falls due. Fails on a hold that never notifies.
+#[test]
+fn an_earlier_hold_wakes_the_cluster_waiter() {
+    let _cores = serial();
+    let c = RtCluster::start(RtConfig::new().with_time_scale(1.0));
+    c.add_workers("w", 2, || Box::new(ByLen));
+    let best = (0..3)
+        .map(|_| {
+            let long = c.submit("w", "op", Blob::payload(50, "x"), None);
+            // It reaches an idle worker and is held within microseconds;
+            // the pause lets the deadline thread block until its
+            // deadline. The short job must be answered on time whichever
+            // hold lands first, but only this order tests the wake-up.
+            std::thread::sleep(Duration::from_millis(5));
+            let t0 = Instant::now();
+            let short = c.submit("w", "op", Blob::payload(2, "x"), None);
+            let reply = short.recv_timeout(Duration::from_secs(1));
+            let took = t0.elapsed();
+            assert!(matches!(reply, Ok(JobResult::Ok(_))), "{reply:?}");
+            let reply = long.recv_timeout(Duration::from_secs(1));
+            assert!(matches!(reply, Ok(JobResult::Ok(_))), "{reply:?}");
+            took
+        })
+        .min()
+        .expect("three runs");
+    assert!(
+        best < Duration::from_millis(10),
+        "a 2 ms job held behind a 50 ms one took {best:?}"
+    );
+    c.shutdown();
+}

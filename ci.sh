@@ -32,6 +32,24 @@ fi
 [ "$bad" -eq 0 ] || exit 1
 echo "   ok: all dependencies are path deps"
 
+echo "== guard: no unused in-repo dependencies"
+# Every sns-* entry in a crate's [dependencies]/[dev-dependencies] must be
+# named as sns_* somewhere in that crate's src/tests/benches/examples. An
+# edge no source file uses hides the real layering and builds for nothing.
+for m in Cargo.toml crates/*/Cargo.toml; do
+  dir=$(dirname "$m")
+  srcs=$(for d in src tests benches examples; do if [ -d "$dir/$d" ]; then echo "$dir/$d"; fi; done)
+  for dep in $(awk '/^\[(dev-|build-)?dependencies/{on=1; next} /^\[/{on=0} on' "$m" \
+      | grep -oE '^\s*sns-[a-z0-9-]+' || true); do
+    if [ -z "$srcs" ] || ! grep -rqw --include='*.rs' "$(echo "$dep" | tr - _)" $srcs; then
+      echo "unused dependency in $m: $dep" >&2
+      bad=1
+    fi
+  done
+done
+[ "$bad" -eq 0 ] || exit 1
+echo "   ok: every sns-* dependency is named in its crate"
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -204,6 +222,12 @@ chaos_suite cluster-sns paper_shapes 5
 chaos_suite cluster-sns trace_shapes 3
 chaos_suite cluster-sns flow_shapes 5
 chaos_suite sns-sim sched_equiv 2
+# HotBot's placement (`partition_of`) and ranking (`rank`) are pinned by
+# the search properties (collation equals one monolithic index; a down
+# partition only removes results) and by the service end to end (every
+# partition down still answers every query).
+chaos_suite sns-search prop 4
+chaos_suite sns-hotbot e2e 5
 
 echo "== exec stage: deterministic executor + async request path"
 # The executor-contract property suite (wake-order replay, timeout /

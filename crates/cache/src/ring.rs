@@ -88,24 +88,6 @@ impl<P: Clone + Ord + std::fmt::Debug> HashRing<P> {
             .or_else(|| self.points.iter().next())
             .map(|(_, p)| p)
     }
-
-    /// Maps a key hash to up to `n` distinct partitions (successor walk);
-    /// used for sibling replication.
-    pub fn lookup_n(&self, key_hash: u64, n: usize) -> Vec<P> {
-        let mut out: Vec<P> = Vec::with_capacity(n);
-        if self.points.is_empty() || n == 0 {
-            return out;
-        }
-        for (_, p) in self.points.range(key_hash..).chain(self.points.iter()) {
-            if !out.contains(p) {
-                out.push(p.clone());
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
 }
 
 impl<P: Clone + Ord + std::fmt::Debug> Default for HashRing<P> {
@@ -204,21 +186,5 @@ mod tests {
                 "keys may only move to the new partition"
             );
         }
-    }
-
-    #[test]
-    fn lookup_n_distinct() {
-        let mut ring = HashRing::new();
-        for p in 0..3u32 {
-            ring.add(p);
-        }
-        let sibs = ring.lookup_n(12345, 3);
-        assert_eq!(sibs.len(), 3);
-        let mut s = sibs.clone();
-        s.sort();
-        s.dedup();
-        assert_eq!(s.len(), 3);
-        // Asking for more than exist returns all of them.
-        assert_eq!(ring.lookup_n(12345, 10).len(), 3);
     }
 }

@@ -10,7 +10,6 @@ use sns_core::{MonitorTap, TapHandle};
 use sns_sim::SimTime;
 use sns_testkit::{check_config, Config};
 use sns_transend::{TranSendBuilder, TranSendCluster};
-use sns_workload::playback::{Playback, Schedule};
 use sns_workload::trace::{TraceGenerator, WorkloadConfig};
 
 /// Environment-driven config, but with cheaper defaults than the
@@ -59,9 +58,7 @@ fn load(seed: u64) -> Vec<(Duration, sns_workload::TraceRecord)> {
     // Low rate over a long window so requests are in flight across the
     // whole 15–45 s fault window.
     let t = gen.constant_rate(2.0, Duration::from_secs(50));
-    Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect()
+    t.records.into_iter().map(|r| (r.at, r)).collect()
 }
 
 #[test]

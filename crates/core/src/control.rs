@@ -60,11 +60,6 @@ pub struct SpawnPolicy {
     /// "All workers bound to their nodes"). While the node is down the
     /// class simply cannot run — coverage degrades instead.
     pub pinned_node: Option<NodeId>,
-    /// Tenant this class bills its workers to when several services
-    /// share one cluster (TranSend + HotBot mixes). Spawn caps set via
-    /// [`ControlPlane::set_tenant_cap`] apply across all classes of the
-    /// same tenant; `"shared"` (the default) means uncapped co-tenancy.
-    pub tenant: &'static str,
 }
 
 impl SpawnPolicy {
@@ -77,7 +72,6 @@ impl SpawnPolicy {
             auto_scale: true,
             restart_on_crash: true,
             pinned_node: None,
-            tenant: "shared",
         }
     }
 
@@ -91,14 +85,7 @@ impl SpawnPolicy {
             auto_scale: false,
             restart_on_crash: true,
             pinned_node: None,
-            tenant: "shared",
         }
-    }
-
-    /// Bills this class's workers to `tenant` (builder style).
-    pub fn for_tenant(mut self, tenant: &'static str) -> Self {
-        self.tenant = tenant;
-        self
     }
 }
 
@@ -248,8 +235,6 @@ pub struct ControlPlane {
     /// Software epoch per node, bumped by in-place upgrades
     /// ([`ControlPlane::on_upgrade_node`]); absent means epoch 0.
     node_epoch: BTreeMap<NodeId, u64>,
-    /// Max live+pending workers per tenant (absent = uncapped).
-    tenant_caps: BTreeMap<&'static str, u32>,
     /// Whether this incarnation acts as the manager: set by
     /// [`ControlPlane::on_start`], cleared for good by a step-down.
     leading: bool,
@@ -272,7 +257,6 @@ impl ControlPlane {
             pending: BTreeMap::new(),
             drained: BTreeSet::new(),
             node_epoch: BTreeMap::new(),
-            tenant_caps: BTreeMap::new(),
             leading: false,
             load_reports_handled: 0,
             started_at: None,
@@ -283,23 +267,6 @@ impl ControlPlane {
     /// Registers (or replaces) a class policy.
     pub fn add_class(&mut self, class: WorkerClass, policy: SpawnPolicy) {
         self.policies.insert(class, policy);
-    }
-
-    /// Caps live + pending workers billed to `tenant` across all of its
-    /// classes; spawns beyond the cap are refused (and counted under
-    /// `manager.tenant_capped`), so one tenant's autoscaler cannot eat
-    /// the other tenant's node budget.
-    pub fn set_tenant_cap(&mut self, tenant: &'static str, cap: u32) {
-        self.tenant_caps.insert(tenant, cap);
-    }
-
-    /// Live + pending workers billed to `tenant`.
-    fn tenant_strength(&self, tenant: &str) -> u32 {
-        self.policies
-            .iter()
-            .filter(|(_, p)| p.tenant == tenant)
-            .map(|(class, _)| self.class_strength(class))
-            .sum()
     }
 
     /// The policy for a class, if registered.
@@ -419,16 +386,6 @@ impl ControlPlane {
         let pending = self.pending_of_class(class);
         if policy.max_workers > 0 && live + pending >= policy.max_workers {
             return false;
-        }
-        let tenant = policy.tenant;
-        if let Some(&cap) = self.tenant_caps.get(tenant) {
-            if self.tenant_strength(tenant) >= cap {
-                out.push(ControlEffect::Incr {
-                    key: "manager.tenant_capped",
-                    n: 1,
-                });
-                return false;
-            }
         }
         let max_per_node = policy.max_per_node;
         let placement = match policy.pinned_node {
@@ -2080,44 +2037,6 @@ mod tests {
         assert!(out.is_empty(), "a lower id at equal incarnation loses");
         p.on_rival_beacon(&rival(6, 1), &mut out);
         assert!(out.iter().any(|e| matches!(e, ControlEffect::StepDown)));
-    }
-
-    #[test]
-    fn tenant_cap_refuses_spawns_over_budget() {
-        let mut p = ControlPlane::new(ControlConfig {
-            sns: SnsConfig::default(),
-            incarnation: 1,
-            restart_front_ends: false,
-        });
-        p.add_class(
-            WorkerClass::new("a"),
-            SpawnPolicy::scaled(0).for_tenant("transend"),
-        );
-        p.add_class(
-            WorkerClass::new("b"),
-            SpawnPolicy::scaled(0).for_tenant("transend"),
-        );
-        p.set_tenant_cap("transend", 2);
-        let v = view(&[(0, 0), (1, 0)]);
-        let mut out = Vec::new();
-        p.on_start(SimTime::ZERO, ComponentId(1), NodeId(0), &v, &mut out);
-        let mut out = Vec::new();
-        p.ensure_workers(&"a".into(), 2, SimTime::ZERO, &v, &mut out);
-        assert_eq!(spawns(&out).len(), 2);
-        for (i, &(_, token)) in spawns(&out).iter().enumerate() {
-            p.confirm_spawn(token, ComponentId(30 + i as u64));
-        }
-        // Class "b" shares the tenant: cap already consumed.
-        let mut out = Vec::new();
-        p.ensure_workers(&"b".into(), 1, SimTime::ZERO, &v, &mut out);
-        assert!(spawns(&out).is_empty(), "tenant cap must refuse");
-        assert!(out.iter().any(|e| matches!(
-            e,
-            ControlEffect::Incr {
-                key: "manager.tenant_capped",
-                ..
-            }
-        )));
     }
 
     #[test]

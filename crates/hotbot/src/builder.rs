@@ -1,6 +1,7 @@
 //! HotBot cluster assembly: synthetic corpus → static partitioning →
-//! per-node pinned partition workers → front ends with fan-out logic →
-//! primary/backup profile database (ads/profiles, §3.2).
+//! per-node pinned partition workers → front ends with fan-out logic
+//! (§3.2). The profile/ads database HotBot kept in Informix is not
+//! built: no query reads it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,6 +16,7 @@ use sns_core::{ClusterTopology, FrontEnd, SnsConfig, WorkerClass};
 use sns_san::{San, SanConfig};
 use sns_search::doc::CorpusGenerator;
 use sns_search::index::InvertedIndex;
+use sns_search::partition_of;
 use sns_sim::engine::{NodeSpec, Sim, SimConfig};
 use sns_sim::{ComponentId, GroupId, NodeId};
 
@@ -176,12 +178,7 @@ impl HotBotBuilder {
             (0..partitions).map(|_| InvertedIndex::new()).collect();
         let mut docs_per_partition = vec![0u64; partitions];
         for doc in gen.generate(self.corpus_docs) {
-            // Stable splitmix placement (same scheme as
-            // `sns_search::partition`).
-            let mut z = doc.id.wrapping_mul(0x9E3779B97F4A7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            let p = ((z ^ (z >> 31)) % partitions as u64) as usize;
+            let p = partition_of(doc.id, partitions);
             indexes[p].add(&doc);
             docs_per_partition[p] += 1;
         }
@@ -313,14 +310,6 @@ impl HotBotCluster {
         );
         self.sim.spawn(self.client_node, Box::new(client), "client");
         report
-    }
-
-    /// Live worker component of a partition, if any.
-    pub fn partition_worker(&self, p: usize) -> Option<ComponentId> {
-        self.sim
-            .components_of_kind(sns_core::intern_class(&crate::partition_class(p)))
-            .first()
-            .copied()
     }
 
     /// Total corpus size.

@@ -7,8 +7,9 @@
 //! parallel, workers **bound to their nodes** (each owns an index
 //! partition), graceful degradation on partition loss ("with 26 nodes
 //! the loss of one machine results in the database dropping from 54M to
-//! about 51M documents"), an ACID primary/backup profile+ads database,
-//! and an integrated cache of recent searches for incremental delivery.
+//! about 51M documents"), an ACID primary/backup profile+ads database
+//! (not modelled here: no query reads it), and an integrated cache of
+//! recent searches for incremental delivery.
 //!
 //! * [`worker::SearchWorker`] — one index partition as SNS worker logic;
 //! * [`logic::HotBotService`] — the front-end fan-out/collation body

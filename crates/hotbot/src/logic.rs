@@ -18,6 +18,7 @@ use sns_core::msg::{ClientRequest, JobResult};
 use sns_core::{payload_as, AppData, WorkerClass};
 use sns_search::index::SearchHit;
 use sns_search::qcache::QueryCache;
+use sns_search::rank;
 use sns_tacc::content::ContentObject;
 use sns_workload::MimeType;
 
@@ -228,12 +229,7 @@ async fn run(partitions: usize, shared: Shared, req: Arc<ClientRequest>, svc: Sv
         }
         sh.docs_per_partition.iter().sum::<u64>()
     };
-    all.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then(a.doc.cmp(&b.doc))
-    });
+    rank(&mut all);
     let coverage = match (total_known, missing) {
         (0, 0) => 1.0,
         (0, _) => answered.len() as f64 / partitions as f64,

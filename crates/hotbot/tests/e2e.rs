@@ -64,6 +64,31 @@ fn partition_loss_degrades_coverage_then_recovers() {
 }
 
 #[test]
+fn every_partition_down_still_answers_every_query() {
+    let mut cluster = HotBotBuilder::new()
+        .with_partitions(4)
+        .with_corpus_docs(400)
+        .with_frontends(1)
+        .with_auto_restart_partitions(false)
+        .build();
+    let report = cluster.attach_client(2.0, 100, Duration::from_secs(4));
+    // Lose the whole database: the front end still answers, with no
+    // results and zero coverage, instead of failing the query.
+    for &node in &cluster.partition_nodes {
+        cluster
+            .sim
+            .at(SimTime::from_secs(10), move |sim| sim.kill_node(node));
+    }
+    cluster.sim.run_until(SimTime::from_secs(80));
+
+    let r = report.borrow();
+    assert_eq!(r.sent, 100);
+    assert_eq!(r.answered, 100, "every query answered");
+    assert_eq!(r.errors, 0, "losing every partition never fails a query");
+    assert_eq!(r.min_coverage, 0.0);
+}
+
+#[test]
 fn incremental_delivery_pages_from_the_recent_search_cache() {
     use sns_core::msg::{ClientRequest, SnsMsg};
     use sns_core::payload_as;

@@ -334,21 +334,6 @@ impl<D: LogDevice> ProfileDb<D> {
     pub fn device_mut(&mut self) -> &mut D {
         self.wal.device_mut()
     }
-
-    /// Encodes a committed transaction for log shipping (replication).
-    pub fn encode_for_shipping(txn: &Txn) -> Vec<u8> {
-        encode_txn(txn)
-    }
-
-    /// Applies a shipped transaction record (backup side). The record is
-    /// logged locally (durable on the backup) then applied.
-    pub fn apply_shipped(&mut self, record: &[u8]) -> Result<(), DbError> {
-        let txn = decode_txn(record)?;
-        self.wal.append_record(record)?;
-        Self::apply(&mut self.mem, &txn);
-        self.stats.commits += 1;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -453,17 +438,6 @@ mod tests {
         let mut db = fresh();
         db.commit(Txn::new()).unwrap();
         assert_eq!(db.stats().commits, 0);
-    }
-
-    #[test]
-    fn shipping_roundtrip() {
-        let mut primary = fresh();
-        let mut backup = fresh();
-        let txn = Txn::new().put("u", "k", "v");
-        primary.commit(txn.clone()).unwrap();
-        let record = ProfileDb::<MemDevice>::encode_for_shipping(&txn);
-        backup.apply_shipped(&record).unwrap();
-        assert_eq!(backup.get("u", "k"), Some("v"));
     }
 
     #[test]

@@ -1066,7 +1066,6 @@ impl RtCluster {
             auto_scale: false,
             restart_on_crash: self.cfg.restart_on_crash,
             pinned_node: None,
-            tenant: "shared",
         });
         if self.cfg.restart_on_crash {
             policy.min_workers += n as u32;

@@ -21,6 +21,18 @@ pub struct SearchHit {
     pub score: f64,
 }
 
+/// The ranking rule: score descending, ties broken by ascending doc id
+/// (deterministic). One partition's top-k and the front end's collation
+/// of every partition's top-k both rank this way.
+pub fn rank(hits: &mut [SearchHit]) {
+    hits.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .expect("scores are finite")
+            .then(a.doc.cmp(&b.doc))
+    });
+}
+
 /// An inverted index over a set of documents.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
@@ -59,11 +71,6 @@ impl InvertedIndex {
         self.doc_count
     }
 
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Total postings entries (index size metric).
     pub fn postings_entries(&self) -> u64 {
         self.postings_entries
@@ -93,12 +100,7 @@ impl InvertedIndex {
             .into_iter()
             .map(|(doc, score)| SearchHit { doc, score })
             .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
-                .then(a.doc.cmp(&b.doc))
-        });
+        rank(&mut hits);
         hits.truncate(k);
         hits
     }

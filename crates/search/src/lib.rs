@@ -11,13 +11,13 @@
 //!   (the 54 M-page crawl is not available; word frequencies are
 //!   Zipf-distributed over a synthetic vocabulary);
 //! * [`index`] — an inverted index with tokenisation, term-frequency
-//!   scoring and top-k retrieval;
-//! * [`partition`] — static random partitioning, all-partitions query
-//!   fan-out, collation of per-partition top-k lists, and **graceful
-//!   degradation**: a down partition removes its share of documents from
-//!   coverage but never fails the query (BASE approximate answers —
-//!   §3.2: with 26 nodes "the loss of one machine results in the
-//!   database dropping from 54M to about 51M documents");
+//!   scoring, top-k retrieval and the ranking rule [`rank`] that HotBot's
+//!   front end also collates per-partition top-k lists with;
+//! * [`partition`] — static random placement of documents on partitions
+//!   ([`partition_of`]). The all-partitions fan-out and graceful
+//!   degradation (a down partition removes its share of documents from
+//!   coverage but never fails the query, §3.2) are HotBot's front end,
+//!   `sns_hotbot::HotBotService`;
 //! * [`qcache`] — the integrated cache of recent searches used for
 //!   incremental delivery (Table 1).
 
@@ -29,8 +29,8 @@ pub mod partition;
 pub mod qcache;
 
 pub use doc::{CorpusGenerator, Document};
-pub use index::{InvertedIndex, SearchHit};
-pub use partition::{PartitionedIndex, QueryOutcome};
+pub use index::{rank, InvertedIndex, SearchHit};
+pub use partition::partition_of;
 pub use qcache::QueryCache;
 
 /// Splits text into lowercase alphanumeric tokens.

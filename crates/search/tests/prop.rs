@@ -1,14 +1,13 @@
-//! Property tests for the search substrate: partitioned retrieval must
-//! equal monolithic retrieval on arbitrary corpora and queries, ranking
-//! must match a naive scorer, and degradation must only ever shrink the
-//! result set.
+//! Property tests for the search substrate: HotBot's placement and
+//! collation must equal monolithic retrieval on arbitrary corpora and
+//! queries, ranking must match a naive scorer, and degradation must only
+//! ever shrink the result set.
 
 use sns_testkit::{gens, props, tk_assert, tk_assert_eq, Gen};
 
 use sns_search::doc::Document;
-use sns_search::index::InvertedIndex;
-use sns_search::partition::PartitionedIndex;
-use sns_search::tokenize;
+use sns_search::index::{InvertedIndex, SearchHit};
+use sns_search::{partition_of, rank, tokenize};
 
 fn word() -> Gen<String> {
     gens::u32_in(0..40).map(|w| format!("w{w}"))
@@ -51,6 +50,29 @@ fn naive_query(corpus: &[Document], q: &str, k: usize) -> Vec<(u64, f64)> {
     scored
 }
 
+/// HotBot's collation: each document indexed on its `partition_of`
+/// partition (as `HotBotBuilder` places it), then the live partitions'
+/// top-k lists ranked together and cut to `k`.
+fn collate(
+    corpus: &[Document],
+    nparts: usize,
+    down: Option<usize>,
+    q: &str,
+    k: usize,
+) -> Vec<SearchHit> {
+    let mut parts: Vec<InvertedIndex> = (0..nparts).map(|_| InvertedIndex::new()).collect();
+    for d in corpus {
+        parts[partition_of(d.id, nparts)].add(d);
+    }
+    let mut all: Vec<SearchHit> = (0..nparts)
+        .filter(|&p| Some(p) != down)
+        .flat_map(|p| parts[p].query(q, k))
+        .collect();
+    rank(&mut all);
+    all.truncate(k);
+    all
+}
+
 props! {
     fn index_matches_naive_scan(
         corpus in corpus_gen(),
@@ -77,15 +99,10 @@ props! {
     ) {
         let query = q.join(" ");
         let mut mono = InvertedIndex::new();
-        let mut parts = PartitionedIndex::new(nparts);
         for d in &corpus {
             mono.add(d);
-            parts.add(d);
         }
-        let outcome = parts.query(&query, 10);
-        tk_assert_eq!((outcome.coverage - 1.0).abs() < 1e-12, true);
-        let want = mono.query(&query, 10);
-        tk_assert_eq!(outcome.hits, want);
+        tk_assert_eq!(collate(&corpus, nparts, None, &query, 10), mono.query(&query, 10));
     }
 
     fn degradation_only_removes_results(
@@ -94,22 +111,14 @@ props! {
         q in gens::vec(word(), 1..3),
     ) {
         let query = q.join(" ");
-        let mut parts = PartitionedIndex::new(4);
-        for d in &corpus {
-            parts.add(d);
+        let full = collate(&corpus, 4, None, &query, 50);
+        let degraded = collate(&corpus, 4, Some(down), &query, 50);
+        for h in &degraded {
+            // Every degraded hit was in the full result set, and none
+            // came from the down partition.
+            tk_assert!(full.contains(h), "degradation invented a result");
+            tk_assert!(partition_of(h.doc, 4) != down, "a down partition answered");
         }
-        let full = parts.query(&query, 50);
-        parts.set_down(down);
-        let degraded = parts.query(&query, 50);
-        tk_assert!(degraded.coverage <= 1.0);
-        // Every degraded hit was in the full result set.
-        for h in &degraded.hits {
-            tk_assert!(full.hits.contains(h), "degradation invented a result");
-        }
-        // Recovery is exact.
-        parts.set_up(down);
-        let back = parts.query(&query, 50);
-        tk_assert_eq!(back.hits, full.hits);
     }
 
     fn tokenize_roundtrips_clean_words(

@@ -107,11 +107,6 @@ impl Pcg32 {
         lo + self.below(hi - lo)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Bernoulli trial with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
@@ -164,14 +159,6 @@ impl Pcg32 {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.below(items.len() as u64) as usize]
-    }
-
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -259,16 +246,6 @@ mod tests {
         assert!((f(counts[0]) - 1.0 / 6.0).abs() < 0.01);
         assert!((f(counts[1]) - 2.0 / 6.0).abs() < 0.01);
         assert!((f(counts[2]) - 3.0 / 6.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Pcg32::new(23);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

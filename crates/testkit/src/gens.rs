@@ -50,13 +50,6 @@ int_in!(u32_in, u32);
 int_in!(u64_in, u64);
 int_in!(usize_in, usize);
 
-/// Signed integer in the half-open range (zero choice maps to the low end).
-pub fn i64_in(r: Range<i64>) -> Gen<i64> {
-    assert!(r.start < r.end, "empty range {r:?}");
-    let span = r.end.wrapping_sub(r.start) as u64;
-    Gen::new(move |src| r.start.wrapping_add(src.below(span) as i64))
-}
-
 /// `f64` in the half-open range (zero choice maps to the low end).
 pub fn f64_in(r: Range<f64>) -> Gen<f64> {
     assert!(r.start < r.end, "empty range {r:?}");

@@ -276,7 +276,6 @@ pub struct TranSendCluster {
     /// Node modelling the Internet (origin).
     pub origin_node: NodeId,
     sns: SnsConfig,
-    ts: TranSendConfig,
     fe_nic: Option<LinkParams>,
     mgr_factory: ManagerFactory,
 }
@@ -515,7 +514,6 @@ impl TranSendBuilder {
             client_node,
             origin_node,
             sns: self.sns,
-            ts: self.ts,
             fe_nic: self.fe_nic,
             mgr_factory,
         }
@@ -523,9 +521,10 @@ impl TranSendBuilder {
 }
 
 impl TranSendCluster {
-    /// Attaches a playback client driving all current front ends;
-    /// `retimed` pairs (send offset, trace record) come from
-    /// `sns_workload::Playback`. Returns the client's report handle.
+    /// Attaches a playback client driving all current front ends; it
+    /// sends each `(offset, record)` pair at `start_delay + offset`
+    /// (§4.1 timestamped playback is each record paired with its own
+    /// `at`). Returns the client's report handle.
     pub fn attach_client(
         &mut self,
         retimed: Vec<(Duration, TraceRecord)>,
@@ -534,13 +533,6 @@ impl TranSendCluster {
         let (client, report) = TranSendClient::new(self.fes.clone(), retimed, start_delay);
         self.sim.spawn(self.client_node, Box::new(client), "client");
         report
-    }
-
-    /// Adds a front end on a fresh node (Table 2 incremental scaling).
-    /// Note: already-attached clients keep their FE list; attach clients
-    /// after all front ends exist, or use one client per configuration.
-    pub fn add_frontend(&mut self) -> ComponentId {
-        self.add_frontend_with_logic(Box::new(TranSendAsync::new(self.ts.clone())))
     }
 
     /// Adds a front end hosting an arbitrary [`AsyncService`] on a fresh

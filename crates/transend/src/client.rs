@@ -107,11 +107,6 @@ impl TranSendClient {
         )
     }
 
-    /// Adds a front end mid-run (Table 2 incremental scaling).
-    pub fn add_frontend(&mut self, fe: ComponentId) {
-        self.fes.push(fe);
-    }
-
     fn schedule_next(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
         let Some(item) = self.items.get(self.next_item) else {
             return;

@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use sns_sim::time::SimTime;
 use sns_transend::{TranSendBuilder, TranSendCluster};
-use sns_workload::playback::{Playback, Schedule};
 use sns_workload::trace::{TraceGenerator, WorkloadConfig};
 
 fn small_trace(seed: u64, rate: f64, secs: u64) -> Vec<(Duration, sns_workload::TraceRecord)> {
@@ -18,9 +17,7 @@ fn small_trace(seed: u64, rate: f64, secs: u64) -> Vec<(Duration, sns_workload::
         ..Default::default()
     });
     let trace = gen.constant_rate(rate, Duration::from_secs(secs));
-    Playback::new(&trace, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect()
+    trace.records.into_iter().map(|r| (r.at, r)).collect()
 }
 
 fn build_small() -> TranSendCluster {

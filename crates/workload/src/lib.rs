@@ -19,14 +19,18 @@
 //!   Zipf-popular core plus per-user private working sets, so hit rate
 //!   grows with population until working sets exceed the cache.
 //!
-//! [`playback::Playback`] reproduces the paper's trace playback engine
-//! (§4.1): constant-rate mode or faithful timestamped playback.
+//! The paper's trace playback engine (§4.1) issues requests "at a
+//! constant (and dynamically tunable) rate, or ... according to the
+//! timestamps in the trace file". Here every [`TraceRecord`] carries its
+//! send offset in `at`: [`TraceGenerator::constant_rate`] stamps a
+//! constant-rate trace, [`TraceGenerator::bursty`] stamps arrivals drawn
+//! from an [`ArrivalProcess`], and a client sends each record at its
+//! `at`.
 
 #![warn(missing_docs)]
 
 pub mod bursts;
 pub mod mix;
-pub mod playback;
 pub mod replay;
 pub mod sizes;
 pub mod trace;
@@ -34,7 +38,6 @@ pub mod zipf;
 
 pub use bursts::{ArrivalProcess, DiurnalProfile};
 pub use mix::MimeMix;
-pub use playback::{Playback, Schedule};
 pub use replay::{EpochLoad, FlashCrowd, ReplayLoad};
 pub use sizes::SizeModel;
 pub use trace::{Trace, TraceGenerator, TraceRecord, WorkloadConfig};

@@ -1,13 +1,12 @@
 //! Property tests for the workload model: trace serialisation
-//! round-trips, playback re-timing respects each schedule's contract,
-//! object identity is stable, and samplers stay within bounds.
+//! round-trips, object identity is stable, and samplers stay within
+//! bounds.
 
 use std::time::Duration;
 
 use sns_testkit::{gens, props, tk_assert, tk_assert_eq, Gen};
 
 use sns_sim::rng::Pcg32;
-use sns_workload::playback::{Playback, Schedule};
 use sns_workload::trace::{Trace, TraceGenerator, TraceRecord, WorkloadConfig};
 use sns_workload::zipf::Zipf;
 use sns_workload::MimeType;
@@ -39,56 +38,6 @@ props! {
         let trace = Trace { records };
         let parsed = Trace::from_tsv(&trace.to_tsv()).unwrap();
         tk_assert_eq!(parsed.records, trace.records);
-    }
-
-    fn playback_constant_rate_is_evenly_spaced(
-        n in gens::usize_in(1..50),
-        rate in gens::f64_in(0.5..100.0),
-    ) {
-        let records: Vec<TraceRecord> = (0..n)
-            .map(|i| TraceRecord {
-                at: Duration::from_millis(i as u64 * 37),
-                user: 0,
-                url: format!("u{i}"),
-                mime: MimeType::Gif,
-                size: 100,
-            })
-            .collect();
-        let trace = Trace { records };
-        let times: Vec<Duration> = Playback::new(&trace, Schedule::ConstantRate(rate))
-            .map(|(at, _)| at)
-            .collect();
-        for (i, at) in times.iter().enumerate() {
-            let expect = i as f64 / rate;
-            tk_assert!((at.as_secs_f64() - expect).abs() < 1e-9);
-        }
-    }
-
-    fn playback_acceleration_preserves_order_and_scales(
-        k in gens::f64_in(0.1..16.0),
-        offsets in gens::vec(gens::u64_in(0..10_000), 1..30),
-    ) {
-        let mut sorted = offsets.clone();
-        sorted.sort_unstable();
-        let records: Vec<TraceRecord> = sorted
-            .iter()
-            .map(|&ms| TraceRecord {
-                at: Duration::from_millis(ms),
-                user: 0,
-                url: "u".into(),
-                mime: MimeType::Gif,
-                size: 1,
-            })
-            .collect();
-        let trace = Trace { records };
-        let times: Vec<f64> = Playback::new(&trace, Schedule::Accelerated(k))
-            .map(|(at, r)| {
-                let expect = r.at.as_secs_f64() / k;
-                assert!((at.as_secs_f64() - expect).abs() < 1e-9);
-                at.as_secs_f64()
-            })
-            .collect();
-        tk_assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     fn object_identity_is_stable_across_generators(seed in gens::any_u64()) {

@@ -16,7 +16,6 @@ use cluster_sns::chaos::{
 use cluster_sns::core::MonitorTap;
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 fn main() {
@@ -43,9 +42,7 @@ fn main() {
         ..Default::default()
     });
     let t = gen.constant_rate(4.0, Duration::from_secs(90));
-    let items: Vec<_> = Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
+    let items: Vec<_> = t.records.into_iter().map(|r| (r.at, r)).collect();
     let n = items.len() as u64;
     let report = cluster.attach_client(items, Duration::from_secs(4));
 

@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 fn main() {
@@ -33,9 +32,7 @@ fn main() {
         ..Default::default()
     });
     let trace = gen.constant_rate(5.0, Duration::from_secs(120));
-    let items: Vec<_> = Playback::new(&trace, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
+    let items: Vec<_> = trace.records.into_iter().map(|r| (r.at, r)).collect();
     println!("playing {} traced requests through TranSend…", items.len());
     let report = cluster.attach_client(items, Duration::from_secs(4));
 

@@ -16,7 +16,6 @@ use cluster_sns::core::trace::to_perfetto;
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
 use cluster_sns::workload::bursts::ArrivalProcess;
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 fn main() {
@@ -54,8 +53,10 @@ fn main() {
     });
     let process = ArrivalProcess::paper_default(17);
     let trace = gen.bursty(&process, Duration::from_secs(20 * 60));
-    let items: Vec<_> = Playback::new(&trace, Schedule::Accelerated(2.0))
-        .map(|(at, r)| (at, r.clone()))
+    let items: Vec<_> = trace
+        .records
+        .into_iter()
+        .map(|r| (r.at.div_f64(2.0), r))
         .collect();
     println!(
         "playing {} bursty requests (20 traced minutes at 2x)…",

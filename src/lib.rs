@@ -40,6 +40,5 @@ pub mod prelude {
     pub use sns_rt::{RtCluster, RtConfig};
     pub use sns_san::{LinkParams, SanConfig, SanMode};
     pub use sns_transend::{TranSendBuilder, TranSendCluster, TranSendConfig};
-    pub use sns_workload::playback::{Playback, Schedule};
     pub use sns_workload::trace::{Trace, TraceGenerator, WorkloadConfig};
 }

@@ -8,7 +8,6 @@ use std::time::Duration;
 use cluster_sns::profiledb::{MemDevice, ProfileDb, Txn, Wal};
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 #[test]
@@ -54,9 +53,7 @@ fn base_state_is_disposable_at_only_a_performance_cost() {
             ..Default::default()
         });
         let t = gen.constant_rate(4.0, Duration::from_secs(40));
-        Playback::new(&t, Schedule::Timestamps)
-            .map(|(at, r)| (at, r.clone()))
-            .collect::<Vec<_>>()
+        t.records.into_iter().map(|r| (r.at, r)).collect::<Vec<_>>()
     };
 
     // Baseline run.

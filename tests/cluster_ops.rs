@@ -27,7 +27,6 @@ use cluster_sns::rt::{RtCluster, RtConfig};
 use cluster_sns::sim::rng::Pcg32;
 use cluster_sns::sim::{MetricKey, SimTime};
 use cluster_sns::transend::TranSendBuilder;
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 /// Modelled-to-wall-clock compression for the rt scenarios.
@@ -203,9 +202,7 @@ fn transend_load(seed: u64) -> Vec<(Duration, cluster_sns::workload::TraceRecord
         ..Default::default()
     });
     let t = gen.constant_rate(4.0, Duration::from_secs(70));
-    Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect()
+    t.records.into_iter().map(|r| (r.at, r)).collect()
 }
 
 #[test]

@@ -9,7 +9,6 @@ use cluster_sns::core::MonitorTap;
 use cluster_sns::hotbot::HotBotBuilder;
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
@@ -29,9 +28,7 @@ fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
         ..Default::default()
     });
     let t = gen.constant_rate(4.0, Duration::from_secs(30));
-    let items: Vec<_> = Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
+    let items: Vec<_> = t.records.into_iter().map(|r| (r.at, r)).collect();
     let report = cluster.attach_client(items, Duration::from_secs(3));
     // Fault injection is part of the fingerprint too.
     cluster.sim.at(SimTime::from_secs(12), |sim| {
@@ -97,9 +94,7 @@ fn chaos_monitor_log(seed: u64) -> String {
         ..Default::default()
     });
     let t = gen.constant_rate(3.0, Duration::from_secs(40));
-    let items: Vec<_> = Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
+    let items: Vec<_> = t.records.into_iter().map(|r| (r.at, r)).collect();
     let _report = cluster.attach_client(items, Duration::from_secs(3));
 
     // Exercise every injection path the sim backend supports.
@@ -170,9 +165,7 @@ fn rolling_upgrade_log(seed: u64) -> String {
         ..Default::default()
     });
     let t = gen.constant_rate(3.0, Duration::from_secs(60));
-    let items: Vec<_> = Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
+    let items: Vec<_> = t.records.into_iter().map(|r| (r.at, r)).collect();
     let _report = cluster.attach_client(items, Duration::from_secs(3));
 
     let plan = FaultPlan::new().with(
@@ -221,9 +214,7 @@ fn transend_trace_jsonl_sampled(seed: u64, rate: u32) -> String {
         ..Default::default()
     });
     let t = gen.constant_rate(4.0, Duration::from_secs(15));
-    let items: Vec<_> = Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect();
+    let items: Vec<_> = t.records.into_iter().map(|r| (r.at, r)).collect();
     let _report = cluster.attach_client(items, Duration::from_secs(3));
     cluster.sim.run_until(SimTime::from_secs(90));
     let log = cluster.trace().expect("tracing was enabled");

@@ -23,7 +23,6 @@ use cluster_sns::rt::{RtCluster, RtConfig};
 use cluster_sns::sim::rng::Pcg32;
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::{TranSendBuilder, TranSendCluster};
-use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
 fn items(seed: u64, rate: f64, secs: u64) -> Vec<(Duration, cluster_sns::workload::TraceRecord)> {
@@ -35,9 +34,7 @@ fn items(seed: u64, rate: f64, secs: u64) -> Vec<(Duration, cluster_sns::workloa
         ..Default::default()
     });
     let t = gen.constant_rate(rate, Duration::from_secs(secs));
-    Playback::new(&t, Schedule::Timestamps)
-        .map(|(at, r)| (at, r.clone()))
-        .collect()
+    t.records.into_iter().map(|r| (r.at, r)).collect()
 }
 
 fn small_cluster() -> cluster_sns::transend::TranSendCluster {

@@ -256,10 +256,11 @@ echo "   ok: async_pipeline answered 8/8"
 
 echo "== cluster_ops stage: operations chaos under a pinned seed"
 # Rolling upgrades under load (UpgradeNoJobLoss on both backends),
-# drain/rejoin parity diffs, stable-index fault skips, and the
-# multi-tenant flash-crowd isolation scenario — all deterministic under
-# the pinned seed.
-chaos_suite cluster-sns cluster_ops 8
+# drain/rejoin parity diffs, stable-index fault skips, repeated
+# drain/rejoin plan verbs as skips, overlapping stragglers restoring the
+# original NIC, and the multi-tenant flash-crowd isolation scenario —
+# all deterministic under the pinned seed.
+chaos_suite cluster-sns cluster_ops 10
 
 echo "== perfbench stage: the benchmark builds and its output checks hold"
 # perfbench is a package of its own (the benchmark driver builds it from

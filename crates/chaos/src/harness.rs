@@ -7,8 +7,9 @@
 //! is single-threaded and only advances when *run*; this wrapper keeps
 //! the duality honest by making every trait call a synchronous
 //! mutation of engine state ([`Cluster::submit`] queues into a driver
-//! component, fault injectors kill components/nodes directly) and
-//! letting [`Cluster::settle`] be the only place virtual time moves.
+//! component, and the fault verbs are the ones `SimChaos` runs plan
+//! steps through) and letting [`Cluster::settle`] be the only place
+//! virtual time moves.
 //! The trait's `budget` is therefore *virtual* seconds here and wall
 //! seconds on rt — the same plan text means the same modelled
 //! schedule, which is exactly the parity discipline.
@@ -31,7 +32,7 @@ use sns_san::{San, SanConfig};
 use sns_sim::engine::{Component, Ctx, NodeSpec, SimConfig};
 use sns_sim::{ComponentId, GroupId, MetricKey, SimTime};
 
-use crate::sim::SnsSim;
+use crate::sim::{SimVerbs, SnsSim};
 
 /// How often the driver component drains its submit queue and how
 /// finely [`Cluster::settle`] slices its budget.
@@ -317,8 +318,7 @@ impl SimClusterBuilder {
             infra,
             incarnation: Cell::new(0),
             settled: Cell::new(0),
-            nic_orig: RefCell::new(BTreeMap::new()),
-            drained: RefCell::new(std::collections::BTreeSet::new()),
+            verbs: RefCell::default(),
         };
         cluster.spawn_manager();
         // Warm-up: let the bootstrap spawns register and the first
@@ -357,12 +357,8 @@ pub struct SimCluster {
     /// Jobs accounted for by previous settles (`answered + failed`
     /// high-water mark).
     settled: Cell<u64>,
-    /// Original NIC parameters of slowed nodes, for factor-1.0 restore.
-    nic_orig: RefCell<BTreeMap<sns_sim::NodeId, sns_san::LinkParams>>,
-    /// Stable indices of pool nodes drained via the trait, so a second
-    /// drain (or a rejoin of an undrained node) reports a skip — the
-    /// same semantics the rt backend derives from its control plane.
-    drained: RefCell<std::collections::BTreeSet<usize>>,
+    /// The fault verbs and the state they keep between calls.
+    verbs: RefCell<SimVerbs>,
 }
 
 impl SimCluster {
@@ -411,28 +407,9 @@ impl SimCluster {
             .unwrap_or_default()
     }
 
-    /// The `which`-th pool node in stable creation order, required to
-    /// be in `want_alive` state (the anti-wrap rule: wrong state is a
-    /// skip, never a re-aim).
-    fn pool_node(&self, which: usize, want_alive: bool) -> Option<sns_sim::NodeId> {
-        self.sim
-            .borrow()
-            .nodes_with_tag_all(POOL)
-            .get(which)
-            .filter(|&&(_, alive)| alive == want_alive)
-            .map(|&(n, _)| n)
-    }
-
-    /// Sends an operator message to the live manager, if any.
-    fn tell_manager(&self, msg: SnsMsg) -> bool {
-        let mut sim = self.sim.borrow_mut();
-        match sim.components_of_kind("manager").first() {
-            Some(&mgr) => {
-                sim.inject(mgr, msg);
-                true
-            }
-            None => false,
-        }
+    /// Runs one sim fault verb against the engine.
+    fn verb<R>(&self, f: impl FnOnce(&mut SimVerbs, &mut SnsSim) -> R) -> R {
+        f(&mut self.verbs.borrow_mut(), &mut self.sim.borrow_mut())
     }
 
     /// Spawns a fresh manager incarnation with the registered classes.
@@ -520,23 +497,11 @@ impl Cluster for SimCluster {
     }
 
     fn crash_worker(&self, class: &str) -> bool {
-        let mut sim = self.sim.borrow_mut();
-        let victims = sim.components_of_kind(intern_class(class));
-        match victims.first() {
-            Some(&victim) => {
-                sim.kill_component(victim);
-                true
-            }
-            None => false,
-        }
+        self.verb(|v, s| v.kill_worker(s, class, 0))
     }
 
     fn kill_manager(&self) {
-        let mut sim = self.sim.borrow_mut();
-        let managers = sim.components_of_kind("manager");
-        for m in managers {
-            sim.kill_component(m);
-        }
+        self.verb(|v, s| v.kill_worker(s, "manager", 0));
     }
 
     fn restart_manager(&self) {
@@ -547,78 +512,27 @@ impl Cluster for SimCluster {
     }
 
     fn kill_node(&self, which: usize) -> Option<u64> {
-        let node = self.pool_node(which, true)?;
-        let mut sim = self.sim.borrow_mut();
-        let died = sim.components_on_node(node).len() as u64;
-        sim.kill_node(node);
-        Some(died)
+        self.verb(|v, s| v.kill_pool_node(s, POOL, which))
     }
 
     fn revive_node(&self, which: usize) -> bool {
-        let Some(node) = self.pool_node(which, false) else {
-            return false;
-        };
-        self.sim.borrow_mut().revive_node(node);
-        true
+        self.verb(|v, s| v.revive_pool_node(s, POOL, which))
     }
 
     fn set_node_slowdown(&self, which: usize, factor: f64) -> bool {
-        let Some(node) = self.pool_node(which, true) else {
-            return false;
-        };
-        let mut sim = self.sim.borrow_mut();
-        let mut orig = self.nic_orig.borrow_mut();
-        if factor <= 1.0 {
-            if let Some(params) = orig.remove(&node) {
-                sim.net_mut().set_nic(node, params);
-            }
-            return true;
-        }
-        let base = orig
-            .entry(node)
-            .or_insert_with(|| sim.net().nic_params(node))
-            .clone();
-        let mut slow = base.clone();
-        slow.bandwidth_bps = (base.bandwidth_bps / factor).max(1.0);
-        sim.net_mut().set_nic(node, slow);
-        true
+        self.verb(|v, s| v.slowdown(s, POOL, which, factor))
     }
 
     fn drain_node(&self, which: usize) -> bool {
-        if self.drained.borrow().contains(&which) {
-            return false;
-        }
-        let Some(node) = self.pool_node(which, true) else {
-            return false;
-        };
-        if !self.tell_manager(SnsMsg::DrainNode { node }) {
-            return false;
-        }
-        self.drained.borrow_mut().insert(which);
-        true
+        self.verb(|v, s| v.drain(s, POOL, which))
     }
 
     fn rejoin_node(&self, which: usize, upgraded: bool) -> bool {
-        if !self.drained.borrow().contains(&which) {
-            return false;
-        }
-        let Some(node) = self.pool_node(which, true) else {
-            return false;
-        };
-        let msg = if upgraded {
-            SnsMsg::UpgradeNode { node }
-        } else {
-            SnsMsg::UndrainNode { node }
-        };
-        if !self.tell_manager(msg) {
-            return false;
-        }
-        self.drained.borrow_mut().remove(&which);
-        true
+        self.verb(|v, s| v.rejoin(s, POOL, which, upgraded))
     }
 
     fn set_beacon_blackout(&self, on: bool) {
-        self.sim.borrow_mut().net_mut().set_datagram_blackout(on);
+        self.verb(|v, s| v.blackout(s, on));
     }
 
     fn monitor_log(&self) -> MonitorLog {

@@ -9,10 +9,10 @@
 //! * A declarative [`FaultPlan`] — a timed list of [`FaultKind`] events
 //!   (worker crash, node down/up, manager failover, SAN partition,
 //!   multicast loss burst, straggler slow-down).
-//! * Two injectors compiling the *same plan* into scheduled events:
-//!   [`sim::SimChaos`] drives the virtual-time engine (`sns-sim` +
-//!   `sns-san`), [`rt::run_plan`] drives the wall-clock thread runtime
-//!   (`sns-rt`).
+//! * One expansion of each event into timed primitive steps, run by
+//!   two executors: [`sim::SimChaos`] drives the virtual-time engine
+//!   (`sns-sim` + `sns-san`), [`rt::run_plan`] drives the wall-clock
+//!   thread runtime (`sns-rt`).
 //! * Recovery-invariant checkers over the recorded
 //!   [`MonitorEvent`](sns_core::MonitorEvent) stream (see
 //!   [`invariant`]) plus a stale-routing probe asserting the load
@@ -100,6 +100,7 @@ pub enum FaultKind {
     },
     /// Drop every off-node datagram (beacons, load reports) for the
     /// window — the §4.6 multicast loss burst under SAN saturation.
+    /// Overlapping bursts end together, at the last one's end.
     BeaconLoss {
         /// Burst duration.
         lasting: Duration,
@@ -142,7 +143,8 @@ pub enum FaultKind {
     /// batch at a bumped upgrade epoch (drain → restart at new
     /// incarnation → rejoin, §2.2 "upgrade them in place"). Rounds are
     /// `settle`-spaced, so the whole operation spans
-    /// `ceil(nodes / batch) × settle`.
+    /// `ceil(nodes / batch) × settle`. The upgrade lands if its first
+    /// drain does; later drains and rejoins skip node by node.
     RollingUpgrade {
         /// Node pool tag.
         pool: String,
@@ -211,6 +213,28 @@ impl fmt::Display for FaultKind {
     }
 }
 
+/// One primitive step a plan event expands into (see
+/// [`FaultPlan::steps`]). Node steps name their target as a pool and a
+/// stable index into it, resolved when the step fires.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Step {
+    /// Kill the `which`-th live component of a kind.
+    KillWorker(String, usize),
+    KillManager,
+    RestartManager,
+    KillNode(String, usize),
+    ReviveNode(String, usize),
+    /// Isolate the node from the rest of the SAN.
+    Partition(String, usize),
+    Heal,
+    Blackout(bool),
+    /// Slow the node by a factor; `1.0` restores it.
+    Slowdown(String, usize, f64),
+    Drain(String, usize),
+    /// Return a drained node to service; `true` at a bumped upgrade epoch.
+    Rejoin(String, usize, bool),
+}
+
 /// A timed fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -263,28 +287,106 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Time of the last scheduled effect, including partition heals and
-    /// loss-burst/straggler windows ending after their trigger.
+    /// Time of the last scheduled effect, including partition heals,
+    /// loss-burst/straggler window ends and rolling-upgrade rounds.
     pub fn last_effect_at(&self) -> Duration {
         self.events
             .iter()
-            .map(|e| match &e.kind {
-                FaultKind::Partition { heal_after, .. } => e.at + *heal_after,
-                FaultKind::BeaconLoss { lasting } => e.at + *lasting,
-                FaultKind::Straggler { lasting, .. } => e.at + *lasting,
-                FaultKind::RollingUpgrade {
-                    nodes,
-                    batch,
-                    settle,
-                    ..
-                } => {
-                    let rounds = nodes.div_ceil((*batch).max(1)) as u32;
-                    e.at + settle.saturating_mul(rounds)
-                }
-                _ => e.at,
+            .zip(self.steps())
+            .flat_map(|(e, steps)| {
+                std::iter::once(e.at).chain(steps.into_iter().map(move |(off, _)| e.at + off))
             })
             .max()
             .unwrap_or(Duration::ZERO)
+    }
+
+    /// Expands each event into its primitive steps, timed as offsets
+    /// from the event's `at`: the onset at offset 0 first, then window
+    /// ends, heals and rolling-upgrade rounds. The onset's outcome is
+    /// the event's outcome, and the later steps run only after an onset
+    /// that landed. A beacon-loss lift is emitted only where no other
+    /// loss window still covers that instant, so overlapping bursts
+    /// lift once, at the last end.
+    pub(crate) fn steps(&self) -> Vec<Vec<(Duration, Step)>> {
+        let zero = Duration::ZERO;
+        let mut out = Vec::with_capacity(self.events.len());
+        for (i, e) in self.events.iter().enumerate() {
+            out.push(match &e.kind {
+                FaultKind::KillWorker { class, which } => {
+                    vec![(zero, Step::KillWorker(class.clone(), *which))]
+                }
+                FaultKind::KillManager => vec![(zero, Step::KillManager)],
+                FaultKind::RestartManager => vec![(zero, Step::RestartManager)],
+                FaultKind::KillNode { pool, which } => {
+                    vec![(zero, Step::KillNode(pool.clone(), *which))]
+                }
+                FaultKind::ReviveNode { pool, which } => {
+                    vec![(zero, Step::ReviveNode(pool.clone(), *which))]
+                }
+                FaultKind::Partition {
+                    pool,
+                    which,
+                    heal_after,
+                } => vec![
+                    (zero, Step::Partition(pool.clone(), *which)),
+                    (*heal_after, Step::Heal),
+                ],
+                FaultKind::BeaconLoss { lasting } => {
+                    let end = e.at + *lasting;
+                    let covered = self.events.iter().enumerate().any(|(j, o)| {
+                        matches!(o.kind, FaultKind::BeaconLoss { lasting: l }
+                            if o.at <= end && (o.at + l, j) > (end, i))
+                    });
+                    let mut steps = vec![(zero, Step::Blackout(true))];
+                    if !covered {
+                        steps.push((*lasting, Step::Blackout(false)));
+                    }
+                    steps
+                }
+                FaultKind::Straggler {
+                    pool,
+                    which,
+                    slowdown,
+                    lasting,
+                } => {
+                    let slow = |factor| Step::Slowdown(pool.clone(), *which, factor);
+                    vec![
+                        (zero, slow(f64::from((*slowdown).max(1)))),
+                        (*lasting, slow(1.0)),
+                    ]
+                }
+                FaultKind::DrainNode { pool, which } => {
+                    vec![(zero, Step::Drain(pool.clone(), *which))]
+                }
+                FaultKind::RejoinNode { pool, which } => {
+                    vec![(zero, Step::Rejoin(pool.clone(), *which, false))]
+                }
+                FaultKind::RollingUpgrade {
+                    pool,
+                    nodes,
+                    batch,
+                    settle,
+                } => {
+                    // Round r drains its batch at +r·settle and rejoins it
+                    // upgraded at +(r+1)·settle, so a batch is back in
+                    // service before the next one goes down.
+                    let batch = (*batch).max(1);
+                    let mut steps = Vec::new();
+                    for first in (0..*nodes).step_by(batch) {
+                        let round = first..(first + batch).min(*nodes);
+                        let drain_at = settle.saturating_mul((first / batch) as u32);
+                        for w in round.clone() {
+                            steps.push((drain_at, Step::Drain(pool.clone(), w)));
+                        }
+                        for w in round {
+                            steps.push((drain_at + *settle, Step::Rejoin(pool.clone(), w, true)));
+                        }
+                    }
+                    steps
+                }
+            });
+        }
+        out
     }
 
     /// The drain-bound horizon: last effect plus a recovery window. Tests
@@ -375,6 +477,72 @@ mod tests {
         let text = plan.to_string();
         assert!(text.contains("+1.000s kill-worker class=cache which=2"));
         assert!(text.contains("+2.000s straggler pool=overflow which=0 slowdown=10x"));
+    }
+
+    #[test]
+    fn overlapping_beacon_losses_lift_once_at_the_later_end() {
+        let loss = |secs| FaultKind::BeaconLoss {
+            lasting: Duration::from_secs(secs),
+        };
+        let plan = FaultPlan::new()
+            .with(Duration::from_secs(10), loss(10))
+            .with(Duration::from_secs(15), loss(10));
+        let lifts: Vec<Duration> = plan
+            .events
+            .iter()
+            .zip(plan.steps())
+            .flat_map(|(e, steps)| {
+                steps
+                    .into_iter()
+                    .filter(|(_, step)| *step == Step::Blackout(false))
+                    .map(move |(off, _)| e.at + off)
+            })
+            .collect();
+        assert_eq!(lifts, [Duration::from_secs(25)]);
+    }
+
+    #[test]
+    fn rolling_upgrade_rejoins_a_batch_before_the_next_drains() {
+        let settle = Duration::from_secs(5);
+        let upgrade = |batch| {
+            FaultPlan::new().with(
+                Duration::from_secs(1),
+                FaultKind::RollingUpgrade {
+                    pool: "p".into(),
+                    nodes: 3,
+                    batch,
+                    settle,
+                },
+            )
+        };
+        let drain = |w| Step::Drain("p".into(), w);
+        let rejoin = |w| Step::Rejoin("p".into(), w, true);
+        let zero = Duration::ZERO;
+        assert_eq!(
+            upgrade(2).steps()[0],
+            [
+                (zero, drain(0)),
+                (zero, drain(1)),
+                (settle, rejoin(0)),
+                (settle, rejoin(1)),
+                (settle, drain(2)),
+                (settle * 2, rejoin(2)),
+            ]
+        );
+        // A zero batch clamps to one node per round.
+        let one_by_one = upgrade(0);
+        assert_eq!(
+            one_by_one.steps()[0],
+            [
+                (zero, drain(0)),
+                (settle, rejoin(0)),
+                (settle, drain(1)),
+                (settle * 2, rejoin(1)),
+                (settle * 2, drain(2)),
+                (settle * 3, rejoin(2)),
+            ]
+        );
+        assert_eq!(one_by_one.last_effect_at(), Duration::from_secs(16));
     }
 
     #[test]

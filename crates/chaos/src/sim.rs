@@ -1,16 +1,18 @@
-//! Virtual-time injector: compiles a [`FaultPlan`] into `sim.at` scripts
-//! against the discrete-event engine, and carries the stale-routing probe
-//! that watches `net.delivered_to_dead` between faults.
+//! Virtual-time executor: runs each [`FaultPlan`] event's expanded
+//! steps through the sim's one set of fault verbs at their virtual
+//! times, and carries the stale-routing probe that watches
+//! `net.delivered_to_dead` between faults.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::time::Duration;
 
 use sns_core::{intern_class, MonitorLog, SnsMsg};
-use sns_san::San;
+use sns_san::{LinkParams, San};
 use sns_sim::{NodeId, Sim, SimTime};
 
-use crate::{FaultKind, FaultPlan};
+use crate::{FaultKind, FaultPlan, Step};
 
 /// The concrete engine both the cluster harnesses and this injector use.
 pub type SnsSim = Sim<SnsMsg, San>;
@@ -67,15 +69,29 @@ impl SimChaos {
     pub fn install(sim: &mut SnsSim, plan: &FaultPlan, cfg: SimChaosConfig) -> SimChaos {
         let injections: Rc<RefCell<Vec<Injection>>> = Rc::default();
         let samples: Rc<RefCell<Vec<(SimTime, u64)>>> = Rc::default();
-        let blackout_depth = Rc::new(Cell::new(0u32));
+        let verbs: Rc<RefCell<SimVerbs>> = Rc::default();
 
-        for ev in &plan.events {
-            let at = SimTime::ZERO + ev.at;
-            let kind = ev.kind.clone();
+        for (ev, steps) in plan.events.iter().zip(plan.steps()) {
+            let what = ev.kind.to_string();
             let rec = Rc::clone(&injections);
-            let depth = Rc::clone(&blackout_depth);
-            sim.at(at, move |s| {
-                let applied = apply(s, &kind, &depth);
+            let verbs = Rc::clone(&verbs);
+            sim.at(SimTime::ZERO + ev.at, move |s| {
+                // The onset's outcome is the event's; the later steps
+                // run only after an onset that landed.
+                let mut steps = steps.into_iter();
+                let applied = steps
+                    .next()
+                    .is_some_and(|(_, onset)| verbs.borrow_mut().apply(s, &onset));
+                for (offset, step) in steps.filter(|_| applied) {
+                    if offset.is_zero() {
+                        verbs.borrow_mut().apply(s, &step);
+                    } else {
+                        let verbs = Rc::clone(&verbs);
+                        s.at(s.now() + offset, move |s| {
+                            verbs.borrow_mut().apply(s, &step);
+                        });
+                    }
+                }
                 s.stats_mut().incr(
                     if applied {
                         "chaos.injected"
@@ -86,7 +102,7 @@ impl SimChaos {
                 );
                 rec.borrow_mut().push(Injection {
                     at: s.now(),
-                    what: kind.to_string(),
+                    what,
                     applied,
                 });
             });
@@ -182,9 +198,152 @@ impl SimChaos {
     }
 }
 
-/// Resolves the `which`-th node of `pool` in stable creation order,
-/// requiring it to be in `want_alive` state — the anti-wrap rule: a
-/// fault aimed at a node in the wrong state is a skip, never a re-aim.
+/// The sim's fault verbs, one implementation each: [`SimChaos`] runs
+/// plan steps through [`SimVerbs::apply`] and
+/// [`SimCluster`](crate::SimCluster) calls them behind the `Cluster`
+/// trait. Node verbs resolve the `which`-th node of a pool in stable
+/// creation order and skip a node in the wrong state (the anti-wrap
+/// rule: a skip, never a re-aim). The set keeps what the verbs need
+/// between steps: the nodes it drained and the original NIC of every
+/// slowed node.
+#[derive(Default)]
+pub(crate) struct SimVerbs {
+    drained: BTreeSet<NodeId>,
+    nic_orig: BTreeMap<NodeId, LinkParams>,
+}
+
+impl SimVerbs {
+    /// Runs one plan step; `true` when it landed.
+    pub(crate) fn apply(&mut self, s: &mut SnsSim, step: &Step) -> bool {
+        match step {
+            Step::KillWorker(class, which) => self.kill_worker(s, class, *which),
+            Step::KillManager => self.kill_worker(s, "manager", 0),
+            // Front ends restart the manager themselves in this backend
+            // (process-peer supervision); nothing to do here.
+            Step::RestartManager => false,
+            Step::KillNode(pool, which) => self.kill_pool_node(s, pool, *which).is_some(),
+            Step::ReviveNode(pool, which) => self.revive_pool_node(s, pool, *which),
+            Step::Partition(pool, which) => {
+                let Some(target) = pool_node(s, pool, *which, true) else {
+                    return false;
+                };
+                let rest: Vec<_> = s.node_ids().into_iter().filter(|&n| n != target).collect();
+                s.net_mut().partition(&[vec![target], rest]);
+                true
+            }
+            Step::Heal => {
+                s.net_mut().heal();
+                true
+            }
+            Step::Blackout(on) => {
+                self.blackout(s, *on);
+                true
+            }
+            Step::Slowdown(pool, which, factor) => self.slowdown(s, pool, *which, *factor),
+            Step::Drain(pool, which) => self.drain(s, pool, *which),
+            Step::Rejoin(pool, which, upgraded) => self.rejoin(s, pool, *which, *upgraded),
+        }
+    }
+
+    /// Kills the `which`-th live component of `kind` (modulo their
+    /// count, over id-sorted candidates).
+    pub(crate) fn kill_worker(&mut self, s: &mut SnsSim, kind: &str, which: usize) -> bool {
+        let comps = s.components_of_kind(intern_class(kind));
+        let Some(&victim) = comps.get(which % comps.len().max(1)) else {
+            return false;
+        };
+        s.kill_component(victim);
+        true
+    }
+
+    /// Kills a live pool node, returning how many components died.
+    pub(crate) fn kill_pool_node(
+        &mut self,
+        s: &mut SnsSim,
+        pool: &str,
+        which: usize,
+    ) -> Option<u64> {
+        let node = pool_node(s, pool, which, true)?;
+        let died = s.components_on_node(node).len() as u64;
+        s.kill_node(node);
+        Some(died)
+    }
+
+    /// Revives a dead pool node, empty.
+    pub(crate) fn revive_pool_node(&mut self, s: &mut SnsSim, pool: &str, which: usize) -> bool {
+        let Some(node) = pool_node(s, pool, which, false) else {
+            return false;
+        };
+        s.revive_node(node);
+        true
+    }
+
+    /// Divides a live node's NIC bandwidth by `factor` (`1.0` restores
+    /// the NIC it had before its first slowdown).
+    pub(crate) fn slowdown(
+        &mut self,
+        s: &mut SnsSim,
+        pool: &str,
+        which: usize,
+        factor: f64,
+    ) -> bool {
+        let Some(node) = pool_node(s, pool, which, true) else {
+            return false;
+        };
+        if factor <= 1.0 {
+            if let Some(orig) = self.nic_orig.remove(&node) {
+                s.net_mut().set_nic(node, orig);
+            }
+            return true;
+        }
+        let orig = self
+            .nic_orig
+            .entry(node)
+            .or_insert_with(|| s.net().nic_params(node));
+        let mut slow = orig.clone();
+        slow.bandwidth_bps = (orig.bandwidth_bps / factor).max(1.0);
+        s.net_mut().set_nic(node, slow);
+        true
+    }
+
+    /// Asks the manager to drain a live node that is not drained.
+    pub(crate) fn drain(&mut self, s: &mut SnsSim, pool: &str, which: usize) -> bool {
+        let Some(node) = pool_node(s, pool, which, true) else {
+            return false;
+        };
+        !self.drained.contains(&node)
+            && tell_manager(s, SnsMsg::DrainNode { node })
+            && self.drained.insert(node)
+    }
+
+    /// Asks the manager to return a live drained node to service, at a
+    /// bumped upgrade epoch when `upgraded`.
+    pub(crate) fn rejoin(
+        &mut self,
+        s: &mut SnsSim,
+        pool: &str,
+        which: usize,
+        upgraded: bool,
+    ) -> bool {
+        let Some(node) = pool_node(s, pool, which, true) else {
+            return false;
+        };
+        let msg = if upgraded {
+            SnsMsg::UpgradeNode { node }
+        } else {
+            SnsMsg::UndrainNode { node }
+        };
+        self.drained.contains(&node) && tell_manager(s, msg) && self.drained.remove(&node)
+    }
+
+    /// Drops (or restores) every off-node datagram.
+    pub(crate) fn blackout(&mut self, s: &mut SnsSim, on: bool) {
+        s.net_mut().set_datagram_blackout(on);
+    }
+}
+
+/// The `which`-th node of `pool` in stable creation order, if it is in
+/// `want_alive` state.
 fn pool_node(s: &SnsSim, pool: &str, which: usize, want_alive: bool) -> Option<NodeId> {
     s.nodes_with_tag_all(pool)
         .get(which)
@@ -193,7 +352,7 @@ fn pool_node(s: &SnsSim, pool: &str, which: usize, want_alive: bool) -> Option<N
 }
 
 /// Sends an operator message to the current manager component, if one
-/// is alive at fire time.
+/// is alive.
 fn tell_manager(s: &mut SnsSim, msg: SnsMsg) -> bool {
     match s.components_of_kind("manager").first() {
         Some(&mgr) => {
@@ -201,143 +360,5 @@ fn tell_manager(s: &mut SnsSim, msg: SnsMsg) -> bool {
             true
         }
         None => false,
-    }
-}
-
-fn apply(s: &mut SnsSim, kind: &FaultKind, blackout_depth: &Rc<Cell<u32>>) -> bool {
-    match kind {
-        FaultKind::KillWorker { class, which } => {
-            let comps = s.components_of_kind(intern_class(class));
-            match comps.get(which % comps.len().max(1)) {
-                Some(&victim) => {
-                    s.kill_component(victim);
-                    true
-                }
-                None => false,
-            }
-        }
-        FaultKind::KillManager => {
-            let comps = s.components_of_kind("manager");
-            match comps.first() {
-                Some(&victim) => {
-                    s.kill_component(victim);
-                    true
-                }
-                None => false,
-            }
-        }
-        // Front ends restart the manager themselves in this backend
-        // (process-peer supervision); nothing to do here.
-        FaultKind::RestartManager => false,
-        FaultKind::KillNode { pool, which } => match pool_node(s, pool, *which, true) {
-            Some(node) => {
-                s.kill_node(node);
-                true
-            }
-            None => false,
-        },
-        FaultKind::ReviveNode { pool, which } => match pool_node(s, pool, *which, false) {
-            Some(node) => {
-                s.revive_node(node);
-                true
-            }
-            None => false,
-        },
-        FaultKind::Partition {
-            pool,
-            which,
-            heal_after,
-        } => {
-            let Some(target) = pool_node(s, pool, *which, true) else {
-                return false;
-            };
-            let rest: Vec<_> = s.node_ids().into_iter().filter(|&n| n != target).collect();
-            s.net_mut().partition(&[vec![target], rest]);
-            let heal_at = s.now() + *heal_after;
-            s.at(heal_at, |s| s.net_mut().heal());
-            true
-        }
-        FaultKind::BeaconLoss { lasting } => {
-            blackout_depth.set(blackout_depth.get() + 1);
-            s.net_mut().set_datagram_blackout(true);
-            let end = s.now() + *lasting;
-            let depth = Rc::clone(blackout_depth);
-            s.at(end, move |s| {
-                depth.set(depth.get().saturating_sub(1));
-                if depth.get() == 0 {
-                    s.net_mut().set_datagram_blackout(false);
-                }
-            });
-            true
-        }
-        FaultKind::Straggler {
-            pool,
-            which,
-            slowdown,
-            lasting,
-        } => {
-            let Some(node) = pool_node(s, pool, *which, true) else {
-                return false;
-            };
-            let orig = s.net().nic_params(node);
-            let mut slow = orig.clone();
-            slow.bandwidth_bps = (orig.bandwidth_bps / f64::from((*slowdown).max(1))).max(1.0);
-            s.net_mut().set_nic(node, slow);
-            let end = s.now() + *lasting;
-            s.at(end, move |s| s.net_mut().set_nic(node, orig));
-            true
-        }
-        FaultKind::DrainNode { pool, which } => match pool_node(s, pool, *which, true) {
-            Some(node) => tell_manager(s, SnsMsg::DrainNode { node }),
-            None => false,
-        },
-        FaultKind::RejoinNode { pool, which } => match pool_node(s, pool, *which, true) {
-            Some(node) => tell_manager(s, SnsMsg::UndrainNode { node }),
-            None => false,
-        },
-        FaultKind::RollingUpgrade {
-            pool,
-            nodes,
-            batch,
-            settle,
-        } => {
-            let all = s.nodes_with_tag_all(pool);
-            let count = (*nodes).min(all.len());
-            if count == 0 || s.components_of_kind("manager").is_empty() {
-                return false;
-            }
-            let batch_size = (*batch).max(1);
-            let settle = *settle;
-            // Expand into per-round drain / upgraded-rejoin steps.
-            // Round r drains at now + r·settle and rejoins at
-            // now + (r+1)·settle, so a batch is always back in service
-            // before the next one goes down. Targets resolve at step
-            // fire time (the manager may have failed over meanwhile).
-            for (r, chunk) in (0..count)
-                .collect::<Vec<_>>()
-                .chunks(batch_size)
-                .enumerate()
-            {
-                let round: Vec<NodeId> = chunk.iter().map(|&i| all[i].0).collect();
-                let drain_at = s.now() + settle.saturating_mul(r as u32);
-                let rejoin_at = drain_at + settle;
-                let drained = round.clone();
-                s.at(drain_at, move |s| {
-                    for node in drained {
-                        if s.node_alive(node) {
-                            tell_manager(s, SnsMsg::DrainNode { node });
-                        }
-                    }
-                });
-                s.at(rejoin_at, move |s| {
-                    for node in round.iter().copied() {
-                        if s.node_alive(node) {
-                            tell_manager(s, SnsMsg::UpgradeNode { node });
-                        }
-                    }
-                });
-            }
-            true
-        }
     }
 }

@@ -46,8 +46,8 @@ fn main() {
     let n = items.len() as u64;
     let report = cluster.attach_client(items, Duration::from_secs(4));
 
-    // The declarative schedule — the same artifact the sim- and
-    // rt-backend injectors both compile.
+    // The declarative schedule — each event expands once into the
+    // steps both the sim and the rt executor run.
     let plan = FaultPlan::new()
         .with(
             Duration::from_secs(15),

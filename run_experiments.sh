@@ -12,6 +12,3 @@ for b in "${bins[@]}"; do
   echo "== $b"
   cargo run -q -p sns-bench --release --bin "$b" | tee "target/experiment-logs/$b.txt"
 done
-echo "== micro"
-cargo run -q -p sns-bench --release --bin micro -- target/experiment-logs/BENCH_micro.json \
-  | tee target/experiment-logs/micro.txt

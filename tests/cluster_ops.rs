@@ -569,3 +569,84 @@ fn node_faults_at_dead_nodes_skip_instead_of_rewrapping() {
     assert_eq!(r.responses, n, "service recovered around the dead node");
     assert_eq!(r.errors, 0);
 }
+
+#[test]
+fn repeated_drain_and_rejoin_plan_verbs_skip() {
+    // A second drain of a drained node and a rejoin of a node already
+    // back in service are skips, as the verbs' docs say: only the first
+    // of each reaches the manager, and service carries on throughout.
+    let mut cluster = TranSendBuilder::new()
+        .with_worker_nodes(6)
+        .with_overflow_nodes(1)
+        .with_frontends(1)
+        .with_cache_partitions(2)
+        .with_min_distillers(1)
+        .with_origin_penalty_scale(0.1)
+        .build();
+    let node = cluster.sim.nodes_with_tag("infra")[0];
+    let (tap, log) = MonitorTap::new(cluster.monitor_group);
+    cluster.sim.spawn(node, Box::new(tap), "montap");
+    let reqs = transend_load(61);
+    let n = reqs.len() as u64;
+    let report = cluster.attach_client(reqs, Duration::from_secs(4));
+
+    let drain = FaultKind::DrainNode {
+        pool: "dedicated".into(),
+        which: 0,
+    };
+    let rejoin = FaultKind::RejoinNode {
+        pool: "dedicated".into(),
+        which: 0,
+    };
+    let plan = FaultPlan::new()
+        .with(Duration::from_secs(20), drain.clone())
+        .with(Duration::from_secs(25), drain)
+        .with(Duration::from_secs(40), rejoin.clone())
+        .with(Duration::from_secs(45), rejoin);
+    let chaos = SimChaos::install(&mut cluster.sim, &plan, SimChaosConfig::default());
+    cluster.sim.run_until(SimTime::from_secs(300));
+
+    let outcomes: Vec<bool> = chaos.injections().iter().map(|i| i.applied).collect();
+    assert_eq!(outcomes, [true, false, true, false]);
+    let log = log.borrow();
+    assert_eq!(log.count("node_drained"), 1);
+    assert_eq!(log.count("node_rejoined"), 1);
+    let r = report.borrow();
+    assert_eq!(r.responses, n, "every request answered");
+    assert_eq!(r.errors, 0);
+}
+
+#[test]
+fn overlapping_stragglers_restore_the_original_nic() {
+    // Two 10x stragglers on one node whose windows overlap: once both
+    // have ended, the node's NIC runs at its original bandwidth again.
+    let mut cluster = TranSendBuilder::new()
+        .with_worker_nodes(2)
+        .with_frontends(1)
+        .build();
+    let node = cluster.sim.nodes_with_tag("dedicated")[0];
+    let original = cluster.sim.net().nic_params(node).bandwidth_bps;
+    let straggler = FaultKind::Straggler {
+        pool: "dedicated".into(),
+        which: 0,
+        slowdown: 10,
+        lasting: Duration::from_secs(10),
+    };
+    let plan = FaultPlan::new()
+        .with(Duration::from_secs(10), straggler.clone())
+        .with(Duration::from_secs(15), straggler);
+    let chaos = SimChaos::install(&mut cluster.sim, &plan, SimChaosConfig::default());
+    cluster.sim.run_until(SimTime::from_secs(18));
+    assert_eq!(
+        cluster.sim.net().nic_params(node).bandwidth_bps,
+        original / 10.0,
+        "inside the overlap the node runs at 1/10"
+    );
+    cluster.sim.run_until(SimTime::from_secs(40));
+    assert_eq!(chaos.applied_count(), 2);
+    assert_eq!(
+        cluster.sim.net().nic_params(node).bandwidth_bps,
+        original,
+        "both windows over: the original NIC is back"
+    );
+}

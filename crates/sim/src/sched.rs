@@ -8,13 +8,16 @@
 //! * [`WheelScheduler`] — the engine's queue: a hierarchical timer
 //!   wheel (64 slots × 6 levels, 65.536 µs level-0 ticks, ~52 days of
 //!   span) with a binary heap as the overflow level for far-future
-//!   events. Push is `O(1)`; pops drain one sorted level-0 bucket at a
-//!   time, so cost is independent of the standing event population.
-//! * [`HeapScheduler`] — a plain `BinaryHeap`, `O(log n)` push/pop. The
-//!   engine never runs on it: it is the reference order the wheel must
-//!   reproduce **bit-for-bit**, call for call (`tests/sched_equiv.rs`).
+//!   events. Push is `O(1)`, except that a push into the tick being
+//!   drained is merge-inserted into its sorted bucket. The due level-0
+//!   bucket is sorted once, and `pop_batch` hands the run loop each
+//!   same-instant run of it in one call, so cost is independent of the
+//!   standing event population.
+//! * [`HeapScheduler`] — a plain `BinaryHeap`, `O(log n)` push/pop, on
+//!   the trait's default `pop_batch`. The engine never runs on it: it is
+//!   the reference order the wheel must reproduce **bit-for-bit**, call
+//!   for call (`tests/sched_equiv.rs`).
 
-use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -22,7 +25,8 @@ use crate::time::SimTime;
 
 /// A priority queue of `(at, seq, item)` entries popped in `(at, seq)`
 /// lexicographic order: the contract [`WheelScheduler`] and its
-/// reference [`HeapScheduler`] share, default `pop_batch` included.
+/// reference [`HeapScheduler`] share. The heap runs the default
+/// `pop_batch`; the wheel overrides it to hand out whole bucket runs.
 ///
 /// `seq` values are unique and assigned in scheduling order by the
 /// caller, so the order is total and equal-time entries pop FIFO.
@@ -40,16 +44,10 @@ pub trait Scheduler<T> {
     /// The `(at, seq)` of the earliest entry without removing it.
     fn peek(&mut self) -> Option<(SimTime, u64)>;
 
-    /// Lazily cancels the pending entry with the given `seq`: it will
-    /// never be returned by `pop`. The caller must only cancel seqs
-    /// that are currently pending (pushed, not yet popped or
-    /// cancelled).
-    fn cancel(&mut self, seq: u64);
-
-    /// Number of live (pushed, not popped, not cancelled) entries.
+    /// Number of pending (pushed, not yet popped) entries.
     fn len(&self) -> usize;
 
-    /// Whether no live entries remain.
+    /// Whether no entries are pending.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -58,21 +56,25 @@ pub trait Scheduler<T> {
     /// `out` (appending); returns how many were moved. The engine uses
     /// this to dispatch same-timestamp deliveries as one batch.
     fn pop_batch(&mut self, out: &mut Vec<(SimTime, u64, T)>, max: usize) -> usize {
-        let Some((t0, _)) = self.peek() else {
-            return 0;
-        };
-        let mut n = 0;
-        while n < max {
-            match self.peek() {
-                Some((t, _)) if t == t0 => {
-                    out.push(self.pop().expect("peeked entry exists"));
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
-        n
+        pop_each(self, out, max)
     }
+}
+
+/// The default `pop_batch`: one `peek` and one `pop` per entry.
+fn pop_each<T, S: Scheduler<T> + ?Sized>(
+    s: &mut S,
+    out: &mut Vec<(SimTime, u64, T)>,
+    max: usize,
+) -> usize {
+    let Some((t0, _)) = s.peek() else {
+        return 0;
+    };
+    let mut n = 0;
+    while n < max && s.peek().is_some_and(|(t, _)| t == t0) {
+        out.push(s.pop().expect("peeked entry exists"));
+        n += 1;
+    }
+    n
 }
 
 /// An entry ordered for a max-`BinaryHeap` so that the smallest
@@ -108,8 +110,6 @@ impl<T> Ord for HeapEntry<T> {
 /// against. The engine never runs on it.
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<HeapEntry<T>>,
-    cancelled: BTreeSet<u64>,
-    live: usize,
 }
 
 impl<T> HeapScheduler<T> {
@@ -117,19 +117,6 @@ impl<T> HeapScheduler<T> {
     pub fn new() -> Self {
         HeapScheduler {
             heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
-            live: 0,
-        }
-    }
-
-    /// Discards cancelled entries sitting at the head.
-    fn skim(&mut self) {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.remove(&head.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
         }
     }
 }
@@ -143,29 +130,19 @@ impl<T> Default for HeapScheduler<T> {
 impl<T> Scheduler<T> for HeapScheduler<T> {
     fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.heap.push(HeapEntry { at, seq, item });
-        self.live += 1;
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.skim();
         let e = self.heap.pop()?;
-        self.live -= 1;
         Some((e.at, e.seq, e.item))
     }
 
     fn peek(&mut self) -> Option<(SimTime, u64)> {
-        self.skim();
         self.heap.peek().map(|e| (e.at, e.seq))
     }
 
-    fn cancel(&mut self, seq: u64) {
-        if self.cancelled.insert(seq) {
-            self.live -= 1;
-        }
-    }
-
     fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 }
 
@@ -205,9 +182,9 @@ impl<T> Level<T> {
 /// Entries within the wheel's span land in a slot chosen by the highest
 /// 6-bit digit in which their tick differs from the cursor; slots
 /// cascade to lower levels as the cursor enters their window, and the
-/// level-0 bucket due next is sorted by `(at, seq)` once and drained
-/// in order. Entries further out than the wheel's span (≈52 days of
-/// virtual time) wait in a binary heap and are merged at pop time, so
+/// level-0 bucket due next is sorted by `(at, seq)` once, in place, and
+/// drained in order. Entries further out than the wheel's span (≈52 days
+/// of virtual time) wait in a binary heap and are merged at pop time, so
 /// ordering holds over the full `SimTime` range.
 pub struct WheelScheduler<T> {
     levels: Vec<Level<T>>,
@@ -217,7 +194,6 @@ pub struct WheelScheduler<T> {
     /// The sorted, partially drained bucket for tick `now_tick`.
     current: VecDeque<WheelEntry<T>>,
     overflow: BinaryHeap<HeapEntry<T>>,
-    cancelled: BTreeSet<u64>,
     live: usize,
 }
 
@@ -234,7 +210,6 @@ impl<T> WheelScheduler<T> {
             now_tick: 0,
             current: VecDeque::new(),
             overflow: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
             live: 0,
         }
     }
@@ -291,12 +266,13 @@ impl<T> WheelScheduler<T> {
                 self.levels[lvl].occupied &= !(1u64 << slot);
                 let mut bucket = std::mem::take(&mut self.levels[lvl].slots[slot]);
                 if lvl == 0 {
-                    // The due bucket: advance to its tick, sort, drain.
+                    // The due bucket: advance to its tick, sort it in place
+                    // and swap it in as `current`; the empty drain buffer's
+                    // allocation goes back to the slot.
                     self.now_tick = (self.now_tick & !(SLOTS as u64 - 1)) | slot as u64;
-                    self.current.extend(bucket.drain(..));
-                    self.current
-                        .make_contiguous()
-                        .sort_unstable_by_key(|e| (e.at, e.seq));
+                    bucket.sort_unstable_by_key(|e| (e.at, e.seq));
+                    let drained = std::mem::replace(&mut self.current, VecDeque::from(bucket));
+                    bucket = Vec::from(drained);
                 } else {
                     // Enter the slot's window (zeroing all lower digits —
                     // lower levels were empty, so nothing is skipped) and
@@ -320,37 +296,20 @@ impl<T> WheelScheduler<T> {
         }
     }
 
-    /// Discards cancelled heads, then reports where the earliest live
-    /// entry sits.
+    /// Reports where the earliest pending entry sits.
     fn head_source(&mut self) -> Option<Src> {
-        loop {
-            self.ensure_current();
-            if let Some(h) = self.current.front() {
-                if self.cancelled.contains(&h.seq) {
-                    let e = self.current.pop_front().expect("front exists");
-                    self.cancelled.remove(&e.seq);
-                    continue;
+        self.ensure_current();
+        match (self.current.front(), self.overflow.peek()) {
+            (None, None) => None,
+            (Some(_), None) => Some(Src::Wheel),
+            (None, Some(_)) => Some(Src::Overflow),
+            (Some(w), Some(o)) => {
+                if (w.at, w.seq) <= (o.at, o.seq) {
+                    Some(Src::Wheel)
+                } else {
+                    Some(Src::Overflow)
                 }
             }
-            if let Some(h) = self.overflow.peek() {
-                if self.cancelled.contains(&h.seq) {
-                    let e = self.overflow.pop().expect("peeked entry exists");
-                    self.cancelled.remove(&e.seq);
-                    continue;
-                }
-            }
-            return match (self.current.front(), self.overflow.peek()) {
-                (None, None) => None,
-                (Some(_), None) => Some(Src::Wheel),
-                (None, Some(_)) => Some(Src::Overflow),
-                (Some(w), Some(o)) => {
-                    if (w.at, w.seq) <= (o.at, o.seq) {
-                        Some(Src::Wheel)
-                    } else {
-                        Some(Src::Overflow)
-                    }
-                }
-            };
         }
     }
 
@@ -399,14 +358,30 @@ impl<T> Scheduler<T> for WheelScheduler<T> {
         }
     }
 
-    fn cancel(&mut self, seq: u64) {
-        if self.cancelled.insert(seq) {
-            self.live -= 1;
-        }
-    }
-
     fn len(&self) -> usize {
         self.live
+    }
+
+    /// When the wheel holds the head, pops its whole same-instant run
+    /// straight off the front of the sorted `current`. The overflow
+    /// heap holds nothing at that instant: its entries there were pushed
+    /// before the cursor came within the wheel's span of it, so they carry
+    /// the instant's lowest seqs and would lead. When the overflow heap
+    /// leads, the default `peek`/`pop` step merges the two sources by seq.
+    fn pop_batch(&mut self, out: &mut Vec<(SimTime, u64, T)>, max: usize) -> usize {
+        let Some(Src::Wheel) = self.head_source() else {
+            return pop_each(self, out, max);
+        };
+        let t0 = self.current[0].at;
+        debug_assert!(self.overflow.peek().is_none_or(|o| o.at != t0));
+        let mut n = 0;
+        while n < max && self.current.front().is_some_and(|e| e.at == t0) {
+            let e = self.current.pop_front().expect("front exists");
+            out.push((e.at, e.seq, e.item));
+            n += 1;
+        }
+        self.live -= n;
+        n
     }
 }
 
@@ -508,21 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_suppresses_entries_in_both_impls() {
-        for mut s in both_impls() {
-            s.push(SimTime::from_millis(1), 1, 1);
-            s.push(SimTime::from_millis(2), 2, 2);
-            s.push(SimTime::from_millis(3), 3, 3);
-            s.cancel(2);
-            assert_eq!(s.len(), 2);
-            assert_eq!(s.pop().map(|e| e.2), Some(1));
-            assert_eq!(s.pop().map(|e| e.2), Some(3));
-            assert!(s.pop().is_none());
-            assert!(s.is_empty());
-        }
-    }
-
-    #[test]
     fn overflow_level_merges_with_wheel_order() {
         let mut wheel: WheelScheduler<u32> = WheelScheduler::new();
         let far = SimTime::from_secs(90 * 24 * 3600); // beyond the wheel span
@@ -579,17 +539,51 @@ mod tests {
         }
     }
 
+    fn seqs(out: &[(SimTime, u64, u32)]) -> Vec<u64> {
+        out.iter().map(|e| e.1).collect()
+    }
+
+    /// A `max` below the same-instant run's length (the engine's
+    /// event-cap budget) splits it: the next call resumes at the next
+    /// seq, with nothing lost or popped twice.
     #[test]
-    fn pop_batch_respects_max() {
-        let mut s: WheelScheduler<u32> = WheelScheduler::new();
-        let t = SimTime::from_millis(7);
-        for i in 0..5 {
-            s.push(t, i + 1, i as u32);
+    fn pop_batch_resumes_a_capped_run_at_the_next_seq() {
+        for mut s in both_impls() {
+            let t = SimTime::from_millis(7);
+            for i in 1..=5 {
+                s.push(t, i, i as u32);
+            }
+            s.push(t + Duration::from_nanos(1), 6, 6);
+            let mut out = Vec::new();
+            assert_eq!(s.pop_batch(&mut out, 3), 3);
+            assert_eq!(s.len(), 3);
+            assert_eq!(s.pop_batch(&mut out, 1), 1);
+            assert_eq!(s.pop_batch(&mut out, 10), 1);
+            assert_eq!(seqs(&out), vec![1, 2, 3, 4, 5]);
+            assert_eq!(s.pop_batch(&mut out, 10), 1);
+            assert_eq!(seqs(&out), vec![1, 2, 3, 4, 5, 6]);
+            assert!(s.is_empty());
         }
-        let mut out = Vec::new();
-        assert_eq!(s.pop_batch(&mut out, 3), 3);
-        assert_eq!(s.len(), 2);
-        out.clear();
-        assert_eq!(s.pop_batch(&mut out, 10), 2);
+    }
+
+    /// An entry scheduled at the batch's instant after `pop_batch`
+    /// returns (a handler's zero-delay timer) comes out in the next
+    /// batch, behind the entries still pending at that instant.
+    #[test]
+    fn push_at_the_batch_instant_joins_the_next_batch_in_seq_order() {
+        for mut s in both_impls() {
+            let t = SimTime::from_millis(3);
+            for i in 1..=3 {
+                s.push(t, i, i as u32);
+            }
+            let mut out = Vec::new();
+            assert_eq!(s.pop_batch(&mut out, 2), 2);
+            s.push(t, 4, 4);
+            s.push(t + Duration::from_nanos(1), 5, 5);
+            out.clear();
+            assert_eq!(s.pop_batch(&mut out, 10), 2);
+            assert_eq!(seqs(&out), vec![3, 4]);
+            assert_eq!(s.len(), 1);
+        }
     }
 }

@@ -3,6 +3,12 @@
 //! operation sequence, through every queue call the engine makes
 //! (`push`, `peek`, `pop_batch`). Failures shrink to a minimal divergent
 //! op sequence via the testkit's choice-stream shrinking.
+//!
+//! The wheel's `pop_batch` drains a same-instant run straight out of its
+//! sorted bucket, and merges by seq only when the overflow heap leads.
+//! The `Instant`/`Again` ops below build the case where one instant's
+//! entries sit in both: entries parked in the overflow heap, then more at
+//! the same instant once the cursor has come within the wheel's span.
 
 use std::time::Duration;
 
@@ -28,8 +34,12 @@ impl Wire for Nop {
 enum Op {
     /// Push one entry `delay` ns after the last popped time.
     Push { delay: u64 },
-    /// Cancel the k-th currently pending entry (skipped when none).
-    Cancel { k: usize },
+    /// Push `n` entries at one instant `delay` ns after the last popped
+    /// time, and remember the instant.
+    Instant { n: u64, delay: u64 },
+    /// Push one more entry at the k-th remembered instant, unless it is
+    /// already past.
+    Again { k: usize },
     /// Pop once and compare both schedulers.
     Pop,
     /// Drain up to `max` equal-timestamp entries, as the run loop does.
@@ -45,13 +55,23 @@ fn decode(word: u64) -> Op {
         let exp = (w >> 8) % 54;
         (w >> 16) % (1u64 << exp).max(1)
     };
-    match word % 8 {
+    match word % 10 {
         0..=2 => Op::Push { delay: delay(word) },
-        3 => Op::Cancel {
-            k: (word >> 3) as usize,
+        3 => Op::Instant {
+            n: 1 + (word >> 4) % 4,
+            // Half the time just past the ~2^52 ns wheel span, so the
+            // entries start out in the overflow heap.
+            delay: if word & 8 == 0 {
+                delay(word)
+            } else {
+                (1 << 52) + (word >> 8) % (1 << 40)
+            },
         },
-        4..=5 => Op::Pop,
-        6 => Op::Burst {
+        4 => Op::Again {
+            k: (word >> 4) as usize,
+        },
+        5..=6 => Op::Pop,
+        7 => Op::Burst {
             n: 2 + (word >> 3) % 12,
             period: 1 + delay(word >> 7) % 1_000_000_000,
         },
@@ -63,13 +83,13 @@ fn decode(word: u64) -> Op {
 
 props! {
     /// Identical `(time, seq, item)` pop order for arbitrary
-    /// schedule/cancel/burst sequences across both implementations.
+    /// schedule/burst/pop sequences across both implementations.
     fn heap_and_wheel_pop_identically(
         words in gens::vec(gens::any_u64(), 1..120),
     ) {
         let mut heap: HeapScheduler<u64> = HeapScheduler::new();
         let mut wheel: WheelScheduler<u64> = WheelScheduler::new();
-        let mut pending: Vec<u64> = Vec::new(); // live seqs, push order
+        let mut instants: Vec<SimTime> = Vec::new();
         let mut seq = 0u64;
         let mut now = SimTime::ZERO;
         let mut popped = Vec::new();
@@ -80,13 +100,23 @@ props! {
                     seq += 1;
                     heap.push(at, seq, word ^ i as u64);
                     wheel.push(at, seq, word ^ i as u64);
-                    pending.push(seq);
                 }
-                Op::Cancel { k } => {
-                    if !pending.is_empty() {
-                        let victim = pending.remove(k % pending.len());
-                        heap.cancel(victim);
-                        wheel.cancel(victim);
+                Op::Instant { n, delay } => {
+                    let at = SimTime::from_nanos(now.as_nanos().saturating_add(delay));
+                    for j in 0..n {
+                        seq += 1;
+                        heap.push(at, seq, j);
+                        wheel.push(at, seq, j);
+                    }
+                    instants.push(at);
+                }
+                Op::Again { k } => {
+                    if let Some(&at) = instants.get(k % instants.len().max(1)) {
+                        if at >= now {
+                            seq += 1;
+                            heap.push(at, seq, word);
+                            wheel.push(at, seq, word);
+                        }
                     }
                 }
                 Op::Pop => {
@@ -96,7 +126,6 @@ props! {
                     tk_assert_eq!(h, w);
                     if let Some((at, s, _)) = h {
                         now = at;
-                        pending.retain(|&p| p != s);
                         popped.push((at, s));
                     }
                 }
@@ -107,7 +136,6 @@ props! {
                     tk_assert_eq!(h, w);
                     for &(at, s, _) in &h {
                         now = at;
-                        pending.retain(|&p| p != s);
                         popped.push((at, s));
                     }
                 }
@@ -119,7 +147,6 @@ props! {
                         seq += 1;
                         heap.push(at, seq, j);
                         wheel.push(at, seq, j);
-                        pending.push(seq);
                     }
                 }
             }
@@ -140,6 +167,31 @@ props! {
             p[0].0 < p[1].0 || (p[0].0 == p[1].0 && p[0].1 < p[1].1)
         }));
     }
+}
+
+/// Regression: one instant's entries split between the overflow heap
+/// and the wheel must still pop by seq within one `pop_batch`.
+#[test]
+fn pop_batch_merges_overflow_and_wheel_at_one_instant() {
+    let day = |d: u64| SimTime::from_secs(d * 24 * 3600);
+    let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+    let mut wheel: WheelScheduler<u64> = WheelScheduler::new();
+    // Day 100 and day 60 are both past the ~52-day wheel span: overflow.
+    for (at, seq) in [(day(100), 1), (day(100), 2), (day(60), 3)] {
+        heap.push(at, seq, seq);
+        wheel.push(at, seq, seq);
+    }
+    // The wheel is empty, so popping day 60 fast-forwards its cursor ...
+    assert_eq!(heap.pop(), Some((day(60), 3, 3)));
+    assert_eq!(wheel.pop(), Some((day(60), 3, 3)));
+    // ... and day 100 is now within span: seq 4 lands in the wheel.
+    heap.push(day(100), 4, 4);
+    wheel.push(day(100), 4, 4);
+    let (mut h, mut w) = (Vec::new(), Vec::new());
+    assert_eq!(heap.pop_batch(&mut h, 10), 3);
+    assert_eq!(wheel.pop_batch(&mut w, 10), 3);
+    assert_eq!(h.iter().map(|e| e.1).collect::<Vec<_>>(), vec![1, 2, 4]);
+    assert_eq!(w, h);
 }
 
 /// Regression: FIFO-by-seq at equal `SimTime`, including an event

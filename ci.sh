@@ -226,6 +226,12 @@ chaos_suite cluster-sns flow_shapes 5
 # entry due at the same instant fails it on 40 of 40 seeds at 4096
 # cases, but on only 17 of 40 at the testkit default of 64.
 SNS_TESTKIT_CASES=4096 chaos_suite sns-sim sched_equiv 3
+# The LRU oracle checks hits, bytes, recency order and TTL expiry
+# after every op (about 2 s at 4096 cases in a debug build). A `get`
+# that returns a hit without re-indexing it, and a `get` whose expiry
+# branch leaves the key in the recency index, each fail it on 20 of 20
+# seeds.
+SNS_TESTKIT_CASES=4096 chaos_suite sns-cache prop 4
 # HotBot's placement (`partition_of`) and ranking (`rank`) are pinned by
 # the search properties (collation equals one monolithic index; a down
 # partition only removes results) and by the service end to end (every

@@ -130,24 +130,18 @@ impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
         self.stats
     }
 
-    fn touch(&mut self, key: &K) {
-        if let Some(e) = self.map.get_mut(key) {
-            self.order.remove(&e.seq);
-            self.seq += 1;
-            e.seq = self.seq;
-            self.order.insert(self.seq, key.clone());
-        }
-    }
-
     /// Looks up `key` at time `now_ns`; refreshes recency on hit. Expired
     /// entries are removed and count as misses.
+    ///
+    /// A hit re-indexes the entry by moving the key `order` already owns
+    /// to the new sequence number: two hash probes and no key clone.
     pub fn get(&mut self, key: &K, now_ns: u64) -> Option<&V> {
-        let expired = match self.map.get(key) {
+        let (old_seq, expired) = match self.map.get(key) {
             None => {
                 self.stats.misses += 1;
                 return None;
             }
-            Some(e) => e.expires_at_ns <= now_ns,
+            Some(e) => (e.seq, e.expires_at_ns <= now_ns),
         };
         if expired {
             self.remove(key);
@@ -156,8 +150,15 @@ impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
             return None;
         }
         self.stats.hits += 1;
-        self.touch(key);
-        self.map.get(key).map(|e| &e.value)
+        self.seq += 1;
+        let owned = self
+            .order
+            .remove(&old_seq)
+            .expect("every entry is indexed in order");
+        self.order.insert(self.seq, owned);
+        let e = self.map.get_mut(key).expect("probed above");
+        e.seq = self.seq;
+        Some(&e.value)
     }
 
     /// Checks for a live entry without counting a lookup or refreshing

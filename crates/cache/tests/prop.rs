@@ -1,6 +1,9 @@
-//! Property tests for the cache structures: LRU behaviour is checked
-//! against a naive reference model; the consistent-hash ring against its
-//! minimal-remapping contract.
+//! Property tests for the cache structures: LRU behaviour (hits,
+//! recency order and TTL expiry) is checked against a naive reference
+//! model; the consistent-hash ring against its minimal-remapping
+//! contract.
+
+use std::time::Duration;
 
 use sns_testkit::{gens, props, tk_assert, tk_assert_eq, tk_assert_ne, Gen};
 
@@ -8,47 +11,61 @@ use sns_cache::lru::LruCache;
 use sns_cache::ring::HashRing;
 use sns_cache::{fnv1a, CacheKey};
 
-/// Naive reference model of a byte-capacity LRU.
+/// Naive reference model of a byte-capacity LRU with TTL expiry.
 struct ModelLru {
     cap: u64,
-    /// (key, size), most recently used last.
-    entries: Vec<(u8, u64)>,
+    /// (key, size, expires_at), most recently used last.
+    entries: Vec<(u8, u64, u64)>,
 }
 
 impl ModelLru {
-    fn get(&mut self, k: u8) -> bool {
-        if let Some(i) = self.entries.iter().position(|&(key, _)| key == k) {
-            let e = self.entries.remove(i);
-            self.entries.push(e);
-            true
-        } else {
-            false
+    fn get(&mut self, k: u8, now: u64) -> bool {
+        let Some(i) = self.entries.iter().position(|&(key, ..)| key == k) else {
+            return false;
+        };
+        let e = self.entries.remove(i);
+        if e.2 <= now {
+            return false; // expired: dropped, a miss
         }
+        self.entries.push(e);
+        true
     }
-    fn put(&mut self, k: u8, size: u64) {
+    fn put(&mut self, k: u8, size: u64, now: u64, ttl: Option<u64>) {
         if size > self.cap {
             return;
         }
-        self.entries.retain(|&(key, _)| key != k);
-        let mut used: u64 = self.entries.iter().map(|&(_, s)| s).sum();
+        self.entries.retain(|&(key, ..)| key != k);
+        let mut used: u64 = self.entries.iter().map(|&(_, s, _)| s).sum();
         while used + size > self.cap {
-            let (_, s) = self.entries.remove(0);
+            let (_, s, _) = self.entries.remove(0);
             used -= s;
         }
-        self.entries.push((k, size));
+        let expires_at = ttl.map_or(u64::MAX, |t| now + t);
+        self.entries.push((k, size, expires_at));
     }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
     Get(u8),
-    Put(u8, u64),
+    /// Key, size, TTL in ns (`None` = never expires).
+    Put(u8, u64, Option<u64>),
+    /// Advance the clock by this many ns.
+    Advance(u64),
 }
 
 fn op_gen() -> Gen<Op> {
-    gens::one_of(vec![
-        gens::u8_in(0..24).map(Op::Get),
-        gens::u8_in(0..24).flat_map(|k| gens::u64_in(1..400).map(move |s| Op::Put(k, s))),
+    let ttl = gens::one_of(vec![gens::just(None), gens::u64_in(1..60).map(Some)]);
+    gens::weighted_of(vec![
+        (4, gens::u8_in(0..24).map(Op::Get)),
+        (
+            3,
+            gens::u8_in(0..24).flat_map(move |k| {
+                let ttl = ttl.clone();
+                gens::u64_in(1..400).flat_map(move |s| ttl.clone().map(move |t| Op::Put(k, s, t)))
+            }),
+        ),
+        (1, gens::u64_in(1..30).map(Op::Advance)),
     ])
 }
 
@@ -56,22 +73,27 @@ props! {
     fn lru_matches_reference_model(ops in gens::vec(op_gen(), 1..200)) {
         let mut real: LruCache<u8, Vec<u8>> = LruCache::new(1000);
         let mut model = ModelLru { cap: 1000, entries: Vec::new() };
+        let mut now = 0u64;
         for op in ops {
             match op {
                 Op::Get(k) => {
-                    let r = real.get(&k, 0).is_some();
-                    let m = model.get(k);
-                    tk_assert_eq!(r, m, "get({}) diverged", k);
+                    let r = real.get(&k, now).is_some();
+                    let m = model.get(k, now);
+                    tk_assert_eq!(r, m, "get({}) at {} diverged", k, now);
                 }
-                Op::Put(k, s) => {
-                    real.put(k, vec![0u8; s as usize], 0, None);
-                    model.put(k, s);
+                Op::Put(k, s, ttl) => {
+                    real.put(k, vec![0u8; s as usize], now, ttl.map(Duration::from_nanos));
+                    model.put(k, s, now, ttl);
                 }
+                Op::Advance(dt) => now += dt,
             }
-            let model_used: u64 = model.entries.iter().map(|&(_, s)| s).sum();
+            let model_used: u64 = model.entries.iter().map(|&(_, s, _)| s).sum();
             tk_assert_eq!(real.used(), model_used);
             tk_assert_eq!(real.len(), model.entries.len());
             tk_assert!(real.used() <= 1000);
+            let real_order: Vec<u8> = real.keys_lru_order().copied().collect();
+            let model_order: Vec<u8> = model.entries.iter().map(|&(k, ..)| k).collect();
+            tk_assert_eq!(real_order, model_order, "recency order diverged");
         }
     }
 

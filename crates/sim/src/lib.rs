@@ -93,8 +93,9 @@ pub use trace::{SpanId, SpanRecord, TraceLog, Tracer};
 
 /// Interns a name, returning its canonical `&'static str`. Each distinct
 /// name leaks exactly one copy; repeated calls with the same content are
-/// allocation-free lookups. Backs [`stats::MetricKey`] and the engine's
-/// component-kind tags.
+/// allocation-free lookups, but every call takes one process-wide lock.
+/// Backs [`stats::MetricKey`] and the engine's component-kind tags; a
+/// [`StatsHub`] calls it only on its own first write of a name.
 pub fn intern(name: &str) -> &'static str {
     use std::collections::BTreeMap;
     use std::sync::Mutex;

@@ -3,21 +3,20 @@
 //! Components and the engine itself record observations into a shared
 //! [`StatsHub`]; experiment harnesses read them back after (or during) a
 //! run to regenerate the paper's tables and figures. All collections are
-//! keyed by interned [`MetricKey`]s and stored in `BTreeMap`s so that
-//! report iteration order is deterministic. Recording under a `&str`
-//! name interns it on first touch and is allocation-free afterwards;
-//! hot paths can hold a `MetricKey` and skip even the intern lookup.
+//! keyed by interned names and stored in `BTreeMap`s so that report
+//! iteration order is deterministic. A hub interns a name only on its
+//! own first write of it; every later write is one lookup in the hub's
+//! map and never touches the process-wide interner.
 
 use std::collections::BTreeMap;
 
 use crate::time::SimTime;
 
-/// An interned metric name: a cheap, `Copy` handle hot paths can cache
-/// so that repeated recording neither allocates nor re-interns.
+/// An interned metric name: a cheap, `Copy` handle for names built at
+/// run time (`format!`) so that repeated recording does not allocate.
 ///
-/// Every `StatsHub` write method accepts `impl Into<MetricKey>`, so
-/// plain `&str` names keep working everywhere — they intern on the way
-/// in (an allocation only the first time a given name is seen).
+/// Every `StatsHub` write method accepts `impl AsRef<str>`, so a held
+/// key, a `&str` and a `String` all name the same metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricKey(&'static str);
 
@@ -39,15 +38,9 @@ impl From<&str> for MetricKey {
     }
 }
 
-impl From<&String> for MetricKey {
-    fn from(name: &String) -> Self {
-        MetricKey::new(name)
-    }
-}
-
-impl From<String> for MetricKey {
-    fn from(name: String) -> Self {
-        MetricKey::new(&name)
+impl AsRef<str> for MetricKey {
+    fn as_ref(&self) -> &str {
+        self.0
     }
 }
 
@@ -218,12 +211,31 @@ impl Series {
     }
 }
 
+/// Applies `write` to the value stored under `name`: one map lookup
+/// when the map already holds the name; otherwise a value made by
+/// `new`, stored under the interned name.
+fn update<V>(
+    map: &mut BTreeMap<&'static str, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    write: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => write(v),
+        None => {
+            let mut v = new();
+            write(&mut v);
+            map.insert(crate::intern(name), v);
+        }
+    }
+}
+
 /// The shared sink all components record into.
 ///
-/// Keys are interned `&'static str`s: recording under a `&str` name
-/// allocates only the first time that name is ever seen (anywhere in
-/// the process); after that, every touch is a pure map lookup. Reads
-/// take plain `&str` and never intern.
+/// Keys are interned `&'static str`s, but a write looks its name up in
+/// the hub's own map first and calls [`crate::intern`] only for a name
+/// this hub has never seen, so a steady-state write takes no lock and
+/// never allocates. Reads take plain `&str` and never intern.
 #[derive(Debug, Default)]
 pub struct StatsHub {
     counters: BTreeMap<&'static str, u64>,
@@ -238,8 +250,8 @@ impl StatsHub {
     }
 
     /// Adds `n` to the named counter.
-    pub fn incr(&mut self, name: impl Into<MetricKey>, n: u64) {
-        *self.counters.entry(name.into().as_str()).or_insert(0) += n;
+    pub fn incr(&mut self, name: impl AsRef<str>, n: u64) {
+        update(&mut self.counters, name.as_ref(), || 0, |c| *c += n);
     }
 
     /// Reads a counter (0 if never written).
@@ -248,11 +260,13 @@ impl StatsHub {
     }
 
     /// Records a scalar observation into the named summary.
-    pub fn observe(&mut self, name: impl Into<MetricKey>, x: f64) {
-        self.summaries
-            .entry(name.into().as_str())
-            .or_insert_with(|| Summary::with_capacity(16_384))
-            .record(x);
+    pub fn observe(&mut self, name: impl AsRef<str>, x: f64) {
+        update(
+            &mut self.summaries,
+            name.as_ref(),
+            || Summary::with_capacity(16_384),
+            |s| s.record(x),
+        );
     }
 
     /// Reads a summary if present.
@@ -266,11 +280,10 @@ impl StatsHub {
     }
 
     /// Appends to the named time series.
-    pub fn sample(&mut self, name: impl Into<MetricKey>, t: SimTime, v: f64) {
-        self.series
-            .entry(name.into().as_str())
-            .or_default()
-            .push(t, v);
+    pub fn sample(&mut self, name: impl AsRef<str>, t: SimTime, v: f64) {
+        update(&mut self.series, name.as_ref(), Series::default, |s| {
+            s.push(t, v)
+        });
     }
 
     /// Reads a series if present.
@@ -353,5 +366,29 @@ mod tests {
         hub.sample("qlen", SimTime::from_secs(1), 4.0);
         assert_eq!(hub.series("qlen").unwrap().points().len(), 1);
         assert_eq!(hub.counter("missing"), 0);
+    }
+
+    #[test]
+    fn str_string_and_held_key_writes_share_one_metric() {
+        let mut hub = StatsHub::new();
+        let key = MetricKey::new("hub.test.shared");
+        hub.incr("hub.test.shared", 1);
+        hub.incr(String::from("hub.test.shared"), 2);
+        hub.incr(key, 4);
+        assert_eq!(hub.counter("hub.test.shared"), 7);
+        hub.observe(key, 1.0);
+        hub.observe("hub.test.shared", 2.0);
+        hub.observe(format!("hub.test.{}", "shared"), 3.0);
+        assert_eq!(hub.summary("hub.test.shared").unwrap().count(), 3);
+        assert_eq!(hub.all_counters().count(), 1);
+
+        // A name first written by `incr` lands in name order.
+        hub.incr(String::from("hub.test.a_first"), 1);
+        hub.incr("hub.test.zz_last", 1);
+        let names: Vec<&str> = hub.all_counters().map(|(k, _)| k).collect();
+        assert_eq!(
+            names,
+            ["hub.test.a_first", "hub.test.shared", "hub.test.zz_last"]
+        );
     }
 }

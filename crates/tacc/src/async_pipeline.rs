@@ -281,7 +281,10 @@ fn inject(svc: &SvcHandle, cfg: &PipelineConfig, args: &TaccArgs, object: Conten
     drop(svc.dispatch(
         CacheWorker::CLASS.into(),
         "inject",
-        Arc::new(CacheInject { key, object }),
+        Arc::new(CacheInject {
+            key,
+            object: object.into_payload(),
+        }),
         None,
     ));
 }

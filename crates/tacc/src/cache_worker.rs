@@ -44,8 +44,9 @@ impl AppData for CacheGet {
 /// Cache lookup response payload.
 #[derive(Debug, Clone)]
 pub struct CacheGetResult {
-    /// The object, if present.
-    pub object: Option<ContentObject>,
+    /// The stored [`ContentObject`] payload, if present: a hit shares
+    /// the partition's copy instead of cloning it.
+    pub object: Option<Payload>,
 }
 
 impl AppData for CacheGetResult {
@@ -63,8 +64,8 @@ impl AppData for CacheGetResult {
 pub struct CacheInject {
     /// The key to store under.
     pub key: CacheKey,
-    /// The object.
-    pub object: ContentObject,
+    /// The object: a [`ContentObject`] payload, as the producer sent it.
+    pub object: Payload,
 }
 
 impl AppData for CacheInject {
@@ -76,7 +77,10 @@ impl AppData for CacheInject {
     }
 }
 
-struct Stored(ContentObject);
+/// A stored object. The partition copies an object once, on insert, so
+/// what it holds is exact-size whatever spare capacity the producer's
+/// buffers had; every hit then shares that copy.
+struct Stored(Arc<ContentObject>);
 
 impl Weighted for Stored {
     fn weight(&self) -> u64 {
@@ -142,16 +146,18 @@ impl WorkerLogic for CacheWorker {
                 let object = self
                     .store
                     .get(&get.key, now.as_nanos())
-                    .map(|s| s.0.clone());
+                    .map(|s| Arc::clone(&s.0) as Payload);
                 Ok(Arc::new(CacheGetResult { object }))
             }
             "put" | "inject" => {
-                let Some(put) = sns_core::payload_as::<CacheInject>(&job.input) else {
+                let Some((key, object)) = sns_core::payload_as::<CacheInject>(&job.input)
+                    .and_then(|put| Some((&put.key, ContentObject::from_payload(&put.object)?)))
+                else {
                     return Err(WorkerError::Failed("bad cache put payload".into()));
                 };
                 self.store.put(
-                    put.key.clone(),
-                    Stored(put.object.clone()),
+                    key.clone(),
+                    Stored(Arc::new(object.clone())),
                     now.as_nanos(),
                     self.ttl,
                 );
@@ -175,6 +181,7 @@ impl WorkerLogic for CacheWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content::Body;
     use sns_sim::ComponentId;
     use sns_workload::MimeType;
 
@@ -190,34 +197,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn get_miss_then_put_then_hit() {
-        let mut w = CacheWorker::new(1 << 20, None);
-        let mut rng = Pcg32::new(1);
-        let key = CacheKey::original("http://x/a.gif");
+    fn get(w: &mut CacheWorker, key: &CacheKey) -> Option<Payload> {
         let g = job("get", Arc::new(CacheGet { key: key.clone() }));
-        let r = w.process(&g, SimTime::ZERO, &mut rng).unwrap();
-        assert!(sns_core::payload_as::<CacheGetResult>(&r)
+        let r = w.process(&g, SimTime::ZERO, &mut Pcg32::new(0)).unwrap();
+        sns_core::payload_as::<CacheGetResult>(&r)
             .unwrap()
             .object
-            .is_none());
+            .clone()
+    }
 
-        let obj = ContentObject::synthetic("http://x/a.gif", MimeType::Gif, 3000);
+    fn put(w: &mut CacheWorker, key: &CacheKey, object: Payload) -> Result<Payload, WorkerError> {
         let p = job(
             "put",
             Arc::new(CacheInject {
                 key: key.clone(),
-                object: obj.clone(),
+                object,
             }),
         );
-        w.process(&p, SimTime::ZERO, &mut rng).unwrap();
+        w.process(&p, SimTime::ZERO, &mut Pcg32::new(0))
+    }
 
-        let r = w.process(&g, SimTime::ZERO, &mut rng).unwrap();
-        let got = sns_core::payload_as::<CacheGetResult>(&r)
-            .unwrap()
-            .object
-            .clone();
-        assert_eq!(got, Some(obj));
+    #[test]
+    fn get_miss_then_put_then_hit() {
+        let mut w = CacheWorker::new(1 << 20, None);
+        let key = CacheKey::original("http://x/a.gif");
+        assert!(get(&mut w, &key).is_none());
+
+        let obj = ContentObject::synthetic("http://x/a.gif", MimeType::Gif, 3000);
+        put(&mut w, &key, obj.clone().into_payload()).unwrap();
+
+        let got = get(&mut w, &key).unwrap();
+        assert_eq!(ContentObject::from_payload(&got), Some(&obj));
+    }
+
+    #[test]
+    fn hits_share_one_stored_copy_made_on_insert() {
+        let mut w = CacheWorker::new(1 << 20, None);
+        let key = CacheKey::variant("http://x/p.html", 9);
+        let mut body = String::with_capacity(4096);
+        body.push_str("<html><body>short</body></html>");
+        let injected = ContentObject::text("http://x/p.html", MimeType::Html, body).into_payload();
+        put(&mut w, &key, Arc::clone(&injected)).unwrap();
+
+        let a = get(&mut w, &key).unwrap();
+        let b = get(&mut w, &key).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "two hits must share the stored payload"
+        );
+        assert!(
+            !Arc::ptr_eq(&a, &injected),
+            "the partition copies on insert rather than keeping the producer's object"
+        );
+        let stored = ContentObject::from_payload(&a).unwrap();
+        assert_eq!(Some(stored), ContentObject::from_payload(&injected));
+        let Body::Text(text) = &stored.body else {
+            panic!("stored body changed kind");
+        };
+        assert_eq!(text.capacity(), text.len(), "stored body is exact-size");
+    }
+
+    #[test]
+    fn stored_weight_is_content_length() {
+        let mut w = CacheWorker::new(1 << 20, None);
+        let obj = ContentObject::synthetic("u", MimeType::Jpeg, 12_345);
+        put(&mut w, &CacheKey::original("u"), obj.into_payload()).unwrap();
+        assert_eq!(w.store.used(), 12_345);
+    }
+
+    #[test]
+    fn put_of_non_content_payload_is_refused() {
+        let mut w = CacheWorker::new(1 << 20, None);
+        let key = CacheKey::original("u");
+        let not_content: Payload = Arc::new(CacheGet { key: key.clone() });
+        let r = put(&mut w, &key, not_content);
+        assert!(
+            matches!(r, Err(WorkerError::Failed(ref why)) if why == "bad cache put payload"),
+            "{r:?}"
+        );
+        assert!(w.store.is_empty());
+        assert!(get(&mut w, &key).is_none());
     }
 
     #[test]
@@ -228,8 +287,7 @@ mod tests {
         let g = job("get", Arc::new(CacheGet { key: key.clone() }));
         let miss_t = w.service_time(&g, SimTime::ZERO, &mut rng);
         let obj = ContentObject::synthetic("u", MimeType::Gif, 100);
-        let p = job("put", Arc::new(CacheInject { key, object: obj }));
-        w.process(&p, SimTime::ZERO, &mut rng).unwrap();
+        put(&mut w, &key, obj.into_payload()).unwrap();
         // Average hit times over draws (they are stochastic).
         let hit_t: Duration = (0..100)
             .map(|_| w.service_time(&g, SimTime::ZERO, &mut rng))
@@ -242,44 +300,12 @@ mod tests {
     #[test]
     fn variants_stored_separately() {
         let mut w = CacheWorker::new(1 << 20, None);
-        let mut rng = Pcg32::new(3);
         let orig = CacheKey::original("u");
         let varnt = CacheKey::variant("u", 7);
         let obj = ContentObject::synthetic("u", MimeType::Gif, 100);
-        w.process(
-            &job(
-                "put",
-                Arc::new(CacheInject {
-                    key: varnt.clone(),
-                    object: obj,
-                }),
-            ),
-            SimTime::ZERO,
-            &mut rng,
-        )
-        .unwrap();
-        let miss = w
-            .process(
-                &job("get", Arc::new(CacheGet { key: orig })),
-                SimTime::ZERO,
-                &mut rng,
-            )
-            .unwrap();
-        assert!(sns_core::payload_as::<CacheGetResult>(&miss)
-            .unwrap()
-            .object
-            .is_none());
-        let hit = w
-            .process(
-                &job("get", Arc::new(CacheGet { key: varnt })),
-                SimTime::ZERO,
-                &mut rng,
-            )
-            .unwrap();
-        assert!(sns_core::payload_as::<CacheGetResult>(&hit)
-            .unwrap()
-            .object
-            .is_some());
+        put(&mut w, &varnt, obj.into_payload()).unwrap();
+        assert!(get(&mut w, &orig).is_none());
+        assert!(get(&mut w, &varnt).is_some());
     }
 
     #[test]

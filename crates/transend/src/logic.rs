@@ -22,7 +22,7 @@ use sns_cache::{CacheKey, VirtualCache};
 use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle};
 use sns_core::exec::{select_some, BoxFut};
 use sns_core::msg::{ClientRequest, JobResult, ProfileData};
-use sns_core::{payload_as, AppData, WorkerClass};
+use sns_core::{payload_as, AppData, Payload, WorkerClass};
 use sns_sim::ComponentId;
 use sns_tacc::cache_worker::{CacheGet, CacheGetResult, CacheInject, CacheWorker};
 use sns_tacc::content::ContentObject;
@@ -230,9 +230,20 @@ fn final_key(fetch: &FetchRequest, pipeline: &PipelineSpec, args: &TaccArgs) -> 
     }
 }
 
+/// `p` itself, shared, if it carries a [`ContentObject`]. Content moves
+/// through a request as the payload it arrived in; nothing is copied.
+fn content(p: &Payload) -> Option<Payload> {
+    ContentObject::from_payload(p).map(|_| Arc::clone(p))
+}
+
+/// Body length of a payload [`content`] accepted.
+fn content_len(p: &Payload) -> u64 {
+    ContentObject::from_payload(p).map_or(0, ContentObject::len)
+}
+
 /// Fire-and-forget cache injection: the `Pending` is dropped on the
 /// spot, so the dispatch still runs but nobody awaits the ack.
-fn cache_inject(shared: &Shared, svc: &SvcHandle, key: CacheKey, object: ContentObject) {
+fn cache_inject(shared: &Shared, svc: &SvcHandle, key: CacheKey, object: Payload) {
     if let Some(worker) = route(shared, &key) {
         drop(svc.dispatch_to(
             worker,
@@ -247,11 +258,7 @@ fn cache_inject(shared: &Shared, svc: &SvcHandle, key: CacheKey, object: Content
 /// A cache `get` routed on the ring: `Some(hit)` when a worker
 /// answered (`hit` is `None` on a miss), `None` when the lookup failed
 /// or timed out.
-async fn cache_get(
-    svc: &SvcHandle,
-    worker: ComponentId,
-    key: CacheKey,
-) -> Option<Option<ContentObject>> {
+async fn cache_get(svc: &SvcHandle, worker: ComponentId, key: CacheKey) -> Option<Option<Payload>> {
     let outcome = svc
         .dispatch_to(
             worker,
@@ -262,16 +269,12 @@ async fn cache_get(
         )
         .await;
     let p = outcome.ok_payload()?;
-    Some(payload_as::<CacheGetResult>(p).and_then(|r| r.object.clone()))
+    Some(payload_as::<CacheGetResult>(p).and_then(|r| r.object.as_ref().and_then(content)))
 }
 
 /// [`cache_get`] of the original: a hit counts `ts.cache_hit_orig`, a
 /// failed lookup `ts.cache_unavailable`.
-async fn cached_original(
-    svc: &SvcHandle,
-    worker: ComponentId,
-    key: CacheKey,
-) -> Option<ContentObject> {
+async fn cached_original(svc: &SvcHandle, worker: ComponentId, key: CacheKey) -> Option<Payload> {
     match cache_get(svc, worker, key).await {
         Some(Some(obj)) => {
             svc.incr("ts.cache_hit_orig", 1);
@@ -285,12 +288,12 @@ async fn cached_original(
     }
 }
 
-fn reply_original_degraded(svc: &SvcHandle, original: Option<&ContentObject>, why: &str) {
+fn reply_original_degraded(svc: &SvcHandle, original: Option<&Payload>, why: &str) {
     if let Some(orig) = original {
         svc.incr("ts.fallback_original", 1);
-        svc.observe("ts.response_bytes", orig.len() as f64);
+        svc.observe("ts.response_bytes", content_len(orig) as f64);
         svc.mark_degraded();
-        svc.reply(Ok(orig.clone().into_payload()));
+        svc.reply(Ok(Arc::clone(orig)));
     } else {
         svc.incr("ts.errors", 1);
         svc.reply(Err(format!("service degraded: {why}")));
@@ -383,7 +386,7 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
     // Cache lookups, falling through to the origin. The block produces
     // the original object to distill; a hit on the *final* variant
     // replies inside and returns.
-    let original: ContentObject = 'have: {
+    let original: Payload = 'have: {
         if !cfg.cache_distilled && !pipeline.is_empty() {
             // Distilled variants are not cached: look up the original
             // and re-distill per request (the §4.6 measurement mode).
@@ -403,8 +406,8 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
                 match cache_get(&svc, worker, key).await {
                     Some(Some(obj)) => {
                         svc.incr("ts.cache_hit_final", 1);
-                        svc.observe("ts.response_bytes", obj.len() as f64);
-                        svc.reply(Ok(obj.into_payload()));
+                        svc.observe("ts.response_bytes", content_len(&obj) as f64);
+                        svc.reply(Ok(obj));
                         return;
                     }
                     Some(None) if pipeline.is_empty() => svc.incr("ts.cache_miss", 1),
@@ -438,30 +441,35 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
             reply_original_degraded(&svc, None, "origin unreachable");
             return;
         };
-        let Some(obj) = ContentObject::from_payload(p).cloned() else {
+        let Some(obj) = content(p) else {
             svc.reply(Err("origin returned garbage".into()));
             return;
         };
         svc.incr("ts.origin_fetches", 1);
         refresh_ring(&shared, &svc);
-        cache_inject(&shared, &svc, CacheKey::original(&fetch.url), obj.clone());
+        cache_inject(
+            &shared,
+            &svc,
+            CacheKey::original(&fetch.url),
+            Arc::clone(&obj),
+        );
         obj
     };
 
     // The original is in hand: pass through or distill, stage by stage.
     if pipeline.is_empty() {
         svc.incr("ts.passthrough", 1);
-        svc.observe("ts.response_bytes", original.len() as f64);
-        svc.reply(Ok(original.into_payload()));
+        svc.observe("ts.response_bytes", content_len(&original) as f64);
+        svc.reply(Ok(original));
         return;
     }
-    let mut cur = original.clone();
+    let mut cur = Arc::clone(&original);
     for stage_name in pipeline.stages() {
         let distilled = svc
             .dispatch(
                 WorkerClass::new(format!("distiller/{stage_name}")),
                 "transform",
-                cur.into_payload(),
+                cur,
                 Some(Arc::new(args.as_map().clone())),
             )
             .await;
@@ -472,26 +480,26 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
             reply_original_degraded(&svc, Some(&original), "distiller unavailable");
             return;
         };
-        let Some(next) = ContentObject::from_payload(p).cloned() else {
+        let Some(next) = content(p) else {
             reply_original_degraded(&svc, Some(&original), "distiller garbage");
             return;
         };
         cur = next;
     }
     svc.incr("ts.distilled", 1);
-    let saved = original.len().saturating_sub(cur.len());
+    let saved = content_len(&original).saturating_sub(content_len(&cur));
     svc.observe("ts.bytes_saved", saved as f64);
-    svc.observe("ts.response_bytes", cur.len() as f64);
+    svc.observe("ts.response_bytes", content_len(&cur) as f64);
     if cfg.cache_distilled {
         refresh_ring(&shared, &svc);
         cache_inject(
             &shared,
             &svc,
             final_key(&fetch, &pipeline, &args),
-            cur.clone(),
+            Arc::clone(&cur),
         );
     }
-    svc.reply(Ok(cur.into_payload()));
+    svc.reply(Ok(cur));
 }
 
 /// Aggregation (§5.1): fan out the source fetches, collect them in

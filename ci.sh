@@ -283,4 +283,16 @@ echo "== perfbench stage: the benchmark builds and its output checks hold"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload all --quick
 
+echo "== size: lines of Rust (printed, not a gate)"
+# The line budget in ROADMAP.md is measured here rather than typed:
+# every tracked .rs file, and the share the benchmark package holds.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  files=$(git ls-files '*.rs' | wc -l)
+  total=$(git ls-files -z '*.rs' | xargs -0 cat | wc -l)
+  bench=$(git ls-files -z 'perfbench/*.rs' | xargs -0 cat | wc -l)
+  echo "   $total lines of Rust in $files files, $bench of them under perfbench/"
+else
+  echo "   skipped: not a git checkout"
+fi
+
 echo "== CI green"

@@ -1,163 +1,98 @@
 //! The simulator as a [`Cluster`]: wraps the discrete-event engine,
-//! a [`Manager`] and a dispatch-stub driver component behind the
+//! a [`Manager`] and one production [`FrontEnd`] behind the
 //! backend-agnostic trait, so harness code written against
 //! `&dyn Cluster` runs unchanged over virtual time.
+//!
+//! Each [`Cluster::submit`] is a client request injected into that
+//! front end, whose one-dispatch body dispatches the job and replies
+//! with its result. Tenant admission, dispatch timeouts and retries are
+//! therefore the front end's, as for every sim service (§2.2.1); the
+//! front end is configured to add no per-request overhead and no
+//! thread cap.
 //!
 //! Where `sns_rt::RtCluster` is inherently concurrent, the simulator
 //! is single-threaded and only advances when *run*; this wrapper keeps
 //! the duality honest by making every trait call a synchronous
-//! mutation of engine state ([`Cluster::submit`] queues into a driver
-//! component, and the fault verbs are the ones `SimChaos` runs plan
-//! steps through) and letting [`Cluster::settle`] be the only place
-//! virtual time moves.
+//! mutation of engine state (the fault verbs are the ones `SimChaos`
+//! runs plan steps through) and letting [`Cluster::settle`] be the
+//! only place virtual time moves.
 //! The trait's `budget` is therefore *virtual* seconds here and wall
 //! seconds on rt — the same plan text means the same modelled
 //! schedule, which is exactly the parity discipline.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use sns_core::cluster::{Cluster, SettleStats};
+use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle};
+use sns_core::exec::BoxFut;
+use sns_core::frontend::{FeConfig, FrontEnd};
 use sns_core::invariant::{MonitorLog, MonitorTap};
 use sns_core::manager::{Manager, ManagerConfig, WorkerSpec};
-use sns_core::msg::{JobResult, SnsMsg};
-use sns_core::stub::TimeoutVerdict;
+use sns_core::msg::{ClientRequest, JobResult, SnsMsg};
 use sns_core::trace::{TraceLog, Tracer};
 use sns_core::worker::{WorkerLogic, WorkerStub, WorkerStubConfig};
-use sns_core::{intern_class, ManagerStub, Payload, SnsConfig, WorkerClass};
+use sns_core::{intern_class, Payload, SnsConfig, WorkerClass};
 use sns_san::{San, SanConfig};
-use sns_sim::engine::{Component, Ctx, NodeSpec, SimConfig};
+use sns_sim::engine::{NodeSpec, SimConfig};
 use sns_sim::{ComponentId, GroupId, MetricKey, SimTime};
 
 use crate::sim::{SimVerbs, SnsSim};
 
-/// How often the driver component drains its submit queue and how
-/// finely [`Cluster::settle`] slices its budget.
+/// How finely [`Cluster::settle`] slices its budget.
 const PUMP: Duration = Duration::from_millis(100);
-
-/// Timer-token tag for per-job dispatch timeouts (token 0 is the pump).
-const K_DISPATCH: u64 = 1 << 63;
 
 /// Node-pool tag the harness places workers on (the injector grammar's
 /// `pool` name for this backend).
 pub const POOL: &str = "dedicated";
 
-/// Shared cells between [`SimCluster`] (outside the engine) and its
-/// driver component (inside it).
-#[derive(Default)]
-struct DriverShared {
-    /// Submits queued by the trait, drained at the next pump tick.
-    queue: RefCell<VecDeque<(WorkerClass, String, Payload)>>,
-    /// Jobs resolved with `JobResult::Ok` since cluster start.
-    answered: Cell<u64>,
-    /// Jobs resolved with `JobResult::Failed` since cluster start.
-    failed: Cell<u64>,
-    /// Dispatch-to-reply latency of every answered job, per class —
-    /// the raw material for tenant-isolation p99 checks.
-    latencies: RefCell<BTreeMap<WorkerClass, Vec<Duration>>>,
+/// Counters of the jobs that resolved, answered or failed, before a
+/// settle reported them.
+const ANSWERED: &str = "harness.answered";
+const FAILED: &str = "harness.failed";
+
+/// The stats series of `class`'s dispatch-to-reply latencies, in ns.
+fn latency_key(class: &str) -> &'static str {
+    sns_sim::intern(&format!("harness.latency_ns/{class}"))
 }
 
-/// In-sim component owning the [`ManagerStub`]: ingests beacons,
-/// dispatches queued submissions, counts resolutions. This is the
-/// front-end role of Figure 1 reduced to its dispatch duties.
-struct Driver {
-    beacon: GroupId,
-    stub: ManagerStub,
-    shared: Rc<DriverShared>,
-    /// Outstanding dispatches: job id → (class, dispatch time).
-    pending: BTreeMap<u64, (WorkerClass, SimTime)>,
-    /// Per-dispatch timeout, armed alongside every dispatch so jobs
-    /// aimed at a drained or dead worker resolve instead of hanging.
-    timeout: Duration,
+/// The front end's service: a request names a class (`user`), an op
+/// (`url`) and an input (`body`); its body dispatches one job and
+/// replies with the result.
+struct OneDispatch {
+    /// First request id no settle has reported yet. A job below it was
+    /// already reported (as failed), so resolving it counts nothing.
+    reported: Arc<AtomicU64>,
 }
 
-impl Component<SnsMsg> for Driver {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
-        self.stub.set_tracing(ctx.tracer().is_enabled());
-        self.stub.set_sampling(ctx.tracer().sampling());
-        ctx.join(self.beacon);
-        ctx.timer(PUMP, 0);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, SnsMsg>, _from: ComponentId, msg: SnsMsg) {
-        match msg {
-            SnsMsg::Beacon(b) => {
-                self.stub.on_beacon(&b);
-                self.stub.flush_pending(ctx);
-            }
-            SnsMsg::WorkResponse { job_id, result, .. } => {
-                // on_response returns None for replies the stub no
-                // longer tracks (already timed out); only live ones
-                // count toward the settle tally.
-                if self.stub.on_response(ctx, job_id).is_none() {
-                    return;
+impl AsyncService for OneDispatch {
+    fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        let reported = Arc::clone(&self.reported);
+        Box::pin(async move {
+            let class = WorkerClass::new(&request.user);
+            let input = request
+                .body
+                .clone()
+                .expect("harness requests carry an input");
+            let at = svc.now();
+            let result = match svc.dispatch(class, &*request.url, input, None).await {
+                EventOutcome::Reply(JobResult::Ok(p)) => {
+                    let ns = (svc.now() - at).as_nanos() as f64;
+                    svc.sample(latency_key(&request.user), ns);
+                    Ok(p)
                 }
-                if let Some((class, at)) = self.pending.remove(&job_id) {
-                    if matches!(result, JobResult::Ok(_)) {
-                        self.shared
-                            .latencies
-                            .borrow_mut()
-                            .entry(class)
-                            .or_default()
-                            .push(ctx.now() - at);
-                    }
-                }
-                let cell = match result {
-                    JobResult::Ok(_) => &self.shared.answered,
-                    JobResult::Failed(_) => &self.shared.failed,
-                };
-                cell.set(cell.get() + 1);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SnsMsg>, token: u64) {
-        if token & K_DISPATCH != 0 {
-            let id = token & !K_DISPATCH;
-            match self.stub.on_timeout(ctx, id) {
-                TimeoutVerdict::Retried => ctx.timer(self.timeout, K_DISPATCH | id),
-                TimeoutVerdict::GaveUp(_) => {
-                    if self.pending.remove(&id).is_some() {
-                        self.shared.failed.set(self.shared.failed.get() + 1);
-                    }
-                }
-                TimeoutVerdict::Unknown => {}
-            }
-            return;
-        }
-        loop {
-            let next = self.shared.queue.borrow_mut().pop_front();
-            let Some((class, op, input)) = next else {
-                break;
+                EventOutcome::Reply(JobResult::Failed(e)) => Err(e),
+                outcome => Err(format!("dispatch gave up: {outcome:?}")),
             };
-            // Tenant admission before dispatch: a Drop verdict resolves
-            // the job as failed without ever reaching a worker, exactly
-            // like the rt submit path.
-            if self.stub.admit(ctx, &class) == sns_core::Admission::Drop {
-                self.shared.failed.set(self.shared.failed.get() + 1);
-                continue;
+            if request.id >= reported.load(Ordering::Relaxed) {
+                svc.incr(if result.is_ok() { ANSWERED } else { FAILED }, 1);
             }
-            let at = ctx.now();
-            let id = self.stub.dispatch(
-                ctx,
-                class.clone(),
-                op,
-                input,
-                None,
-                sns_core::trace::SpanCtx::root(),
-            );
-            self.pending.insert(id, (class, at));
-            ctx.timer(self.timeout, K_DISPATCH | id);
-        }
-        ctx.timer(PUMP, 0);
-    }
-
-    fn kind(&self) -> &'static str {
-        "driver"
+            svc.reply(result);
+        })
     }
 }
 
@@ -172,7 +107,7 @@ pub struct SimClusterBuilder {
     trace_sample_rate: u32,
     sns: SnsConfig,
     classes: Vec<(WorkerClass, u32, LogicFactory)>,
-    tenants: Vec<(WorkerClass, &'static str)>,
+    tenants: Vec<(String, &'static str)>,
     tenant_policies: Vec<(&'static str, sns_core::TenantPolicy)>,
 }
 
@@ -243,14 +178,14 @@ impl SimClusterBuilder {
     }
 
     /// Assigns `class` to `tenant` for multi-tenant admission
-    /// accounting in the driver front end.
+    /// accounting in the front end.
     pub fn with_tenant(mut self, class: &str, tenant: &'static str) -> Self {
-        self.tenants.push((WorkerClass::new(class), tenant));
+        self.tenants.push((class.to_string(), tenant));
         self
     }
 
     /// Installs `tenant`'s overload policy (outstanding quota + drop
-    /// vs. degrade behavior past it) on the driver front end.
+    /// vs. degrade behavior past it) on the front end.
     pub fn with_tenant_policy(
         mut self,
         tenant: &'static str,
@@ -260,9 +195,9 @@ impl SimClusterBuilder {
         self
     }
 
-    /// Builds the engine, spawns the manager, monitor tap and driver,
-    /// and runs a short warm-up so the first beacon lands before any
-    /// trait call.
+    /// Builds the engine, spawns the manager, monitor tap and front
+    /// end, and runs a short warm-up so the first beacon lands before
+    /// any trait call.
     pub fn start(self) -> SimCluster {
         let mut sim: SnsSim = SnsSim::new(
             SimConfig {
@@ -286,30 +221,37 @@ impl SimClusterBuilder {
         let (tap, log) = MonitorTap::new(monitor_group);
         sim.spawn(infra, Box::new(tap), "montap");
 
-        let shared = Rc::new(DriverShared::default());
-        let mut stub = ManagerStub::new(self.sns.clone());
+        let reported = Arc::new(AtomicU64::new(0));
+        let mut fe = FrontEnd::new(
+            Box::new(OneDispatch {
+                reported: Arc::clone(&reported),
+            }),
+            FeConfig {
+                sns: SnsConfig {
+                    fe_request_overhead: Duration::ZERO,
+                    fe_threads: u32::MAX,
+                    ..self.sns.clone()
+                },
+                beacon_group: beacon,
+                monitor_group,
+                manager_factory: None,
+            },
+        );
         for (class, tenant) in &self.tenants {
-            stub.set_tenant(class.clone(), tenant);
+            fe.set_tenant(class, tenant);
         }
         for (tenant, policy) in &self.tenant_policies {
-            stub.set_tenant_policy(tenant, *policy);
+            fe.set_tenant_policy(tenant, *policy);
         }
-        sim.spawn(
-            infra,
-            Box::new(Driver {
-                beacon,
-                stub,
-                shared: Rc::clone(&shared),
-                pending: BTreeMap::new(),
-                timeout: self.sns.dispatch_timeout,
-            }),
-            "driver",
-        );
+        let fe = sim.spawn(infra, Box::new(fe), "frontend");
 
         let warmup = self.sns.beacon_period + self.sns.beacon_period;
         let cluster = SimCluster {
             sim: RefCell::new(sim),
-            shared,
+            fe,
+            submitted: Cell::new(0),
+            reported,
+            counted: Cell::new((0, 0)),
             log,
             sns: self.sns,
             classes: self.classes,
@@ -317,15 +259,12 @@ impl SimClusterBuilder {
             monitor_group,
             infra,
             incarnation: Cell::new(0),
-            settled: Cell::new(0),
             verbs: RefCell::default(),
         };
         cluster.spawn_manager();
-        // Warm-up: let the bootstrap spawns register and the first
-        // beacon populate the driver's hint cache.
         // Warm-up must outlast spawn latency: run until every class's
         // bootstrap population is live and registered (capped), plus
-        // one beacon so the driver's hint cache is populated.
+        // one beacon so the front end's hint cache is populated.
         cluster.sleep_until(Duration::from_secs(30), || {
             cluster.classes.iter().all(|(class, n, _)| {
                 cluster
@@ -346,7 +285,14 @@ impl SimClusterBuilder {
 /// [`Cluster::settle`] advances virtual time.
 pub struct SimCluster {
     sim: RefCell<SnsSim>,
-    shared: Rc<DriverShared>,
+    /// The front end every submit is a request to.
+    fe: ComponentId,
+    /// Submits so far; the next request's id.
+    submitted: Cell<u64>,
+    /// Submits reported by previous settles (shared with the bodies).
+    reported: Arc<AtomicU64>,
+    /// The [`ANSWERED`] and [`FAILED`] counters as of the last settle.
+    counted: Cell<(u64, u64)>,
     log: Rc<RefCell<MonitorLog>>,
     sns: SnsConfig,
     classes: Vec<(WorkerClass, u32, LogicFactory)>,
@@ -354,9 +300,6 @@ pub struct SimCluster {
     monitor_group: GroupId,
     infra: sns_sim::NodeId,
     incarnation: Cell<u64>,
-    /// Jobs accounted for by previous settles (`answered + failed`
-    /// high-water mark).
-    settled: Cell<u64>,
     /// The fault verbs and the state they keep between calls.
     verbs: RefCell<SimVerbs>,
 }
@@ -399,12 +342,12 @@ impl SimCluster {
     /// resolution order — the victim-tenant series for
     /// [`crate::invariant::check_tenant_isolation`].
     pub fn latencies_of(&self, class: &str) -> Vec<Duration> {
-        self.shared
-            .latencies
-            .borrow()
-            .get(&WorkerClass::new(class))
-            .cloned()
-            .unwrap_or_default()
+        let sim = self.sim.borrow();
+        let Some(series) = sim.stats().series(latency_key(class)) else {
+            return Vec::new();
+        };
+        let ns = series.points().iter().map(|&(_, ns)| ns as u64);
+        ns.map(Duration::from_nanos).collect()
     }
 
     /// Runs one sim fault verb against the engine.
@@ -461,32 +404,39 @@ impl Cluster for SimCluster {
     }
 
     fn submit(&self, class: &str, op: &str, input: Payload) {
-        self.shared
-            .queue
-            .borrow_mut()
-            .push_back((WorkerClass::new(class), op.to_string(), input));
+        let id = self.submitted.get();
+        self.submitted.set(id + 1);
+        let request = ClientRequest {
+            id,
+            user: class.to_string(),
+            url: op.to_string(),
+            body: Some(input),
+        };
+        let msg = SnsMsg::Request(Arc::new(request));
+        self.sim.borrow_mut().inject(self.fe, msg);
     }
 
     fn settle(&self, budget: Duration) -> SettleStats {
-        let base_answered = self.shared.answered.get();
-        let base_failed = self.shared.failed.get();
-        let pending = (base_answered + base_failed - self.settled.get())
-            + self.shared.queue.borrow().len() as u64;
-        self.sleep_until(budget, || {
-            let resolved =
-                self.shared.answered.get() + self.shared.failed.get() - self.settled.get();
-            pending > 0 && resolved >= pending
-        });
-        let answered = self.shared.answered.get() - base_answered;
-        let failed = self.shared.failed.get() - base_failed;
-        let stats = SettleStats {
-            answered,
-            // Jobs that never resolved inside the budget count as
-            // failed, like an rt receive timing out.
-            failed: failed + pending.saturating_sub(answered + failed),
+        let owed = self.submitted.get() - self.reported.load(Ordering::Relaxed);
+        let (answered0, failed0) = self.counted.get();
+        let resolved = || {
+            let sim = self.sim.borrow();
+            let count = |key| sim.stats().counter(key);
+            (count(ANSWERED) - answered0, count(FAILED) - failed0)
         };
-        self.settled.set(self.settled.get() + pending);
-        stats
+        self.sleep_until(budget, || {
+            let (answered, failed) = resolved();
+            owed > 0 && answered + failed >= owed
+        });
+        let (answered, failed) = resolved();
+        self.counted.set((answered0 + answered, failed0 + failed));
+        self.reported.store(self.submitted.get(), Ordering::Relaxed);
+        // Jobs that never resolved inside the budget count as failed,
+        // like an rt receive timing out.
+        SettleStats {
+            answered,
+            failed: owed - answered,
+        }
     }
 
     fn workers_of(&self, class: &str) -> usize {
@@ -590,6 +540,21 @@ mod tests {
         assert_eq!(s.answered, 6, "all jobs answered: {s:?}");
         assert_eq!(s.failed, 0);
         assert!(h.counter(MetricKey::new("manager.load_reports")) >= 1);
+
+        // A budget shorter than the service time reports its submits as
+        // failed; they resolve during the next settle but count there
+        // for nothing, and a fresh submit after that counts once.
+        for _ in 0..3 {
+            h.submit("echo", "echo", Blob::payload(64, "late"));
+        }
+        let s = h.settle(Duration::from_millis(1));
+        assert_eq!((s.answered, s.failed), (0, 3), "expired budget: {s:?}");
+        let s = h.settle(Duration::from_secs(5));
+        assert_eq!(s.total(), 0, "late answers are not reported again: {s:?}");
+        h.submit("echo", "echo", Blob::payload(64, "fresh"));
+        let s = h.settle(Duration::from_secs(5));
+        assert_eq!((s.answered, s.failed), (1, 0), "fresh submit: {s:?}");
+        assert_eq!(c.latencies_of("echo").len(), 10, "every answer was timed");
     }
 
     #[test]

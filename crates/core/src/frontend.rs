@@ -12,8 +12,8 @@
 //! awaits, polls the body once and drains what the poll queued: stats
 //! into the hub first, then [`Action`]s in emission order. The framework
 //! handles everything else: thread accounting, per-request TCP/kernel
-//! overhead, dispatch timeouts and retries (via the embedded
-//! [`ManagerStub`]), manager registration and manager restart.
+//! overhead, tenant admission, dispatch timeouts and retries (via the
+//! embedded [`ManagerStub`]), manager registration and manager restart.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -28,7 +28,7 @@ use sns_sim::{ComponentId, GroupId};
 use crate::exec::service::{AsyncService, EventOutcome, Hints, SvcHandle, SvcOp};
 use crate::exec::BoxFut;
 use crate::monitor::MonitorEvent;
-use crate::msg::{ClientRequest, ClientResponse, ProfileData, SnsMsg};
+use crate::msg::{ClientRequest, ClientResponse, JobResult, ProfileData, SnsMsg};
 use crate::stub::{ManagerStub, TimeoutVerdict};
 use crate::trace;
 use crate::{Payload, SnsConfig, WorkerClass};
@@ -120,7 +120,8 @@ struct Request {
     /// When the framework started processing.
     started: SimTime,
     /// Head-sampling decision, made once on arrival and gating every
-    /// span of this request (see `crate::trace::Sampling`).
+    /// span of this request (see `crate::trace::Sampling`); cleared
+    /// when tenant admission sheds the request.
     sampled: bool,
     /// Set by [`Action::MarkDegraded`].
     degraded: bool,
@@ -156,6 +157,9 @@ pub struct FrontEnd {
     next_compute: u64,
     registered_incarnation: Option<u64>,
     restart_pending: bool,
+    /// A dispatch of the body being drained was refused admission and
+    /// its token filled: poll the body again once the drain is done.
+    refused: bool,
 }
 
 impl FrontEnd {
@@ -181,12 +185,25 @@ impl FrontEnd {
             next_compute: 1,
             registered_incarnation: None,
             restart_pending: false,
+            refused: false,
         }
     }
 
     /// Disables the §4.5 delta correction (ablation experiments).
     pub fn set_delta_correction(&mut self, on: bool) {
         self.stub.set_delta_correction(on);
+    }
+
+    /// Bills dispatches of `class` to `tenant` for admission.
+    pub fn set_tenant(&mut self, class: &str, tenant: &'static str) {
+        self.stub.set_tenant(WorkerClass::new(class), tenant);
+    }
+
+    /// Installs `tenant`'s overload policy: a dispatch past its quota
+    /// under [`crate::OverloadPolicy::Drop`] resolves as failed with
+    /// `"tenant over quota"`, the result rt's submit path delivers.
+    pub fn set_tenant_policy(&mut self, tenant: &'static str, policy: crate::TenantPolicy) {
+        self.stub.set_tenant_policy(tenant, policy);
     }
 
     /// The span context dispatches of `req_id` carry: its request span
@@ -308,6 +325,11 @@ impl FrontEnd {
             self.apply(ctx, req_id, Action::Reply(Err(why.into())));
         }
         self.ops = ops;
+        // A refused dispatch's token was filled mid-drain; the body sees
+        // it now, after every action of this poll applied in order.
+        if std::mem::take(&mut self.refused) {
+            self.poll(ctx, req_id);
+        }
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64, action: Action) {
@@ -323,6 +345,18 @@ impl FrontEnd {
                 input,
                 profile,
             } => {
+                // Tenant admission, as on rt's submit path; a `Degrade`
+                // verdict dispatches. A shed request records no further
+                // span, no `req` span either, as a refused rt submit
+                // opens none.
+                if self.stub.admit(ctx, &class) == crate::Admission::Drop {
+                    if let Some(req) = self.requests.get_mut(&req_id) {
+                        req.sampled = false;
+                        let over = JobResult::Failed("tenant over quota".into());
+                        self.refused |= req.svc.fill(tag, EventOutcome::Reply(over));
+                    }
+                    return;
+                }
                 let span = self.span_ctx(ctx, req_id);
                 let job_id = self.stub.dispatch(ctx, class, op, input, profile, span);
                 self.jobs.insert(job_id, (req_id, tag));

@@ -11,7 +11,7 @@
 //!
 //! * **request latency** — `req` spans (front-end round trips), plus
 //!   root `job` spans for drivers that submit straight into the
-//!   dispatch plane (the rt `submit` path, the chaos harness);
+//!   dispatch plane (the rt `submit` path);
 //! * **per-service latency** — `job` spans grouped by worker class;
 //! * **per-tenant latency** — the same, folded through a class→tenant
 //!   assignment ([`SloAggregator::set_tenant`]);

@@ -17,8 +17,9 @@ use sns_core::frontend::{FeConfig, ManagerFactory};
 use sns_core::manager::{Manager, ManagerConfig, WorkerFactory, WorkerSpec};
 use sns_core::monitor::Monitor;
 use sns_core::msg::{ClientRequest, Job, JobResult, SnsMsg};
+use sns_core::trace::{request_span_id, Tracer};
 use sns_core::worker::{WorkerError, WorkerLogic, WorkerStub, WorkerStubConfig};
-use sns_core::{Blob, FrontEnd, Payload, SnsConfig, WorkerClass};
+use sns_core::{Blob, FrontEnd, OverloadPolicy, Payload, SnsConfig, TenantPolicy, WorkerClass};
 use sns_san::{San, SanConfig};
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig};
 use sns_sim::rng::Pcg32;
@@ -576,4 +577,77 @@ fn a_late_reply_to_a_dropped_await_does_not_repoll_the_body() {
     // nap) and reached nobody: first poll, then the nap's wake-up only.
     assert_eq!(stats.counter("worker.jobs_done"), 1, "the job ran");
     assert_eq!(polls.load(Ordering::Relaxed), 2);
+}
+
+/// Dispatches one echo job and flags the reply degraded in the same
+/// poll, then replies with the job's outcome.
+struct DispatchThenMark;
+
+impl AsyncService for DispatchThenMark {
+    fn handle(&mut self, _request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
+        Box::pin(async move {
+            let job = svc.dispatch("echo".into(), "echo", Blob::payload(64, "q"), None);
+            svc.mark_degraded();
+            let outcome = job.await;
+            match outcome {
+                EventOutcome::Reply(JobResult::Ok(p)) => svc.reply(Ok(p)),
+                EventOutcome::Reply(JobResult::Failed(e)) => {
+                    if e == "tenant over quota" {
+                        svc.incr("test.over_quota", 1);
+                    }
+                    svc.reply(Err(e));
+                }
+                other => svc.reply(Err(format!("{other:?}"))),
+            }
+        })
+    }
+}
+
+#[test]
+fn a_dispatch_over_the_tenant_quota_fails_and_opens_no_request_span() {
+    let mut c = cluster(1);
+    c.sim.set_tracer(Tracer::enabled());
+    let mut fe = FrontEnd::new(
+        Box::new(DispatchThenMark),
+        FeConfig {
+            sns: SnsConfig::default(),
+            beacon_group: c.beacon,
+            monitor_group: c.monitor_group,
+            manager_factory: None,
+        },
+    );
+    fe.set_tenant("echo", "echo");
+    fe.set_tenant_policy(
+        "echo",
+        TenantPolicy {
+            max_outstanding: 1,
+            overload: OverloadPolicy::Drop,
+        },
+    );
+    let node = c.sim.nodes_with_tag("dedicated")[3];
+    let fe = c.sim.spawn(node, Box::new(fe), "frontend");
+    // The second request's dispatch comes while the first one's job is
+    // still out (5 ms apart against 20 ms of service).
+    spawn_client(&mut c, fe, 2, Duration::from_millis(5));
+    c.sim.run_until(SimTime::from_secs(10));
+    let stats = c.sim.stats();
+    assert_eq!(stats.counter("stub.tenant_dropped"), 1);
+    assert_eq!(stats.counter("test.over_quota"), 1);
+    assert_eq!(stats.counter("client.responses"), 2);
+    assert_eq!(stats.counter("client.ok"), 1);
+    // The refused body's reply came after the flag queued behind its
+    // dispatch, not in the middle of that poll's drain.
+    assert_eq!(stats.counter("client.degraded"), 2);
+    let log = c.sim.tracer().snapshot().expect("tracing is on");
+    let reqs: Vec<_> = log
+        .spans()
+        .iter()
+        .filter(|s| s.id.kind == "req")
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(
+        reqs,
+        [request_span_id(fe, 1)],
+        "the shed request opened none"
+    );
 }

@@ -259,7 +259,10 @@ impl<M: Wire + Clone, N: Network> Kernel<M, N> {
             return;
         };
         let Some(dst) = self.endpoint(to) else {
-            self.stats.incr("net.unicast_no_route", 1);
+            // A reply to an injected message leaves the cluster.
+            if to != ComponentId::EXTERNAL {
+                self.stats.incr("net.unicast_no_route", 1);
+            }
             return;
         };
         let size = msg.wire_size();
@@ -1222,6 +1225,27 @@ mod tests {
         );
         sim.run();
         assert_eq!(sim.stats().counter("pongs"), 5);
+    }
+
+    #[test]
+    fn replies_to_injected_messages_leave_the_cluster() {
+        let mut sim = small_sim();
+        let n0 = sim.add_node(NodeSpec::new(1, "dedicated"));
+        let echo = sim.spawn(n0, Box::new(Echo), "echo");
+        sim.inject(echo, TestMsg::Ping(1));
+        sim.run();
+        assert_eq!(sim.stats().counter("net.unicast_no_route"), 0);
+        // A send to an id that was never spawned still has no route.
+        sim.spawn(
+            n0,
+            Box::new(Pinger {
+                target: ComponentId(999),
+                sent: 2,
+            }),
+            "pinger",
+        );
+        sim.run();
+        assert_eq!(sim.stats().counter("net.unicast_no_route"), 2);
     }
 
     #[test]

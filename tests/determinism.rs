@@ -4,9 +4,14 @@
 
 use std::time::Duration;
 
+use cluster_sns::chaos::harness::SimClusterBuilder;
 use cluster_sns::chaos::{FaultKind, FaultPlan, SimChaos, SimChaosConfig};
-use cluster_sns::core::MonitorTap;
+use cluster_sns::core::cluster::{Cluster, SettleStats};
+use cluster_sns::core::msg::Job;
+use cluster_sns::core::worker::{WorkerError, WorkerLogic};
+use cluster_sns::core::{Blob, MonitorTap, OverloadPolicy, Payload, TenantPolicy, WorkerClass};
 use cluster_sns::hotbot::HotBotBuilder;
+use cluster_sns::sim::rng::Pcg32;
 use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
@@ -137,6 +142,66 @@ fn same_seed_same_plan_gives_byte_identical_monitor_logs() {
     assert_eq!(a, b, "monitor-event logs must be byte-identical");
     let c = chaos_monitor_log(0xFB);
     assert_ne!(a, c, "a different seed must perturb the event stream");
+}
+
+/// A worker of `class` answering every job after a fixed service time.
+struct SlowEcho(&'static str, Duration);
+
+impl WorkerLogic for SlowEcho {
+    fn class(&self) -> WorkerClass {
+        self.0.into()
+    }
+    fn service_time(&mut self, _j: &Job, _n: SimTime, _r: &mut Pcg32) -> Duration {
+        self.1
+    }
+    fn process(&mut self, job: &Job, _n: SimTime, _r: &mut Pcg32) -> Result<Payload, WorkerError> {
+        Ok(Blob::payload(job.input.wire_size() / 2, "done"))
+    }
+}
+
+/// The cluster-ops flash crowd on the sim `Cluster` harness: one tenant
+/// floods its class far past a Drop quota while the other trickles.
+/// Returns the canonical monitor log, the settle and both classes'
+/// dispatch-to-reply latencies.
+fn flash_crowd_run() -> (String, SettleStats, Vec<Duration>, Vec<Duration>) {
+    let c = SimClusterBuilder::new()
+        .with_nodes(2)
+        .with_workers("tsreq", 2, || {
+            Box::new(SlowEcho("tsreq", Duration::from_millis(40)))
+        })
+        .with_workers("hbchat", 2, || {
+            Box::new(SlowEcho("hbchat", Duration::from_millis(20)))
+        })
+        .with_tenant("tsreq", "transend")
+        .with_tenant("hbchat", "hotbot")
+        .with_tenant_policy(
+            "transend",
+            TenantPolicy {
+                max_outstanding: 4,
+                overload: OverloadPolicy::Drop,
+            },
+        )
+        .start();
+    for i in 0..300 {
+        c.submit("tsreq", "req", Blob::payload(256 + i, "crowd"));
+        if i % 15 == 0 {
+            c.submit("hbchat", "chat", Blob::payload(128, "msg"));
+        }
+    }
+    let settled = c.settle(Duration::from_secs(60));
+    (
+        c.monitor_log().canonical(),
+        settled,
+        c.latencies_of("tsreq"),
+        c.latencies_of("hbchat"),
+    )
+}
+
+#[test]
+fn flash_crowd_harness_runs_are_byte_identical() {
+    let a = flash_crowd_run();
+    assert_eq!(a.1.total(), 320, "every submit settled: {:?}", a.1);
+    assert_eq!(a, flash_crowd_run());
 }
 
 /// One rolling-upgrade-under-load chaos run: a `RollingUpgrade` plan

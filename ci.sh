@@ -75,6 +75,24 @@ echo "== docs stage: rustdoc (warnings are errors) + doctests"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test --doc -q --offline --workspace
 
+echo "== alloc_budget stage: allocations per TranSend request (release)"
+# perfbench runs release code, so the allocation budget is checked on
+# the optimised build too (the debug run inside `cargo test` stays). A
+# per-dispatch clone or buffer put back on the request path fails it;
+# a run that prints no figure means the test was filtered out.
+out=$(cargo test --release --offline -p sns-transend --test alloc_budget -- --nocapture 2>&1) || {
+  echo "$out"
+  echo "alloc_budget FAILED" >&2
+  exit 1
+}
+measured=$(printf '%s\n' "$out" | grep '^alloc_budget:' || true)
+if [ -z "$measured" ]; then
+  echo "$out"
+  echo "alloc_budget printed no measurement" >&2
+  exit 1
+fi
+echo "   $measured"
+
 echo "== bench stage: sim_throughput macro-bench (release, 1M events/run)"
 # Times the engine on two 1M-event profiles (spawn churn, a million
 # standing timers) and asserts in-process that every profile's repeated

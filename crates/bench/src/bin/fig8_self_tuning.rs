@@ -48,7 +48,7 @@ fn main() {
 
     // Manually kill the two oldest distillers at t = 250 s (Figure 8b).
     cluster.sim.at(SimTime::from_secs(250), |sim| {
-        let mut ds = sim.components_of_kind(sns_core::intern_class("distiller/jpeg"));
+        let mut ds = sim.components_of_kind("distiller/jpeg");
         ds.sort();
         for d in ds.into_iter().take(2) {
             sim.kill_component(d);

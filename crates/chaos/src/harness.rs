@@ -36,7 +36,7 @@ use sns_core::manager::{Manager, ManagerConfig, WorkerSpec};
 use sns_core::msg::{ClientRequest, JobResult, SnsMsg};
 use sns_core::trace::{TraceLog, Tracer};
 use sns_core::worker::{WorkerLogic, WorkerStub, WorkerStubConfig};
-use sns_core::{intern_class, Payload, SnsConfig, WorkerClass};
+use sns_core::{Payload, SnsConfig, WorkerClass};
 use sns_san::{San, SanConfig};
 use sns_sim::engine::{NodeSpec, SimConfig};
 use sns_sim::{ComponentId, GroupId, MetricKey, SimTime};
@@ -78,8 +78,9 @@ impl AsyncService for OneDispatch {
                 .body
                 .clone()
                 .expect("harness requests carry an input");
+            let op = sns_sim::intern(&request.url);
             let at = svc.now();
-            let result = match svc.dispatch(class, &*request.url, input, None).await {
+            let result = match svc.dispatch(class, op, input, None).await {
                 EventOutcome::Reply(JobResult::Ok(p)) => {
                     let ns = (svc.now() - at).as_nanos() as f64;
                     svc.sample(latency_key(&request.user), ns);
@@ -267,12 +268,7 @@ impl SimClusterBuilder {
         // one beacon so the front end's hint cache is populated.
         cluster.sleep_until(Duration::from_secs(30), || {
             cluster.classes.iter().all(|(class, n, _)| {
-                cluster
-                    .sim
-                    .borrow()
-                    .components_of_kind(intern_class(class.name()))
-                    .len()
-                    >= *n as usize
+                cluster.sim.borrow().components_of_kind(class.name()).len() >= *n as usize
             })
         });
         cluster.sleep(warmup);
@@ -366,7 +362,7 @@ impl SimCluster {
             let monitor_group = self.monitor_group;
             let report_period = self.sns.report_period;
             classes.insert(
-                class.clone(),
+                *class,
                 WorkerSpec::scaled(
                     *n,
                     Box::new(move || {
@@ -403,7 +399,7 @@ impl Cluster for SimCluster {
         "sim"
     }
 
-    fn submit(&self, class: &str, op: &str, input: Payload) {
+    fn submit(&self, class: &str, op: &'static str, input: Payload) {
         let id = self.submitted.get();
         self.submitted.set(id + 1);
         let request = ClientRequest {
@@ -440,10 +436,7 @@ impl Cluster for SimCluster {
     }
 
     fn workers_of(&self, class: &str) -> usize {
-        self.sim
-            .borrow()
-            .components_of_kind(intern_class(class))
-            .len()
+        self.sim.borrow().components_of_kind(class).len()
     }
 
     fn crash_worker(&self, class: &str) -> bool {

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::time::Duration;
 
-use sns_core::{intern_class, MonitorLog, SnsMsg};
+use sns_core::{MonitorLog, SnsMsg};
 use sns_san::{LinkParams, San};
 use sns_sim::{NodeId, Sim, SimTime};
 
@@ -248,7 +248,7 @@ impl SimVerbs {
     /// Kills the `which`-th live component of `kind` (modulo their
     /// count, over id-sorted candidates).
     pub(crate) fn kill_worker(&mut self, s: &mut SnsSim, kind: &str, which: usize) -> bool {
-        let comps = s.components_of_kind(intern_class(kind));
+        let comps = s.components_of_kind(kind);
         let Some(&victim) = comps.get(which % comps.len().max(1)) else {
             return false;
         };

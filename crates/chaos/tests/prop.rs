@@ -94,10 +94,7 @@ fn random_recoverable_plans_lose_no_jobs_and_drain() {
             drop(r);
             // Population restored: the pinned cache partition and exactly
             // one manager incarnation survive every recoverable plan.
-            let caches = cluster
-                .sim
-                .components_of_kind(sns_core::intern_class("cache"))
-                .len();
+            let caches = cluster.sim.components_of_kind("cache").len();
             if caches != 1 {
                 return Err(format!("{caches} cache partitions after recovery\n{plan}").into());
             }

@@ -62,7 +62,7 @@ pub trait Cluster {
 
     /// Queues one job of `class` for dispatch. The job is remembered
     /// and accounted for by the next [`Cluster::settle`].
-    fn submit(&self, class: &str, op: &str, input: Payload);
+    fn submit(&self, class: &str, op: &'static str, input: Payload);
 
     /// Runs the backend until all jobs submitted since the last settle
     /// resolve, or `budget` of backend time (virtual for the sim, wall

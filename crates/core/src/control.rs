@@ -39,7 +39,7 @@ use sns_sim::{ComponentId, MetricKey, NodeId};
 use crate::monitor::MonitorEvent;
 use crate::msg::{BeaconData, Job, ProfileData, WorkerHint};
 use crate::trace::{self, Sampling, SpanCtx, SpanId, SpanRecord};
-use crate::{intern_class, Payload, SnsConfig, WorkerClass};
+use crate::{Payload, SnsConfig, WorkerClass};
 
 /// Per-class scaling policy (pure data; the worker factory lives with
 /// the driver, see `WorkerSpec` in [`crate::manager`]).
@@ -408,7 +408,7 @@ impl ControlPlane {
         self.next_token += 1;
         out.push(ControlEffect::Spawn {
             token,
-            class: class.clone(),
+            class: *class,
             node,
             overflow,
         });
@@ -416,12 +416,12 @@ impl ControlPlane {
         self.pending.insert(
             placeholder(token),
             PendingSpawn {
-                class: class.clone(),
+                class: *class,
                 node,
                 at: now,
             },
         );
-        let rt = self.runtime.entry(class.clone()).or_default();
+        let rt = self.runtime.entry(*class).or_default();
         rt.last_spawn = Some(now);
         out.push(ControlEffect::Incr {
             key: "manager.spawns",
@@ -434,7 +434,7 @@ impl ControlPlane {
             });
         }
         out.push(ControlEffect::Emit(MonitorEvent::SpawnedWorker {
-            class: class.clone(),
+            class: *class,
             node,
             overflow,
         }));
@@ -446,7 +446,7 @@ impl ControlPlane {
     pub fn make_beacon(&self, now: SimTime) -> BeaconData {
         let mut hints: BTreeMap<WorkerClass, Vec<WorkerHint>> = BTreeMap::new();
         for (&id, w) in &self.workers {
-            hints.entry(w.class.clone()).or_default().push(WorkerHint {
+            hints.entry(w.class).or_default().push(WorkerHint {
                 worker: id,
                 node: w.node,
                 est_qlen: w.wma,
@@ -574,7 +574,7 @@ impl ControlPlane {
                         });
                         out.push(ControlEffect::Emit(MonitorEvent::ReapedWorker {
                             worker: victim,
-                            class: class.clone(),
+                            class,
                         }));
                     }
                 }
@@ -582,10 +582,7 @@ impl ControlPlane {
             }
 
             let avg: f64 = live.iter().map(|&(_, wma, _)| wma).sum::<f64>() / live_n as f64;
-            if !self.runtime.contains_key(&class) {
-                self.runtime.insert(class.clone(), ClassRuntime::default());
-            }
-            let rt = self.runtime.get_mut(&class).expect("just ensured");
+            let rt = self.runtime.entry(class).or_default();
             let key = *rt
                 .avg_qlen_key
                 .get_or_insert_with(|| MetricKey::new(&format!("manager.avg_qlen.{class}")));
@@ -608,7 +605,7 @@ impl ControlPlane {
 
             // Reaping after sustained low load (overflow nodes first).
             if avg < self.cfg.sns.reap_threshold && live_n > min_workers {
-                let rt = self.runtime.entry(class.clone()).or_default();
+                let rt = self.runtime.entry(class).or_default();
                 let since = *rt.low_since.get_or_insert(now);
                 if now.since(since) >= self.cfg.sns.reap_idle_for {
                     rt.low_since = None;
@@ -624,7 +621,7 @@ impl ControlPlane {
                         });
                         out.push(ControlEffect::Emit(MonitorEvent::ReapedWorker {
                             worker: victim,
-                            class: class.clone(),
+                            class,
                         }));
                     }
                 }
@@ -934,7 +931,7 @@ impl ControlPlane {
             });
             // "The manager detects and restarts a crashed front end."
             let spawned = if self.cfg.restart_front_ends {
-                match self.choose_node(view, &extra, &WorkerClass::new("frontend"), 0) {
+                match self.choose_node(view, &extra, &"frontend".into(), 0) {
                     Some((n, _)) => {
                         out.push(ControlEffect::SpawnFrontEnd { node: n });
                         *extra.entry(n).or_insert(0) += 1;
@@ -1006,10 +1003,12 @@ pub struct Outstanding {
     /// When the dispatch was first requested (the dispatch span's
     /// start; covers pending waits and retries).
     pub requested_at: SimTime,
-    op: String,
+    op: &'static str,
     input: Payload,
     profile: Option<ProfileData>,
     reply_to: ComponentId,
+    /// Workers a timed-out attempt went to (the current `worker` is
+    /// not among them), excluded from retries.
     workers_tried: Vec<ComponentId>,
     /// Causal parent for the dispatch span (the front end's request
     /// span), when tracing.
@@ -1317,7 +1316,7 @@ impl DispatchPlane {
             .iter()
             .map(|(class, v)| {
                 (
-                    class.clone(),
+                    *class,
                     v.iter()
                         .map(|h| HintEntry {
                             worker: h.worker,
@@ -1358,7 +1357,7 @@ impl DispatchPlane {
             .iter()
             .filter(|h| !exclude.contains(&h.worker));
         let Some(live) = &self.live else {
-            return self.lottery(rng, hinted.collect());
+            return self.lottery(rng, hinted);
         };
         let workers: Vec<ComponentId> = hinted.map(|h| h.worker).collect();
         let gauges = live.qlens(&workers);
@@ -1379,35 +1378,44 @@ impl DispatchPlane {
     }
 
     /// Lottery over `candidates`, tickets inversely proportional to
-    /// estimated queue length (§3.1.2) with the §4.5 delta.
-    fn lottery(&self, rng: &mut Pcg32, candidates: Vec<&HintEntry>) -> Option<ComponentId> {
-        if candidates.is_empty() {
-            return None;
+    /// estimated queue length (§3.1.2) with the §4.5 delta. Draws as
+    /// [`Pcg32::weighted`] does over the ticket list, without building
+    /// it: one pass sums the tickets, a second walks them to the draw.
+    fn lottery<'a>(
+        &self,
+        rng: &mut Pcg32,
+        candidates: impl Iterator<Item = &'a HintEntry> + Clone,
+    ) -> Option<ComponentId> {
+        let ticket = |h: &HintEntry| {
+            let delta = if self.delta_correction {
+                self.inflight.get(&h.worker).copied().unwrap_or(0) as f64
+            } else {
+                0.0
+            };
+            1.0 / (1.0 + (h.est_qlen + delta).max(0.0))
+        };
+        candidates.clone().next()?;
+        let total: f64 = candidates.clone().map(ticket).sum();
+        let mut x = rng.f64() * total;
+        let mut pick = None;
+        for h in candidates {
+            pick = Some(h.worker);
+            x -= ticket(h);
+            if x < 0.0 {
+                break;
+            }
         }
-        let tickets: Vec<f64> = candidates
-            .iter()
-            .map(|h| {
-                let delta = if self.delta_correction {
-                    self.inflight.get(&h.worker).copied().unwrap_or(0) as f64
-                } else {
-                    0.0
-                };
-                1.0 / (1.0 + (h.est_qlen + delta).max(0.0))
-            })
-            .collect();
-        let i = rng.weighted(&tickets);
-        Some(candidates[i].worker)
+        pick
     }
 
     fn send_job(&mut self, job_id: u64, worker: ComponentId, out: &mut Vec<DispatchEffect>) {
         let o = self.outstanding.get_mut(&job_id).expect("job exists");
         o.worker = Some(worker);
-        o.workers_tried.push(worker);
         *self.inflight.entry(worker).or_insert(0) += 1;
         let job = Arc::new(Job {
             id: job_id,
-            class: o.class.clone(),
-            op: o.op.clone(),
+            class: o.class,
+            op: o.op,
             input: o.input.clone(),
             profile: o.profile.clone(),
             reply_to: o.reply_to,
@@ -1424,7 +1432,7 @@ impl DispatchPlane {
         if let Some(mgr) = self.manager {
             out.push(DispatchEffect::NeedWorker {
                 manager: mgr,
-                class: class.clone(),
+                class: *class,
             });
         }
     }
@@ -1438,6 +1446,42 @@ impl DispatchPlane {
             Some(decided) => decided,
             None => self.sampling.decide(job_id),
         }
+    }
+
+    /// Registers a new dispatch (a fresh job id, billed to its tenant,
+    /// with its head-sampling decision) and returns its id.
+    #[allow(clippy::too_many_arguments)]
+    fn open(
+        &mut self,
+        now: SimTime,
+        reply_to: ComponentId,
+        class: WorkerClass,
+        op: &'static str,
+        input: Payload,
+        profile: Option<ProfileData>,
+        span: SpanCtx,
+        explicit: bool,
+    ) -> u64 {
+        let job_id = self.next_job;
+        self.next_job += self.id_stride;
+        self.tenant_charge(&class);
+        let sampled = self.head_decision(job_id, &span);
+        let o = Outstanding {
+            class,
+            worker: None,
+            attempts: 1,
+            explicit,
+            requested_at: now,
+            op,
+            input,
+            profile,
+            reply_to,
+            workers_tried: Vec::new(),
+            parent: span.parent,
+            sampled,
+        };
+        self.outstanding.insert(job_id, o);
+        job_id
     }
 
     /// Dispatches a job to a worker of `class`: the lottery winner, or —
@@ -1456,33 +1500,13 @@ impl DispatchPlane {
         now: SimTime,
         reply_to: ComponentId,
         class: WorkerClass,
-        op: impl Into<String>,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
         span: SpanCtx,
         out: &mut Vec<DispatchEffect>,
     ) -> u64 {
-        let job_id = self.next_job;
-        self.next_job += self.id_stride;
-        self.tenant_charge(&class);
-        let sampled = self.head_decision(job_id, &span);
-        self.outstanding.insert(
-            job_id,
-            Outstanding {
-                class: class.clone(),
-                worker: None,
-                attempts: 1,
-                explicit: false,
-                requested_at: now,
-                op: op.into(),
-                input,
-                profile,
-                reply_to,
-                workers_tried: Vec::new(),
-                parent: span.parent,
-                sampled,
-            },
-        );
+        let job_id = self.open(now, reply_to, class, op, input, profile, span, false);
         match self.pick(rng, &class, &[], out) {
             Some(w) => self.send_job(job_id, w, out),
             None => self.request_worker(&class, out),
@@ -1499,33 +1523,13 @@ impl DispatchPlane {
         reply_to: ComponentId,
         worker: ComponentId,
         class: WorkerClass,
-        op: impl Into<String>,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
         span: SpanCtx,
         out: &mut Vec<DispatchEffect>,
     ) -> u64 {
-        let job_id = self.next_job;
-        self.next_job += self.id_stride;
-        self.tenant_charge(&class);
-        let sampled = self.head_decision(job_id, &span);
-        self.outstanding.insert(
-            job_id,
-            Outstanding {
-                class,
-                worker: None,
-                attempts: 1,
-                explicit: true,
-                requested_at: now,
-                op: op.into(),
-                input,
-                profile,
-                reply_to,
-                workers_tried: Vec::new(),
-                parent: span.parent,
-                sampled,
-            },
-        );
+        let job_id = self.open(now, reply_to, class, op, input, profile, span, true);
         self.send_job(job_id, worker, out);
         job_id
     }
@@ -1539,7 +1543,7 @@ impl DispatchPlane {
             trace::DISPATCH,
             trace::CAT_STUB,
             o.worker.unwrap_or(o.reply_to),
-            intern_class(o.class.name()),
+            o.class.name(),
             o.requested_at,
             end,
             o.input.wire_size(),
@@ -1581,7 +1585,7 @@ impl DispatchPlane {
         let Some(o) = self.outstanding.get(&job_id) else {
             return TimeoutVerdict::Unknown;
         };
-        let class = o.class.clone();
+        let class = o.class;
         let explicit = o.explicit;
         let attempts = o.attempts;
         let suspected = o.worker;
@@ -1612,12 +1616,13 @@ impl DispatchPlane {
             }
             return TimeoutVerdict::GaveUp(class);
         }
-        let tried = self
-            .outstanding
-            .get(&job_id)
-            .map(|o| o.workers_tried.clone())
-            .unwrap_or_default();
-        match self.pick(rng, &class, &tried, out) {
+        // Every worker this job went to is excluded from the retry; the
+        // current one joins the earlier ones only now, so a first
+        // attempt never allocates the list.
+        let o = self.outstanding.get_mut(&job_id).expect("still present");
+        o.workers_tried.extend(o.worker.take());
+        let tried = &self.outstanding[&job_id].workers_tried;
+        match self.pick(rng, &class, tried, out) {
             Some(w) => {
                 let o = self.outstanding.get_mut(&job_id).expect("still present");
                 o.attempts += 1;
@@ -1633,7 +1638,6 @@ impl DispatchPlane {
                 // the re-armed timeout will try again.
                 let o = self.outstanding.get_mut(&job_id).expect("still present");
                 o.attempts += 1;
-                o.worker = None;
                 self.request_worker(&class, out);
                 TimeoutVerdict::Retried
             }
@@ -1655,11 +1659,8 @@ impl DispatchPlane {
             .map(|(&id, _)| id)
             .collect();
         for job_id in waiting {
-            let (class, tried) = {
-                let o = &self.outstanding[&job_id];
-                (o.class.clone(), o.workers_tried.clone())
-            };
-            if let Some(w) = self.pick(rng, &class, &tried, out) {
+            let o = &self.outstanding[&job_id];
+            if let Some(w) = self.pick(rng, &o.class, &o.workers_tried, out) {
                 self.send_job(job_id, w, out);
             }
         }

@@ -123,13 +123,14 @@ impl SvcHandle {
         self.lock().now
     }
 
-    /// Live workers of a hint class, as of the last event delivery (the
-    /// beacon-derived membership, sorted). Only classes the service
+    /// Runs `f` on the live workers of a hint class, as of the last
+    /// event delivery (the beacon-derived membership, sorted), read in
+    /// place from the driver's snapshot. Only classes the service
     /// declared in [`AsyncService::hint_classes`] are populated.
-    pub fn workers_of(&self, class: &WorkerClass) -> Vec<ComponentId> {
+    pub fn with_workers<R>(&self, class: &WorkerClass, f: impl FnOnce(&[ComponentId]) -> R) -> R {
         let inner = self.lock();
         let live = inner.hints.as_ref().and_then(|h| h.get(class));
-        live.cloned().unwrap_or_default()
+        f(live.map_or(&[], Vec::as_slice))
     }
 
     /// Counts into the shared stats hub.
@@ -168,11 +169,10 @@ impl SvcHandle {
     pub fn dispatch(
         &self,
         class: WorkerClass,
-        op: impl Into<String>,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
     ) -> Pending {
-        let op = op.into();
         self.pend(|tag| Action::Dispatch {
             tag,
             class,
@@ -187,11 +187,10 @@ impl SvcHandle {
         &self,
         worker: ComponentId,
         class: WorkerClass,
-        op: impl Into<String>,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
     ) -> Pending {
-        let op = op.into();
         self.pend(|tag| Action::DispatchTo {
             tag,
             worker,
@@ -338,7 +337,7 @@ impl Drop for Pending {
 /// A service whose per-request behaviour is one async body.
 pub trait AsyncService: Send {
     /// Worker classes whose live membership bodies read via
-    /// [`SvcHandle::workers_of`] (current at every poll).
+    /// [`SvcHandle::with_workers`] (current at every poll).
     fn hint_classes(&self) -> Vec<WorkerClass> {
         Vec::new()
     }
@@ -414,7 +413,10 @@ mod tests {
         let mut buf = Vec::with_capacity(8);
         svc.sync(SimTime::from_millis(7), &hints, &mut buf);
         assert_eq!(svc.now(), SimTime::from_millis(7));
-        assert_eq!(svc.workers_of(&"w".into()), vec![ComponentId(3)]);
+        assert_eq!(
+            svc.with_workers(&"w".into(), <[_]>::to_vec),
+            vec![ComponentId(3)]
+        );
         svc.incr("k", 1);
         svc.take_ops(&mut buf);
         assert_eq!(buf.len(), 1);

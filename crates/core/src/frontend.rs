@@ -44,7 +44,7 @@ pub enum Action {
         /// Worker class.
         class: WorkerClass,
         /// Worker operation.
-        op: String,
+        op: &'static str,
         /// Input payload.
         input: Payload,
         /// Profile delivered with the job (§2.3).
@@ -60,7 +60,7 @@ pub enum Action {
         /// Worker class (for bookkeeping).
         class: WorkerClass,
         /// Worker operation.
-        op: String,
+        op: &'static str,
         /// Input payload.
         input: Payload,
         /// Profile delivered with the job.
@@ -282,7 +282,7 @@ impl FrontEnd {
             let snapshot = self.hint_classes.iter().map(|c| {
                 let mut live = self.stub.workers_of(c);
                 live.sort();
-                (c.clone(), live)
+                (*c, live)
             });
             self.hints = Arc::new(snapshot.collect());
         }

@@ -76,31 +76,40 @@ pub use topology::ClusterTopology;
 pub use worker::{WorkerError, WorkerLogic, WorkerStub, WorkerStubConfig};
 
 /// A worker class: the unit of replication, load balancing and spawning
-/// (e.g. `"distiller/jpeg"`, `"cache"`, `"search/p3"`, `"origin"`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WorkerClass(pub Arc<str>);
+/// (e.g. `"distiller/jpeg"`, `"cache"`, `"search/p3"`, `"origin"`): a
+/// `Copy` name, compared, hashed and ordered by content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct WorkerClass(&'static str);
 
 impl WorkerClass {
-    /// Creates a class from a name.
+    /// Creates a class by interning a runtime name (a process-wide lock):
+    /// for set-up, not per request. A literal converts for free.
     pub fn new(name: impl AsRef<str>) -> Self {
-        WorkerClass(Arc::from(name.as_ref()))
+        WorkerClass(sns_sim::intern(name.as_ref()))
     }
 
     /// The class name.
-    pub fn name(&self) -> &str {
-        &self.0
+    pub fn name(&self) -> &'static str {
+        self.0
     }
 }
 
 impl fmt::Display for WorkerClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
-impl From<&str> for WorkerClass {
-    fn from(s: &str) -> Self {
-        WorkerClass::new(s)
+impl From<&'static str> for WorkerClass {
+    fn from(s: &'static str) -> Self {
+        WorkerClass(s)
+    }
+}
+
+/// Lets a set or map keyed by class be searched by a `&str` name.
+impl std::borrow::Borrow<str> for WorkerClass {
+    fn borrow(&self) -> &str {
+        self.0
     }
 }
 
@@ -119,14 +128,6 @@ pub type Payload = Arc<dyn AppData>;
 /// Convenience: downcasts a payload to a concrete type.
 pub fn payload_as<T: 'static>(p: &Payload) -> Option<&T> {
     p.as_any().downcast_ref::<T>()
-}
-
-/// Interns a worker-class name as a `&'static str` (the engine tags
-/// spawned components with static kind strings so harnesses can query
-/// components by class). Delegates to the engine-wide interner that
-/// also backs [`sns_sim::MetricKey`].
-pub fn intern_class(name: &str) -> &'static str {
-    sns_sim::intern(name)
 }
 
 /// A simple byte-count payload for tests and synthetic content.

@@ -84,6 +84,9 @@ pub struct Manager {
     factories: BTreeMap<WorkerClass, WorkerFactory>,
     fe_factory: Option<FrontEndFactory>,
     plane: ControlPlane,
+    /// The buffer every plane call writes its effects into; reused, so
+    /// a load report allocates none.
+    out: Vec<ControlEffect>,
 }
 
 impl Manager {
@@ -99,7 +102,7 @@ impl Manager {
         });
         let mut factories = BTreeMap::new();
         for (class, spec) in cfg.classes {
-            plane.add_class(class.clone(), spec.policy);
+            plane.add_class(class, spec.policy);
             factories.insert(class, spec.factory);
         }
         Manager {
@@ -108,6 +111,7 @@ impl Manager {
             factories,
             fe_factory: cfg.fe_factory,
             plane,
+            out: Vec::new(),
         }
     }
 
@@ -140,9 +144,10 @@ impl Manager {
         }
     }
 
-    /// Applies plane effects, in order, onto engine calls.
-    fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>, effects: Vec<ControlEffect>) {
-        for effect in effects {
+    /// Applies the plane's effects, in order, onto engine calls,
+    /// emptying the buffer for the next call.
+    fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
+        for effect in self.out.drain(..) {
             match effect {
                 ControlEffect::Spawn {
                     token,
@@ -155,7 +160,7 @@ impl Manager {
                         .get_mut(&class)
                         .expect("plane only spawns registered classes"))(
                     );
-                    let kind = crate::intern_class(class.name());
+                    let kind = class.name();
                     if let Some(spawned) = ctx.spawn(node, comp, kind) {
                         // Watch from birth: a worker dying before it
                         // registers must still trigger process-peer
@@ -202,14 +207,12 @@ impl Component<SnsMsg> for Manager {
         let me = ctx.me();
         let node = ctx.my_node();
         let view = self.view(ctx);
-        let mut out = Vec::new();
-        self.plane.on_start(now, me, node, &view, &mut out);
-        self.apply(ctx, out);
+        self.plane.on_start(now, me, node, &view, &mut self.out);
+        self.apply(ctx);
         ctx.timer(self.beacon_period(), Self::TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SnsMsg>, _from: ComponentId, msg: SnsMsg) {
-        let mut out = Vec::new();
         match msg {
             SnsMsg::RegisterWorker {
                 worker,
@@ -219,10 +222,10 @@ impl Component<SnsMsg> for Manager {
             } => {
                 let now = ctx.now();
                 self.plane
-                    .on_register_worker(worker, class, node, overflow, now, &mut out);
+                    .on_register_worker(worker, class, node, overflow, now, &mut self.out);
             }
             SnsMsg::DeregisterWorker { worker } => {
-                self.plane.on_deregister_worker(worker, &mut out);
+                self.plane.on_deregister_worker(worker, &mut self.out);
             }
             SnsMsg::LoadReport {
                 worker,
@@ -230,36 +233,38 @@ impl Component<SnsMsg> for Manager {
                 qlen,
             } => {
                 let now = ctx.now();
-                // Placement of an unknown (adopted) worker; pure queries,
-                // so resolving them up front is observably identical.
-                let node = ctx.node_of(worker).unwrap_or(NodeId(0));
-                let overflow = ctx.node_tag(node).as_deref() == Some("overflow");
+                // Placement of an unknown (adopted) worker, read only if
+                // the plane asks.
+                let place = || {
+                    let node = ctx.node_of(worker).unwrap_or(NodeId(0));
+                    (node, ctx.node_tag(node) == Some("overflow"))
+                };
                 self.plane
-                    .on_load_report(worker, class, qlen, now, || (node, overflow), &mut out);
+                    .on_load_report(worker, class, qlen, now, place, &mut self.out);
             }
             SnsMsg::NeedWorker { fe: _, class } => {
                 let now = ctx.now();
                 let view = self.view(ctx);
-                self.plane.on_need_worker(&class, now, &view, &mut out);
+                self.plane.on_need_worker(&class, now, &view, &mut self.out);
             }
             SnsMsg::RegisterFrontEnd { fe, node } => {
-                self.plane.on_register_front_end(fe, node, &mut out);
+                self.plane.on_register_front_end(fe, node, &mut self.out);
             }
             SnsMsg::DrainNode { node } => {
-                self.plane.on_drain_node(node, &mut out);
+                self.plane.on_drain_node(node, &mut self.out);
             }
             SnsMsg::UndrainNode { node } => {
-                self.plane.on_undrain_node(node, &mut out);
+                self.plane.on_undrain_node(node, &mut self.out);
             }
             SnsMsg::UpgradeNode { node } => {
-                self.plane.on_upgrade_node(node, &mut out);
+                self.plane.on_upgrade_node(node, &mut self.out);
             }
             SnsMsg::Beacon(b) => {
-                self.plane.on_rival_beacon(&b, &mut out);
+                self.plane.on_rival_beacon(&b, &mut self.out);
             }
             _ => {}
         }
-        self.apply(ctx, out);
+        self.apply(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SnsMsg>, token: u64) {
@@ -268,18 +273,16 @@ impl Component<SnsMsg> for Manager {
         }
         let now = ctx.now();
         let view = self.view(ctx);
-        let mut out = Vec::new();
-        self.plane.on_tick(now, &view, &mut out);
-        self.apply(ctx, out);
+        self.plane.on_tick(now, &view, &mut self.out);
+        self.apply(ctx);
         ctx.timer(self.beacon_period(), Self::TICK);
     }
 
     fn on_peer_death(&mut self, ctx: &mut Ctx<'_, SnsMsg>, peer: ComponentId) {
         let now = ctx.now();
         let view = self.view(ctx);
-        let mut out = Vec::new();
-        self.plane.on_peer_death(peer, now, &view, &mut out);
-        self.apply(ctx, out);
+        self.plane.on_peer_death(peer, now, &view, &mut self.out);
+        self.apply(ctx);
     }
 
     fn kind(&self) -> &'static str {

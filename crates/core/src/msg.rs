@@ -27,7 +27,7 @@ pub struct Job {
     pub class: WorkerClass,
     /// Worker-specific operation (e.g. `"distill"`, `"get"`, `"put"`,
     /// `"query"`).
-    pub op: String,
+    pub op: &'static str,
     /// Input payload.
     pub input: Payload,
     /// The requesting user's profile, delivered alongside the data so
@@ -258,7 +258,7 @@ mod tests {
         let job = Arc::new(Job {
             id: 1,
             class: "distiller/gif".into(),
-            op: "distill".into(),
+            op: "distill",
             input: Blob::payload(10_000, "gif"),
             profile: None,
             reply_to: ComponentId(7),
@@ -311,7 +311,7 @@ mod tests {
         let with = SnsMsg::WorkRequest(Arc::new(Job {
             id: 1,
             class: "x".into(),
-            op: "o".into(),
+            op: "o",
             input: Blob::payload(100, "b"),
             profile: Some(Arc::new(profile)),
             reply_to: ComponentId(1),
@@ -320,7 +320,7 @@ mod tests {
         let without = SnsMsg::WorkRequest(Arc::new(Job {
             id: 1,
             class: "x".into(),
-            op: "o".into(),
+            op: "o",
             input: Blob::payload(100, "b"),
             profile: None,
             reply_to: ComponentId(1),

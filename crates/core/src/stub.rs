@@ -33,6 +33,9 @@ use crate::{Payload, SnsConfig, WorkerClass};
 /// The front-end-resident manager stub.
 pub struct ManagerStub {
     plane: DispatchPlane,
+    /// The buffer every plane call writes its effects into; reused, so
+    /// a dispatch allocates none.
+    out: Vec<DispatchEffect>,
 }
 
 impl ManagerStub {
@@ -40,12 +43,14 @@ impl ManagerStub {
     pub fn new(cfg: SnsConfig) -> Self {
         ManagerStub {
             plane: DispatchPlane::new(cfg),
+            out: Vec::new(),
         }
     }
 
-    /// Applies plane effects, in order, onto engine calls.
-    fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>, effects: Vec<DispatchEffect>) {
-        for effect in effects {
+    /// Applies the plane's effects, in order, onto engine calls,
+    /// emptying the buffer for the next call.
+    fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
+        for effect in self.out.drain(..) {
             match effect {
                 DispatchEffect::SendJob { worker, job } => {
                     ctx.send(worker, SnsMsg::WorkRequest(job));
@@ -93,9 +98,8 @@ impl ManagerStub {
     /// overload policy; call before [`ManagerStub::dispatch`] and skip
     /// (or degrade) the dispatch on a non-[`Admission::Accept`](crate::Admission::Accept) verdict.
     pub fn admit(&mut self, ctx: &mut Ctx<'_, SnsMsg>, class: &WorkerClass) -> crate::Admission {
-        let mut out = Vec::new();
-        let verdict = self.plane.admit(class, &mut out);
-        self.apply(ctx, out);
+        let verdict = self.plane.admit(class, &mut self.out);
+        self.apply(ctx);
         verdict
     }
 
@@ -147,14 +151,13 @@ impl ManagerStub {
         &mut self,
         ctx: &mut Ctx<'_, SnsMsg>,
         class: WorkerClass,
-        op: impl Into<String>,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
         span: SpanCtx,
     ) -> u64 {
         let me = ctx.me();
         let now = ctx.now();
-        let mut out = Vec::new();
         let job_id = self.plane.dispatch(
             ctx.rng(),
             now,
@@ -164,9 +167,9 @@ impl ManagerStub {
             input,
             profile,
             span,
-            &mut out,
+            &mut self.out,
         );
-        self.apply(ctx, out);
+        self.apply(ctx);
         job_id
     }
 
@@ -178,27 +181,26 @@ impl ManagerStub {
         ctx: &mut Ctx<'_, SnsMsg>,
         worker: ComponentId,
         class: WorkerClass,
-        op: impl Into<String>,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
         span: SpanCtx,
     ) -> u64 {
         let me = ctx.me();
         let now = ctx.now();
-        let mut out = Vec::new();
+        let out = &mut self.out;
         let job_id = self
             .plane
-            .dispatch_to(now, me, worker, class, op, input, profile, span, &mut out);
-        self.apply(ctx, out);
+            .dispatch_to(now, me, worker, class, op, input, profile, span, out);
+        self.apply(ctx);
         job_id
     }
 
     /// Records a response; returns the dispatch if it was outstanding.
     pub fn on_response(&mut self, ctx: &mut Ctx<'_, SnsMsg>, job_id: u64) -> Option<Outstanding> {
         let now = ctx.now();
-        let mut out = Vec::new();
-        let o = self.plane.on_response(job_id, now, &mut out);
-        self.apply(ctx, out);
+        let o = self.plane.on_response(job_id, now, &mut self.out);
+        self.apply(ctx);
         o
     }
 
@@ -206,9 +208,8 @@ impl ManagerStub {
     /// the hint cache and retry elsewhere, or give up (§3.1.8).
     pub fn on_timeout(&mut self, ctx: &mut Ctx<'_, SnsMsg>, job_id: u64) -> TimeoutVerdict {
         let now = ctx.now();
-        let mut out = Vec::new();
-        let verdict = self.plane.on_timeout(ctx.rng(), now, job_id, &mut out);
-        self.apply(ctx, out);
+        let verdict = self.plane.on_timeout(ctx.rng(), now, job_id, &mut self.out);
+        self.apply(ctx);
         verdict
     }
 
@@ -220,9 +221,8 @@ impl ManagerStub {
     /// Pending dispatches of `class` that have no worker yet get sent as
     /// soon as hints advertise one (called after each beacon).
     pub fn flush_pending(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
-        let mut out = Vec::new();
-        self.plane.flush_pending(ctx.rng(), &mut out);
-        self.apply(ctx, out);
+        self.plane.flush_pending(ctx.rng(), &mut self.out);
+        self.apply(ctx);
     }
 }
 

@@ -26,7 +26,7 @@ use sns_sim::{ComponentId, GroupId};
 use crate::monitor::MonitorEvent;
 use crate::msg::{Job, JobResult, SnsMsg};
 use crate::trace;
-use crate::{intern_class, Payload, WorkerClass};
+use crate::{Payload, WorkerClass};
 
 /// How a worker job can fail.
 #[derive(Debug, Clone)]
@@ -138,7 +138,7 @@ impl WorkerStub {
     }
 
     fn on_overflow_node(&self, ctx: &Ctx<'_, SnsMsg>) -> bool {
-        ctx.node_tag(ctx.my_node()).as_deref() == Some("overflow")
+        ctx.node_tag(ctx.my_node()) == Some("overflow")
     }
 
     fn register(&mut self, ctx: &mut Ctx<'_, SnsMsg>, manager: ComponentId) {
@@ -172,7 +172,7 @@ impl WorkerStub {
                     trace::QUEUE,
                     trace::CAT_WORKER,
                     me,
-                    intern_class(self.logic.class().name()),
+                    self.logic.class().name(),
                     enqueued,
                     now,
                     0,
@@ -211,7 +211,7 @@ impl WorkerStub {
                 trace::SERVICE,
                 trace::CAT_WORKER,
                 me,
-                intern_class(self.logic.class().name()),
+                self.logic.class().name(),
                 started,
                 now,
                 bytes,
@@ -435,7 +435,7 @@ mod tests {
                 let job = Arc::new(Job {
                     id: i as u64,
                     class: "echo".into(),
-                    op: "echo".into(),
+                    op: "echo",
                     input: Blob::payload(1000, *tag),
                     profile: None,
                     reply_to: me,
@@ -524,7 +524,7 @@ mod tests {
                 let job = Arc::new(Job {
                     id: i,
                     class: "echo".into(),
-                    op: "echo".into(),
+                    op: "echo",
                     input: Blob::payload(1000, "x"),
                     profile: None,
                     reply_to: ComponentId::EXTERNAL,
@@ -562,7 +562,7 @@ mod tests {
             let job = Arc::new(Job {
                 id: i,
                 class: "echo".into(),
-                op: "echo".into(),
+                op: "echo",
                 input: Blob::payload(1000, "x"),
                 profile: None,
                 reply_to: ComponentId::EXTERNAL,

@@ -187,7 +187,7 @@ async fn run(partitions: usize, shared: Shared, req: Arc<ClientRequest>, svc: Sv
     let mut fanout = Vec::new();
     for p in 0..partitions {
         let class = WorkerClass::new(crate::partition_class(p));
-        if svc.workers_of(&class).is_empty() {
+        if svc.with_workers(&class, <[_]>::is_empty) {
             missing += 1;
             svc.incr("hb.partition_misses", 1);
             continue;

@@ -132,7 +132,7 @@ mod tests {
         let job = Job {
             id: 1,
             class: w.class(),
-            op: "query".into(),
+            op: "query",
             input: Arc::new(PartitionQuery {
                 query: "w0 w1".into(),
                 k: 5,
@@ -162,7 +162,7 @@ mod tests {
         let mk = |q: &str| Job {
             id: 1,
             class: WorkerClass::new("search/p2"),
-            op: "query".into(),
+            op: "query",
             input: Arc::new(PartitionQuery {
                 query: q.into(),
                 k: 5,

@@ -95,7 +95,7 @@ pub fn serve<S: AsyncService>(
         if !hint_classes.is_empty() {
             let synth = hint_classes.iter().map(|c| {
                 let n = cluster.workers_of(c.name()) as u64;
-                (c.clone(), (0..n).map(ComponentId).collect())
+                (*c, (0..n).map(ComponentId).collect())
             });
             hints = Arc::new(synth.collect());
         }
@@ -124,7 +124,7 @@ pub fn serve<S: AsyncService>(
                         profile,
                         ..
                     } => {
-                        cluster.submit_tagged(class.name(), &op, input, profile, tag, &completions);
+                        cluster.submit_tagged(class.name(), op, input, profile, tag, &completions);
                         in_flight += 1;
                     }
                     Action::Compute { tag, cost } => naps.push((tag, Instant::now() + cost)),

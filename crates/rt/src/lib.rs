@@ -118,7 +118,7 @@ use sns_core::msg::{BeaconData, JobResult, ProfileData};
 use sns_core::shard::{DispatchShard, ShardedDispatch};
 use sns_core::trace::{self, Sampling, SpanCtx, SpanId, TraceLog, Tracer};
 use sns_core::worker::{WorkerError, WorkerLogic};
-use sns_core::{intern_class, Payload, SnsConfig, WorkerClass};
+use sns_core::{Payload, SnsConfig, WorkerClass};
 use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_sim::{ComponentId, MetricKey, NodeId};
@@ -1053,13 +1053,11 @@ impl RtCluster {
         factory: impl Fn() -> Box<dyn WorkerLogic> + Send + Sync + 'static,
     ) {
         let class = WorkerClass::new(class);
-        self.write_routes().classes.insert(class.clone());
+        self.write_routes().classes.insert(class);
         let mut guard = self.lock_control();
         let inner = &mut *guard;
-        inner
-            .factories
-            .insert(class.clone(), Arc::new(Box::new(factory)));
-        let policy = inner.policies.entry(class.clone()).or_insert(SpawnPolicy {
+        inner.factories.insert(class, Arc::new(Box::new(factory)));
+        let policy = inner.policies.entry(class).or_insert(SpawnPolicy {
             min_workers: 0,
             max_workers: 0,
             max_per_node: 0,
@@ -1071,7 +1069,7 @@ impl RtCluster {
             policy.min_workers += n as u32;
         }
         let policy = policy.clone();
-        inner.control.add_class(class.clone(), policy);
+        inner.control.add_class(class, policy);
         let now = self.now();
         let target = inner.control.class_strength(&class) + n as u32;
         let view = Self::view_of(inner);
@@ -1117,14 +1115,9 @@ impl RtCluster {
                     // Registration is synchronous here (no SAN between
                     // the manager and a thread it just started); the
                     // Watch effect is meaningless to this driver.
-                    inner.control.on_register_worker(
-                        id,
-                        class.clone(),
-                        node,
-                        false,
-                        now,
-                        &mut Vec::new(),
-                    );
+                    inner
+                        .control
+                        .on_register_worker(id, class, node, false, now, &mut Vec::new());
                     self.write_routes()
                         .workers
                         .insert(handle.id, handle.route.clone());
@@ -1296,7 +1289,7 @@ impl RtCluster {
     pub fn submit(
         &self,
         class: &str,
-        op: &str,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
     ) -> mpsc::Receiver<JobResult> {
@@ -1315,7 +1308,7 @@ impl RtCluster {
     pub fn submit_tagged(
         &self,
         class: &str,
-        op: &str,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
         token: u64,
@@ -1328,15 +1321,14 @@ impl RtCluster {
     fn submit_to(
         &self,
         class: &str,
-        op: &str,
+        op: &'static str,
         input: Payload,
         profile: Option<ProfileData>,
         sink: ReplySink,
     ) {
-        let class = WorkerClass::new(class);
-        if !read_routes(&self.routes).classes.contains(&class) {
+        let Some(class) = read_routes(&self.routes).classes.get(class).copied() else {
             return sink.deliver(JobResult::Failed(format!("no workers of class {class}")));
-        }
+        };
         let now = self.now();
         let mut need = Vec::new();
         {
@@ -1364,7 +1356,7 @@ impl RtCluster {
                     now,
                     ComponentId::EXTERNAL,
                     class,
-                    op.to_string(),
+                    op,
                     input,
                     profile,
                     SpanCtx::root(),
@@ -1417,14 +1409,13 @@ impl RtCluster {
         let time_scale = self.cfg.time_scale;
         let seed = self.cfg.seed ^ id;
         let started = self.started;
-        let class_key = intern_class(class.name());
+        let class_key = class.name();
         let alive_t = Arc::clone(&alive);
         let kill_t = Arc::clone(&kill);
         let qlen_t = Arc::clone(&qlen);
 
         let crash = {
             let alive = Arc::clone(&alive);
-            let class = class.clone();
             move || {
                 crashes.fetch_add(1, Ordering::Relaxed);
                 let now = span_time(started, Instant::now());
@@ -1432,7 +1423,7 @@ impl RtCluster {
                     now,
                     MonitorEvent::WorkerCrashed {
                         worker: ComponentId(id),
-                        class: class.clone(),
+                        class,
                     },
                 );
                 // The store is last: once the manager sees !alive it
@@ -1585,7 +1576,7 @@ impl RtCluster {
             .map(|w| {
                 (
                     w.id,
-                    w.class.clone(),
+                    w.class,
                     w.route.qlen.load(Ordering::Relaxed) as u32,
                     w.node,
                 )
@@ -1625,9 +1616,7 @@ impl RtCluster {
                 let _ = j.join();
             }
             self.write_routes().workers.remove(&dead.id);
-            inner
-                .morgue
-                .push((dead.class.clone(), dead.salvage.clone()));
+            inner.morgue.push((dead.class, dead.salvage.clone()));
             let view = Self::view_of(inner);
             let mut out = Vec::new();
             inner
@@ -1836,7 +1825,7 @@ impl RtCluster {
     pub fn set_tenant(&self, class: &str, tenant: &'static str) {
         let class = WorkerClass::new(class);
         self.shards
-            .for_each(|_, s| s.plane.set_tenant(class.clone(), tenant));
+            .for_each(|_, s| s.plane.set_tenant(class, tenant));
     }
 
     /// Installs a tenant's overload policy on every dispatch shard.
@@ -1923,7 +1912,7 @@ impl RtCluster {
                 restart_front_ends: false,
             });
             for (class, policy) in &inner.policies {
-                control.add_class(class.clone(), policy.clone());
+                control.add_class(*class, policy.clone());
             }
             inner.control = control;
             let view = Self::view_of(inner);
@@ -1939,7 +1928,7 @@ impl RtCluster {
                 .workers
                 .iter()
                 .filter(|w| w.route.alive.load(Ordering::Relaxed))
-                .map(|w| (w.id, w.class.clone(), w.node))
+                .map(|w| (w.id, w.class, w.node))
                 .collect();
             for (id, class, node) in live {
                 inner.control.on_register_worker(
@@ -1954,7 +1943,7 @@ impl RtCluster {
             let classes: Vec<(WorkerClass, u32)> = inner
                 .policies
                 .iter()
-                .map(|(c, p)| (c.clone(), p.min_workers))
+                .map(|(c, p)| (*c, p.min_workers))
                 .collect();
             for (class, min) in classes {
                 let view = Self::view_of(inner);
@@ -2056,7 +2045,7 @@ impl Cluster for RtCluster {
         "rt"
     }
 
-    fn submit(&self, class: &str, op: &str, input: Payload) {
+    fn submit(&self, class: &str, op: &'static str, input: Payload) {
         let rx = RtCluster::submit(self, class, op, input, None);
         lock(&self.pending, &self.lock_poisoned).push(rx);
     }

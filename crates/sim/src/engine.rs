@@ -372,7 +372,7 @@ trait KernelOps<M> {
     fn alloc_component(&mut self, node: NodeId, kind: &'static str) -> Option<ComponentId>;
     fn spawn_latency(&self) -> Duration;
     fn node_of(&self, comp: ComponentId) -> Option<NodeId>;
-    fn node_tag(&self, node: NodeId) -> Option<String>;
+    fn node_tag(&self, node: NodeId) -> Option<&str>;
     fn is_alive(&self, comp: ComponentId) -> bool;
     fn node_alive(&self, node: NodeId) -> bool;
     fn nodes_with_tag(&self, tag: &str) -> Vec<NodeId>;
@@ -448,8 +448,8 @@ impl<M: Wire + Clone, N: Network> KernelOps<M> for Kernel<M, N> {
     fn node_of(&self, comp: ComponentId) -> Option<NodeId> {
         self.meta.get(comp.0 as usize).map(|m| m.node)
     }
-    fn node_tag(&self, node: NodeId) -> Option<String> {
-        self.nodes.get(node.0 as usize).map(|n| n.tag.clone())
+    fn node_tag(&self, node: NodeId) -> Option<&str> {
+        self.nodes.get(node.0 as usize).map(|n| n.tag.as_str())
     }
     fn is_alive(&self, comp: ComponentId) -> bool {
         Kernel::is_alive(self, comp)
@@ -582,7 +582,7 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Pool tag of a node.
-    pub fn node_tag(&self, node: NodeId) -> Option<String> {
+    pub fn node_tag(&self, node: NodeId) -> Option<&str> {
         self.kernel.node_tag(node)
     }
 

@@ -94,8 +94,8 @@ pub use trace::{SpanId, SpanRecord, TraceLog, Tracer};
 /// Interns a name, returning its canonical `&'static str`. Each distinct
 /// name leaks exactly one copy; repeated calls with the same content are
 /// allocation-free lookups, but every call takes one process-wide lock.
-/// Backs [`stats::MetricKey`] and the engine's component-kind tags; a
-/// [`StatsHub`] calls it only on its own first write of a name.
+/// Backs [`stats::MetricKey`], component-kind tags and worker-class
+/// names; a [`StatsHub`] calls it only on its own first write of a name.
 pub fn intern(name: &str) -> &'static str {
     use std::collections::BTreeMap;
     use std::sync::Mutex;

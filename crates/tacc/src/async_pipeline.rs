@@ -96,20 +96,35 @@ impl Default for PipelineConfig {
 
 /// The three-stage TACC pipeline as an [`AsyncService`].
 pub struct PipelineService {
-    cfg: Arc<PipelineConfig>,
+    plan: Arc<Plan>,
+}
+
+/// A [`PipelineConfig`] with its classes (`distiller/<stage>` per stage,
+/// `aggregator/<name>`) resolved once, so no request formats a class.
+struct Plan {
+    cfg: PipelineConfig,
+    stages: Vec<WorkerClass>,
+    aggregator: Option<WorkerClass>,
 }
 
 impl PipelineService {
     /// Creates the service.
     pub fn new(cfg: PipelineConfig) -> Self {
-        PipelineService { cfg: Arc::new(cfg) }
+        let class = |kind, name| WorkerClass::new(format!("{kind}/{name}"));
+        let stages = cfg.stages.iter().map(|s| class("distiller", s)).collect();
+        let aggregator = cfg.aggregator.as_ref().map(|a| class("aggregator", a));
+        let plan = Arc::new(Plan {
+            cfg,
+            stages,
+            aggregator,
+        });
+        PipelineService { plan }
     }
 }
 
 impl AsyncService for PipelineService {
     fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
-        let cfg = self.cfg.clone();
-        Box::pin(run(cfg, request, svc))
+        Box::pin(run(Arc::clone(&self.plan), request, svc))
     }
 }
 
@@ -117,15 +132,14 @@ impl AsyncService for PipelineService {
 /// against a delayed backup, give the pair up after `give_up`.
 async fn distill_stage(
     svc: &SvcHandle,
-    stage: &str,
+    class: WorkerClass,
     input: ContentObject,
     profile: Option<ProfileData>,
     hedge_after: Duration,
     give_up: Duration,
 ) -> Option<ContentObject> {
-    let class = WorkerClass::new(format!("distiller/{stage}"));
     let primary = svc.dispatch(
-        class.clone(),
+        class,
         "transform",
         input.clone().into_payload(),
         profile.clone(),
@@ -157,7 +171,7 @@ async fn distill_stage(
 /// instead of failing it (§3.1.8).
 async fn source_chain(
     svc: SvcHandle,
-    cfg: Arc<PipelineConfig>,
+    plan: Arc<Plan>,
     src: FetchRequest,
     profile: Option<ProfileData>,
 ) -> Option<ContentObject> {
@@ -172,14 +186,14 @@ async fn source_chain(
         svc.mark_degraded();
         return None;
     };
-    for stage in &cfg.stages {
+    for &class in &plan.stages {
         match distill_stage(
             &svc,
-            stage,
+            class,
             obj.clone(),
             profile.clone(),
-            cfg.hedge_after,
-            cfg.give_up,
+            plan.cfg.hedge_after,
+            plan.cfg.give_up,
         )
         .await
         {
@@ -195,7 +209,7 @@ async fn source_chain(
 }
 
 /// One pipeline request, top to bottom.
-async fn run(cfg: Arc<PipelineConfig>, req: Arc<ClientRequest>, svc: SvcHandle) {
+async fn run(plan: Arc<Plan>, req: Arc<ClientRequest>, svc: SvcHandle) {
     svc.incr("tacc.pipe_requests", 1);
     let job = req
         .body
@@ -210,7 +224,7 @@ async fn run(cfg: Arc<PipelineConfig>, req: Arc<ClientRequest>, svc: SvcHandle) 
             args: BTreeMap::new(),
         });
     let args = TaccArgs::from_map(job.args.clone());
-    let profile: Option<ProfileData> = Some(Arc::new(args.as_map().clone()));
+    let profile: Option<ProfileData> = Some(Arc::clone(args.as_map()));
 
     // Fetch + distill: one chain per source, all started by the first
     // poll (fetches leave in source order), collected as they finish.
@@ -218,7 +232,7 @@ async fn run(cfg: Arc<PipelineConfig>, req: Arc<ClientRequest>, svc: SvcHandle) 
         .sources
         .iter()
         .map(|src| {
-            let chain = source_chain(svc.clone(), cfg.clone(), src.clone(), profile.clone());
+            let chain = source_chain(svc.clone(), plan.clone(), src.clone(), profile.clone());
             Some(Box::pin(chain) as BoxFut<_>)
         })
         .collect();
@@ -235,21 +249,21 @@ async fn run(cfg: Arc<PipelineConfig>, req: Arc<ClientRequest>, svc: SvcHandle) 
 
     // Aggregate: collate multi-source results; an unreachable
     // aggregator degrades to the first object.
-    if let (Some(agg), true) = (&cfg.aggregator, objs.len() > 1) {
+    if let (Some(agg), true) = (plan.aggregator, objs.len() > 1) {
         let pending = svc.dispatch(
-            WorkerClass::new(format!("aggregator/{agg}")),
+            agg,
             "aggregate",
             Arc::new(AggregateRequest {
                 inputs: objs.clone(),
             }),
             profile.clone(),
         );
-        match timeout(pending, svc.nap(cfg.give_up)).await {
+        match timeout(pending, svc.nap(plan.cfg.give_up)).await {
             Some(EventOutcome::Reply(JobResult::Ok(p))) => {
                 svc.incr("tacc.pipe_aggregated", 1);
-                if cfg.cache_final {
+                if plan.cfg.cache_final {
                     if let Some(obj) = ContentObject::from_payload(&p) {
-                        inject(&svc, &cfg, &args, obj.clone());
+                        inject(&svc, &plan.cfg, &args, obj.clone());
                     }
                 }
                 svc.observe("tacc.pipe_response_bytes", p.wire_size() as f64);
@@ -265,8 +279,8 @@ async fn run(cfg: Arc<PipelineConfig>, req: Arc<ClientRequest>, svc: SvcHandle) 
 
     // Cache + reply.
     let final_obj = objs.into_iter().next().expect("objs checked non-empty");
-    if cfg.cache_final {
-        inject(&svc, &cfg, &args, final_obj.clone());
+    if plan.cfg.cache_final {
+        inject(&svc, &plan.cfg, &args, final_obj.clone());
     }
     svc.observe("tacc.pipe_response_bytes", final_obj.len() as f64);
     svc.reply(Ok(final_obj.into_payload()));

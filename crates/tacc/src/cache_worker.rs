@@ -111,11 +111,11 @@ impl CacheWorker {
 
 impl WorkerLogic for CacheWorker {
     fn class(&self) -> WorkerClass {
-        WorkerClass::new(Self::CLASS)
+        Self::CLASS.into()
     }
 
     fn service_time(&mut self, job: &Job, now: SimTime, rng: &mut Pcg32) -> Duration {
-        match job.op.as_str() {
+        match job.op {
             "get" => {
                 let hit = sns_core::payload_as::<CacheGet>(&job.input)
                     .map(|g| self.store.peek(&g.key, now.as_nanos()).is_some())
@@ -138,7 +138,7 @@ impl WorkerLogic for CacheWorker {
         now: SimTime,
         _rng: &mut Pcg32,
     ) -> Result<Payload, WorkerError> {
-        match job.op.as_str() {
+        match job.op {
             "get" => {
                 let Some(get) = sns_core::payload_as::<CacheGet>(&job.input) else {
                     return Err(WorkerError::Failed("bad cache get payload".into()));
@@ -185,11 +185,11 @@ mod tests {
     use sns_sim::ComponentId;
     use sns_workload::MimeType;
 
-    fn job(op: &str, input: Payload) -> Job {
+    fn job(op: &'static str, input: Payload) -> Job {
         Job {
             id: 1,
             class: CacheWorker::CLASS.into(),
-            op: op.into(),
+            op,
             input,
             profile: None,
             reply_to: ComponentId(1),

@@ -137,13 +137,18 @@ impl AppData for ContentObject {
 /// distiller and keyword filter to do real work.
 pub fn synth_html(url: &str, n_images: usize, words: &[&str]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
+    // Sized up front: head, tail and images, and per word its space and
+    // a share of its paragraph's tags.
+    let prose: usize = words.iter().map(|w| w.len() + 2).sum();
+    let mut out = String::with_capacity(72 + prose + (n_images + 2) * (url.len() + 48));
     let _ = write!(
         out,
         "<html><head><title>Page {url}</title></head><body>\n<h1>{url}</h1>\n"
     );
     for (i, chunk) in words.chunks(12).enumerate() {
-        let _ = writeln!(out, "<p>{}</p>", chunk.join(" "));
+        out.push_str("<p>");
+        out.extend(chunk.iter().flat_map(|w| [" ", w]).skip(1));
+        out.push_str("</p>\n");
         if i < n_images {
             let _ = writeln!(
                 out,

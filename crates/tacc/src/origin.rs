@@ -118,7 +118,7 @@ impl Default for OriginServer {
 
 impl WorkerLogic for OriginServer {
     fn class(&self) -> WorkerClass {
-        WorkerClass::new(Self::CLASS)
+        Self::CLASS.into()
     }
 
     fn service_time(&mut self, _job: &Job, _now: SimTime, rng: &mut Pcg32) -> Duration {
@@ -157,7 +157,7 @@ mod tests {
         Job {
             id: 1,
             class: OriginServer::CLASS.into(),
-            op: "fetch".into(),
+            op: "fetch",
             input: Arc::new(req),
             profile: None,
             reply_to: ComponentId(1),

@@ -21,24 +21,11 @@ impl PipelineSpec {
         PipelineSpec::default()
     }
 
-    /// A single-stage pipeline.
-    pub fn single(stage: impl Into<String>) -> Self {
-        PipelineSpec {
-            stages: vec![stage.into()],
-        }
-    }
-
     /// Builds from a list of stage names.
     pub fn of(stages: &[&str]) -> Self {
         PipelineSpec {
             stages: stages.iter().map(|s| s.to_string()).collect(),
         }
-    }
-
-    /// Appends a stage.
-    pub fn then(mut self, stage: impl Into<String>) -> Self {
-        self.stages.push(stage.into());
-        self
     }
 
     /// Concatenates two pipelines (associative).
@@ -66,20 +53,26 @@ impl PipelineSpec {
     /// the key under which that intermediate result may be cached.
     /// `prefix_len == 0` yields 0, the "original content" variant.
     pub fn variant_of_prefix(&self, prefix_len: usize, args: &TaccArgs) -> u64 {
-        let mut acc = 0u64;
-        for stage in self.stages.iter().take(prefix_len) {
-            // Chain the per-stage variant hashes, order-sensitively.
+        Self::variant_of(
+            self.stages.iter().take(prefix_len).map(String::as_str),
+            args,
+        )
+    }
+
+    /// Cache-variant hash of a chain of stage names under `args`, for a
+    /// caller that keeps its stages elsewhere: the per-stage hashes
+    /// chained order-sensitively, 0 (the original) for no stages.
+    pub fn variant_of<'a>(stages: impl IntoIterator<Item = &'a str>, args: &TaccArgs) -> u64 {
+        let chain = |acc: u64, stage| {
             let h = args.variant_hash(stage);
-            acc = acc
-                .rotate_left(17)
+            acc.rotate_left(17)
                 .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(h);
-        }
-        if prefix_len == 0 {
-            0
-        } else {
-            acc | 1
-        }
+                .wrapping_add(h)
+        };
+        let mut stages = stages.into_iter();
+        stages
+            .next()
+            .map_or(0, |first| stages.fold(chain(0, first), chain) | 1)
     }
 
     /// Variant hash of the full pipeline.
@@ -99,9 +92,9 @@ mod tests {
 
     #[test]
     fn composition_is_associative() {
-        let a = PipelineSpec::single("x");
-        let b = PipelineSpec::single("y");
-        let c = PipelineSpec::single("z");
+        let a = PipelineSpec::of(&["x"]);
+        let b = PipelineSpec::of(&["y"]);
+        let c = PipelineSpec::of(&["z"]);
         let left = a.clone().compose(&b).compose(&c);
         let right = a.compose(&b.compose(&c));
         assert_eq!(left, right);

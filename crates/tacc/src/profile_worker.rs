@@ -134,11 +134,11 @@ impl Default for ProfileWorker {
 
 impl WorkerLogic for ProfileWorker {
     fn class(&self) -> WorkerClass {
-        WorkerClass::new(Self::CLASS)
+        Self::CLASS.into()
     }
 
     fn service_time(&mut self, job: &Job, _now: SimTime, _rng: &mut Pcg32) -> Duration {
-        match job.op.as_str() {
+        match job.op {
             "get" => self.read_time,
             _ => self.commit_time,
         }
@@ -150,7 +150,7 @@ impl WorkerLogic for ProfileWorker {
         _now: SimTime,
         _rng: &mut Pcg32,
     ) -> Result<Payload, WorkerError> {
-        match job.op.as_str() {
+        match job.op {
             "get" => {
                 let Some(get) = sns_core::payload_as::<ProfileGet>(&job.input) else {
                     return Err(WorkerError::Failed("bad profile get".into()));
@@ -192,11 +192,11 @@ mod tests {
     use super::*;
     use sns_sim::ComponentId;
 
-    fn job(op: &str, input: Payload) -> Job {
+    fn job(op: &'static str, input: Payload) -> Job {
         Job {
             id: 1,
             class: ProfileWorker::CLASS.into(),
-            op: op.into(),
+            op,
             input,
             profile: None,
             reply_to: ComponentId(1),

@@ -39,27 +39,32 @@ pub enum TaccError {
 }
 
 /// Per-request worker arguments: the user's customisation profile merged
-/// over service defaults.
+/// over service defaults, held as the shared map a job carries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaccArgs {
-    map: BTreeMap<String, String>,
+    map: ProfileData,
 }
 
 impl TaccArgs {
-    /// Builds args from service defaults overlaid with the user profile.
-    pub fn merged(defaults: &BTreeMap<String, String>, profile: Option<&ProfileData>) -> Self {
-        let mut map = defaults.clone();
-        if let Some(p) = profile {
-            for (k, v) in p.iter() {
-                map.insert(k.clone(), v.clone());
+    /// Builds args from service defaults overlaid with the user profile,
+    /// sharing the defaults (no profile) or the profile (it sets every
+    /// default) instead of copying either.
+    pub fn merged(defaults: &ProfileData, profile: Option<&ProfileData>) -> Self {
+        let map = match profile {
+            None => Arc::clone(defaults),
+            Some(p) if defaults.keys().all(|k| p.contains_key(k)) => Arc::clone(p),
+            Some(p) => {
+                let mut map = BTreeMap::clone(defaults);
+                map.extend(p.iter().map(|(k, v)| (k.clone(), v.clone())));
+                Arc::new(map)
             }
-        }
+        };
         TaccArgs { map }
     }
 
     /// Creates args from a plain map.
     pub fn from_map(map: BTreeMap<String, String>) -> Self {
-        TaccArgs { map }
+        TaccArgs { map: Arc::new(map) }
     }
 
     /// Reads a string argument.
@@ -93,7 +98,7 @@ impl TaccArgs {
             }
         };
         eat(worker.as_bytes());
-        for (k, v) in &self.map {
+        for (k, v) in self.map.iter() {
             eat(k.as_bytes());
             eat(b"=");
             eat(v.as_bytes());
@@ -102,8 +107,8 @@ impl TaccArgs {
         h | 1 // never 0: 0 means "original" in CacheKey
     }
 
-    /// The underlying map.
-    pub fn as_map(&self) -> &BTreeMap<String, String> {
+    /// The underlying map, shared: a job can carry it as its profile.
+    pub fn as_map(&self) -> &ProfileData {
         &self.map
     }
 }
@@ -171,7 +176,7 @@ enum Kind {
 pub struct TaccWorkerHost {
     kind: Kind,
     class: WorkerClass,
-    defaults: BTreeMap<String, String>,
+    defaults: ProfileData,
 }
 
 impl TaccWorkerHost {
@@ -181,7 +186,7 @@ impl TaccWorkerHost {
         TaccWorkerHost {
             kind: Kind::Transform(w),
             class,
-            defaults,
+            defaults: Arc::new(defaults),
         }
     }
 
@@ -191,7 +196,7 @@ impl TaccWorkerHost {
         TaccWorkerHost {
             kind: Kind::Aggregate(a),
             class,
-            defaults,
+            defaults: Arc::new(defaults),
         }
     }
 
@@ -202,7 +207,7 @@ impl TaccWorkerHost {
 
 impl WorkerLogic for TaccWorkerHost {
     fn class(&self) -> WorkerClass {
-        self.class.clone()
+        self.class
     }
 
     fn service_time(&mut self, job: &Job, _now: SimTime, rng: &mut Pcg32) -> Duration {
@@ -294,7 +299,7 @@ mod tests {
         Job {
             id: 1,
             class: "distiller/halver".into(),
-            op: "transform".into(),
+            op: "transform",
             input: obj.into_payload(),
             profile,
             reply_to: ComponentId(1),
@@ -353,7 +358,7 @@ mod tests {
         defaults.insert("scale".into(), "2".into());
         let mut profile = BTreeMap::new();
         profile.insert("quality".to_string(), "25".to_string());
-        let args = TaccArgs::merged(&defaults, Some(&Arc::new(profile)));
+        let args = TaccArgs::merged(&Arc::new(defaults), Some(&Arc::new(profile)));
         assert_eq!(args.get_f64("quality", 0.0), 25.0);
         assert_eq!(args.get_f64("scale", 0.0), 2.0);
     }

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sns_testkit::{gens, props, tk_assert_eq, tk_assert_ne, tk_assume, Gen};
+use sns_testkit::{gens, props, tk_assert, tk_assert_eq, tk_assert_ne, tk_assume, Gen};
 
 use sns_tacc::pipeline::PipelineSpec;
 use sns_tacc::worker::TaccArgs;
@@ -23,7 +23,7 @@ fn stages() -> Gen<Vec<String>> {
 
 props! {
     fn profile_always_wins_over_defaults(defaults in kv_map(), profile in kv_map()) {
-        let merged = TaccArgs::merged(&defaults, Some(&Arc::new(profile.clone())));
+        let merged = TaccArgs::merged(&Arc::new(defaults.clone()), Some(&Arc::new(profile.clone())));
         for (k, v) in &profile {
             tk_assert_eq!(merged.get(k), Some(v.as_str()));
         }
@@ -32,6 +32,31 @@ props! {
                 tk_assert_eq!(merged.get(k), Some(v.as_str()));
             }
         }
+    }
+
+    fn merged_shares_a_covering_profile_and_else_equals_the_copying_merge(
+        defaults in kv_map(),
+        profile in kv_map(),
+        cover in gens::any_bool(),
+    ) {
+        let mut profile = profile;
+        if cover {
+            for (k, v) in &defaults {
+                profile.entry(k.clone()).or_insert_with(|| v.clone());
+            }
+        }
+        // The merge as it was before args shared their map: copy the
+        // defaults, then write every profile entry over them.
+        let mut copied = defaults.clone();
+        for (k, v) in &profile {
+            copied.insert(k.clone(), v.clone());
+        }
+        let (defaults, profile) = (Arc::new(defaults), Arc::new(profile));
+        let merged = TaccArgs::merged(&defaults, Some(&profile));
+        tk_assert_eq!(merged.as_map().as_ref(), &copied);
+        let covers = defaults.keys().all(|k| profile.contains_key(k));
+        tk_assert_eq!(Arc::ptr_eq(merged.as_map(), &profile), covers);
+        tk_assert!(Arc::ptr_eq(TaccArgs::merged(&defaults, None).as_map(), &defaults));
     }
 
     fn variant_hash_is_stable_and_never_original(

@@ -364,7 +364,7 @@ fn make_manager_factory(
         if cache_partitions > 0 {
             let cfg = stub_cfg(&w);
             classes.insert(
-                WorkerClass::new(CacheWorker::CLASS),
+                CacheWorker::CLASS.into(),
                 WorkerSpec::pinned(
                     cache_partitions,
                     Box::new(move || {
@@ -380,7 +380,7 @@ fn make_manager_factory(
             let cfg = stub_cfg(&w);
             let profiles = profiles.clone();
             classes.insert(
-                WorkerClass::new(ProfileWorker::CLASS),
+                ProfileWorker::CLASS.into(),
                 WorkerSpec::pinned(
                     1,
                     Box::new(move || {
@@ -572,7 +572,7 @@ impl TranSendCluster {
 
     /// All live distiller workers of a class (e.g. `"distiller/jpeg"`).
     pub fn distillers_of(&self, class: &str) -> Vec<ComponentId> {
-        self.sim.components_of_kind(sns_core::intern_class(class))
+        self.sim.components_of_kind(class)
     }
 
     /// Snapshot of the recorded request trace, or `None` unless the

@@ -177,14 +177,14 @@ impl Component<SnsMsg> for TranSendClient {
             if due > ctx.now() {
                 break;
             }
-            let record = self.items[self.next_item].record.clone();
-            let record = &record;
-            let id = self.next_item as u64 + 1;
+            let i = self.next_item;
+            let id = i as u64 + 1;
             self.next_item += 1;
             let Some(fe) = self.pick_fe(ctx) else {
                 ctx.stats().incr("client.no_frontend", 1);
                 continue;
             };
+            let record = &self.items[i].record;
             self.outstanding.insert(id, (ctx.now(), record.size));
             self.report.borrow_mut().sent += 1;
             ctx.stats().incr("client.sent", 1);

@@ -59,8 +59,9 @@ pub struct TranSendConfig {
     /// Objects below this size pass through undistilled (§4.1: "data
     /// under 1 KB is transferred to the client unmodified").
     pub distill_threshold: u64,
-    /// Default distillation arguments (overridden per user by profiles).
-    pub defaults: BTreeMap<String, String>,
+    /// Default distillation arguments (overridden per user by profiles),
+    /// shared by every request whose profile does not replace them.
+    pub defaults: ProfileData,
     /// Profile-cache capacity (entries).
     pub profile_cache_cap: usize,
     /// Whether post-transformation content is cached (§4.6 turns this
@@ -75,7 +76,7 @@ impl Default for TranSendConfig {
         defaults.insert("quality".to_string(), "25".to_string());
         TranSendConfig {
             distill_threshold: 1024,
-            defaults,
+            defaults: Arc::new(defaults),
             profile_cache_cap: 4096,
             cache_distilled: true,
         }
@@ -136,10 +137,7 @@ impl TranSendAsync {
 
 impl AsyncService for TranSendAsync {
     fn hint_classes(&self) -> Vec<WorkerClass> {
-        vec![
-            WorkerClass::new(CacheWorker::CLASS),
-            WorkerClass::new(ProfileWorker::CLASS),
-        ]
+        vec![CacheWorker::CLASS.into(), ProfileWorker::CLASS.into()]
     }
 
     fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
@@ -159,18 +157,19 @@ fn lock(shared: &Shared) -> MutexGuard<'_, TsShared> {
 /// Syncs the ring with the live cache-worker set ("automatically
 /// re-hashing when cache nodes are added or removed", §3.1.5).
 fn refresh_ring(shared: &Shared, svc: &SvcHandle) {
-    let live = svc.workers_of(&WorkerClass::new(CacheWorker::CLASS));
-    let mut sh = lock(shared);
-    if sh.vcache.partitions() == live.as_slice() {
-        return; // both sorted: same membership, nothing to re-hash
-    }
-    let current: Vec<_> = sh.vcache.partitions().to_vec();
-    for gone in current.iter().filter(|p| !live.contains(p)) {
-        sh.vcache.remove_partition(gone);
-    }
-    for fresh in live.iter().filter(|p| !current.contains(p)) {
-        sh.vcache.add_partition(*fresh);
-    }
+    svc.with_workers(&CacheWorker::CLASS.into(), |live| {
+        let mut sh = lock(shared);
+        if sh.vcache.partitions() == live {
+            return; // both sorted: same membership, nothing to re-hash
+        }
+        let current: Vec<_> = sh.vcache.partitions().to_vec();
+        for gone in current.iter().filter(|p| !live.contains(p)) {
+            sh.vcache.remove_partition(gone);
+        }
+        for fresh in live.iter().filter(|p| !current.contains(p)) {
+            sh.vcache.add_partition(*fresh);
+        }
+    });
 }
 
 fn route(shared: &Shared, key: &CacheKey) -> Option<ComponentId> {
@@ -190,43 +189,52 @@ fn cache_profile(shared: &Shared, cap: usize, user: &str, profile: Option<Profil
     sh.profile_cache.insert(user.to_string(), profile);
 }
 
+/// A distillation chain: each stage's name (what its cache variant
+/// hashes) and its distiller class, fixed at compile time so a request
+/// builds neither.
+type Chain = &'static [(&'static str, &'static str)];
+
+const GIF: Chain = &[("gif", "distiller/gif")];
+const JPEG: Chain = &[("jpeg", "distiller/jpeg")];
+const MUNGE: (&str, &str) = ("html", "distiller/html");
+const KEYWORD: (&str, &str) = ("keyword", "distiller/keyword");
+const PDA: (&str, &str) = ("pda", "distiller/pda");
+/// HTML chains by per-user composition (§5.1): a keyword filter after
+/// the munger when the profile asks for one (+1), the spoon-feeding
+/// simplifier last for thin clients (+2, "Real Web Access for PDAs").
+const HTML: [Chain; 4] = [
+    &[MUNGE],
+    &[MUNGE, KEYWORD],
+    &[MUNGE, PDA],
+    &[MUNGE, KEYWORD, PDA],
+];
+
 /// The distillation plan for one fetch: arguments (defaults overridden
 /// by the profile) and the per-MIME stage chain.
 fn plan(
     cfg: &TranSendConfig,
     fetch: &FetchRequest,
     profile: Option<&ProfileData>,
-) -> (TaccArgs, PipelineSpec) {
+) -> (TaccArgs, Chain) {
     let args = TaccArgs::merged(&cfg.defaults, profile);
-    let mut pipeline = match fetch.mime {
-        MimeType::Gif => PipelineSpec::single("gif"),
-        MimeType::Jpeg => PipelineSpec::single("jpeg"),
-        MimeType::Html => PipelineSpec::single("html"),
-        MimeType::Other => PipelineSpec::identity(),
+    let chain = match fetch.mime {
+        _ if fetch.size < cfg.distill_threshold || args.get_bool("originals", false) => &[],
+        MimeType::Gif => GIF,
+        MimeType::Jpeg => JPEG,
+        MimeType::Html => {
+            let palm = args.get("device") == Some("palm");
+            HTML[usize::from(args.get("keywords").is_some()) + 2 * usize::from(palm)]
+        }
+        MimeType::Other => &[],
     };
-    // Per-user composition: a keyword filter chains after the HTML
-    // munger when the profile asks for it (§5.1).
-    if fetch.mime == MimeType::Html && args.get("keywords").is_some() {
-        pipeline = pipeline.then("keyword");
-    }
-    // Thin clients get the spoon-feeding simplifier as a final stage
-    // (§5.1 "Real Web Access for PDAs and Smart Phones").
-    if fetch.mime == MimeType::Html && args.get("device") == Some("palm") {
-        pipeline = pipeline.then("pda");
-    }
-    if fetch.size < cfg.distill_threshold || args.get_bool("originals", false) {
-        pipeline = PipelineSpec::identity();
-    }
-    (args, pipeline)
+    (args, chain)
 }
 
 /// The cache key of what the plan produces.
-fn final_key(fetch: &FetchRequest, pipeline: &PipelineSpec, args: &TaccArgs) -> CacheKey {
-    let v = pipeline.final_variant(args);
-    if pipeline.is_empty() {
-        CacheKey::original(&fetch.url)
-    } else {
-        CacheKey::variant(&fetch.url, v)
+fn final_key(fetch: &FetchRequest, chain: Chain, args: &TaccArgs) -> CacheKey {
+    match PipelineSpec::variant_of(chain.iter().map(|&(stage, _)| stage), args) {
+        0 => CacheKey::original(&fetch.url),
+        v => CacheKey::variant(&fetch.url, v),
     }
 }
 
@@ -336,15 +344,16 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
             return;
         }
     }
-    let fetch = req
-        .body
-        .as_ref()
-        .and_then(|b| payload_as::<FetchRequest>(b).cloned())
-        .unwrap_or(FetchRequest {
+    // The request's own fetch payload is what the origin is sent.
+    let fetch_input: Payload = match &req.body {
+        Some(b) if payload_as::<FetchRequest>(b).is_some() => Arc::clone(b),
+        _ => Arc::new(FetchRequest {
             url: req.url.clone(),
             mime: MimeType::Other,
             size: 8 * 1024,
-        });
+        }),
+    };
+    let fetch = payload_as::<FetchRequest>(&fetch_input).expect("a fetch request");
 
     // Profile: write-through cache absorbs reads (§3.1.4); a missing
     // profile database means default preferences (BASE — the ACID
@@ -353,10 +362,7 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
     let profile = if let Some(hit) = cached {
         svc.incr("ts.profile_cache_hits", 1);
         hit
-    } else if !svc
-        .workers_of(&WorkerClass::new(ProfileWorker::CLASS))
-        .is_empty()
-    {
+    } else if !svc.with_workers(&ProfileWorker::CLASS.into(), <[_]>::is_empty) {
         let got = svc
             .dispatch(
                 ProfileWorker::CLASS.into(),
@@ -380,14 +386,14 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
         None
     };
 
-    let (args, pipeline) = plan(&cfg, &fetch, profile.as_ref());
+    let (args, chain) = plan(&cfg, fetch, profile.as_ref());
     refresh_ring(&shared, &svc);
 
     // Cache lookups, falling through to the origin. The block produces
     // the original object to distill; a hit on the *final* variant
     // replies inside and returns.
     let original: Payload = 'have: {
-        if !cfg.cache_distilled && !pipeline.is_empty() {
+        if !cfg.cache_distilled && !chain.is_empty() {
             // Distilled variants are not cached: look up the original
             // and re-distill per request (the §4.6 measurement mode).
             let key = CacheKey::original(&fetch.url);
@@ -401,7 +407,7 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
                 svc.incr("ts.no_cache_available", 1);
             }
         } else {
-            let key = final_key(&fetch, &pipeline, &args);
+            let key = final_key(fetch, chain, &args);
             if let Some(worker) = route(&shared, &key) {
                 match cache_get(&svc, worker, key).await {
                     Some(Some(obj)) => {
@@ -410,7 +416,7 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
                         svc.reply(Ok(obj));
                         return;
                     }
-                    Some(None) if pipeline.is_empty() => svc.incr("ts.cache_miss", 1),
+                    Some(None) if chain.is_empty() => svc.incr("ts.cache_miss", 1),
                     Some(None) => {
                         svc.incr("ts.cache_miss", 1);
                         let key = CacheKey::original(&fetch.url);
@@ -433,7 +439,7 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
             .dispatch(
                 OriginServer::CLASS.into(),
                 "fetch",
-                Arc::new(fetch.clone()),
+                Arc::clone(&fetch_input),
                 None,
             )
             .await;
@@ -457,22 +463,16 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
     };
 
     // The original is in hand: pass through or distill, stage by stage.
-    if pipeline.is_empty() {
+    if chain.is_empty() {
         svc.incr("ts.passthrough", 1);
         svc.observe("ts.response_bytes", content_len(&original) as f64);
         svc.reply(Ok(original));
         return;
     }
     let mut cur = Arc::clone(&original);
-    for stage_name in pipeline.stages() {
-        let distilled = svc
-            .dispatch(
-                WorkerClass::new(format!("distiller/{stage_name}")),
-                "transform",
-                cur,
-                Some(Arc::new(args.as_map().clone())),
-            )
-            .await;
+    for &(_, class) in chain {
+        let profile = Some(Arc::clone(args.as_map()));
+        let distilled = svc.dispatch(class.into(), "transform", cur, profile).await;
         // A failed or timed-out distiller (after retries) means the user
         // gets the original — an approximate answer delivered quickly
         // beats an exact answer delivered slowly (§3.1.8).
@@ -495,7 +495,7 @@ async fn run(cfg: Arc<TranSendConfig>, shared: Shared, req: Arc<ClientRequest>, 
         cache_inject(
             &shared,
             &svc,
-            final_key(&fetch, &pipeline, &args),
+            final_key(fetch, chain, &args),
             Arc::clone(&cur),
         );
     }
@@ -564,15 +564,19 @@ mod tests {
         }
     }
 
+    fn stages(chain: Chain) -> Vec<&'static str> {
+        chain.iter().map(|&(stage, _)| stage).collect()
+    }
+
     #[test]
     fn plan_selects_pipeline_by_mime_and_threshold() {
         let cfg = TranSendConfig::default();
-        let stages = |mime, size| plan(&cfg, &fetch("u", mime, size), None).1;
-        assert_eq!(stages(MimeType::Gif, 10_000).stages(), &["gif"]);
-        assert_eq!(stages(MimeType::Jpeg, 10_000).stages(), &["jpeg"]);
-        assert!(stages(MimeType::Other, 10_000).is_empty());
+        let chain = |mime, size| plan(&cfg, &fetch("u", mime, size), None).1;
+        assert_eq!(stages(chain(MimeType::Gif, 10_000)), ["gif"]);
+        assert_eq!(stages(chain(MimeType::Jpeg, 10_000)), ["jpeg"]);
+        assert!(chain(MimeType::Other, 10_000).is_empty());
         // Below the 1 KB threshold: pass through unmodified (§4.1).
-        assert!(stages(MimeType::Gif, 600).is_empty());
+        assert!(chain(MimeType::Gif, 600).is_empty());
     }
 
     #[test]
@@ -582,20 +586,33 @@ mod tests {
             "rust".to_string(),
         )]));
         let html = fetch("u", MimeType::Html, 8_000);
-        let (_, pipeline) = plan(&TranSendConfig::default(), &html, Some(&profile));
-        assert_eq!(pipeline.stages(), &["html", "keyword"]);
+        let (_, chain) = plan(&TranSendConfig::default(), &html, Some(&profile));
+        assert_eq!(stages(chain), ["html", "keyword"]);
+        // Thin clients get the PDA simplifier last, after any filter.
+        let mut palm = BTreeMap::from([("device".to_string(), "palm".to_string())]);
+        let chain = |p: &BTreeMap<_, _>| {
+            plan(
+                &TranSendConfig::default(),
+                &html,
+                Some(&Arc::new(p.clone())),
+            )
+            .1
+        };
+        assert_eq!(stages(chain(&palm)), ["html", "pda"]);
+        palm.insert("keywords".to_string(), "rust".to_string());
+        assert_eq!(stages(chain(&palm)), ["html", "keyword", "pda"]);
     }
 
     #[test]
     fn final_key_is_original_for_identity_pipeline() {
         let cfg = TranSendConfig::default();
         let tiny = fetch("http://x/tiny.gif", MimeType::Gif, 100);
-        let (args, pipeline) = plan(&cfg, &tiny, None);
-        let key = final_key(&tiny, &pipeline, &args);
+        let (args, chain) = plan(&cfg, &tiny, None);
+        let key = final_key(&tiny, chain, &args);
         assert_eq!(key, CacheKey::original("http://x/tiny.gif"));
         // And distinct variants for distilled content.
         let big = fetch("http://x/big.gif", MimeType::Gif, 10_000);
-        let (args, pipeline) = plan(&cfg, &big, None);
-        assert_ne!(final_key(&big, &pipeline, &args).variant, 0);
+        let (args, chain) = plan(&cfg, &big, None);
+        assert_ne!(final_key(&big, chain, &args).variant, 0);
     }
 }

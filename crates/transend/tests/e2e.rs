@@ -124,7 +124,7 @@ fn total_cache_loss_is_only_a_performance_hit() {
     let report = cluster.attach_client(items, Duration::from_secs(4));
     // Kill every cache partition mid-run: BASE data, losable.
     cluster.sim.at(SimTime::from_secs(15), |sim| {
-        for c in sim.components_of_kind(sns_core::intern_class("cache")) {
+        for c in sim.components_of_kind("cache") {
             sim.kill_component(c);
         }
     });

@@ -83,7 +83,7 @@ fn main() {
     // Sample the population of distillers and where they run.
     for s in (10..=420).step_by(10) {
         cluster.sim.at(SimTime::from_secs(s), move |sim| {
-            let ds = sim.components_of_kind(cluster_sns::core::intern_class("distiller/jpeg"));
+            let ds = sim.components_of_kind("distiller/jpeg");
             let on_overflow = ds
                 .iter()
                 .filter(|&&d| {

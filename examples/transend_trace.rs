@@ -67,19 +67,13 @@ fn main() {
     // Fault injection while the trace runs: kill a cache partition and a
     // distiller; the SNS layer absorbs both.
     cluster.sim.at(SimTime::from_secs(180), |sim| {
-        if let Some(&c) = sim
-            .components_of_kind(cluster_sns::core::intern_class("cache"))
-            .first()
-        {
+        if let Some(&c) = sim.components_of_kind("cache").first() {
             println!("[t=180s] killing a cache partition (BASE data — only a perf hit)");
             sim.kill_component(c);
         }
     });
     cluster.sim.at(SimTime::from_secs(300), |sim| {
-        if let Some(&d) = sim
-            .components_of_kind(cluster_sns::core::intern_class("distiller/gif"))
-            .first()
-        {
+        if let Some(&d) = sim.components_of_kind("distiller/gif").first() {
             println!("[t=300s] killing a GIF distiller (process peers restart it)");
             sim.kill_component(d);
         }

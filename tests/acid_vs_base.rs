@@ -68,7 +68,7 @@ fn base_state_is_disposable_at_only_a_performance_cost() {
     let manager = lossy.manager;
     let lossy_report = lossy.attach_client(trace_items(), Duration::from_secs(4));
     lossy.sim.at(SimTime::from_secs(20), move |sim| {
-        for c in sim.components_of_kind(cluster_sns::core::intern_class("cache")) {
+        for c in sim.components_of_kind("cache") {
             sim.kill_component(c);
         }
         sim.kill_component(manager);

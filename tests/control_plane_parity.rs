@@ -216,7 +216,7 @@ fn sim_run_sampled(sampling: Sampling) -> (MonitorLog, String) {
 
     for at in [6u64, 12] {
         sim.at(SimTime::from_secs(at), |sim| {
-            let victims = sim.components_of_kind(cluster_sns::core::intern_class("echo"));
+            let victims = sim.components_of_kind("echo");
             let victim = *victims.first().expect("a live echo worker");
             sim.kill_component(victim);
         });

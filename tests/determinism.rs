@@ -37,10 +37,7 @@ fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
     let report = cluster.attach_client(items, Duration::from_secs(3));
     // Fault injection is part of the fingerprint too.
     cluster.sim.at(SimTime::from_secs(12), |sim| {
-        if let Some(&d) = sim
-            .components_of_kind(cluster_sns::core::intern_class("distiller/gif"))
-            .first()
-        {
+        if let Some(&d) = sim.components_of_kind("distiller/gif").first() {
             sim.kill_component(d);
         }
     });

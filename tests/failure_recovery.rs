@@ -57,10 +57,7 @@ fn tap(cluster: &mut TranSendCluster) -> TapHandle {
 }
 
 fn cache_count(cluster: &TranSendCluster) -> usize {
-    cluster
-        .sim
-        .components_of_kind(cluster_sns::core::intern_class("cache"))
-        .len()
+    cluster.sim.components_of_kind("cache").len()
 }
 
 #[test]
@@ -97,13 +94,7 @@ fn full_process_peer_chain_manager_death_mid_service() {
     // The new incarnation re-learned every pinned worker class without
     // double-spawning: still exactly 2 caches and 1 profile DB.
     assert_eq!(cache_count(&cluster), 2);
-    assert_eq!(
-        cluster
-            .sim
-            .components_of_kind(cluster_sns::core::intern_class("profiledb"))
-            .len(),
-        1
-    );
+    assert_eq!(cluster.sim.components_of_kind("profiledb").len(), 1);
     // The LB never kept routing to the corpse past the grace window.
     let violations = chaos.stale_routing_violations(&log.borrow());
     assert!(violations.is_empty(), "{violations:?}");
@@ -258,7 +249,7 @@ fn partitioned_worker_is_replaced_by_timeout_inference() {
     SimChaos::install(&mut cluster.sim, &plan, SimChaosConfig::default());
     // Check replacement happened while still partitioned.
     cluster.sim.at(SimTime::from_secs(45), move |sim| {
-        let caches = sim.components_of_kind(cluster_sns::core::intern_class("cache"));
+        let caches = sim.components_of_kind("cache");
         let off_lonely = caches
             .iter()
             .filter(|&&c| sim.node_of(c) != Some(lonely))

@@ -25,7 +25,7 @@ fn run_stage(
     let job = Job {
         id: 1,
         class: host.class(),
-        op: "transform".into(),
+        op: "transform",
         input: obj.into_payload(),
         profile: Some(Arc::new(profile.clone())),
         reply_to: ComponentId(1),
@@ -100,7 +100,7 @@ fn worker_host_enforces_mime_discipline_across_the_chain() {
     let job = Job {
         id: 2,
         class: gif.class(),
-        op: "transform".into(),
+        op: "transform",
         input: once.into_payload(),
         profile: None,
         reply_to: ComponentId(1),

@@ -93,6 +93,25 @@ if [ -z "$measured" ]; then
 fi
 echo "   $measured"
 
+echo "== wheel_footprint stage: timer-wheel bytes per pending entry (release)"
+# The timer wheel's memory must follow its pending count, not simulated
+# time, on the optimised build too (the debug run inside `cargo test`
+# stays). Slots that keep their largest fill, or a chunk pool that never
+# reuses a freed chunk, fail it; a run that prints no figure means the
+# test was filtered out.
+out=$(cargo test --release --offline -p sns-sim --test wheel_footprint -- --nocapture 2>&1) || {
+  echo "$out"
+  echo "wheel_footprint FAILED" >&2
+  exit 1
+}
+measured=$(printf '%s\n' "$out" | grep '^wheel_footprint:' || true)
+if [ -z "$measured" ]; then
+  echo "$out"
+  echo "wheel_footprint printed no measurement" >&2
+  exit 1
+fi
+echo "   $measured"
+
 echo "== bench stage: sim_throughput macro-bench (release, 1M events/run)"
 # Times the engine on two 1M-event profiles (spawn churn, a million
 # standing timers) and asserts in-process that every profile's repeated
@@ -239,10 +258,15 @@ chaos_suite cluster-sns determinism 11
 chaos_suite cluster-sns paper_shapes 5
 chaos_suite cluster-sns trace_shapes 3
 chaos_suite cluster-sns flow_shapes 5
-# The heap oracle runs at 4096 cases (about 1 s in a debug build). A
-# wheel `pop_batch` that drains its bucket's run past an overflow-heap
-# entry due at the same instant fails it on 40 of 40 seeds at 4096
-# cases, but on only 17 of 40 at the testkit default of 64.
+# The heap oracle runs at 4096 cases (about 10 s in a debug build). A
+# wheel `pop_batch` that, after a generic pop, drains the wheel's run at
+# that instant without looking at the overflow heap fails it on 40 of
+# 40 seeds at 4096 cases and on 36 of 40 at the testkit default of 64.
+# A cascade that drops the last chunk of a slot spanning several chunks
+# fails it on 20 of 20 seeds at either count; without the flood op it
+# failed on 16 of 20 at 4096 cases and on none at 64. A due bucket that
+# drops its last chunk fails it on 20 of 20, and on none of 20 at
+# either count without the flood op.
 SNS_TESTKIT_CASES=4096 chaos_suite sns-sim sched_equiv 3
 # The LRU oracle checks hits, bytes, recency order and TTL expiry
 # after every op (about 2 s at 4096 cases in a debug build). A `get`

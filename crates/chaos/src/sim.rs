@@ -264,7 +264,7 @@ impl SimVerbs {
         which: usize,
     ) -> Option<u64> {
         let node = pool_node(s, pool, which, true)?;
-        let died = s.components_on_node(node).len() as u64;
+        let died = s.count_components_on(node) as u64;
         s.kill_node(node);
         Some(died)
     }

@@ -211,7 +211,7 @@ struct PendingSpawn {
 /// Per-handler scratch: spawns issued during the current handler call,
 /// counted into placement totals so consecutive placements within one
 /// call see each other (exactly as the old in-engine code saw its own
-/// `ctx.spawn`s reflected in `components_on`).
+/// `ctx.spawn`s reflected in `count_components_on`).
 type ExtraSpawns = BTreeMap<NodeId, u32>;
 
 /// Placeholder registry key for a spawn the driver has not confirmed

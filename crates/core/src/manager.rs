@@ -127,7 +127,7 @@ impl Manager {
                 .into_iter()
                 .map(|node| NodeLoad {
                     node,
-                    components: ctx.components_on(node).len() as u32,
+                    components: ctx.count_components_on(node) as u32,
                 })
                 .collect()
         };

@@ -84,8 +84,9 @@ const RENDER_COST_PER_HIT: Duration = Duration::from_micros(200);
 
 /// The HotBot service: one body per query.
 pub struct HotBotService {
-    /// Number of index partitions (fan-out width).
-    partitions: usize,
+    /// Each index partition's worker class, interned once (the fan-out
+    /// width is their number).
+    classes: Arc<[WorkerClass]>,
     shared: Shared,
 }
 
@@ -93,7 +94,9 @@ impl HotBotService {
     /// Creates the service for an `n`-partition corpus.
     pub fn new(partitions: usize) -> Self {
         HotBotService {
-            partitions,
+            classes: (0..partitions)
+                .map(|p| WorkerClass::new(crate::partition_class(p)))
+                .collect(),
             shared: Arc::new(Mutex::new(HbShared {
                 docs_per_partition: vec![0; partitions],
                 qcache: QueryCache::new(512),
@@ -104,13 +107,16 @@ impl HotBotService {
 
 impl AsyncService for HotBotService {
     fn hint_classes(&self) -> Vec<WorkerClass> {
-        (0..self.partitions)
-            .map(|p| WorkerClass::new(crate::partition_class(p)))
-            .collect()
+        self.classes.to_vec()
     }
 
     fn handle(&mut self, request: Arc<ClientRequest>, svc: SvcHandle) -> BoxFut {
-        Box::pin(run(self.partitions, Arc::clone(&self.shared), request, svc))
+        Box::pin(run(
+            Arc::clone(&self.classes),
+            Arc::clone(&self.shared),
+            request,
+            svc,
+        ))
     }
 }
 
@@ -142,7 +148,7 @@ fn render(query: &str, hits: &[SearchHit], coverage: f64) -> ContentObject {
 }
 
 /// One query, top to bottom.
-async fn run(partitions: usize, shared: Shared, req: Arc<ClientRequest>, svc: SvcHandle) {
+async fn run(classes: Arc<[WorkerClass]>, shared: Shared, req: Arc<ClientRequest>, svc: SvcHandle) {
     svc.incr("hb.queries", 1);
     let query = req
         .body
@@ -185,8 +191,7 @@ async fn run(partitions: usize, shared: Shared, req: Arc<ClientRequest>, svc: Sv
     let k = (query.page + 1) * query.page_size;
     let mut missing = 0;
     let mut fanout = Vec::new();
-    for p in 0..partitions {
-        let class = WorkerClass::new(crate::partition_class(p));
+    for &class in classes.iter() {
         if svc.with_workers(&class, <[_]>::is_empty) {
             missing += 1;
             svc.incr("hb.partition_misses", 1);
@@ -232,7 +237,7 @@ async fn run(partitions: usize, shared: Shared, req: Arc<ClientRequest>, svc: Sv
     rank(&mut all);
     let coverage = match (total_known, missing) {
         (0, 0) => 1.0,
-        (0, _) => answered.len() as f64 / partitions as f64,
+        (0, _) => answered.len() as f64 / classes.len() as f64,
         _ => docs_searched as f64 / total_known as f64,
     };
     svc.observe("hb.coverage", coverage);

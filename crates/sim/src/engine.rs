@@ -376,7 +376,7 @@ trait KernelOps<M> {
     fn is_alive(&self, comp: ComponentId) -> bool;
     fn node_alive(&self, node: NodeId) -> bool;
     fn nodes_with_tag(&self, tag: &str) -> Vec<NodeId>;
-    fn components_on(&self, node: NodeId) -> Vec<ComponentId>;
+    fn count_components_on(&self, node: NodeId) -> usize;
 }
 
 impl<M: Wire + Clone, N: Network> KernelOps<M> for Kernel<M, N> {
@@ -464,12 +464,11 @@ impl<M: Wire + Clone, N: Network> KernelOps<M> for Kernel<M, N> {
             .map(|(id, _)| NodeId(id as u32))
             .collect()
     }
-    fn components_on(&self, node: NodeId) -> Vec<ComponentId> {
+    fn count_components_on(&self, node: NodeId) -> usize {
         self.meta
             .iter()
             .filter(|(_, m)| m.alive && m.node == node)
-            .map(|(id, _)| ComponentId(id as u64))
-            .collect()
+            .count()
     }
 }
 
@@ -601,9 +600,9 @@ impl<'a, M> Ctx<'a, M> {
         self.kernel.nodes_with_tag(tag)
     }
 
-    /// All live components on a node.
-    pub fn components_on(&self, node: NodeId) -> Vec<ComponentId> {
-        self.kernel.components_on(node)
+    /// How many live components a node hosts.
+    pub fn count_components_on(&self, node: NodeId) -> usize {
+        self.kernel.count_components_on(node)
     }
 
     /// Configured spawn latency (useful for policy timeouts).
@@ -869,14 +868,9 @@ impl<M: Wire + Clone + 'static, N: Network> Sim<M, N> {
             .collect()
     }
 
-    /// All live components hosted on a node.
-    pub fn components_on_node(&self, node: NodeId) -> Vec<ComponentId> {
-        self.kernel
-            .meta
-            .iter()
-            .filter(|(_, m)| m.alive && m.node == node)
-            .map(|(id, _)| ComponentId(id as u64))
-            .collect()
+    /// How many live components a node hosts.
+    pub fn count_components_on(&self, node: NodeId) -> usize {
+        self.kernel.count_components_on(node)
     }
 
     /// All live nodes with a given tag.

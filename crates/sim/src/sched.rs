@@ -12,7 +12,12 @@
 //!   drained is merge-inserted into its sorted bucket. The due level-0
 //!   bucket is sorted once, and `pop_batch` hands the run loop each
 //!   same-instant run of it in one call, so cost is independent of the
-//!   standing event population.
+//!   standing event population. Slots file their entries in a shared
+//!   pool of 64-entry chunks that a drained slot frees at once, so the
+//!   wheel's memory follows its pending count, not simulated time: the
+//!   pool holds at most `ceil(peak pending ÷ 64)` chunks plus one partly
+//!   filled chunk per non-empty slot (384 slots), and the sorted due
+//!   bucket keeps an allocation as large as the largest level-0 bucket.
 //! * [`HeapScheduler`] — a plain `BinaryHeap`, `O(log n)` push/pop, on
 //!   the trait's default `pop_batch`. The engine never runs on it: it is
 //!   the reference order the wheel must reproduce **bit-for-bit**, call
@@ -156,25 +161,30 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// heap takes over.
 const LEVELS: usize = 6;
 
+/// Entries per chunk of slot storage.
+const CHUNK: usize = 64;
+/// The end of a chunk list.
+const NIL: u32 = u32::MAX;
+
 struct WheelEntry<T> {
     at: SimTime,
     seq: u64,
     item: T,
 }
 
-struct Level<T> {
-    /// Bit `i` set iff `slots[i]` is non-empty.
-    occupied: u64,
-    slots: Vec<Vec<WheelEntry<T>>>,
+/// Up to `CHUNK` entries of one slot (their order is irrelevant), linked
+/// to the slot's next chunk or, once freed, to the next free chunk.
+struct Chunk<T> {
+    entries: Vec<WheelEntry<T>>,
+    next: u32,
 }
 
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
+#[derive(Clone, Copy)]
+struct Level {
+    /// Bit `i` set iff slot `i` is non-empty.
+    occupied: u64,
+    /// Each slot's chunk list, newest (and only partly filled) chunk first.
+    heads: [u32; SLOTS],
 }
 
 /// A hashed hierarchical timer wheel with a binary-heap overflow level.
@@ -182,12 +192,19 @@ impl<T> Level<T> {
 /// Entries within the wheel's span land in a slot chosen by the highest
 /// 6-bit digit in which their tick differs from the cursor; slots
 /// cascade to lower levels as the cursor enters their window, and the
-/// level-0 bucket due next is sorted by `(at, seq)` once, in place, and
-/// drained in order. Entries further out than the wheel's span (≈52 days
-/// of virtual time) wait in a binary heap and are merged at pop time, so
-/// ordering holds over the full `SimTime` range.
+/// level-0 bucket due next is gathered from its chunks, sorted by
+/// `(at, seq)` once and drained in order. Entries further out than the
+/// wheel's span (≈52 days of virtual time) wait in a binary heap and are
+/// merged at pop time, so ordering holds over the full `SimTime` range.
 pub struct WheelScheduler<T> {
-    levels: Vec<Level<T>>,
+    levels: [Level; LEVELS],
+    /// Every slot's entries, in chunks; freed chunks form a list from
+    /// `free` and are reused before the pool grows.
+    chunks: Vec<Chunk<T>>,
+    free: u32,
+    /// An empty chunk-sized buffer a cascade swaps each chunk's entries
+    /// into.
+    spill: Vec<WheelEntry<T>>,
     /// Wheel cursor in level-0 ticks. Invariant: no pending wheel entry
     /// has a tick below it.
     now_tick: u64,
@@ -206,7 +223,13 @@ impl<T> WheelScheduler<T> {
     /// Creates an empty scheduler with its cursor at t = 0.
     pub fn new() -> Self {
         WheelScheduler {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: [Level {
+                occupied: 0,
+                heads: [NIL; SLOTS],
+            }; LEVELS],
+            chunks: Vec::new(),
+            free: NIL,
+            spill: Vec::with_capacity(CHUNK),
             now_tick: 0,
             current: VecDeque::new(),
             overflow: BinaryHeap::new(),
@@ -246,8 +269,42 @@ impl<T> WheelScheduler<T> {
             return;
         }
         let slot = ((t >> (LEVEL_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[lvl].slots[slot].push(e);
-        self.levels[lvl].occupied |= 1u64 << slot;
+        let level = &mut self.levels[lvl];
+        level.occupied |= 1u64 << slot;
+        let head = level.heads[slot];
+        // `NIL` is no index, so an empty slot finds no head chunk.
+        if let Some(chunk) = self.chunks.get_mut(head as usize) {
+            if chunk.entries.len() < CHUNK {
+                chunk.entries.push(e);
+                return;
+            }
+        }
+        // Link a free chunk, or a new one, in front of the full head.
+        let c = match self.free {
+            NIL => {
+                self.chunks.push(Chunk {
+                    entries: Vec::with_capacity(CHUNK),
+                    next: NIL,
+                });
+                (self.chunks.len() - 1) as u32
+            }
+            c => {
+                self.free = self.chunks[c as usize].next;
+                c
+            }
+        };
+        level.heads[slot] = c;
+        let chunk = &mut self.chunks[c as usize];
+        chunk.next = head;
+        chunk.entries.push(e);
+    }
+
+    /// Returns an emptied chunk to the free list; yields the chunk that
+    /// followed it in its slot.
+    fn release(&mut self, c: u32) -> u32 {
+        let chunk = &mut self.chunks[c as usize];
+        debug_assert!(chunk.entries.is_empty());
+        std::mem::replace(&mut chunk.next, std::mem::replace(&mut self.free, c))
     }
 
     /// Advances the cursor until `current` holds the wheel's next
@@ -264,15 +321,25 @@ impl<T> WheelScheduler<T> {
                 }
                 let slot = bits.trailing_zeros() as usize;
                 self.levels[lvl].occupied &= !(1u64 << slot);
-                let mut bucket = std::mem::take(&mut self.levels[lvl].slots[slot]);
+                let mut c = std::mem::replace(&mut self.levels[lvl].heads[slot], NIL);
                 if lvl == 0 {
-                    // The due bucket: advance to its tick, sort it in place
-                    // and swap it in as `current`; the empty drain buffer's
-                    // allocation goes back to the slot.
+                    // The due bucket: advance to its tick, take its head
+                    // chunk's buffer over as `current`, append the other
+                    // chunks and sort. The chunk gets the drained buffer,
+                    // or a fresh one if that one has outgrown a chunk.
                     self.now_tick = (self.now_tick & !(SLOTS as u64 - 1)) | slot as u64;
+                    let mut spare = Vec::from(std::mem::take(&mut self.current));
+                    if spare.capacity() != CHUNK {
+                        spare = Vec::with_capacity(CHUNK);
+                    }
+                    let mut bucket = std::mem::replace(&mut self.chunks[c as usize].entries, spare);
+                    c = self.release(c);
+                    while c != NIL {
+                        bucket.append(&mut self.chunks[c as usize].entries);
+                        c = self.release(c);
+                    }
                     bucket.sort_unstable_by_key(|e| (e.at, e.seq));
-                    let drained = std::mem::replace(&mut self.current, VecDeque::from(bucket));
-                    bucket = Vec::from(drained);
+                    self.current = VecDeque::from(bucket);
                 } else {
                     // Enter the slot's window (zeroing all lower digits —
                     // lower levels were empty, so nothing is skipped) and
@@ -282,11 +349,18 @@ impl<T> WheelScheduler<T> {
                         let span_mask = (1u64 << (width + LEVEL_BITS)) - 1;
                         self.now_tick = (self.now_tick & !span_mask) | ((slot as u64) << width);
                     }
-                    for e in bucket.drain(..) {
-                        self.place(e);
+                    // One chunk at a time: its entries swap out, the chunk
+                    // is freed, and re-placing them may reuse it at once.
+                    let mut spill = std::mem::take(&mut self.spill);
+                    while c != NIL {
+                        std::mem::swap(&mut self.chunks[c as usize].entries, &mut spill);
+                        c = self.release(c);
+                        for e in spill.drain(..) {
+                            self.place(e);
+                        }
                     }
+                    self.spill = spill;
                 }
-                self.levels[lvl].slots[slot] = bucket; // keep the allocation
                 progressed = true;
                 break;
             }

@@ -46,6 +46,12 @@ enum Op {
     PopBatch { max: usize },
     /// `every_until`-shaped burst: `n` entries at a fixed period.
     Burst { n: u64, period: u64 },
+    /// `n` > 64 entries at distinct instants, pushed out of time order,
+    /// inside one `2^bits` ns window aligned at or after `delay` ns past
+    /// the last popped time: one slot holds several chunks, and so does
+    /// each slot it cascades into, down to the due bucket when the window
+    /// is one level-0 tick.
+    Flood { n: u64, bits: u32, delay: u64 },
 }
 
 fn decode(word: u64) -> Op {
@@ -55,7 +61,7 @@ fn decode(word: u64) -> Op {
         let exp = (w >> 8) % 54;
         (w >> 16) % (1u64 << exp).max(1)
     };
-    match word % 10 {
+    match word % 11 {
         0..=2 => Op::Push { delay: delay(word) },
         3 => Op::Instant {
             n: 1 + (word >> 4) % 4,
@@ -74,6 +80,12 @@ fn decode(word: u64) -> Op {
         7 => Op::Burst {
             n: 2 + (word >> 3) % 12,
             period: 1 + delay(word >> 7) % 1_000_000_000,
+        },
+        10 => Op::Flood {
+            n: 65 + (word >> 4) % 236,
+            // A level-0 tick (2^16 ns) up to a level-5 slot (2^46 ns).
+            bits: 16 + 6 * ((word >> 12) % 6) as u32,
+            delay: delay(word >> 15),
         },
         _ => Op::PopBatch {
             max: 1 + (word >> 3) as usize % 8,
@@ -147,6 +159,19 @@ props! {
                         seq += 1;
                         heap.push(at, seq, j);
                         wheel.push(at, seq, j);
+                    }
+                }
+                Op::Flood { n, bits, delay } => {
+                    let mask = (1u64 << bits) - 1;
+                    let start = now.as_nanos().saturating_add(delay).saturating_add(mask) & !mask;
+                    let step = (1u64 << bits) / n;
+                    for i in 0..n {
+                        // 7919 is a prime above 300: `i ↦ i·7919 mod n`
+                        // permutes the window's instants.
+                        let at = SimTime::from_nanos(start.saturating_add(i * 7919 % n * step));
+                        seq += 1;
+                        heap.push(at, seq, i);
+                        wheel.push(at, seq, i);
                     }
                 }
             }

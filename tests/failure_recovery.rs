@@ -150,7 +150,7 @@ fn hot_upgrade_drains_and_restores_a_node() {
     });
     // Mid-upgrade check: nothing may be running on the drained node.
     cluster.sim.at(SimTime::from_secs(45), move |sim| {
-        let leftover = sim.components_on_node(victim).len() as u64;
+        let leftover = sim.count_components_on(victim) as u64;
         sim.stats_mut().incr("test.leftover_on_drained", leftover);
     });
     cluster.sim.at(SimTime::from_secs(55), move |sim| {

@@ -114,10 +114,11 @@ echo "   $measured"
 
 echo "== bench stage: sim_throughput macro-bench (release, 1M events/run)"
 # Times the engine on two 1M-event profiles (spawn churn, a million
-# standing timers) and asserts in-process that every profile's repeated
-# runs dispatch the same events to the same end time. (The message ring
-# is perfbench's sim_route.) An empty or missing BENCH_sim.json means the bench silently
-# stopped measuring.
+# standing timers) and HotBot end to end (2 000 queries over 8
+# partitions, printed as queries/s and events per query), and asserts
+# in-process that every profile's repeated runs dispatch the same
+# events. (The message ring is perfbench's sim_route.) An empty or
+# missing BENCH_sim.json means the bench silently stopped measuring.
 cargo run -p sns-bench --release --offline --bin sim_throughput -- BENCH_sim.json
 if [ ! -s BENCH_sim.json ]; then
   echo "BENCH_sim.json missing or empty after the bench stage" >&2
@@ -146,8 +147,8 @@ echo "== bench stage: sim_scale (million-user replay at two SAN fidelity levels)
 cargo run -p sns-bench --release --offline --bin sim_scale -- BENCH_sim.json
 
 rows=$(grep -c '"bench"' BENCH_sim.json || true)
-if [ "$rows" -lt 13 ]; then
-  echo "BENCH_sim.json carries $rows rows, expected >= 13 (2 sim_throughput + 4 trace_overhead + >= 5 slo + 2 replay)" >&2
+if [ "$rows" -lt 14 ]; then
+  echo "BENCH_sim.json carries $rows rows, expected >= 14 (3 sim_throughput + 4 trace_overhead + >= 5 slo + 2 replay)" >&2
   exit 1
 fi
 echo "   ok: $rows bench rows in BENCH_sim.json"

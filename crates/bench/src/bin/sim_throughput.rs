@@ -12,6 +12,12 @@
 //!   million entries stand in the queue, and each pop drains an O(1)
 //!   wheel bucket.
 //!
+//! A third row, `hotbot_query`, runs the paper's second service end to
+//! end (§3.2): a pinned HotBot cluster answering a fixed query stream,
+//! reported as queries/s and events per query. Every query fans out to
+//! every index partition, so the row shows what each dispatch costs
+//! the engine.
+//!
 //! The message-ring profile (engine dispatch, tiny queue) is measured
 //! by perfbench's `sim_route` workload against A/A-derived bounds, not
 //! here.
@@ -26,6 +32,8 @@
 
 use std::time::Duration;
 
+use sns_hotbot::client::QueryReportHandle;
+use sns_hotbot::{HotBotBuilder, HotBotCluster};
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
 use sns_sim::network::IdealNetwork;
 use sns_sim::time::SimTime;
@@ -118,6 +126,22 @@ fn monitor_sim() -> Sim<Ping, IdealNetwork> {
     sim
 }
 
+/// The HotBot row's queries: 20 q/s for 100 s of virtual time.
+const HOTBOT_QUERIES: u64 = 2_000;
+
+/// Eight index partitions over a pinned 1 600-document corpus behind one
+/// front end, with the query client attached.
+fn hotbot_sim() -> (HotBotCluster, QueryReportHandle) {
+    let mut cluster = HotBotBuilder::new()
+        .with_seed(0x517)
+        .with_partitions(8)
+        .with_corpus_docs(1_600)
+        .with_frontends(1)
+        .build();
+    let report = cluster.attach_client(20.0, HOTBOT_QUERIES, Duration::from_secs(1));
+    (cluster, report)
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -149,6 +173,22 @@ fn main() {
         );
         println!("    {profile}: finished at {} after {} events", f.0, f.1);
     }
+    // The last query goes out at 101 s; 110 s leaves room to answer it.
+    let mut hotbot_events = Vec::new();
+    suite.bench_batched("hotbot_query", hotbot_sim, |(mut cluster, report)| {
+        cluster.sim.run_until(SimTime::from_secs(110));
+        assert_eq!(
+            report.borrow().answered,
+            HOTBOT_QUERIES,
+            "every query answered"
+        );
+        hotbot_events.push(cluster.sim.events_dispatched());
+    });
+    let events = hotbot_events[0];
+    assert!(
+        hotbot_events.iter().all(|&e| e == events),
+        "hotbot_query: repeated runs diverged"
+    );
     suite.write_json(&out).expect("write bench rows");
 
     println!("-- events/sec ({EVENTS} dispatched events per run)");
@@ -164,5 +204,11 @@ fn main() {
         let ns = row(&format!("{profile}/wheel"));
         println!("  {profile:<12} {:>12.0} ev/s", EVENTS as f64 / (ns / 1e9));
     }
+    let secs = row("hotbot_query") / 1e9;
+    println!(
+        "  hotbot_query {:>12.0} queries/s, {:.2} events per query ({events} events)",
+        HOTBOT_QUERIES as f64 / secs,
+        events as f64 / HOTBOT_QUERIES as f64
+    );
     println!("wrote {} rows to {out}", suite.rows().len());
 }

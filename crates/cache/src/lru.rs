@@ -7,8 +7,40 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Duration;
+
+/// The key index's hasher: one multiply per 8-byte word (FxHash's step)
+/// instead of SipHash's rounds. Nothing iterates the index (recency
+/// order lives in the `BTreeMap`), so the hash changes no order. It
+/// gives up SipHash's resistance to crafted collisions, which keys
+/// drawn from the service's own workload do not need.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            self.add(tail.iter().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; the multiply mixes upward.
+        self.0.rotate_left(26)
+    }
+}
 
 /// Objects stored in an [`LruCache`] report their size for byte-capacity
 /// accounting.
@@ -86,7 +118,7 @@ pub struct LruCache<K, V> {
     capacity: u64,
     used: u64,
     seq: u64,
-    map: HashMap<K, Entry<V>>,
+    map: HashMap<K, Entry<V>, BuildHasherDefault<WordHasher>>,
     /// Recency index: seq → key. Smallest seq = least recently used.
     order: BTreeMap<u64, K>,
     stats: LruStats,
@@ -99,7 +131,7 @@ impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
             capacity,
             used: 0,
             seq: 0,
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: BTreeMap::new(),
             stats: LruStats::default(),
         }

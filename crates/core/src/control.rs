@@ -7,7 +7,7 @@
 //! library: [`ControlPlane`] holds the manager's soft state (worker
 //! registry, load averages, spawn policies, drain set) and
 //! [`DispatchPlane`] holds the stub's (hint cache, outstanding
-//! dispatches, the §4.5 queue-delta correction). Neither owns a clock, a
+//! dispatches and their deadlines, the §4.5 queue-delta correction). Neither owns a clock, a
 //! thread or a channel: every handler consumes explicit inputs (`now`, a
 //! [`ClusterView`], a registration, a death) and appends an ordered list
 //! of [`ControlEffect`]s / [`DispatchEffect`]s for the caller to apply.
@@ -28,7 +28,7 @@
 //! order**, confirming each [`ControlEffect::Spawn`] with
 //! [`ControlPlane::confirm_spawn`] before invoking any further handler.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1022,7 +1022,8 @@ pub struct Outstanding {
 /// Verdict of a dispatch timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimeoutVerdict {
-    /// The job was re-sent to another worker; re-arm the timeout.
+    /// The job was re-sent to another worker (or waits for one); the
+    /// plane holds the new attempt's deadline.
     Retried,
     /// Retries are exhausted (or the dispatch was pinned); the service
     /// layer decides the fallback (§2.2.4).
@@ -1082,10 +1083,21 @@ pub trait LiveLoad: Send + Sync {
     fn qlens(&self, workers: &[ComponentId]) -> Vec<Option<u64>>;
 }
 
+/// Whether a deadline entry still times out a job: the job is
+/// outstanding and still on that attempt.
+fn live(
+    outstanding: &BTreeMap<u64, Outstanding>,
+    &(_, job, attempt): &(SimTime, u64, u32),
+) -> bool {
+    outstanding.get(&job).is_some_and(|o| o.attempts == attempt)
+}
+
 /// The stub's decision core: hint cache, worker choice (lottery with the
 /// §4.5 queue-delta correction, or least-loaded by a [`LiveLoad`]
-/// source), timeout/retry verdicts (§3.1.8). No I/O: the caller supplies
-/// the RNG and applies the returned effects.
+/// source), dispatch deadlines and timeout/retry verdicts (§3.1.8). No
+/// I/O: the caller supplies the RNG and the clock, applies the returned
+/// effects, and wakes once at [`DispatchPlane::next_deadline`] to run
+/// [`DispatchPlane::expire_next`].
 pub struct DispatchPlane {
     cfg: SnsConfig,
     manager: Option<ComponentId>,
@@ -1098,6 +1110,11 @@ pub struct DispatchPlane {
     /// Net dispatches (sent − answered) per worker since the last beacon.
     inflight: BTreeMap<ComponentId, i64>,
     outstanding: BTreeMap<u64, Outstanding>,
+    /// `(deadline, job, attempt)` per dispatch attempt, in deadline
+    /// order: one timeout at a monotone `now` (rt's racing submits can
+    /// only delay a timeout by the race). An entry whose job is gone or
+    /// has moved on to a later attempt is settled and skipped.
+    deadlines: VecDeque<(SimTime, u64, u32)>,
     /// Tenant each class bills to (absent = `"shared"`).
     class_tenant: BTreeMap<WorkerClass, &'static str>,
     /// Overload policy per tenant (absent = always admit).
@@ -1131,6 +1148,7 @@ impl DispatchPlane {
             hints_version: 0,
             inflight: BTreeMap::new(),
             outstanding: BTreeMap::new(),
+            deadlines: VecDeque::new(),
             class_tenant: BTreeMap::new(),
             tenant_policy: BTreeMap::new(),
             tenant_out: BTreeMap::new(),
@@ -1481,13 +1499,54 @@ impl DispatchPlane {
             sampled,
         };
         self.outstanding.insert(job_id, o);
+        self.arm(now, job_id, 1);
         job_id
+    }
+
+    /// Files `attempt`'s deadline. When one slow job blocks the front
+    /// and settled entries pile up behind it past twice the live count,
+    /// only the live ones are kept, so the ring stays bounded.
+    fn arm(&mut self, now: SimTime, job_id: u64, attempt: u32) {
+        self.next_deadline();
+        let at = now + self.cfg.dispatch_timeout;
+        self.deadlines.push_back((at, job_id, attempt));
+        if self.deadlines.len() > 2 * self.outstanding.len() + 64 {
+            self.deadlines.retain(|d| live(&self.outstanding, d));
+        }
+    }
+
+    /// The earliest deadline of a dispatch still outstanding (settled
+    /// entries at the front are dropped): when the caller should next
+    /// call [`DispatchPlane::expire_next`].
+    pub fn next_deadline(&mut self) -> Option<SimTime> {
+        while (self.deadlines.front()).is_some_and(|d| !live(&self.outstanding, d)) {
+            self.deadlines.pop_front();
+        }
+        self.deadlines.front().map(|&(at, ..)| at)
+    }
+
+    /// Times out the earliest dispatch whose deadline is at or before
+    /// `now` ([`DispatchPlane::on_timeout`]) and returns its job id and
+    /// verdict; `None` once nothing is due. The caller applies each
+    /// verdict (and runs whatever it wakes) before asking for the next,
+    /// so RNG draws happen in deadline order.
+    pub fn expire_next(
+        &mut self,
+        rng: &mut Pcg32,
+        now: SimTime,
+        out: &mut Vec<DispatchEffect>,
+    ) -> Option<(u64, TimeoutVerdict)> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        let (_, job_id, _) = self.deadlines.pop_front()?;
+        Some((job_id, self.on_timeout(rng, now, job_id, out)))
     }
 
     /// Dispatches a job to a worker of `class`: the lottery winner, or —
     /// with a [`LiveLoad`] source — the least-loaded hinted worker.
-    /// If no worker is known the dispatch stays pending — the caller's
-    /// timeout drives a retry once the manager has spawned one — and the
+    /// If no worker is known the dispatch stays pending — its deadline
+    /// drives a retry once the manager has spawned one — and the
     /// manager is asked via [`crate::msg::SnsMsg::NeedWorker`]. Returns
     /// the job id. `now` stamps the dispatch span's start; `span`
     /// carries the caller's request-span parent and head-sampling
@@ -1574,7 +1633,10 @@ impl DispatchPlane {
 
     /// Handles a dispatch timeout: evict the suspected-dead worker from
     /// the hint cache and retry elsewhere, or give up (§3.1.8). `now`
-    /// closes the failed dispatch span on give-up when tracing.
+    /// closes the failed dispatch span on give-up when tracing, and a
+    /// retry's deadline runs from it. Deadlines call this through
+    /// [`DispatchPlane::expire_next`]; a caller that sees a send fail
+    /// calls it at once.
     pub fn on_timeout(
         &mut self,
         rng: &mut Pcg32,
@@ -1621,27 +1683,23 @@ impl DispatchPlane {
         // attempt never allocates the list.
         let o = self.outstanding.get_mut(&job_id).expect("still present");
         o.workers_tried.extend(o.worker.take());
+        o.attempts += 1;
+        let attempt = o.attempts;
+        self.arm(now, job_id, attempt);
         let tried = &self.outstanding[&job_id].workers_tried;
         match self.pick(rng, &class, tried, out) {
             Some(w) => {
-                let o = self.outstanding.get_mut(&job_id).expect("still present");
-                o.attempts += 1;
                 self.send_job(job_id, w, out);
                 out.push(DispatchEffect::Incr {
                     key: "stub.retries",
                     n: 1,
                 });
-                TimeoutVerdict::Retried
             }
-            None => {
-                // Nobody (left) to try: ask the manager and keep waiting;
-                // the re-armed timeout will try again.
-                let o = self.outstanding.get_mut(&job_id).expect("still present");
-                o.attempts += 1;
-                self.request_worker(&class, out);
-                TimeoutVerdict::Retried
-            }
+            // Nobody (left) to try: ask the manager and keep waiting;
+            // the next deadline will try again.
+            None => self.request_worker(&class, out),
         }
+        TimeoutVerdict::Retried
     }
 
     /// Jobs currently outstanding (waiting on workers).
@@ -1843,6 +1901,91 @@ mod tests {
         let verdict = plane.on_timeout(&mut rng, SimTime::from_secs(15), id, &mut out);
         assert_eq!(verdict, TimeoutVerdict::GaveUp("w".into()));
         assert_eq!(plane.outstanding_count(), 0);
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    fn just_before(t: SimTime) -> SimTime {
+        SimTime::from_nanos(t.as_nanos() - 1)
+    }
+
+    /// A job pinned to worker 1 at `now` (no retry: its first deadline
+    /// gives it up).
+    fn pinned(plane: &mut DispatchPlane, now: SimTime) -> u64 {
+        let out = &mut Vec::new();
+        let (me, w1) = (ComponentId(50), ComponentId(1));
+        let input = Blob::payload(10, "x");
+        let span = SpanCtx::root();
+        plane.dispatch_to(now, me, w1, "w".into(), "op", input, None, span, out)
+    }
+
+    #[test]
+    fn deadlines_expire_in_dispatch_order_each_at_its_own() {
+        let mut plane = DispatchPlane::new(SnsConfig::default());
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        let ids: Vec<u64> = (0..4).map(|t| pinned(&mut plane, secs(t))).collect();
+        plane.on_response(ids[1], secs(4), &mut out);
+        // Timeout 5 s: the answered job's deadline (6 s) never fires.
+        for (id, at) in [(ids[0], secs(5)), (ids[2], secs(7)), (ids[3], secs(8))] {
+            assert_eq!(plane.next_deadline(), Some(at));
+            assert_eq!(plane.expire_next(&mut rng, just_before(at), &mut out), None);
+            let expired = plane.expire_next(&mut rng, at, &mut out);
+            assert_eq!(expired, Some((id, TimeoutVerdict::GaveUp("w".into()))));
+        }
+        assert_eq!(plane.next_deadline(), None);
+        assert_eq!(plane.expire_next(&mut rng, secs(100), &mut out), None);
+    }
+
+    #[test]
+    fn a_retried_job_times_out_at_its_retry_deadline_not_its_first() {
+        let mut plane = DispatchPlane::new(SnsConfig::default());
+        plane.on_beacon(&beacon(&[(1, 0.0), (2, 0.0), (3, 0.0)]));
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        let id = plane.dispatch(
+            &mut rng,
+            secs(0),
+            ComponentId(50),
+            "w".into(),
+            "op",
+            Blob::payload(10, "x"),
+            None,
+            SpanCtx::root(),
+            &mut out,
+        );
+        // A refused send times the job out at 2 s, before its 5 s deadline.
+        let verdict = plane.on_timeout(&mut rng, secs(2), id, &mut out);
+        assert_eq!(verdict, TimeoutVerdict::Retried);
+        assert_eq!(plane.next_deadline(), Some(secs(7)));
+        assert_eq!(plane.expire_next(&mut rng, secs(5), &mut out), None);
+        assert_eq!(
+            plane.expire_next(&mut rng, just_before(secs(7)), &mut out),
+            None
+        );
+        let expired = plane.expire_next(&mut rng, secs(7), &mut out);
+        assert_eq!(expired, Some((id, TimeoutVerdict::Retried)));
+        assert_eq!(plane.next_deadline(), Some(secs(12)));
+    }
+
+    #[test]
+    fn the_deadline_ring_stays_bounded_behind_one_open_job() {
+        let mut plane = DispatchPlane::new(SnsConfig::default());
+        let mut out = Vec::new();
+        let held = pinned(&mut plane, secs(0));
+        for i in 0..10_000 {
+            let now = SimTime::from_nanos(i * 1_000);
+            let id = pinned(&mut plane, now);
+            let bound = 2 * plane.outstanding_count() + 64;
+            assert!(plane.deadlines.len() <= bound, "ring grew past {bound}");
+            plane.on_response(id, now, &mut out);
+        }
+        assert_eq!(plane.next_deadline(), Some(secs(5)), "the held job");
+        plane.on_response(held, secs(1), &mut out);
+        assert_eq!(plane.next_deadline(), None);
+        assert!(plane.deadlines.is_empty());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! overhead, tenant admission, dispatch timeouts and retries (via the
 //! embedded [`ManagerStub`]), manager registration and manager restart.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::task::{Context, Waker};
@@ -27,6 +26,7 @@ use sns_sim::{ComponentId, GroupId};
 
 use crate::exec::service::{AsyncService, EventOutcome, Hints, SvcHandle, SvcOp};
 use crate::exec::BoxFut;
+use crate::idring::IdRing;
 use crate::monitor::MonitorEvent;
 use crate::msg::{ClientRequest, ClientResponse, JobResult, ProfileData, SnsMsg};
 use crate::stub::{ManagerStub, TimeoutVerdict};
@@ -143,13 +143,16 @@ pub struct FrontEnd {
     hints_version: Option<u64>,
     /// Op buffer lent to every polled body and drained after the poll.
     ops: Vec<SvcOp>,
-    requests: BTreeMap<u64, Request>,
+    requests: IdRing<Request>,
     /// job id → (request, token).
-    jobs: BTreeMap<u64, (u64, u64)>,
+    jobs: IdRing<(u64, u64)>,
     /// compute id → (request, token, when requested).
-    computes: BTreeMap<u64, (u64, u64, SimTime)>,
+    computes: IdRing<(u64, u64, SimTime)>,
     /// nap id → (request, token).
-    naps: BTreeMap<u64, (u64, u64)>,
+    naps: IdRing<(u64, u64)>,
+    /// The one `K_DISPATCH` timer, at the stub's earliest dispatch
+    /// deadline, is pending (or its expiry loop is running).
+    dispatch_armed: bool,
     next_nap: u64,
     accept_queue: VecDeque<(ComponentId, Arc<ClientRequest>)>,
     active: u32,
@@ -174,10 +177,11 @@ impl FrontEnd {
             hints: Arc::default(),
             hints_version: None,
             ops: Vec::new(),
-            requests: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            computes: BTreeMap::new(),
-            naps: BTreeMap::new(),
+            requests: IdRing::new(),
+            jobs: IdRing::new(),
+            computes: IdRing::new(),
+            naps: IdRing::new(),
+            dispatch_armed: false,
             next_nap: 1,
             accept_queue: VecDeque::new(),
             active: 0,
@@ -211,7 +215,7 @@ impl FrontEnd {
     fn span_ctx(&self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64) -> trace::SpanCtx {
         let sampled = self
             .requests
-            .get(&req_id)
+            .get(req_id)
             .map(|req| req.sampled)
             .unwrap_or(true);
         trace::SpanCtx::under(trace::request_span_id(ctx.me(), req_id), sampled)
@@ -246,7 +250,7 @@ impl FrontEnd {
     /// The overhead burst is over: spawn the request's body and run it
     /// up to its first await.
     fn spawn_body(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64) {
-        let Some(req) = self.requests.get_mut(&req_id) else {
+        let Some(req) = self.requests.get_mut(req_id) else {
             return;
         };
         req.body = Some(self.service.handle(req.request.clone(), req.svc.clone()));
@@ -264,7 +268,7 @@ impl FrontEnd {
         token: u64,
         outcome: EventOutcome,
     ) {
-        let Some(req) = self.requests.get(&req_id) else {
+        let Some(req) = self.requests.get(req_id) else {
             return;
         };
         if req.svc.fill(token, outcome) {
@@ -286,7 +290,7 @@ impl FrontEnd {
             });
             self.hints = Arc::new(snapshot.collect());
         }
-        let Some(req) = self.requests.get_mut(&req_id) else {
+        let Some(req) = self.requests.get_mut(req_id) else {
             return;
         };
         let Some(body) = req.body.as_mut() else {
@@ -333,7 +337,7 @@ impl FrontEnd {
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, SnsMsg>, req_id: u64, action: Action) {
-        if !self.requests.contains_key(&req_id) {
+        if self.requests.get(req_id).is_none() {
             // A Reply already finished this request; drop the rest.
             return;
         }
@@ -350,7 +354,7 @@ impl FrontEnd {
                 // span, no `req` span either, as a refused rt submit
                 // opens none.
                 if self.stub.admit(ctx, &class) == crate::Admission::Drop {
-                    if let Some(req) = self.requests.get_mut(&req_id) {
+                    if let Some(req) = self.requests.get_mut(req_id) {
                         req.sampled = false;
                         let over = JobResult::Failed("tenant over quota".into());
                         self.refused |= req.svc.fill(tag, EventOutcome::Reply(over));
@@ -360,7 +364,7 @@ impl FrontEnd {
                 let span = self.span_ctx(ctx, req_id);
                 let job_id = self.stub.dispatch(ctx, class, op, input, profile, span);
                 self.jobs.insert(job_id, (req_id, tag));
-                ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | job_id);
+                self.arm_dispatch(ctx);
             }
             Action::DispatchTo {
                 tag,
@@ -375,7 +379,7 @@ impl FrontEnd {
                     .stub
                     .dispatch_to(ctx, worker, class, op, input, profile, span);
                 self.jobs.insert(job_id, (req_id, tag));
-                ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | job_id);
+                self.arm_dispatch(ctx);
             }
             Action::Compute { tag, cost } => {
                 let cid = self.next_compute;
@@ -390,12 +394,12 @@ impl FrontEnd {
                 ctx.timer(delay, K_NAP | nid);
             }
             Action::MarkDegraded => {
-                if let Some(req) = self.requests.get_mut(&req_id) {
+                if let Some(req) = self.requests.get_mut(req_id) {
                     req.degraded = true;
                 }
             }
             Action::Reply(result) => {
-                let Some(req) = self.requests.remove(&req_id) else {
+                let Some(req) = self.requests.remove(req_id) else {
                     return;
                 };
                 let now = ctx.now();
@@ -439,6 +443,35 @@ impl FrontEnd {
                 }
             }
         }
+    }
+
+    /// Arms the dispatch timer at the stub's earliest deadline unless it
+    /// is pending already: one engine timer per front end, however many
+    /// dispatches are in flight.
+    fn arm_dispatch(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
+        if self.dispatch_armed {
+            return;
+        }
+        if let Some(at) = self.stub.next_deadline() {
+            self.dispatch_armed = true;
+            ctx.timer(at.since(ctx.now()), K_DISPATCH);
+        }
+    }
+
+    /// The dispatch timer fired: time out every dispatch now due, in
+    /// deadline order, waking the body of each one given up on. The
+    /// timer counts as armed until the loop ends, so the bodies it runs
+    /// arm nothing; it is re-armed once, at the next deadline.
+    fn expire_dispatches(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
+        while let Some((job_id, verdict)) = self.stub.expire_next(ctx) {
+            if let TimeoutVerdict::GaveUp(class) = verdict {
+                if let Some((req_id, token)) = self.jobs.remove(job_id) {
+                    self.deliver(ctx, req_id, token, EventOutcome::Failed(class));
+                }
+            }
+        }
+        self.dispatch_armed = false;
+        self.arm_dispatch(ctx);
     }
 
     fn health_check(&mut self, ctx: &mut Ctx<'_, SnsMsg>) {
@@ -526,7 +559,7 @@ impl Component<SnsMsg> for FrontEnd {
                 if self.stub.on_response(ctx, job_id).is_none() {
                     return; // late duplicate after timeout
                 }
-                if let Some((req_id, token)) = self.jobs.remove(&job_id) {
+                if let Some((req_id, token)) = self.jobs.remove(job_id) {
                     self.deliver(ctx, req_id, token, EventOutcome::Reply(result));
                 }
             }
@@ -539,19 +572,9 @@ impl Component<SnsMsg> for FrontEnd {
         let id = token & ID_MASK;
         match kind {
             K_HEALTH => self.health_check(ctx),
-            K_DISPATCH => match self.stub.on_timeout(ctx, id) {
-                TimeoutVerdict::Retried => {
-                    ctx.timer(self.cfg.sns.dispatch_timeout, K_DISPATCH | id);
-                }
-                TimeoutVerdict::GaveUp(class) => {
-                    if let Some((req_id, token)) = self.jobs.remove(&id) {
-                        self.deliver(ctx, req_id, token, EventOutcome::Failed(class));
-                    }
-                }
-                TimeoutVerdict::Unknown => {}
-            },
+            K_DISPATCH => self.expire_dispatches(ctx),
             K_NAP => {
-                if let Some((req_id, token)) = self.naps.remove(&id) {
+                if let Some((req_id, token)) = self.naps.remove(id) {
                     self.deliver(ctx, req_id, token, EventOutcome::Done);
                 }
             }
@@ -565,7 +588,7 @@ impl Component<SnsMsg> for FrontEnd {
         match kind {
             K_OVERHEAD => {
                 if ctx.tracer().is_enabled() {
-                    if let Some(req) = self.requests.get(&id).filter(|req| req.sampled) {
+                    if let Some(req) = self.requests.get(id).filter(|req| req.sampled) {
                         let me = ctx.me();
                         ctx.tracer().record(trace::span(
                             trace::overhead_span_id(me, id),
@@ -584,10 +607,10 @@ impl Component<SnsMsg> for FrontEnd {
                 self.spawn_body(ctx, id);
             }
             K_COMPUTE => {
-                if let Some((req_id, token, started)) = self.computes.remove(&id) {
+                if let Some((req_id, token, started)) = self.computes.remove(id) {
                     let sampled = self
                         .requests
-                        .get(&req_id)
+                        .get(req_id)
                         .map(|req| req.sampled)
                         .unwrap_or(false);
                     if sampled && ctx.tracer().is_enabled() {

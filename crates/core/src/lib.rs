@@ -43,6 +43,7 @@ pub mod cluster;
 pub mod control;
 pub mod exec;
 pub mod frontend;
+mod idring;
 pub mod invariant;
 pub mod manager;
 pub mod monitor;

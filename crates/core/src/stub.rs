@@ -103,11 +103,6 @@ impl ManagerStub {
         verdict
     }
 
-    /// The manager, if one has been heard from.
-    pub fn manager(&self) -> Option<ComponentId> {
-        self.plane.manager()
-    }
-
     /// Incarnation of the last manager heard from.
     pub fn incarnation(&self) -> u64 {
         self.plane.incarnation()
@@ -130,11 +125,6 @@ impl ManagerStub {
         self.plane.hints_version()
     }
 
-    /// Estimated queue length for a worker (report + local delta).
-    pub fn estimate(&self, class: &WorkerClass, worker: ComponentId) -> Option<f64> {
-        self.plane.estimate(class, worker)
-    }
-
     /// Ingests a beacon. Returns `true` when it announces a manager (or
     /// incarnation) this stub has not registered with yet.
     pub fn on_beacon(&mut self, b: &BeaconData) -> bool {
@@ -142,8 +132,8 @@ impl ManagerStub {
     }
 
     /// Dispatches a job to the least-loaded worker of `class` (lottery).
-    /// If no worker is known the dispatch stays pending — the caller's
-    /// timeout drives a retry once the manager has spawned one — and the
+    /// If no worker is known the dispatch stays pending — its deadline
+    /// drives a retry once the manager has spawned one — and the
     /// manager is asked via [`SnsMsg::NeedWorker`]. Returns the job id.
     /// `span` carries the caller's request-span parent and head-sampling
     /// decision (pass [`SpanCtx::root`] for root dispatches).
@@ -204,18 +194,21 @@ impl ManagerStub {
         o
     }
 
-    /// Handles a dispatch timeout: evict the suspected-dead worker from
-    /// the hint cache and retry elsewhere, or give up (§3.1.8).
-    pub fn on_timeout(&mut self, ctx: &mut Ctx<'_, SnsMsg>, job_id: u64) -> TimeoutVerdict {
-        let now = ctx.now();
-        let verdict = self.plane.on_timeout(ctx.rng(), now, job_id, &mut self.out);
-        self.apply(ctx);
-        verdict
+    /// The earliest deadline of an outstanding dispatch: when the front
+    /// end's one dispatch timer should next fire.
+    pub fn next_deadline(&mut self) -> Option<SimTime> {
+        self.plane.next_deadline()
     }
 
-    /// Jobs currently outstanding (waiting on workers).
-    pub fn outstanding_count(&self) -> usize {
-        self.plane.outstanding_count()
+    /// Times out the next dispatch due by now, if any: the suspected-dead
+    /// worker leaves the hint cache and the job is retried elsewhere or
+    /// given up on (§3.1.8). Returns the job id and the verdict; apply it
+    /// before asking for the next.
+    pub fn expire_next(&mut self, ctx: &mut Ctx<'_, SnsMsg>) -> Option<(u64, TimeoutVerdict)> {
+        let now = ctx.now();
+        let expired = self.plane.expire_next(ctx.rng(), now, &mut self.out);
+        self.apply(ctx);
+        expired
     }
 
     /// Pending dispatches of `class` that have no worker yet get sent as
@@ -259,7 +252,7 @@ mod tests {
     fn beacon_updates_membership_and_detects_new_manager() {
         let mut stub = ManagerStub::new(SnsConfig::default());
         assert!(stub.on_beacon(&beacon(&[(1, 0.0), (2, 3.0)])));
-        assert_eq!(stub.manager(), Some(ComponentId(99)));
+        assert_eq!(stub.plane.manager(), Some(ComponentId(99)));
         assert_eq!(
             stub.workers_of(&"w".into()),
             vec![ComponentId(1), ComponentId(2)]

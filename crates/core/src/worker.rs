@@ -13,7 +13,6 @@
 //! clean process death that the manager's process-peer machinery
 //! handles.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,6 +22,7 @@ use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_sim::{ComponentId, GroupId};
 
+use crate::idring::IdRing;
 use crate::monitor::MonitorEvent;
 use crate::msg::{Job, JobResult, SnsMsg};
 use crate::trace;
@@ -91,7 +91,7 @@ pub struct WorkerStub {
     /// Queued jobs: (job, estimated cost, when enqueued).
     queue: VecDeque<(Arc<Job>, Duration, SimTime)>,
     /// Jobs in service: token → (job, estimated cost, service start).
-    in_service: BTreeMap<u64, (Arc<Job>, Duration, SimTime)>,
+    in_service: IdRing<(Arc<Job>, Duration, SimTime)>,
     next_token: u64,
     manager: Option<(ComponentId, u64)>,
     draining: bool,
@@ -111,7 +111,7 @@ impl WorkerStub {
             logic,
             cfg,
             queue: VecDeque::new(),
-            in_service: BTreeMap::new(),
+            in_service: IdRing::new(),
             next_token: 1,
             manager: None,
             draining: false,
@@ -221,7 +221,7 @@ impl WorkerStub {
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_, SnsMsg>, token: u64) {
-        let Some((job, _, started)) = self.in_service.remove(&token) else {
+        let Some((job, _, started)) = self.in_service.remove(token) else {
             return;
         };
         let now = ctx.now();

@@ -797,8 +797,6 @@ impl Drop for Completions {
 /// settles.
 struct Outstanding {
     reply: ReplySink,
-    /// Wall-clock dispatch deadline.
-    deadline: Instant,
     /// Already counted in `submitted` (retries resend the same id; the
     /// conservation ledger must count it once).
     counted: bool,
@@ -1262,19 +1260,19 @@ impl RtCluster {
             let DispatchShard { plane, rng, .. } = &mut *shard;
             plane.on_timeout(rng, now, job_id, &mut out)
         };
-        match verdict {
-            TimeoutVerdict::Retried => {
-                if let Some(o) = shard.ext.outstanding.get_mut(&job_id) {
-                    o.deadline = Instant::now() + self.cfg.dispatch_timeout;
-                }
-            }
-            TimeoutVerdict::GaveUp(_) | TimeoutVerdict::Unknown => {
-                if let Some(o) = shard.ext.outstanding.remove(&job_id) {
-                    o.reply.deliver(JobResult::Failed("no live worker".into()));
-                }
-            }
-        }
+        Self::answer_give_up(shard, job_id, verdict);
         queue.extend(out);
+    }
+
+    /// A job the plane gave up on (or no longer knows) is answered with
+    /// a typed failure; a retried one waits for its next deadline.
+    fn answer_give_up(shard: &mut DispatchShard<ShardExt>, job_id: u64, verdict: TimeoutVerdict) {
+        if verdict == TimeoutVerdict::Retried {
+            return;
+        }
+        if let Some(o) = shard.ext.outstanding.remove(&job_id) {
+            o.reply.deliver(JobResult::Failed("no live worker".into()));
+        }
     }
 
     /// Submits a job; the reply arrives on the returned channel. The
@@ -1366,7 +1364,6 @@ impl RtCluster {
                     job_id,
                     Outstanding {
                         reply: sink,
-                        deadline: Instant::now() + self.cfg.dispatch_timeout,
                         counted: false,
                         held: false,
                     },
@@ -1654,25 +1651,24 @@ impl RtCluster {
         inner.morgue = kept;
     }
 
-    /// Runs each shard's timeout handler for every job past its
-    /// wall-clock deadline. Caller holds the control lock; shards are
-    /// visited one at a time underneath it.
+    /// Times out, shard by shard, every dispatch whose deadline the
+    /// plane says is past, one at a time in deadline order. Caller holds
+    /// the control lock; shards are visited one at a time underneath it.
     fn sweep_deadlines(&self, inner: &mut ControlInner) {
-        let wall = Instant::now();
         let mut need = Vec::new();
         self.shards.for_each(|_, shard| {
-            let expired: Vec<u64> = shard
-                .ext
-                .outstanding
-                .iter()
-                .filter(|(_, o)| o.deadline <= wall)
-                .map(|(&id, _)| id)
-                .collect();
-            for job_id in expired {
-                let mut queue = VecDeque::new();
-                self.refuse_in_shard(shard, job_id, &mut queue);
-                let effects: Vec<DispatchEffect> = queue.into_iter().collect();
-                self.deliver_shard(shard, effects, &mut need);
+            let now = self.now();
+            loop {
+                let mut out = Vec::new();
+                let expired = {
+                    let DispatchShard { plane, rng, .. } = &mut *shard;
+                    plane.expire_next(rng, now, &mut out)
+                };
+                let Some((job_id, verdict)) = expired else {
+                    break;
+                };
+                Self::answer_give_up(shard, job_id, verdict);
+                self.deliver_shard(shard, out, &mut need);
             }
         });
         self.need_workers_locked(inner, need);

@@ -3,7 +3,7 @@
 //! real OS threads, fast enough for CI (`time_scale` keeps each test
 //! well under two seconds of wall clock).
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -144,4 +144,115 @@ fn shutdown_drains_queues() {
         "test exceeded its wall-clock budget: {:?}",
         started.elapsed()
     );
+}
+
+/// Blocks in `process` until `release` is set: the whole class when
+/// `stall_all`, else only the first job any worker of the class takes.
+struct Stall {
+    release: Arc<AtomicBool>,
+    first: Arc<AtomicBool>,
+    stall_all: bool,
+}
+
+impl WorkerLogic for Stall {
+    fn class(&self) -> WorkerClass {
+        "stall".into()
+    }
+    fn service_time(&mut self, _j: &Job, _n: SimTime, _r: &mut Pcg32) -> Duration {
+        Duration::from_millis(5)
+    }
+    fn process(&mut self, job: &Job, _n: SimTime, _r: &mut Pcg32) -> Result<Payload, WorkerError> {
+        if self.stall_all || self.first.swap(false, Ordering::SeqCst) {
+            while !self.release.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(Blob::payload(job.input.wire_size(), "done"))
+    }
+}
+
+/// Two `stall` workers under a short dispatch timeout; returns the
+/// cluster and the flag that releases every stalled `process`.
+fn stalling_cluster(timeout: Duration, stall_all: bool) -> (Arc<RtCluster>, Arc<AtomicBool>) {
+    let mut cfg = fast_config().with_restart_on_crash(false);
+    cfg.dispatch_timeout = timeout;
+    let c = RtCluster::start(cfg);
+    let release = Arc::new(AtomicBool::new(false));
+    let first = Arc::new(AtomicBool::new(true));
+    let (r, f) = (Arc::clone(&release), first);
+    c.add_workers("stall", 2, move || {
+        Box::new(Stall {
+            release: Arc::clone(&r),
+            first: Arc::clone(&f),
+            stall_all,
+        })
+    });
+    (c, release)
+}
+
+/// The dispatch timeout is the stub's failure detector (§3.1.8): a job
+/// whose worker stalls past it is retried on the other worker and
+/// answered from there, and the stalled worker's late answer is not
+/// delivered a second time.
+#[test]
+fn a_stalled_job_is_retried_elsewhere_and_answered_once() {
+    let timeout = Duration::from_millis(150);
+    let (c, release) = stalling_cluster(timeout, false);
+    let started = Instant::now();
+    let rx = c.submit("stall", "echo", Blob::payload(64, "x"), None);
+    match rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("retried reply")
+    {
+        JobResult::Ok(p) => assert_eq!(p.wire_size(), 64),
+        JobResult::Failed(e) => panic!("retried job failed: {e}"),
+    }
+    let waited = started.elapsed();
+    assert!(
+        waited >= timeout,
+        "answered before its deadline: {waited:?}"
+    );
+    assert!(c.counter("stub.timeouts") >= 1, "the stall timed out");
+    assert!(c.counter("stub.retries") >= 1, "the job was retried");
+    assert_eq!(c.counter("stub.gave_up"), 0);
+    release.store(true, Ordering::SeqCst);
+    // The stalled copy finishes now; its answer must find the job settled.
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "a retried job must be answered exactly once"
+    );
+    c.shutdown();
+}
+
+/// With every worker stalled, each retry times out too: the job fails
+/// with `"no live worker"` once `max_retries + 1` deadlines have passed.
+#[test]
+fn with_every_worker_stalled_the_job_gives_up_after_its_retries() {
+    let timeout = Duration::from_millis(100);
+    let (c, release) = stalling_cluster(timeout, true);
+    let deadlines = sns_core::SnsConfig::default().max_retries + 1;
+    let started = Instant::now();
+    let rx = c.submit("stall", "echo", Blob::payload(64, "x"), None);
+    match rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a typed failure")
+    {
+        JobResult::Failed(e) => assert_eq!(e, "no live worker"),
+        JobResult::Ok(_) => panic!("no worker could have answered"),
+    }
+    let waited = started.elapsed();
+    assert!(
+        waited >= timeout * deadlines,
+        "gave up after {waited:?}, before {deadlines} deadlines of {timeout:?}"
+    );
+    assert!(c.counter("stub.timeouts") >= 2, "both workers timed out");
+    assert_eq!(c.counter("stub.gave_up"), 1);
+    release.store(true, Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "a job that gave up must not be answered again"
+    );
+    c.shutdown();
 }

@@ -324,7 +324,7 @@ fn fnv(s: &str) -> u64 {
 /// summary and the `hb.coverage_ts` series: the degraded-coverage path
 /// (partitions missing from the hints, fan-out dispatches given up on)
 /// as well as the happy path.
-fn hotbot_degraded_run() -> String {
+fn hotbot_degraded_run() -> (u64, String) {
     let mut cluster = HotBotBuilder::new()
         .with_partitions(6)
         .with_corpus_docs(600)
@@ -360,26 +360,29 @@ fn hotbot_degraded_run() -> String {
         out += &format!("{}:{:x};", t.as_nanos(), v.to_bits());
     }
     let r = report.borrow();
-    out += &format!(
-        "events={};answered={};partial={}",
-        cluster.sim.events_dispatched(),
-        r.answered,
-        r.partial_coverage
-    );
-    out
+    out += &format!("answered={};partial={}", r.answered, r.partial_coverage);
+    (cluster.sim.events_dispatched(), out)
 }
 
 // Goldens recorded on the parent of the one-request-path change (PR 21),
 // when the TranSend and HotBot front ends still ran hand-written
 // per-request state machines: the async bodies that replaced them must
 // reproduce these runs bit for bit.
+//
+// Only the event counts have moved since: the front end used to arm
+// one engine timer per dispatch, and a timer whose job was already
+// answered still cost an event. With deadlines kept by the dispatch
+// plane behind one timer per front end, TranSend went from 10 179 to
+// 9 757 events and HotBot from 6 196 to 5 345 (its event count is kept
+// out of the hash for that reason); responses, bytes, counters and
+// every series are as recorded.
 
 #[test]
 fn transend_fingerprint_matches_the_legacy_golden() {
     let (events, responses, bytes, counters) = transend_fingerprint(0xd5);
     assert_eq!(
         (events, responses, bytes, fnv(&counters)),
-        (10_179, 121, 203_562, 0xbec4_38c4_d664_face)
+        (9_757, 121, 203_562, 0xbec4_38c4_d664_face)
     );
 }
 
@@ -399,7 +402,8 @@ fn sampled_trace_export_matches_the_legacy_golden() {
 
 #[test]
 fn hotbot_degraded_run_matches_the_legacy_golden() {
-    assert_eq!(fnv(&hotbot_degraded_run()), 0x158d_5fa1_5775_d651);
+    let (events, rest) = hotbot_degraded_run();
+    assert_eq!((events, fnv(&rest)), (5_345, 0x534b_f15c_3a8a_a4ca));
 }
 
 // Goldens recorded while the engine could still run on the heap

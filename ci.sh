@@ -50,6 +50,19 @@ done
 [ "$bad" -eq 0 ] || exit 1
 echo "   ok: every sns-* dependency is named in its crate"
 
+echo "== guard: one FNV-1a and one table hasher"
+# `sns_sim::hash` holds the workspace's only FNV-1a and its only
+# `Hasher` impls; a private copy elsewhere could drift from the stable
+# hash that placement, goldens and seeds depend on.
+copies=$(grep -rnE 'fn fnv1a|impl (std::hash::)?Hasher for' --include='*.rs' crates/*/src \
+  | grep -v '^crates/sim/src/hash.rs:' || true)
+if [ -n "$copies" ]; then
+  echo "hash implementation outside crates/sim/src/hash.rs:" >&2
+  echo "$copies" >&2
+  exit 1
+fi
+echo "   ok: FNV-1a and Hasher impls live only in sns_sim::hash"
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 

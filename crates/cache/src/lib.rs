@@ -35,6 +35,10 @@ pub use simulator::{CacheSim, CacheSimReport};
 pub use timing::CacheTiming;
 pub use vcache::VirtualCache;
 
+/// Placement hashing is FNV-1a: stable across platforms and releases,
+/// so placement does not move under a rustc upgrade.
+pub use sns_sim::hash::fnv1a;
+
 /// A cache key: the object URL plus a variant discriminator.
 ///
 /// Variant 0 is the original object; non-zero variants identify
@@ -74,17 +78,6 @@ impl CacheKey {
     }
 }
 
-/// FNV-1a 64-bit hash; stable across platforms and releases (placement
-/// must not change under rustc upgrades, unlike `DefaultHasher`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,11 +88,5 @@ mod tests {
         let b = CacheKey::variant("http://x/y.gif", 42);
         assert_eq!(a.placement_hash(), b.placement_hash());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Golden value: placement must never change between releases.
-        assert_eq!(fnv1a(b"hello"), 0xa430d84680aabd0b);
     }
 }

@@ -1,46 +1,15 @@
 //! Byte-capacity LRU object store with TTL expiry — the storage engine of
 //! one cache partition.
 //!
-//! Uses an ordered recency index (monotonic sequence numbers in a
-//! `BTreeMap`) rather than an intrusive list: O(log n) operations, no
-//! unsafe code, deterministic iteration.
+//! Entries live in a slot `Vec`, threaded by index into an intrusive
+//! doubly linked recency list; freed slots wait on a free list, and a
+//! hash index maps each key to its slot. Every operation is O(1), with
+//! no unsafe code and deterministic iteration.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::time::Duration;
 
-/// The key index's hasher: one multiply per 8-byte word (FxHash's step)
-/// instead of SipHash's rounds. Nothing iterates the index (recency
-/// order lives in the `BTreeMap`), so the hash changes no order. It
-/// gives up SipHash's resistance to crafted collisions, which keys
-/// drawn from the service's own workload do not need.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            self.add(tail.iter().fold(0, |w, &b| w << 8 | u64::from(b)));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits; the multiply mixes upward.
-        self.0.rotate_left(26)
-    }
-}
+use sns_sim::hash::FastMap;
 
 /// Objects stored in an [`LruCache`] report their size for byte-capacity
 /// accounting.
@@ -67,14 +36,27 @@ impl Weighted for u64 {
     }
 }
 
-struct Entry<V> {
+struct Entry<K, V> {
+    key: K,
     value: V,
     size: u64,
-    seq: u64,
     /// Absolute expiry in nanoseconds-of-simulation (or any monotonic
     /// clock the caller uses); `u64::MAX` = never.
     expires_at_ns: u64,
 }
+
+/// One slot: a listed entry, or `None` on the free list or as the
+/// sentinel.
+struct Slot<K, V> {
+    entry: Option<Entry<K, V>>,
+    prev: usize,
+    next: usize,
+}
+
+/// The recency list's sentinel slot: its `next` is the least recently
+/// used entry and its `prev` the most recent. Index 0 also ends the free
+/// list.
+const SENTINEL: usize = 0;
 
 /// Hit/miss/eviction counters for one cache store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,22 +99,27 @@ impl LruStats {
 pub struct LruCache<K, V> {
     capacity: u64,
     used: u64,
-    seq: u64,
-    map: HashMap<K, Entry<V>, BuildHasherDefault<WordHasher>>,
-    /// Recency index: seq → key. Smallest seq = least recently used.
-    order: BTreeMap<u64, K>,
+    /// Key → slot of its entry.
+    index: FastMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// First free slot; free slots chain through `next`.
+    free: usize,
     stats: LruStats,
 }
 
-impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
+impl<K: Eq + Hash + Clone, V: Weighted> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         LruCache {
             capacity,
             used: 0,
-            seq: 0,
-            map: HashMap::default(),
-            order: BTreeMap::new(),
+            index: FastMap::default(),
+            slots: vec![Slot {
+                entry: None,
+                prev: SENTINEL,
+                next: SENTINEL,
+            }],
+            free: SENTINEL,
             stats: LruStats::default(),
         }
     }
@@ -149,12 +136,12 @@ impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Counter snapshot.
@@ -165,41 +152,30 @@ impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
     /// Looks up `key` at time `now_ns`; refreshes recency on hit. Expired
     /// entries are removed and count as misses.
     ///
-    /// A hit re-indexes the entry by moving the key `order` already owns
-    /// to the new sequence number: two hash probes and no key clone.
+    /// A hit is one hash probe, then relinks the entry's slot at the
+    /// tail.
     pub fn get(&mut self, key: &K, now_ns: u64) -> Option<&V> {
-        let (old_seq, expired) = match self.map.get(key) {
-            None => {
-                self.stats.misses += 1;
-                return None;
-            }
-            Some(e) => (e.seq, e.expires_at_ns <= now_ns),
+        let Some(&i) = self.index.get(key) else {
+            self.stats.misses += 1;
+            return None;
         };
-        if expired {
+        if self.entry(i).expires_at_ns <= now_ns {
             self.remove(key);
             self.stats.expirations += 1;
             self.stats.misses += 1;
             return None;
         }
         self.stats.hits += 1;
-        self.seq += 1;
-        let owned = self
-            .order
-            .remove(&old_seq)
-            .expect("every entry is indexed in order");
-        self.order.insert(self.seq, owned);
-        let e = self.map.get_mut(key).expect("probed above");
-        e.seq = self.seq;
-        Some(&e.value)
+        self.unlink(i);
+        self.push_tail(i);
+        Some(&self.entry(i).value)
     }
 
     /// Checks for a live entry without counting a lookup or refreshing
     /// recency.
     pub fn peek(&self, key: &K, now_ns: u64) -> Option<&V> {
-        self.map
-            .get(key)
-            .filter(|e| e.expires_at_ns > now_ns)
-            .map(|e| &e.value)
+        let e = self.entry(*self.index.get(key)?);
+        (e.expires_at_ns > now_ns).then_some(&e.value)
     }
 
     /// Inserts (or replaces) an object, evicting LRU entries as needed.
@@ -211,50 +187,97 @@ impl<K: Eq + Hash + Clone + Ord, V: Weighted> LruCache<K, V> {
             return;
         }
         self.remove(&key);
-        while self.used + size > self.capacity {
-            let Some((&oldest_seq, _)) = self.order.iter().next() else {
-                break;
-            };
-            let victim = self.order[&oldest_seq].clone();
-            self.remove(&victim);
+        while self.used + size > self.capacity && self.slots[SENTINEL].next != SENTINEL {
+            let victim = self.release(self.slots[SENTINEL].next);
+            self.index.remove(&victim.key);
+            self.used -= victim.size;
             self.stats.evictions += 1;
         }
-        self.seq += 1;
         let expires_at_ns = match ttl {
             None => u64::MAX,
             Some(d) => now_ns.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
         };
-        self.order.insert(self.seq, key.clone());
-        self.map.insert(
-            key,
-            Entry {
+        let slot = Slot {
+            entry: Some(Entry {
+                key: key.clone(),
                 value,
                 size,
-                seq: self.seq,
                 expires_at_ns,
-            },
-        );
+            }),
+            prev: SENTINEL,
+            next: SENTINEL,
+        };
+        let i = match self.free {
+            SENTINEL => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+            f => {
+                self.free = self.slots[f].next;
+                self.slots[f] = slot;
+                f
+            }
+        };
+        self.push_tail(i);
+        self.index.insert(key, i);
         self.used += size;
     }
 
     /// Removes an entry; returns its value if present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let e = self.map.remove(key)?;
-        self.order.remove(&e.seq);
+        let i = self.index.remove(key)?;
+        let e = self.release(i);
         self.used -= e.size;
         Some(e.value)
     }
 
     /// Discards everything (BASE: throwing the cache away is always safe).
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
+        self.index.clear();
+        self.slots.truncate(1);
+        (self.slots[SENTINEL].prev, self.slots[SENTINEL].next) = (SENTINEL, SENTINEL);
+        self.free = SENTINEL;
         self.used = 0;
     }
 
     /// Iterates keys from least to most recently used.
     pub fn keys_lru_order(&self) -> impl Iterator<Item = &K> {
-        self.order.values()
+        let listed = |i: usize| Some(i).filter(|&i| i != SENTINEL);
+        std::iter::successors(listed(self.slots[SENTINEL].next), move |&i| {
+            listed(self.slots[i].next)
+        })
+        .map(|i| &self.entry(i).key)
+    }
+
+    fn entry(&self, i: usize) -> &Entry<K, V> {
+        self.slots[i]
+            .entry
+            .as_ref()
+            .expect("a listed slot holds an entry")
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        self.slots[prev].next = next;
+        self.slots[next].prev = prev;
+    }
+
+    fn push_tail(&mut self, i: usize) {
+        let tail = self.slots[SENTINEL].prev;
+        (self.slots[i].prev, self.slots[i].next) = (tail, SENTINEL);
+        self.slots[tail].next = i;
+        self.slots[SENTINEL].prev = i;
+    }
+
+    /// Unlists slot `i` onto the free list; returns its entry.
+    fn release(&mut self, i: usize) -> Entry<K, V> {
+        self.unlink(i);
+        self.slots[i].next = self.free;
+        self.free = i;
+        self.slots[i]
+            .entry
+            .take()
+            .expect("a listed slot holds an entry")
     }
 }
 

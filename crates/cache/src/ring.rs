@@ -7,8 +7,6 @@
 //! keeps that re-hash *minimal*: adding or removing one of `n` partitions
 //! moves only ~1/n of the key space.
 
-use std::collections::BTreeMap;
-
 use crate::fnv1a;
 
 /// Default virtual points per partition (trade-off between balance and
@@ -18,8 +16,9 @@ pub const DEFAULT_VNODES: u32 = 64;
 /// A consistent-hash ring mapping 64-bit key hashes to partition ids.
 #[derive(Debug, Clone)]
 pub struct HashRing<P> {
-    /// Ring position → partition. BTreeMap gives ordered successor lookup.
-    points: BTreeMap<u64, P>,
+    /// `(ring position, partition)`, sorted by position: a successor
+    /// lookup is one binary search over a flat array.
+    points: Vec<(u64, P)>,
     vnodes: u32,
 }
 
@@ -33,7 +32,7 @@ impl<P: Clone + Ord + std::fmt::Debug> HashRing<P> {
     pub fn with_vnodes(vnodes: u32) -> Self {
         assert!(vnodes > 0);
         HashRing {
-            points: BTreeMap::new(),
+            points: Vec::new(),
             vnodes,
         }
     }
@@ -51,22 +50,26 @@ impl<P: Clone + Ord + std::fmt::Debug> HashRing<P> {
         z
     }
 
-    /// Adds a partition's virtual points to the ring.
+    /// Adds a partition's virtual points to the ring. A point another
+    /// partition already holds passes to this one.
     pub fn add(&mut self, partition: P) {
         for r in 0..self.vnodes {
             let h = self.point(&partition, r);
-            self.points.insert(h, partition.clone());
+            match self.points.binary_search_by_key(&h, |&(at, _)| at) {
+                Ok(i) => self.points[i].1 = partition.clone(),
+                Err(i) => self.points.insert(i, (h, partition.clone())),
+            }
         }
     }
 
     /// Removes a partition from the ring.
     pub fn remove(&mut self, partition: &P) {
-        self.points.retain(|_, p| p != partition);
+        self.points.retain(|(_, p)| p != partition);
     }
 
     /// Number of distinct partitions on the ring.
     pub fn partitions(&self) -> usize {
-        let mut set: Vec<&P> = self.points.values().collect();
+        let mut set: Vec<&P> = self.points.iter().map(|(_, p)| p).collect();
         set.sort();
         set.dedup();
         set.len()
@@ -79,13 +82,10 @@ impl<P: Clone + Ord + std::fmt::Debug> HashRing<P> {
 
     /// Maps a key hash to its owning partition (clockwise successor).
     pub fn lookup(&self, key_hash: u64) -> Option<&P> {
-        if self.points.is_empty() {
-            return None;
-        }
+        let i = self.points.partition_point(|&(at, _)| at < key_hash);
         self.points
-            .range(key_hash..)
-            .next()
-            .or_else(|| self.points.iter().next())
+            .get(i)
+            .or_else(|| self.points.first())
             .map(|(_, p)| p)
     }
 }
@@ -99,6 +99,59 @@ impl<P: Clone + Ord + std::fmt::Debug> Default for HashRing<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    use sns_testkit::{gens, props, tk_assert_eq};
+
+    /// A partition whose ring label is `label` alone, so two partitions
+    /// sharing a label claim the same points.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Part {
+        label: u8,
+        id: u8,
+    }
+
+    impl std::fmt::Debug for Part {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "{}", self.label)
+        }
+    }
+
+    props! {
+        /// Over random adds (often colliding), removes and lookups, the
+        /// ring answers as an ordered map of its points would, where a
+        /// later `insert` wins a taken point.
+        fn ring_matches_an_ordered_map(words in gens::vec(gens::any_u64(), 1..60)) {
+            const VNODES: u32 = 4;
+            let mut ring = HashRing::with_vnodes(VNODES);
+            let mut oracle: BTreeMap<u64, Part> = BTreeMap::new();
+            for w in words {
+                let part = Part { label: (w >> 8) as u8 % 4, id: (w >> 16) as u8 % 3 };
+                match w % 3 {
+                    0 => {
+                        for r in 0..VNODES {
+                            oracle.insert(ring.point(&part, r), part);
+                        }
+                        ring.add(part);
+                    }
+                    1 => {
+                        oracle.retain(|_, p| *p != part);
+                        ring.remove(&part);
+                    }
+                    _ => {}
+                }
+                let probes = oracle.keys().flat_map(|&k| [k, k.wrapping_add(1)]);
+                for h in probes.chain([w, 0, u64::MAX]) {
+                    let want = oracle.range(h..).next().or_else(|| oracle.iter().next());
+                    tk_assert_eq!(ring.lookup(h), want.map(|(_, p)| p), "lookup({:#x})", h);
+                }
+                let mut owners: Vec<Part> = oracle.values().copied().collect();
+                owners.sort();
+                owners.dedup();
+                tk_assert_eq!(ring.partitions(), owners.len());
+            }
+        }
+    }
 
     fn keyspace() -> Vec<u64> {
         (0..20_000u64)

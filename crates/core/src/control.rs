@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
+use sns_sim::hash::FastMap;
 use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_sim::{ComponentId, MetricKey, NodeId};
@@ -1085,10 +1086,7 @@ pub trait LiveLoad: Send + Sync {
 
 /// Whether a deadline entry still times out a job: the job is
 /// outstanding and still on that attempt.
-fn live(
-    outstanding: &BTreeMap<u64, Outstanding>,
-    &(_, job, attempt): &(SimTime, u64, u32),
-) -> bool {
+fn live(outstanding: &FastMap<u64, Outstanding>, &(_, job, attempt): &(SimTime, u64, u32)) -> bool {
     outstanding.get(&job).is_some_and(|o| o.attempts == attempt)
 }
 
@@ -1108,8 +1106,9 @@ pub struct DispatchPlane {
     /// driver can cache what it derives from them.
     hints_version: u64,
     /// Net dispatches (sent − answered) per worker since the last beacon.
-    inflight: BTreeMap<ComponentId, i64>,
-    outstanding: BTreeMap<u64, Outstanding>,
+    inflight: FastMap<ComponentId, i64>,
+    /// Unordered: a reader whose effects follow job order sorts the ids.
+    outstanding: FastMap<u64, Outstanding>,
     /// `(deadline, job, attempt)` per dispatch attempt, in deadline
     /// order: one timeout at a monotone `now` (rt's racing submits can
     /// only delay a timeout by the race). An entry whose job is gone or
@@ -1146,8 +1145,8 @@ impl DispatchPlane {
             last_beacon: None,
             hints: BTreeMap::new(),
             hints_version: 0,
-            inflight: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
+            inflight: FastMap::default(),
+            outstanding: FastMap::default(),
             deadlines: VecDeque::new(),
             class_tenant: BTreeMap::new(),
             tenant_policy: BTreeMap::new(),
@@ -1708,14 +1707,16 @@ impl DispatchPlane {
     }
 
     /// Pending dispatches of `class` that have no worker yet get sent as
-    /// soon as hints advertise one (called after each beacon).
+    /// soon as hints advertise one (called after each beacon), in job id
+    /// order: each pick draws from `rng`.
     pub fn flush_pending(&mut self, rng: &mut Pcg32, out: &mut Vec<DispatchEffect>) {
-        let waiting: Vec<u64> = self
+        let mut waiting: Vec<u64> = self
             .outstanding
             .iter()
             .filter(|(_, o)| o.worker.is_none() && !o.explicit)
             .map(|(&id, _)| id)
             .collect();
+        waiting.sort_unstable();
         for job_id in waiting {
             let o = &self.outstanding[&job_id];
             if let Some(w) = self.pick(rng, &o.class, &o.workers_tried, out) {
@@ -1828,6 +1829,40 @@ mod tests {
         assert!(plane
             .on_response(id, SimTime::from_secs(1), &mut out)
             .is_none());
+    }
+
+    #[test]
+    fn flush_pending_sends_waiting_jobs_in_id_order() {
+        // Each send draws from the RNG, so job order fixes the draws.
+        let mut plane = DispatchPlane::new(SnsConfig::default());
+        let mut rng = Pcg32::new(7);
+        let mut out = Vec::new();
+        let ids: Vec<u64> = (0..24)
+            .map(|_| {
+                plane.dispatch(
+                    &mut rng,
+                    SimTime::ZERO,
+                    ComponentId(50),
+                    "w".into(),
+                    "op",
+                    Blob::payload(10, "x"),
+                    None,
+                    SpanCtx::root(),
+                    &mut out,
+                )
+            })
+            .collect();
+        out.clear();
+        plane.on_beacon(&beacon(&[(1, 0.0), (2, 0.0)]));
+        plane.flush_pending(&mut rng, &mut out);
+        let sent: Vec<u64> = out
+            .iter()
+            .filter_map(|e| match e {
+                DispatchEffect::SendJob { job, .. } => Some(job.id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, ids, "every waiting job, in ascending id order");
     }
 
     #[test]

@@ -57,8 +57,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::io;
 
+use sns_sim::hash::Fnv1a;
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
@@ -311,18 +313,12 @@ fn component_track_uuid(who: ComponentId) -> u64 {
 /// the high bit forced, so span tracks can never collide with the
 /// low-numbered component tracks.
 fn span_track_uuid(id: SpanId) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(id.kind.as_bytes());
-    eat(&[0xff]);
-    eat(&id.owner.0.to_le_bytes());
-    eat(&id.n.to_le_bytes());
-    h | (1 << 63)
+    let mut h = Fnv1a::default();
+    h.write(id.kind.as_bytes());
+    h.write(&[0xff]);
+    h.write(&id.owner.0.to_le_bytes());
+    h.write(&id.n.to_le_bytes());
+    h.finish() | (1 << 63)
 }
 
 /// Streaming Perfetto protobuf exporter: feed spans in log order via

@@ -12,6 +12,7 @@
 
 use std::time::Duration;
 
+use sns_sim::hash::fnv1a;
 use sns_sim::rng::Pcg32;
 use sns_tacc::content::{Body, ContentObject};
 use sns_tacc::worker::{TaccArgs, TaccError, TaccWorker};
@@ -21,9 +22,7 @@ use crate::cost::CostModel;
 
 fn keystream(key: &str) -> impl Iterator<Item = u8> + '_ {
     // SplitMix-seeded byte stream from the key string.
-    let mut state: u64 = key.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-    });
+    let mut state = fnv1a(key.as_bytes());
     std::iter::from_fn(move || {
         state = state.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = state;

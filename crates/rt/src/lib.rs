@@ -404,13 +404,13 @@ struct Deadlines {
 impl Deadlines {
     /// Settles a job whose service is over: the worker's gauge drops
     /// first — the job has left it, so a submitter woken by the reply
-    /// reads a gauge that no longer counts it — then the count, the
-    /// service span, the dispatch shard and the reply. The reply is sent
+    /// reads a gauge that no longer counts it — then the service span,
+    /// the dispatch shard, the count and the reply. The reply is sent
     /// after the shard lock is released (waking the waiter is the slow
     /// part) and before the spans the plane emits (the closed dispatch
     /// span) go to the tracer. A job that was already settled (gave up,
     /// or answered by the other copy of a retried dispatch) has no
-    /// entry and sends nothing.
+    /// entry, so it is neither counted nor answered again.
     fn settle(
         &self,
         qlen: &AtomicU64,
@@ -421,7 +421,6 @@ impl Deadlines {
         qlen.fetch_sub(1, Ordering::Relaxed);
         let result = match outcome {
             Ok(payload) => {
-                self.jobs_done.fetch_add(1, Ordering::Relaxed);
                 service.record(&self.tracer, at, payload.wire_size(), true);
                 JobResult::Ok(payload)
             }
@@ -440,6 +439,9 @@ impl Deadlines {
             shard.ext.outstanding.remove(&service.job)
         };
         if let Some(o) = settled {
+            if matches!(result, JobResult::Ok(_)) {
+                self.jobs_done.fetch_add(1, Ordering::Relaxed);
+            }
             o.reply.deliver(result);
         }
         for effect in out {

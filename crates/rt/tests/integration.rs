@@ -222,6 +222,11 @@ fn a_stalled_job_is_retried_elsewhere_and_answered_once() {
         rx.recv_timeout(Duration::from_millis(100)).is_err(),
         "a retried job must be answered exactly once"
     );
+    assert_eq!(
+        c.jobs_done.load(Ordering::Relaxed),
+        c.submitted.load(Ordering::Relaxed),
+        "the stalled copy's late answer must not count as a second completion"
+    );
     c.shutdown();
 }
 

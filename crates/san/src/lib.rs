@@ -253,7 +253,8 @@ pub struct SanStats {
 #[derive(Debug)]
 pub struct San {
     cfg: SanConfig,
-    nics: BTreeMap<NodeId, Nic>,
+    /// Indexed by node id; a node past the end has the default NIC.
+    nics: Vec<Nic>,
     fabric_busy: SimTime,
     fabric_flow: FlowAcc,
     /// Partition group per node; `None` means no partition is active.
@@ -270,7 +271,7 @@ impl San {
     pub fn new(cfg: SanConfig) -> Self {
         San {
             cfg,
-            nics: BTreeMap::new(),
+            nics: Vec::new(),
             fabric_busy: SimTime::ZERO,
             fabric_flow: FlowAcc::default(),
             partition_of: None,
@@ -281,9 +282,7 @@ impl San {
 
     /// Overrides one node's NIC parameters (e.g. a slower edge segment).
     pub fn set_nic(&mut self, node: NodeId, params: LinkParams) {
-        let default = self.cfg.default_nic.clone();
-        let nic = self.nics.entry(node).or_insert_with(|| Nic::new(default));
-        nic.params = params;
+        self.nic_mut(node).params = params;
     }
 
     /// Current NIC parameters for a node (the configured default if the
@@ -291,7 +290,7 @@ impl San {
     /// restore a link.
     pub fn nic_params(&self, node: NodeId) -> LinkParams {
         self.nics
-            .get(&node)
+            .get(node.0 as usize)
             .map(|n| n.params.clone())
             .unwrap_or_else(|| self.cfg.default_nic.clone())
     }
@@ -334,7 +333,7 @@ impl San {
     /// link at `now`; a saturation indicator.
     pub fn egress_backlog(&self, node: NodeId, now: SimTime) -> Duration {
         self.nics
-            .get(&node)
+            .get(node.0 as usize)
             .map(|n| n.egress_busy.since(now))
             .unwrap_or(Duration::ZERO)
     }
@@ -353,8 +352,12 @@ impl San {
     }
 
     fn nic_mut(&mut self, node: NodeId) -> &mut Nic {
-        let default = self.cfg.default_nic.clone();
-        self.nics.entry(node).or_insert_with(|| Nic::new(default))
+        let i = node.0 as usize;
+        if i >= self.nics.len() {
+            let default = Nic::new(self.cfg.default_nic.clone());
+            self.nics.resize(i + 1, default);
+        }
+        &mut self.nics[i]
     }
 
     /// Serialises a message through the sender's egress NIC. Returns the
@@ -618,8 +621,7 @@ impl Network for San {
     }
 
     fn register_node(&mut self, node: NodeId) {
-        let default = self.cfg.default_nic.clone();
-        self.nics.entry(node).or_insert_with(|| Nic::new(default));
+        self.nic_mut(node);
     }
 }
 
@@ -897,7 +899,7 @@ mod tests {
         assert!(ds.iter().all(|d| matches!(d, Delivery::At(_))));
         // Sender egress advanced by exactly one transmission (~10 ms), not
         // three.
-        let egress = s.nics[&NodeId(0)].egress_busy;
+        let egress = s.nics[0].egress_busy;
         let ms = egress.as_secs_f64() * 1e3;
         assert!(ms > 9.0 && ms < 12.0, "egress busy until {ms} ms");
     }

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod hash;
 pub mod network;
 pub mod rng;
 pub mod sched;

@@ -3,13 +3,12 @@
 //! Components and the engine itself record observations into a shared
 //! [`StatsHub`]; experiment harnesses read them back after (or during) a
 //! run to regenerate the paper's tables and figures. All collections are
-//! keyed by interned names and stored in `BTreeMap`s so that report
-//! iteration order is deterministic. A hub interns a name only on its
-//! own first write of it; every later write is one lookup in the hub's
-//! map and never touches the process-wide interner.
+//! keyed by interned names in hash maps; the readers that iterate them
+//! sort by name, so report order stays deterministic. A hub interns a
+//! name only on its own first write of it; every later write is one
+//! lookup in the hub's map and never touches the process-wide interner.
 
-use std::collections::BTreeMap;
-
+use crate::hash::FastMap;
 use crate::time::SimTime;
 
 /// An interned metric name: a cheap, `Copy` handle for names built at
@@ -215,7 +214,7 @@ impl Series {
 /// when the map already holds the name; otherwise a value made by
 /// `new`, stored under the interned name.
 fn update<V>(
-    map: &mut BTreeMap<&'static str, V>,
+    map: &mut FastMap<&'static str, V>,
     name: &str,
     new: impl FnOnce() -> V,
     write: impl FnOnce(&mut V),
@@ -238,9 +237,9 @@ fn update<V>(
 /// never allocates. Reads take plain `&str` and never intern.
 #[derive(Debug, Default)]
 pub struct StatsHub {
-    counters: BTreeMap<&'static str, u64>,
-    summaries: BTreeMap<&'static str, Summary>,
-    series: BTreeMap<&'static str, Series>,
+    counters: FastMap<&'static str, u64>,
+    summaries: FastMap<&'static str, Summary>,
+    series: FastMap<&'static str, Series>,
 }
 
 impl StatsHub {
@@ -291,15 +290,22 @@ impl StatsHub {
         self.series.get(name)
     }
 
-    /// Iterates all series (deterministic order), e.g. for plotting.
+    /// Iterates all series in name order, e.g. for plotting.
     pub fn all_series(&self) -> impl Iterator<Item = (&str, &Series)> {
-        self.series.iter().map(|(&k, v)| (k, v))
+        by_name(self.series.iter().map(|(&k, v)| (k, v)))
     }
 
-    /// Iterates all counters (deterministic order).
+    /// Iterates all counters in name order.
     pub fn all_counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        by_name(self.counters.iter().map(|(&k, &v)| (k, v)))
     }
+}
+
+/// A map's entries sorted by name (each name appears once).
+fn by_name<'a, V>(entries: impl Iterator<Item = (&'a str, V)>) -> std::vec::IntoIter<(&'a str, V)> {
+    let mut all: Vec<_> = entries.collect();
+    all.sort_unstable_by_key(|&(name, _)| name);
+    all.into_iter()
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use sns_testkit::{gens, props, tk_assert, tk_assert_eq, tk_assume};
 
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
 use sns_sim::network::IdealNetwork;
-use sns_sim::stats::Summary;
+use sns_sim::stats::{StatsHub, Summary};
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
@@ -97,6 +97,28 @@ props! {
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         tk_assert_eq!(s.min(), min);
         tk_assert_eq!(s.max(), max);
+    }
+
+    /// Whatever order names are first written in, the hub reads its
+    /// counters and series back sorted by name, each name once.
+    fn hub_reads_back_in_name_order(
+        writes in gens::vec(gens::string("[a-z]{1,3}"), 1..80),
+    ) {
+        let mut hub = StatsHub::new();
+        for (i, name) in writes.iter().enumerate() {
+            let name = format!("prop.hub.{name}");
+            hub.incr(&name, 1);
+            hub.sample(&name, SimTime::from_secs(i as u64), 1.0);
+        }
+        let mut want: Vec<String> = writes.iter().map(|n| format!("prop.hub.{n}")).collect();
+        want.sort();
+        want.dedup();
+        let counters: Vec<&str> = hub.all_counters().map(|(k, _)| k).collect();
+        let series: Vec<&str> = hub.all_series().map(|(k, _)| k).collect();
+        tk_assert_eq!(&counters, &want);
+        tk_assert_eq!(&series, &want);
+        let total: u64 = hub.all_counters().map(|(_, v)| v).sum();
+        tk_assert_eq!(total, writes.len() as u64);
     }
 
     fn rng_below_is_always_in_bounds(

@@ -14,12 +14,14 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sns_core::msg::{Job, ProfileData};
 use sns_core::worker::{WorkerError, WorkerLogic};
 use sns_core::{AppData, Payload, WorkerClass};
+use sns_sim::hash::Fnv1a;
 use sns_sim::rng::Pcg32;
 use sns_sim::time::SimTime;
 use sns_workload::MimeType;
@@ -90,21 +92,15 @@ impl TaccArgs {
     /// post-transformation content (§2.3 "caches can store
     /// post-transformation … content").
     pub fn variant_hash(&self, worker: &str) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(worker.as_bytes());
+        let mut h = Fnv1a::default();
+        h.write(worker.as_bytes());
         for (k, v) in self.map.iter() {
-            eat(k.as_bytes());
-            eat(b"=");
-            eat(v.as_bytes());
-            eat(b";");
+            h.write(k.as_bytes());
+            h.write(b"=");
+            h.write(v.as_bytes());
+            h.write(b";");
         }
-        h | 1 // never 0: 0 means "original" in CacheKey
+        h.finish() | 1 // never 0: 0 means "original" in CacheKey
     }
 
     /// The underlying map, shared: a job can carry it as its profile.

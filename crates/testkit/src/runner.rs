@@ -10,6 +10,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use sns_sim::hash::fnv1a;
+
 use crate::gen::GenSet;
 use crate::shrink::{shrink, Rerun};
 use crate::source::Source;
@@ -88,15 +90,6 @@ impl Config {
             shrink_budget: env_u64("SNS_TESTKIT_SHRINK").map_or(512, |v| v as u32),
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 fn case_seed(base: u64, case: u64) -> u64 {

@@ -11,6 +11,7 @@ use std::time::Duration;
 use sns_core::msg::{ClientRequest, SnsMsg};
 use sns_core::payload_as;
 use sns_sim::engine::{Component, Ctx};
+use sns_sim::hash::FastMap;
 use sns_sim::stats::Summary;
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
@@ -73,7 +74,7 @@ pub struct TranSendClient {
     next_item: usize,
     next_fe: usize,
     start_delay: Duration,
-    outstanding: std::collections::BTreeMap<u64, (SimTime, u64)>,
+    outstanding: FastMap<u64, (SimTime, u64)>,
     report: ClientReportHandle,
 }
 
@@ -100,7 +101,7 @@ impl TranSendClient {
                 next_item: 0,
                 next_fe: 0,
                 start_delay,
-                outstanding: std::collections::BTreeMap::new(),
+                outstanding: FastMap::default(),
                 report: Rc::clone(&report),
             },
             report,

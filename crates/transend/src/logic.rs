@@ -23,6 +23,7 @@ use sns_core::exec::service::{AsyncService, EventOutcome, SvcHandle};
 use sns_core::exec::{select_some, BoxFut};
 use sns_core::msg::{ClientRequest, JobResult, ProfileData};
 use sns_core::{payload_as, AppData, Payload, WorkerClass};
+use sns_sim::hash::FastMap;
 use sns_sim::ComponentId;
 use sns_tacc::cache_worker::{CacheGet, CacheGetResult, CacheInject, CacheWorker};
 use sns_tacc::content::ContentObject;
@@ -109,7 +110,8 @@ impl AppData for AggregateServiceRequest {
 /// ring and the write-through profile cache.
 struct TsShared {
     vcache: VirtualCache<ComponentId>,
-    profile_cache: BTreeMap<String, Option<ProfileData>>,
+    profile_cache: FastMap<String, Option<ProfileData>>,
+    /// FIFO eviction order of `profile_cache`.
     profile_order: VecDeque<String>,
 }
 
@@ -128,7 +130,7 @@ impl TranSendAsync {
             cfg: Arc::new(cfg),
             shared: Arc::new(Mutex::new(TsShared {
                 vcache: VirtualCache::new(),
-                profile_cache: BTreeMap::new(),
+                profile_cache: FastMap::default(),
                 profile_order: VecDeque::new(),
             })),
         }

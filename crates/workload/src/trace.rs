@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use sns_sim::hash::fnv1a;
 use sns_sim::rng::Pcg32;
 
 use crate::bursts::ArrivalProcess;
@@ -183,7 +184,7 @@ impl TraceGenerator {
     /// Stable per-object properties: every reference to an object name
     /// sees the same MIME type and size.
     fn object_props(&self, name: &str) -> (MimeType, u64) {
-        let h = sns_fnv(name.as_bytes()) ^ self.cfg.seed;
+        let h = fnv1a(name.as_bytes()) ^ self.cfg.seed;
         let mut orng = Pcg32::new(h);
         let mime = self.cfg.mix.sample(&mut orng);
         let size = self.cfg.sizes.sample(mime, &mut orng);
@@ -255,16 +256,6 @@ impl TraceGenerator {
         let records = arrivals.into_iter().map(|at| self.request_at(at)).collect();
         Trace { records }
     }
-}
-
-/// Local FNV-1a (object identity hashing).
-fn sns_fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]
